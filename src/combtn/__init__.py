@@ -50,7 +50,6 @@ from .tensor import (
     Tensor,
     contract_pair,
     random_tensor,
-    transpose,
 )
 from .verification import VerificationReport, grid_params, run_verification
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from statistics import median
@@ -49,7 +50,7 @@ def _root_str(value: Optional[float], places: int) -> str:
 
 
 def load_data_matrix(path: str, sites: int, dim_raw: int) -> np.ndarray:
-    """Read a headerless CSV of ``sites`` rows with ``dim_raw`` floats each."""
+    """Read a headerless CSV of ``sites`` rows with ``dim_raw`` finite floats each."""
     rows = []
     with open(path, newline="") as handle:
         for r, row in enumerate(csv.reader(handle), start=1):
@@ -59,11 +60,15 @@ def load_data_matrix(path: str, sites: int, dim_raw: int) -> np.ndarray:
             values = []
             for c, cell in enumerate(row, start=1):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataFormatError(
                         f"{path}: row {r}, column {c}: {cell!r} is not a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(
+                        f"{path}: row {r}, column {c}: {cell!r} is not finite")
+                values.append(value)
             rows.append(values)
     if len(rows) != sites:
         raise DataFormatError(

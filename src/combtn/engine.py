@@ -17,15 +17,6 @@ from . import costmodel
 from .network import CombGeometry, MpsGeometry, TensorNetwork
 from .tensor import AxisPairing, Tensor, checked_count, contract_pair
 
-PHASES = (
-    "compress",
-    "absorb-physical",
-    "tooth-sweep",
-    "tooth-to-backbone",
-    "chain-sweep",
-    "final-dot",
-)
-
 ORACLE_GUARD = 10_000_000
 
 
@@ -188,17 +179,22 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
 def naive_value_oracle(net: TensorNetwork, guard: int = ORACLE_GUARD) -> float:
     """Contract the bond graph in bond-index order, ignoring cost.
 
-    Independent of the planners: works directly off nodes and bonds with
-    generic component merging. Raises OracleGuardError if any intermediate
-    would hold more than ``guard`` scalars.
+    Independent of the planners and of ``contract_pair``: works directly off
+    nodes and bonds with generic component merging, contracting through
+    ``np.tensordot``. Each component keeps its member list, and a merge
+    relabels the smaller one, so relabelling costs O(nodes log nodes) over a
+    whole contraction. Raises OracleGuardError if any intermediate would
+    hold more than ``guard`` scalars.
     """
     arrays: dict[str, np.ndarray] = {}
     legs: dict[str, list[int]] = {}
     owner: dict[str, str] = {}
+    members: dict[str, list[str]] = {}
     for name, node in net.nodes.items():
         arrays[name] = node.tensor.array
         legs[name] = [-1] * len(node.tensor.shape)
         owner[name] = name
+        members[name] = [name]
     for bond in net.bonds:
         legs[bond.node_a][bond.axis_a] = bond.index
         legs[bond.node_b][bond.axis_b] = bond.index
@@ -222,12 +218,15 @@ def naive_value_oracle(net: TensorNetwork, guard: int = ORACLE_GUARD) -> float:
             )
         merged_legs = [l for i, l in enumerate(legs[comp_a]) if i != axis_a]
         merged_legs += [l for i, l in enumerate(legs[comp_b]) if i != axis_b]
-        del arrays[comp_b], legs[comp_b]
-        arrays[comp_a] = merged
-        legs[comp_a] = merged_legs
-        for name, comp in owner.items():
-            if comp == comp_b:
-                owner[name] = comp_a
+        keep, gone = comp_a, comp_b
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        del arrays[gone], legs[gone]
+        arrays[keep] = merged
+        legs[keep] = merged_legs
+        for name in members[gone]:
+            owner[name] = keep
+        members[keep] += members.pop(gone)
 
     if len(arrays) != 1:
         raise ValueError("network is disconnected; oracle needs one component")

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .tensor import Tensor, random_tensor
+from .tensor import Tensor, _owned, random_tensor
 
 
 class NodeRole(Enum):
@@ -123,7 +123,8 @@ class TensorNetwork:
 
 
 class _Builder:
-    """Accumulates nodes and bonds; child seeds come from one master stream."""
+    """Accumulates nodes and bonds; every tensor is drawn, in order of
+    ``add`` calls, from one generator seeded once per build."""
 
     def __init__(self, seed) -> None:
         self._rng = np.random.default_rng(seed)
@@ -131,8 +132,7 @@ class _Builder:
         self.bonds: list[Bond] = []
 
     def add(self, name: str, role: NodeRole, shape: Sequence[int], fan_in: int) -> None:
-        child_seed = int(self._rng.integers(0, 2**63 - 1))
-        tensor = random_tensor(shape, child_seed, std=1.0 / math.sqrt(fan_in))
+        tensor = random_tensor(shape, self._rng, std=1.0 / math.sqrt(fan_in))
         self.nodes[name] = Node(name, role, tensor)
 
     def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int, dim: int) -> None:
@@ -227,17 +227,26 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
     """Return a copy of ``net`` with data vectors taken from the rows of ``data``.
 
     Rows follow site order: MPS left to right; comb tooth-major, backbone
-    left to right and within a tooth from the backbone outward.
+    left to right and within a tooth from the backbone outward. Every value
+    must be finite. ``data`` is copied once; the data tensors are read-only
+    rows of that copy.
     """
-    matrix = np.asarray(data, dtype=np.float64)
+    matrix = np.array(data, dtype=np.float64, order="C", copy=True)
     expected = (len(net.data_sites), net.params.dim_raw)
     if matrix.ndim != 2 or matrix.shape != expected:
         raise ValueError(
             f"data matrix must have shape {expected} "
             f"(sites x dim_raw), got {matrix.shape}"
         )
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"data matrix row {row}, column {col} is not finite: {matrix[row, col]}"
+        )
+    matrix.flags.writeable = False
     updates = {
-        name: Tensor(matrix[row]) for row, name in enumerate(net.data_sites)
+        name: _owned(matrix[row]) for row, name in enumerate(net.data_sites)
     }
     return _with_tensors(net, updates)
 

@@ -34,8 +34,10 @@ def checked_count(n: int) -> int:
 class Tensor:
     """Immutable dense array of float64 scalars; shape () is a scalar.
 
-    Storage is row-major. The wrapped array is copied on construction and
-    marked read-only, so tensors are safe to share across threads.
+    Storage is row-major and read-only, so tensors are safe to share across
+    threads. An array passed to the constructor is copied, so the caller may
+    keep writing to its own; arrays combtn makes itself (contraction results
+    and random draws) are wrapped as they are by ``_owned``.
     """
 
     array: np.ndarray
@@ -59,17 +61,6 @@ class Tensor:
     def elements(self) -> np.ndarray:
         """Flat row-major view of the scalars."""
         return self.array.reshape(-1)
-
-    @classmethod
-    def from_flat(cls, shape: Sequence[int], elements: Sequence[float]) -> "Tensor":
-        shape = tuple(int(e) for e in shape)
-        data = np.asarray(elements, dtype=np.float64)
-        if data.size != prod(shape):
-            raise ValueError(
-                f"{data.size} elements do not fill shape {shape} "
-                f"({prod(shape)} expected)"
-            )
-        return cls(data.reshape(shape))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
@@ -120,31 +111,48 @@ class StepCost:
         checked_count(self.multiplications)
 
 
+def _owned(arr: np.ndarray) -> Tensor:
+    """Wrap, without a copy, a C-contiguous float64 array that combtn made.
+
+    The array is frozen in place, so no caller may hold a writeable
+    reference to it or to its base.
+    """
+    arr.setflags(write=False)
+    tensor = object.__new__(Tensor)
+    object.__setattr__(tensor, "array", arr)
+    return tensor
+
+
 def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, StepCost]:
     """Contract two tensors over the paired axes.
 
     The result keeps the unpaired axes of ``a`` (in order) followed by the
     unpaired axes of ``b`` (in order). Cost is product(output extents) times
     product(contracted extents), checked against the 64-bit range.
+
+    Every pairing, scalars and outer products included, runs as one matrix
+    product: ``a`` is laid out as [free, summed] and ``b`` as [summed, free].
     """
     pairing.validate(a.shape, b.shape)
-    a_axes = [ia for ia, _ in pairing.pairs]
-    b_axes = [ib for _, ib in pairing.pairs]
-    out = np.tensordot(a.array, b.array, axes=(a_axes, b_axes))
-    contracted = prod(a.shape[i] for i in a_axes)
-    cost = checked_count(prod(out.shape) * contracted)
-    return Tensor(out), StepCost(cost)
-
-
-def transpose(a: Tensor, perm: Sequence[int]) -> Tensor:
-    """Reorder axes by ``perm``; counts zero multiplications."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(a.shape))):
-        raise ValueError(f"{perm} is not a permutation of {len(a.shape)} axes")
-    return Tensor(np.transpose(a.array, perm))
+    a_arr, b_arr = a.array, b.array
+    a_sum = [ia for ia, _ in pairing.pairs]
+    b_sum = [ib for _, ib in pairing.pairs]
+    a_free = [i for i in range(a_arr.ndim) if i not in a_sum]
+    b_free = [i for i in range(b_arr.ndim) if i not in b_sum]
+    summed = prod([a_arr.shape[i] for i in a_sum])
+    out = np.dot(a_arr.transpose(a_free + a_sum).reshape(-1, summed),
+                 b_arr.transpose(b_sum + b_free).reshape(summed, -1))
+    out = out.reshape([a_arr.shape[i] for i in a_free] + [b_arr.shape[i] for i in b_free])
+    return _owned(out), StepCost(out.size * summed)
 
 
 def random_tensor(shape: Sequence[int], seed, std: float = 1.0) -> Tensor:
-    """Gaussian(0, std) tensor, deterministic for a fixed (shape, seed)."""
-    rng = np.random.default_rng(seed)
-    return Tensor(rng.normal(0.0, std, size=tuple(shape)))
+    """Gaussian(0, std) tensor, deterministic for a fixed (shape, seed).
+
+    ``seed`` may also be a ``numpy.random.Generator``, which is drawn from
+    and advanced.
+    """
+    shape = tuple(shape)
+    if any(extent < 1 for extent in shape):
+        raise ValueError(f"every extent must be >= 1, got shape {shape}")
+    return _owned(np.random.default_rng(seed).normal(0.0, std, size=shape))

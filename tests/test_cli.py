@@ -203,6 +203,18 @@ class TestContract:
         assert code == 2
         assert "row 2" in err and "column 2" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_exits_2(self, capsys, tmp_path, cell):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"0,0,0\n0,0,0\n0,0,{cell}\n0,0,0\n")
+        code, out, err = run(capsys, ["contract", "--kind", "mps", "--teeth", "2",
+                                      "--tooth-len", "2", "--dim-raw", "3",
+                                      "--dim-comp", "2", "--bond", "2",
+                                      "--data", str(data), "--json"])
+        assert code == 2
+        assert out == ""
+        assert "row 3" in err and "column 3" in err and "not finite" in err
+
     def test_wrong_column_count(self, capsys, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("0,0\n0,0\n0,0\n0,0\n")

@@ -18,13 +18,32 @@ from combtn.engine import (
     naive_value_oracle,
     plan_for,
 )
-from combtn.network import NetworkParams, attach_data, build_comb, build_mps
+from combtn.network import (
+    Bond,
+    MpsGeometry,
+    NetworkParams,
+    Node,
+    NodeRole,
+    TensorNetwork,
+    attach_data,
+    build_comb,
+    build_mps,
+)
 from combtn.network import _with_tensors
 from combtn.tensor import Tensor
 
 
 def params(D=3, d=2, x=2, M=2, N=1) -> NetworkParams:
     return NetworkParams(dim_raw=D, dim_comp=d, bond_dim=x, teeth=M, tooth_len=N)
+
+
+def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
+    """Bare bond graph of all-ones tensors, for the oracle's error paths."""
+    nodes = {name: Node(name, NodeRole.DATA, Tensor(np.ones(shape)))
+             for name, shape in shapes.items()}
+    bonds = tuple(Bond(i, a, axis_a, b, axis_b, shapes[a][axis_a])
+                  for i, (a, axis_a, b, axis_b) in enumerate(edges))
+    return TensorNetwork(params(), MpsGeometry(len(nodes)), nodes, bonds, ())
 
 
 class TestMpsPlan:
@@ -207,6 +226,30 @@ class TestValueOracle:
             scalar, _ = execute(net, plan_for(net))
             reference = naive_value_oracle(net)
             assert math.isclose(scalar, reference, rel_tol=1e-10, abs_tol=1e-12), p
+
+    def test_matches_execute_on_long_chain(self):
+        p = params(D=3, d=2, x=3, M=30, N=4)
+        for build in (build_mps, build_comb):
+            net = build(p, seed=8)
+            scalar, _ = execute(net, plan_for(net))
+            assert math.isclose(scalar, naive_value_oracle(net), rel_tol=1e-10), build
+
+    def test_cycle_rejected(self):
+        net = _graph({"a": (2, 2), "b": (2, 2), "c": (2, 2)},
+                     [("a", 1, "b", 0), ("b", 1, "c", 0), ("c", 1, "a", 0)])
+        with pytest.raises(ValueError, match="cycle"):
+            naive_value_oracle(net)
+
+    def test_disconnected_rejected(self):
+        net = _graph({"a": (2,), "b": (2,), "c": (3,), "d": (3,)},
+                     [("a", 0, "b", 0), ("c", 0, "d", 0)])
+        with pytest.raises(ValueError, match="disconnected"):
+            naive_value_oracle(net)
+
+    def test_free_axis_rejected(self):
+        net = _graph({"a": (2, 3), "b": (2,)}, [("a", 0, "b", 0)])
+        with pytest.raises(ValueError, match="not closed"):
+            naive_value_oracle(net)
 
     def test_guard_raises(self):
         net = build_mps(params(M=3, N=2), seed=0)

@@ -135,6 +135,25 @@ class TestBuildComb:
         for name in a.nodes:
             assert a.nodes[name].tensor == b.nodes[name].tensor
 
+    def test_seed_changes_values(self):
+        p = small_params(teeth=3, tooth_len=2)
+        a = build_comb(p, seed=1)
+        b = build_comb(p, seed=2)
+        for name in ("spine0", "tooth1.0", "u2.1"):
+            assert a.nodes[name].tensor != b.nodes[name].tensor
+
+
+@pytest.mark.parametrize("build", [build_mps, build_comb])
+def test_tensors_of_one_build_are_distinct(build):
+    # one stream per build: two same-shaped tensors never repeat a draw
+    net = build(small_params(teeth=3, tooth_len=2), seed=7)
+    compressions = [n.tensor for n in net.nodes.values()
+                    if n.role is NodeRole.COMPRESSION]
+    assert len(compressions) == 6
+    for i, first in enumerate(compressions):
+        for second in compressions[i + 1:]:
+            assert first != second
+
 
 class TestAttachData:
     def test_zero_data_contracts_to_zero(self):
@@ -177,6 +196,25 @@ class TestAttachData:
         net = build_mps(small_params(), seed=0)
         with pytest.raises(ValueError, match="data matrix"):
             attach_data(net, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        p = small_params()
+        net = build_comb(p, seed=0)
+        data = np.zeros((p.sites, p.dim_raw))
+        data[2, 1] = bad
+        with pytest.raises(ValueError, match="row 2.*not finite"):
+            attach_data(net, data)
+
+    def test_caller_array_is_copied(self):
+        p = small_params()
+        net = build_mps(p, seed=0)
+        data = np.ones((p.sites, p.dim_raw))
+        attached = attach_data(net, data)
+        data[:] = 5.0
+        for name in attached.data_sites:
+            assert np.array_equal(attached.nodes[name].tensor.array, np.ones(p.dim_raw))
+            assert not attached.nodes[name].tensor.array.flags.writeable
 
     def test_comb_row_order_is_tooth_major(self):
         net = build_comb(small_params(teeth=3, tooth_len=2), seed=0)

@@ -14,7 +14,6 @@ from combtn.tensor import (
     Tensor,
     contract_pair,
     random_tensor,
-    transpose,
 )
 
 
@@ -105,6 +104,47 @@ class TestContractPair:
         # identity lands the contracted axis last
         assert np.allclose(out.array, np.moveaxis(t.array, 1, 2))
 
+    @pytest.mark.parametrize("rank_a", range(4))
+    @pytest.mark.parametrize("rank_b", range(4))
+    def test_every_pairing_matches_loop_reference(self, rank_a, rank_b):
+        # distinct extents per axis, so a wrong axis order cannot pass
+        a_shape = (2, 3, 4)[:rank_a]
+        for n_pairs in range(min(2, rank_a, rank_b) + 1):
+            for a_axes in itertools.permutations(range(rank_a), n_pairs):
+                for b_axes in itertools.permutations(range(rank_b), n_pairs):
+                    b_shape = [5, 1, 2][:rank_b]
+                    for ia, ib in zip(a_axes, b_axes):
+                        b_shape[ib] = a_shape[ia]
+                    pairs = list(zip(a_axes, b_axes))
+                    a = random_tensor(a_shape, seed=rank_a)
+                    b = random_tensor(b_shape, seed=rank_b + 10)
+                    out, cost = contract_pair(a, b, AxisPairing(pairs))
+                    reference = loop_contract(a, b, pairs)
+                    assert out.shape == reference.shape, pairs
+                    assert np.allclose(out.array, reference, rtol=1e-12, atol=1e-14), pairs
+                    assert cost.multiplications == convention_cost(a.shape, b.shape, pairs)
+
+    def test_non_contiguous_inputs(self):
+        base = np.arange(120.0).reshape(4, 5, 6)
+        vec = Tensor(np.linspace(-1.0, 1.0, 5))
+        for view in (base[:, :, ::-2], np.asfortranarray(base),
+                     base.transpose(1, 0, 2)[:, ::2]):
+            a = Tensor(view)
+            assert np.array_equal(a.array, view)
+            pairs = [(view.shape.index(5), 0)]
+            out, _ = contract_pair(a, vec, AxisPairing(pairs))
+            assert np.allclose(out.array, loop_contract(a, vec, pairs), rtol=1e-12)
+
+    def test_outputs_read_only(self):
+        a = random_tensor((2, 3), seed=1)
+        b = random_tensor((3,), seed=2)
+        for pairs in ([(1, 0)], []):
+            out, _ = contract_pair(a, b, AxisPairing(pairs))
+            assert not out.array.flags.writeable
+            with pytest.raises(ValueError):
+                out.array[...] = 0.0
+        assert not a.array.flags.writeable
+
     def test_extent_mismatch(self):
         a = random_tensor((2, 3), seed=1)
         b = random_tensor((4,), seed=2)
@@ -152,29 +192,6 @@ def test_cost_convention_property(case, seed):
     assert np.allclose(out.array, loop_contract(a, b, pairs), rtol=1e-12, atol=1e-14)
 
 
-class TestTranspose:
-    def test_identity_permutation(self):
-        t = random_tensor((2, 3), seed=5)
-        assert transpose(t, (0, 1)) == t
-
-    def test_matrix_transpose(self):
-        t = random_tensor((2, 3), seed=6)
-        out = transpose(t, (1, 0))
-        assert out.shape == (3, 2)
-        assert np.array_equal(out.array, t.array.T)
-
-    def test_involution(self):
-        t = random_tensor((2, 3, 4), seed=8)
-        perm = (2, 0, 1)
-        inverse = tuple(np.argsort(perm))
-        assert transpose(transpose(t, perm), inverse) == t
-
-    def test_invalid_permutation(self):
-        t = random_tensor((2, 3), seed=9)
-        with pytest.raises(ValueError, match="not a permutation"):
-            transpose(t, (0, 0))
-
-
 class TestRandomTensor:
     def test_deterministic(self):
         assert random_tensor((4, 2), seed=123) == random_tensor((4, 2), seed=123)
@@ -185,6 +202,19 @@ class TestRandomTensor:
     def test_sample_mean_near_zero(self):
         values = [random_tensor((1,), seed=s).array[0] for s in range(100_000)]
         assert abs(np.mean(values)) < 0.02
+
+    def test_generator_is_advanced(self):
+        rng = np.random.default_rng(5)
+        first = random_tensor((3, 2), rng)
+        second = random_tensor((3, 2), rng)
+        assert first != second
+        expected = np.random.default_rng(5).normal(0.0, 1.0, size=(2, 3, 2))
+        assert np.array_equal(first.array, expected[0])
+        assert np.array_equal(second.array, expected[1])
+
+    def test_zero_extent_rejected(self):
+        with pytest.raises(ValueError, match="extent"):
+            random_tensor((2, 0), seed=1)
 
     def test_std_scales_samples(self):
         wide = random_tensor((1000,), seed=3, std=1.0)
@@ -197,19 +227,18 @@ class TestTensorInvariants:
         with pytest.raises(ValueError, match="extent"):
             Tensor(np.zeros((2, 0)))
 
+    def test_caller_array_is_copied(self):
+        source = np.arange(6.0).reshape(2, 3)
+        t = Tensor(source)
+        source[0, 0] = 99.0
+        assert t.array[0, 0] == 0.0
+        assert source.flags.writeable
+        assert not t.array.flags.writeable
+
     def test_immutable(self):
         t = random_tensor((3,), seed=1)
         with pytest.raises(ValueError):
             t.array[0] = 1.0
-
-    def test_from_flat_round_trip(self):
-        t = Tensor.from_flat((2, 3), range(6))
-        assert t.shape == (2, 3)
-        assert list(t.elements) == [0, 1, 2, 3, 4, 5]
-
-    def test_from_flat_size_mismatch(self):
-        with pytest.raises(ValueError, match="elements"):
-            Tensor.from_flat((2, 3), range(5))
 
     def test_step_cost_bounds(self):
         with pytest.raises(ValueError):
