@@ -1,13 +1,16 @@
 """Deterministic contraction schedules and instrumented execution.
 
 Both planners emit fully explicit step lists over named operands, so a plan
-can be audited, costed, and replayed bit-for-bit. The independent value
-oracle contracts the raw bond graph in bond-index order and is used to
-cross-check the scalar produced by plan execution.
+can be audited, costed, and replayed bit-for-bit. A plan depends only on the
+geometry, so networks of one geometry share one frozen plan object, kept in
+a small bounded memo. The independent value oracle contracts the raw bond
+graph in bond-index order and is used to cross-check the scalar produced by
+plan execution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,31 +58,42 @@ class CostReport:
     residual_printed_minus_measured: int = 0
 
 
-def _pair(ia: int, ib: int) -> AxisPairing:
-    return AxisPairing(((ia, ib),))
+# Every planner step sums axis 0 of its first operand; ``_PAIRS[ib]`` pairs
+# it with axis ib of the second, so three pairings serve every plan.
+_PAIRS = tuple(AxisPairing(((0, ib),)) for ib in range(3))
+
+# A plan depends only on its geometry. The grid visits every tuple of one
+# (M, N) in a row, so a few entries hit almost always, and a bound keeps the
+# memo from holding every plan a long run has seen.
+_PLAN_MEMO = 4
 
 
 def mps_plan(net: TensorNetwork) -> ContractionPlan:
     """Schedule: compress all data, absorb into sites, sweep left to right, dot.
 
     Phase costs per step: compress D*d; absorption x*d at the two boundaries
-    and x^2*d at interiors; each sweep step x^2; the final dot x.
+    and x^2*d at interiors; each sweep step x^2; the final dot x. Networks
+    of one chain length share one plan object.
     """
     if not isinstance(net.geometry, MpsGeometry):
         raise ValueError(f"mps_plan requires an MPS network, got {net.kind}")
-    length = net.geometry.length
+    return _mps_plan(net.geometry.length)
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO)
+def _mps_plan(length: int) -> ContractionPlan:
     steps = []
     for i in range(length):
-        steps.append(PlanStep(f"data{i}", f"u{i}", _pair(0, 0), "compress", f"w{i}"))
+        steps.append(PlanStep(f"data{i}", f"u{i}", _PAIRS[0], "compress", f"w{i}"))
     for i in range(length):
         phys_axis = 0 if i == 0 else 1
-        steps.append(PlanStep(f"w{i}", f"site{i}", _pair(0, phys_axis),
+        steps.append(PlanStep(f"w{i}", f"site{i}", _PAIRS[phys_axis],
                               "absorb-physical", f"m{i}"))
     acc = "m0"
     for i in range(1, length - 1):
-        steps.append(PlanStep(acc, f"m{i}", _pair(0, 0), "chain-sweep", f"s{i}"))
+        steps.append(PlanStep(acc, f"m{i}", _PAIRS[0], "chain-sweep", f"s{i}"))
         acc = f"s{i}"
-    steps.append(PlanStep(acc, f"m{length - 1}", _pair(0, 0), "final-dot", "result"))
+    steps.append(PlanStep(acc, f"m{length - 1}", _PAIRS[0], "final-dot", "result"))
     return ContractionPlan("mps", tuple(steps))
 
 
@@ -90,35 +104,40 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
     tensors (x*d at the free end, x^2*d elsewhere), then sweep from the free
     end toward the backbone (N-1 steps of x^2). Tooth vectors enter the
     backbone at x^2 per boundary and x^3 per interior; the backbone sweep
-    costs (M-2) x^2 and the final dot x.
+    costs (M-2) x^2 and the final dot x. Networks of one (M, N) share one
+    plan object.
     """
     if not isinstance(net.geometry, CombGeometry):
         raise ValueError(f"comb_plan requires a comb network, got {net.kind}")
-    m_count, n_count = net.geometry.teeth, net.geometry.tooth_len
+    return _comb_plan(net.geometry.teeth, net.geometry.tooth_len)
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO)
+def _comb_plan(m_count: int, n_count: int) -> ContractionPlan:
     steps = []
     for m in range(m_count):
         for n in range(n_count):
             tag = f"{m}.{n}"
-            steps.append(PlanStep(f"data{tag}", f"u{tag}", _pair(0, 0),
+            steps.append(PlanStep(f"data{tag}", f"u{tag}", _PAIRS[0],
                                   "compress", f"w{tag}"))
         for n in range(n_count):
             tag = f"{m}.{n}"
-            steps.append(PlanStep(f"w{tag}", f"tooth{tag}", _pair(0, 1),
+            steps.append(PlanStep(f"w{tag}", f"tooth{tag}", _PAIRS[1],
                                   "absorb-physical", f"t{tag}"))
         acc = f"t{m}.{n_count - 1}"
         for n in range(n_count - 2, -1, -1):
             # pair the running vector with the interior's downward axis
-            steps.append(PlanStep(acc, f"t{m}.{n}", _pair(0, 1),
+            steps.append(PlanStep(acc, f"t{m}.{n}", _PAIRS[1],
                                   "tooth-sweep", f"ts{m}.{n}"))
             acc = f"ts{m}.{n}"
         down_axis = 1 if m in (0, m_count - 1) else 2
-        steps.append(PlanStep(acc, f"spine{m}", _pair(0, down_axis),
+        steps.append(PlanStep(acc, f"spine{m}", _PAIRS[down_axis],
                               "tooth-to-backbone", f"b{m}"))
     acc = "b0"
     for m in range(1, m_count - 1):
-        steps.append(PlanStep(acc, f"b{m}", _pair(0, 0), "chain-sweep", f"bs{m}"))
+        steps.append(PlanStep(acc, f"b{m}", _PAIRS[0], "chain-sweep", f"bs{m}"))
         acc = f"bs{m}"
-    steps.append(PlanStep(acc, f"b{m_count - 1}", _pair(0, 0), "final-dot", "result"))
+    steps.append(PlanStep(acc, f"b{m_count - 1}", _PAIRS[0], "final-dot", "result"))
     return ContractionPlan("comb", tuple(steps))
 
 
@@ -180,11 +199,14 @@ def naive_value_oracle(net: TensorNetwork, guard: int = ORACLE_GUARD) -> float:
     """Contract the bond graph in bond-index order, ignoring cost.
 
     Independent of the planners and of ``contract_pair``: works directly off
-    nodes and bonds with generic component merging, contracting through
-    ``np.tensordot``. Each component keeps its member list, and a merge
-    relabels the smaller one, so relabelling costs O(nodes log nodes) over a
-    whole contraction. Raises OracleGuardError if any intermediate would
-    hold more than ``guard`` scalars.
+    nodes and bonds with generic component merging. Each merge sums one
+    bond, moving its axis last in the first component and first in the
+    second, then multiplies the two as matrices with ``np.dot``; that is
+    ``np.tensordot``'s own layout, without its argument handling. Each
+    component keeps its member list, and a merge relabels the smaller one,
+    so relabelling costs O(nodes log nodes) over a whole contraction. Raises
+    OracleGuardError if any intermediate would hold more than ``guard``
+    scalars.
     """
     arrays: dict[str, np.ndarray] = {}
     legs: dict[str, list[int]] = {}
@@ -207,17 +229,33 @@ def naive_value_oracle(net: TensorNetwork, guard: int = ORACLE_GUARD) -> float:
         comp_b = owner[bond.node_b]
         if comp_a == comp_b:
             raise ValueError("cycle in bond graph; oracle supports trees only")
-        axis_a = legs[comp_a].index(bond.index)
-        axis_b = legs[comp_b].index(bond.index)
-        merged = np.tensordot(arrays[comp_a], arrays[comp_b],
-                              axes=([axis_a], [axis_b]))
-        if math.prod(merged.shape) > guard:
+        a, b = arrays[comp_a], arrays[comp_b]
+        legs_a, legs_b = legs[comp_a], legs[comp_b]
+        axis_a = legs_a.index(bond.index)
+        axis_b = legs_b.index(bond.index)
+        summed = a.shape[axis_a]
+        if b.shape[axis_b] != summed:
+            raise ValueError(
+                f"bond {bond.index} joins extents {summed} and {b.shape[axis_b]}"
+            )
+        shape = a.shape[:axis_a] + a.shape[axis_a + 1:] \
+            + b.shape[:axis_b] + b.shape[axis_b + 1:]
+        if math.prod(shape) > guard:
             raise OracleGuardError(
-                f"intermediate with {math.prod(merged.shape)} elements exceeds "
+                f"intermediate with {math.prod(shape)} elements exceeds "
                 f"the oracle guard of {guard}"
             )
-        merged_legs = [l for i, l in enumerate(legs[comp_a]) if i != axis_a]
-        merged_legs += [l for i, l in enumerate(legs[comp_b]) if i != axis_b]
+        if axis_a != a.ndim - 1:
+            order = list(range(a.ndim))
+            order.append(order.pop(axis_a))
+            a = a.transpose(order)
+        if axis_b != 0:
+            order = list(range(b.ndim))
+            order.insert(0, order.pop(axis_b))
+            b = b.transpose(order)
+        merged = np.dot(a.reshape(-1, summed), b.reshape(summed, -1)).reshape(shape)
+        merged_legs = legs_a[:axis_a] + legs_a[axis_a + 1:] \
+            + legs_b[:axis_b] + legs_b[axis_b + 1:]
         keep, gone = comp_a, comp_b
         if len(members[keep]) < len(members[gone]):
             keep, gone = gone, keep

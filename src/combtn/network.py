@@ -219,7 +219,8 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
 def _with_tensors(net: TensorNetwork, updates: dict[str, Tensor]) -> TensorNetwork:
     nodes = dict(net.nodes)
     for name, tensor in updates.items():
-        nodes[name] = replace(nodes[name], tensor=tensor)
+        node = nodes[name]
+        nodes[name] = Node(node.name, node.role, tensor)
     return replace(net, nodes=nodes)
 
 

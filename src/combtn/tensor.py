@@ -8,8 +8,8 @@ an x-by-x matrix applied to a length-x vector costs exactly x**2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,6 +123,28 @@ def _owned(arr: np.ndarray) -> Tensor:
     return tensor
 
 
+@functools.lru_cache(maxsize=32)
+def _layout(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int):
+    """Transposes that lay ``a`` out as [free, summed] and ``b`` as [summed, free].
+
+    Returns ``(a_order, b_order, a_free_count)``, where an order is None when
+    the operand is already laid out; returns None when an axis is out of
+    range or used twice.
+    """
+    try:
+        # unit extents cannot differ, so this fails only on the axes themselves
+        AxisPairing(pairs).validate((1,) * rank_a, (1,) * rank_b)
+    except ValueError:
+        return None
+    a_sum = [ia for ia, _ in pairs]
+    b_sum = [ib for _, ib in pairs]
+    a_order = (*(i for i in range(rank_a) if i not in a_sum), *a_sum)
+    b_order = (*b_sum, *(i for i in range(rank_b) if i not in b_sum))
+    return (None if a_order == tuple(range(rank_a)) else a_order,
+            None if b_order == tuple(range(rank_b)) else b_order,
+            rank_a - len(pairs))
+
+
 def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, StepCost]:
     """Contract two tensors over the paired axes.
 
@@ -132,17 +154,25 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
 
     Every pairing, scalars and outer products included, runs as one matrix
     product: ``a`` is laid out as [free, summed] and ``b`` as [summed, free].
+    The layout of each (pairs, ranks) is worked out once; a pairing that
+    does not fit the operands is reported by ``AxisPairing.validate``.
     """
-    pairing.validate(a.shape, b.shape)
     a_arr, b_arr = a.array, b.array
-    a_sum = [ia for ia, _ in pairing.pairs]
-    b_sum = [ib for _, ib in pairing.pairs]
-    a_free = [i for i in range(a_arr.ndim) if i not in a_sum]
-    b_free = [i for i in range(b_arr.ndim) if i not in b_sum]
-    summed = prod([a_arr.shape[i] for i in a_sum])
-    out = np.dot(a_arr.transpose(a_free + a_sum).reshape(-1, summed),
-                 b_arr.transpose(b_sum + b_free).reshape(summed, -1))
-    out = out.reshape([a_arr.shape[i] for i in a_free] + [b_arr.shape[i] for i in b_free])
+    a_shape, b_shape = a_arr.shape, b_arr.shape
+    pairs = pairing.pairs
+    layout = _layout(pairs, len(a_shape), len(b_shape))
+    summed = 1
+    for ia, ib in pairs:
+        if layout is None or a_shape[ia] != b_shape[ib]:
+            pairing.validate(a_shape, b_shape)
+        summed *= a_shape[ia]
+    a_order, b_order, a_free_count = layout
+    if a_order is not None:
+        a_arr = a_arr.transpose(a_order)
+    if b_order is not None:
+        b_arr = b_arr.transpose(b_order)
+    out = np.dot(a_arr.reshape(-1, summed), b_arr.reshape(summed, -1))
+    out = out.reshape(a_arr.shape[:a_free_count] + b_arr.shape[len(pairs):])
     return _owned(out), StepCost(out.size * summed)
 
 

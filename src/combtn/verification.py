@@ -3,10 +3,11 @@
 Runs every parameter tuple of a grid through both geometries and checks:
 measured MPS count equals the MPS closed form; measured comb count equals
 the printed comb form minus M*x^2 (and the residual equals M*x^2); the
-executed scalar agrees with the value oracle wherever the oracle's size
-guard admits; Vieta identities on the threshold roots; and independence of
-the cost gap from N and D. The formula arguments exist so tests can inject
-a corrupted formula and observe the failure path.
+executed scalar agrees with the value oracle to a relative 1e-10, with
+neither side zero or non-finite, wherever the oracle's size guard admits;
+Vieta identities on the threshold roots; and independence of the cost gap
+from N and D. The formula arguments exist so tests can inject a corrupted
+formula and observe the failure path.
 """
 
 from __future__ import annotations
@@ -81,6 +82,24 @@ def _describe(p: NetworkParams) -> str:
             f"d={p.dim_comp}, x={p.bond_dim})")
 
 
+def _value_mismatch(scalar: float, reference: float) -> Optional[str]:
+    """Why the executed scalar and the oracle's value disagree, or None.
+
+    The check is relative only: many grid scalars are far below 1e-12, where
+    an absolute tolerance would accept any oracle value. An exact zero (an
+    underflow, or all-zero data) or a non-finite value on either side fails,
+    because a relative comparison with it shows nothing.
+    """
+    for side, value in (("executed", scalar), ("oracle", reference)):
+        if not math.isfinite(value):
+            return f"{side} value is not finite"
+        if value == 0.0:
+            return f"{side} value is exactly 0.0"
+    if not math.isclose(scalar, reference, rel_tol=1e-10):
+        return "relative difference above 1e-10"
+    return None
+
+
 def run_verification(
     grid: str = "small",
     seed: int = 42,
@@ -135,11 +154,12 @@ def run_verification(
             except OracleGuardError:
                 oracle_check.skipped += 1
                 continue
-            if not math.isclose(scalar, reference, rel_tol=1e-10, abs_tol=1e-12):
+            mismatch = _value_mismatch(scalar, reference)
+            if mismatch is not None:
                 if oracle_check.failure is None:
                     oracle_check.failure = (
                         f"at {_describe(p)} [{net.kind}]: executed {scalar!r}, "
-                        f"oracle {reference!r}")
+                        f"oracle {reference!r}: {mismatch}")
             else:
                 oracle_check.passed += 1
 

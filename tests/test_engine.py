@@ -10,6 +10,7 @@ from combtn.costmodel import (
     mps_cost,
     mps_cost_terms,
 )
+from combtn import engine
 from combtn.engine import (
     OracleGuardError,
     comb_plan,
@@ -44,6 +45,28 @@ def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
     bonds = tuple(Bond(i, a, axis_a, b, axis_b, shapes[a][axis_a])
                   for i, (a, axis_a, b, axis_b) in enumerate(edges))
     return TensorNetwork(params(), MpsGeometry(len(nodes)), nodes, bonds, ())
+
+
+def _tensordot_oracle(net: TensorNetwork) -> float:
+    """Bond-order contraction through ``np.tensordot``, one component per
+    node, merged with the first operand's component kept."""
+    arrays = {name: node.tensor.array for name, node in net.nodes.items()}
+    legs = {name: [None] * len(node.tensor.shape) for name, node in net.nodes.items()}
+    for bond in net.bonds:
+        legs[bond.node_a][bond.axis_a] = bond.index
+        legs[bond.node_b][bond.axis_b] = bond.index
+    owner = {name: name for name in net.nodes}
+    for bond in sorted(net.bonds, key=lambda b: b.index):
+        ca, cb = owner[bond.node_a], owner[bond.node_b]
+        axis_a, axis_b = legs[ca].index(bond.index), legs[cb].index(bond.index)
+        arrays[ca] = np.tensordot(arrays[ca], arrays.pop(cb), axes=([axis_a], [axis_b]))
+        legs[ca] = ([leg for i, leg in enumerate(legs[ca]) if i != axis_a]
+                    + [leg for i, leg in enumerate(legs.pop(cb)) if i != axis_b])
+        for name, comp in owner.items():
+            if comp == cb:
+                owner[name] = ca
+    (result,) = arrays.values()
+    return float(result)
 
 
 class TestMpsPlan:
@@ -141,6 +164,33 @@ class TestCombPlan:
             comb_plan(mps)
 
 
+class TestPlanSharing:
+    @pytest.mark.parametrize("build, plan_fn", [(build_mps, mps_plan),
+                                                (build_comb, comb_plan)])
+    def test_same_geometry_shares_one_plan(self, build, plan_fn):
+        a = build(params(D=3, d=2, x=2, M=3, N=2), seed=0)
+        b = build(params(D=5, d=1, x=4, M=3, N=2), seed=1)
+        assert plan_fn(a) is plan_fn(b)
+        other = build(params(D=3, d=2, x=2, M=3, N=3), seed=0)
+        assert plan_fn(other) is not plan_fn(a)
+        assert len(plan_fn(other).steps) > len(plan_fn(a).steps)
+
+    def test_shared_plan_still_checks_the_kind(self):
+        mps = build_mps(params(M=3, N=2), seed=0)
+        comb = build_comb(params(M=3, N=2), seed=0)
+        mps_plan(mps)
+        comb_plan(comb)
+        with pytest.raises(ValueError, match="requires an MPS"):
+            mps_plan(comb)
+        with pytest.raises(ValueError, match="requires a comb"):
+            comb_plan(mps)
+
+    def test_memo_is_bounded(self):
+        for memo in (engine._mps_plan, engine._comb_plan):
+            assert memo.cache_info().maxsize is not None
+            assert memo.cache_info().maxsize <= 8
+
+
 class TestExecute:
     def test_zero_data_gives_exact_zero(self):
         p = params(M=3, N=2)
@@ -225,7 +275,17 @@ class TestValueOracle:
             net = build(p, seed=int(rng.integers(1 << 30)))
             scalar, _ = execute(net, plan_for(net))
             reference = naive_value_oracle(net)
-            assert math.isclose(scalar, reference, rel_tol=1e-10, abs_tol=1e-12), p
+            assert math.isfinite(reference) and reference != 0.0, p
+            assert math.isclose(scalar, reference, rel_tol=1e-10), p
+
+    def test_equals_bond_order_tensordot_reference(self):
+        rng = np.random.default_rng(17)
+        for i in range(20):
+            p = params(D=3, d=2, x=int(rng.integers(1, 5)),
+                       M=int(rng.integers(2, 5)), N=int(rng.integers(1, 4)))
+            build = build_mps if i % 2 == 0 else build_comb
+            net = build(p, seed=int(rng.integers(1 << 30)))
+            assert naive_value_oracle(net) == _tensordot_oracle(net), p
 
     def test_matches_execute_on_long_chain(self):
         p = params(D=3, d=2, x=3, M=30, N=4)
@@ -249,6 +309,11 @@ class TestValueOracle:
     def test_free_axis_rejected(self):
         net = _graph({"a": (2, 3), "b": (2,)}, [("a", 0, "b", 0)])
         with pytest.raises(ValueError, match="not closed"):
+            naive_value_oracle(net)
+
+    def test_bond_extent_mismatch_rejected(self):
+        net = _graph({"a": (2,), "b": (4,)}, [("a", 0, "b", 0)])
+        with pytest.raises(ValueError, match="joins extents 2 and 4"):
             naive_value_oracle(net)
 
     def test_guard_raises(self):

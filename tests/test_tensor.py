@@ -163,6 +163,42 @@ class TestContractPair:
         with pytest.raises(ValueError, match="out of range"):
             contract_pair(a, b, AxisPairing([(1, 0)]))
 
+    def test_one_pairing_across_ranks_matches_loop_reference(self):
+        # the layout is worked out once per (pairs, ranks); a pairing reused
+        # on operands of other ranks must not pick up a stale layout
+        pairing = AxisPairing([(0, 1)])
+        for a_shape, b_shape in [((3,), (2, 3)), ((3,), (2, 3, 4)),
+                                 ((3, 2), (4, 3)), ((3, 2, 4), (5, 3, 2)),
+                                 ((3,), (2, 3))]:
+            a = random_tensor(a_shape, seed=len(a_shape))
+            b = random_tensor(b_shape, seed=len(b_shape) + 10)
+            out, cost = contract_pair(a, b, pairing)
+            assert np.allclose(out.array, loop_contract(a, b, pairing.pairs),
+                               rtol=1e-12, atol=1e-14), (a_shape, b_shape)
+            assert cost.multiplications == convention_cost(a_shape, b_shape,
+                                                           pairing.pairs)
+
+    @pytest.mark.parametrize("pairs, good, bad, words", [
+        ([(0, 0)], ((2,), (2,)), ((2,), (3,)), "paired extents differ"),
+        ([(0, 1), (1, 0)], ((2, 3), (3, 2)), ((2, 3), (4, 2)), "paired extents differ"),
+        ([(0, 1)], ((2,), (3, 2)), ((2,), (2,)), "out of range"),
+        ([(0, 0), (1, 0)], None, ((2, 2), (2, 2)), "reuses an axis"),
+        ([(0, 1), (1, 1)], None, ((3, 3), (3, 3)), "reuses an axis"),
+        ([(-1, 0)], None, ((2,), (2,)), "out of range"),
+    ])
+    def test_errors_after_warm_up_match_validate(self, pairs, good, bad, words):
+        pairing = AxisPairing(pairs)
+        if good is not None:
+            # a valid call first, so the pairing's layout is already worked out
+            contract_pair(random_tensor(good[0], seed=1),
+                          random_tensor(good[1], seed=2), pairing)
+        a, b = random_tensor(bad[0], seed=3), random_tensor(bad[1], seed=4)
+        with pytest.raises(ValueError, match=words) as raised:
+            contract_pair(a, b, pairing)
+        with pytest.raises(ValueError) as expected:
+            pairing.validate(a.shape, b.shape)
+        assert str(raised.value) == str(expected.value)
+
 
 @st.composite
 def contraction_cases(draw):
