@@ -4,7 +4,7 @@ Subcommands: cost (closed-form tables), threshold (quadratic roots), sweep
 (threshold curves as CSV and optional SVG), verify (formula-vs-engine grid),
 contract (build and contract a real network), bench (wall-clock medians).
 
-Exit codes: 0 success, 1 verification or I/O failure, 2 usage error.
+Exit codes: 0 success, 1 verification, I/O or overflow failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -245,7 +245,13 @@ def cmd_contract(args: argparse.Namespace) -> int:
     if args.data:
         matrix = load_data_matrix(args.data, p.sites, p.dim_raw)
         net = attach_data(net, matrix)
-    scalar, report = execute(net, plan_for(net))
+    # an intermediate that overflows ends as a non-finite scalar, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scalar, report = execute(net, plan_for(net))
+    if not math.isfinite(scalar):
+        print(f"error: the contracted scalar is {scalar}: an intermediate left "
+              f"the float64 range", file=sys.stderr)
+        return 1
     if args.json:
         payload = {
             "kind": args.kind,
@@ -255,7 +261,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
             "analytic_printed": report.analytic_printed,
             "residual_printed_minus_measured": report.residual_printed_minus_measured,
         }
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
         return 0
     print(f"kind: {args.kind}")
     print(f"parameters: teeth={p.teeth} tooth-len={p.tooth_len} "

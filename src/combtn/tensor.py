@@ -125,11 +125,18 @@ def _owned(arr: np.ndarray) -> Tensor:
 
 @functools.lru_cache(maxsize=32)
 def _layout(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int):
-    """Transposes that lay ``a`` out as [free, summed] and ``b`` as [summed, free].
+    """How ``contract_pair`` reads its operands for one (pairs, ranks).
 
-    Returns ``(a_order, b_order, a_free_count)``, where an order is None when
-    the operand is already laid out; returns None when an axis is out of
-    range or used twice.
+    Returns ``(a_order, b_order, a_free_count, b_block)``, where an order is
+    None when the operand needs no transpose; returns None when an axis is
+    out of range or used twice. ``a_order`` lays ``a`` out as [free, summed]
+    with the summed axes in pair order. ``b_block`` is set when ``a`` has no
+    free axis and ``b``'s summed axes form one block in pair order with free
+    axes on both sides: it is ``(start, merge)``, the block's first axis and
+    whether ``b`` must be reshaped (the block or the axes after it are more
+    than one) to become a stack of [summed, trail] matrices; ``b_order`` is
+    then None. Otherwise ``b_block`` is None and ``b_order`` lays ``b`` out
+    as [summed, free].
     """
     try:
         # unit extents cannot differ, so this fails only on the axes themselves
@@ -139,10 +146,17 @@ def _layout(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int):
     a_sum = [ia for ia, _ in pairs]
     b_sum = [ib for _, ib in pairs]
     a_order = (*(i for i in range(rank_a) if i not in a_sum), *a_sum)
+    a_order = None if a_order == tuple(range(rank_a)) else a_order
+    count = len(pairs)
+    start = b_sum[0] if b_sum else 0
+    # a block that leads or trails b stays on np.dot, which reads it as a
+    # reshaped view; matmul would sum b's next-to-last axis there
+    if (rank_a == count and 0 < start and start + count < rank_b
+            and b_sum == list(range(start, start + count))):
+        return a_order, None, 0, (start, count > 1 or start + count + 1 < rank_b)
     b_order = (*b_sum, *(i for i in range(rank_b) if i not in b_sum))
-    return (None if a_order == tuple(range(rank_a)) else a_order,
-            None if b_order == tuple(range(rank_b)) else b_order,
-            rank_a - len(pairs))
+    return (a_order, None if b_order == tuple(range(rank_b)) else b_order,
+            rank_a - count, None)
 
 
 def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, StepCost]:
@@ -153,7 +167,20 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     product(contracted extents), checked against the 64-bit range.
 
     Every pairing, scalars and outer products included, runs as one matrix
-    product: ``a`` is laid out as [free, summed] and ``b`` as [summed, free].
+    product, in one of three layouts:
+
+    - ``b``'s summed axes lead it, or trail it, in pair order: ``a`` is laid
+      out as [free, summed] and ``b`` as [summed, free] for ``np.dot``. For
+      the C-contiguous arrays that tensors hold, and an ``a`` whose summed
+      axes trail (or lead) it in pair order, both are reshaped views, read
+      in place. Every plan step but the interior absorb is of this kind.
+    - ``a`` has no free axis and ``b``'s summed axes are one block in pair
+      order with free axes on both sides, as when a data vector meets the
+      middle (physical) axis of an interior [x, d, x] site: ``np.matmul``
+      reads ``b`` in place as a [lead, summed, trail] stack.
+    - any other pairing: the transposes above copy whichever operand they
+      do not leave as a view.
+
     The layout of each (pairs, ranks) is worked out once; a pairing that
     does not fit the operands is reported by ``AxisPairing.validate``.
     """
@@ -166,9 +193,19 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
         if layout is None or a_shape[ia] != b_shape[ib]:
             pairing.validate(a_shape, b_shape)
         summed *= a_shape[ia]
-    a_order, b_order, a_free_count = layout
+    a_order, b_order, a_free_count, b_block = layout
     if a_order is not None:
         a_arr = a_arr.transpose(a_order)
+    if b_block is not None:
+        # matmul broadcasts over b's leading axes and sums its next-to-last
+        start, merge = b_block
+        if not merge:
+            out = np.matmul(a_arr, b_arr)
+        else:
+            lead, trail = b_shape[:start], b_shape[start + len(pairs):]
+            out = np.matmul(a_arr.reshape(summed),
+                            b_arr.reshape(lead + (summed, -1))).reshape(lead + trail)
+        return _owned(out), StepCost(out.size * summed)
     if b_order is not None:
         b_arr = b_arr.transpose(b_order)
     out = np.dot(a_arr.reshape(-1, summed), b_arr.reshape(summed, -1))

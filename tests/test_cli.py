@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -214,6 +215,22 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert "row 3" in err and "column 3" in err and "not finite" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("kind, value", [("mps", "inf"), ("comb", "nan")])
+    def test_overflowing_scalar_exits_1(self, capsys, tmp_path, kind, value, as_json):
+        # finite data whose products leave the float64 range
+        data = tmp_path / "big.csv"
+        data.write_text("1e200,1e200,1e200\n" * 4)
+        argv = ["contract", "--kind", kind, "--teeth", "2", "--tooth-len", "2",
+                "--dim-raw", "3", "--dim-comp", "2", "--bond", "2",
+                "--data", str(data)] + (["--json"] if as_json else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"scalar is {value}" in err
 
     def test_wrong_column_count(self, capsys, tmp_path):
         data = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from combtn.network import (
     build_mps,
 )
 from combtn.network import _with_tensors
-from combtn.tensor import Tensor
+from combtn.tensor import Tensor, contract_pair
 
 
 def params(D=3, d=2, x=2, M=2, N=1) -> NetworkParams:
@@ -240,6 +241,32 @@ class TestExecute:
             for out in produced:
                 uses = consumed.count(out)
                 assert uses == (0 if out == "result" else 1)
+
+    @pytest.mark.parametrize("build", [build_mps, build_comb])
+    def test_no_step_copies_an_operand(self, build, monkeypatch):
+        # large sites, so a copy of any operand would dwarf the allowance
+        net = build(params(D=40, d=30, x=64, M=3, N=2), seed=1)
+        plan = plan_for(net)
+        execute(net, plan)
+        extra = []
+
+        def traced(a, b, pairing):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out, cost = contract_pair(a, b, pairing)
+            extra.append(tracemalloc.get_traced_memory()[1] - before - out.array.nbytes)
+            return out, cost
+
+        monkeypatch.setattr(engine, "contract_pair", traced)
+        tracemalloc.start()
+        try:
+            execute(net, plan)
+        finally:
+            tracemalloc.stop()
+        # every step, tooth-to-backbone on the [x, x, x] backbone included
+        assert len(extra) == len(plan.steps)
+        over = [(step.phase, step.b, n) for step, n in zip(plan.steps, extra) if n > 4096]
+        assert not over
 
 
 class TestValueOracle:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from combtn.tensor import (
     CountOverflowError,
     StepCost,
     Tensor,
+    _owned,
     contract_pair,
     random_tensor,
 )
@@ -42,6 +44,17 @@ def loop_contract(a: Tensor, b: Tensor, pairs) -> np.ndarray:
             total += a.array[tuple(ia)] * b.array[tuple(ib)]
         result[out_idx] = total
     return result
+
+
+def _strided(t: Tensor) -> list[Tensor]:
+    """``t`` as laid out, then as a Fortran-ordered copy and as a sliced view.
+
+    Tensors made through the constructor are C-contiguous; these are wrapped
+    without a copy, so ``contract_pair`` must also read other layouts right.
+    """
+    arr = t.array
+    wide = np.repeat(arr, 2, axis=-1)[..., ::2]
+    return [t, _owned(np.asfortranarray(arr)), _owned(wide)]
 
 
 def convention_cost(a_shape, b_shape, pairs) -> int:
@@ -178,6 +191,49 @@ class TestContractPair:
             assert cost.multiplications == convention_cost(a_shape, b_shape,
                                                            pairing.pairs)
 
+    @pytest.mark.parametrize("rank_a", range(1, 4))
+    @pytest.mark.parametrize("rank_b", range(1, 5))
+    def test_every_summed_block_position_matches_loop_reference(self, rank_a, rank_b):
+        # one contiguous block of b's axes is summed, leading, in the middle
+        # or trailing, in pair order or reversed, against every choice of a's
+        # axes; a with free axes meets a middle block too
+        for count in range(1, min(rank_a, rank_b) + 1):
+            for start in range(rank_b - count + 1):
+                block = tuple(range(start, start + count))
+                for b_axes in {block, block[::-1]}:
+                    for a_axes in itertools.permutations(range(rank_a), count):
+                        b_shape = (2, 3, 4, 5)[:rank_b]
+                        a_shape = [3, 2, 4][:rank_a]
+                        for ia, ib in zip(a_axes, b_axes):
+                            a_shape[ia] = b_shape[ib]
+                        pairs = list(zip(a_axes, b_axes))
+                        a = random_tensor(a_shape, seed=rank_a)
+                        b = random_tensor(b_shape, seed=rank_b + 10)
+                        reference = loop_contract(a, b, pairs)
+                        for a_op, b_op in zip(_strided(a), _strided(b)):
+                            out, cost = contract_pair(a_op, b_op, AxisPairing(pairs))
+                            assert out.shape == reference.shape, pairs
+                            assert np.allclose(out.array, reference,
+                                               rtol=1e-12, atol=1e-14), pairs
+                            assert cost.multiplications == \
+                                convention_cost(a_shape, b_shape, pairs)
+                            assert not out.array.flags.writeable
+
+    def test_absorb_reads_the_site_in_place(self):
+        # a data vector against the middle axis of an [x, d, x] site
+        w = random_tensor((30,), seed=1)
+        site = random_tensor((64, 30, 64), seed=2)
+        pairing = AxisPairing([(0, 1)])
+        contract_pair(w, site, pairing)
+        tracemalloc.start()
+        try:
+            out, _ = contract_pair(w, site, pairing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.array.nbytes == 64 * 64 * 8
+        assert peak < site.array.nbytes / 10
+
     @pytest.mark.parametrize("pairs, good, bad, words", [
         ([(0, 0)], ((2,), (2,)), ((2,), (3,)), "paired extents differ"),
         ([(0, 1), (1, 0)], ((2, 3), (3, 2)), ((2, 3), (4, 2)), "paired extents differ"),
@@ -185,6 +241,11 @@ class TestContractPair:
         ([(0, 0), (1, 0)], None, ((2, 2), (2, 2)), "reuses an axis"),
         ([(0, 1), (1, 1)], None, ((3, 3), (3, 3)), "reuses an axis"),
         ([(-1, 0)], None, ((2,), (2,)), "out of range"),
+        ([(0, 1)], ((3,), (2, 3, 4)), ((3,), (2, 5, 4)), "paired extents differ"),
+        ([(0, 1), (1, 2)], ((3, 4), (2, 3, 4, 5)), ((3, 4), (2, 3, 5, 5)),
+         "paired extents differ"),
+        ([(0, 2)], ((4,), (2, 3, 4)), ((4,), (2, 4, 3)), "paired extents differ"),
+        ([(0, 1)], ((3,), (2, 3, 4)), ((3,), (3,)), "out of range"),
     ])
     def test_errors_after_warm_up_match_validate(self, pairs, good, bad, words):
         pairing = AxisPairing(pairs)
