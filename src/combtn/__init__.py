@@ -31,8 +31,6 @@ from .engine import (
 )
 from .network import (
     Bond,
-    CombGeometry,
-    MpsGeometry,
     NetworkParams,
     Node,
     NodeRole,

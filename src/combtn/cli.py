@@ -115,7 +115,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             "regime": result.regime.value,
             "discriminant": result.discriminant,
         }
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
         return 0
     print(f"teeth (M):          {result.teeth}")
     print(f"compressed dim (d): {result.comp_dim:g}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .network import NetworkParams
 from .tensor import checked_count
@@ -132,17 +132,31 @@ def threshold_roots(comp_dim: float, teeth: int) -> ThresholdResult:
     root first from q = -(b + sign(b)*sqrt(disc))/2, the other via the
     product-of-roots identity x- * x+ = d. ``comp_dim`` may be real-valued;
     network construction requires integers but threshold curves are continuous.
+    Raises ValueError where float64 holds no roots: a non-finite ``comp_dim``,
+    a ``teeth`` or ``comp_dim`` beyond the float64 range, or a discriminant
+    that overflows.
     """
-    d = float(comp_dim)
-    m = int(teeth)
+    try:
+        m = int(teeth)
+        a = float(m - 2)
+    except OverflowError:
+        raise ValueError(f"teeth={teeth} is beyond the float64 range") from None
     if m < 2:
         raise ValueError(f"teeth must be >= 2, got {teeth}")
+    try:
+        d = float(comp_dim)
+    except OverflowError:
+        raise ValueError(f"comp_dim={comp_dim} is beyond the float64 range") from None
+    if not math.isfinite(d):
+        raise ValueError(f"comp_dim must be finite, got {comp_dim}")
     if d <= 0:
         raise ValueError(f"comp_dim must be positive, got {comp_dim}")
-    a = float(m - 2)
-    b = -d * (m - 2) + 2.0
-    c = d * (m - 2)
+    b = -d * a + 2.0
+    c = d * a
     disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):
+        raise ValueError(f"the discriminant at teeth={m}, comp_dim={d:g} is "
+                         f"beyond the float64 range")
     if m == 2:
         # degenerate quadratic 2x = 0; the schedule-basis gap is -2x^2 < 0
         return ThresholdResult(m, d, a, b, c, disc, None, Regime.MPS_ALWAYS_CHEAPER)
@@ -196,13 +210,13 @@ class CrosscheckReport:
     consistent: bool
 
 
-def crosscheck_quadratic(teeth: int, comp_dim: int,
-                         x_probes: Optional[Iterable[int]] = None) -> CrosscheckReport:
+def crosscheck_quadratic(teeth: int, comp_dim: int) -> CrosscheckReport:
     """Validate the quadratic's sign prediction against the schedule-basis gap.
 
-    For each integer probe x, the gap must be positive strictly between the
-    roots and negative outside; probes within 0.5 of either root are recorded
-    but not sign-checked. The gap is evaluated through the closed forms at
+    For each integer probe x from 1 to twice the upper root (or 2d without
+    roots), the gap must be positive strictly between the roots and negative
+    outside; probes within 0.5 of either root are recorded but not
+    sign-checked. The gap is evaluated through the closed forms at
     N=1, D=d (it is independent of both), not through the quadratic itself.
     """
     m = int(teeth)
@@ -210,13 +224,10 @@ def crosscheck_quadratic(teeth: int, comp_dim: int,
     if m < 3:
         raise ValueError(f"crosscheck needs teeth >= 3, got {teeth}")
     result = threshold_roots(d, m)
-    if x_probes is None:
-        upper = math.ceil(2 * result.x_plus) if result.roots else 2 * d
-        x_probes = range(1, max(upper, 2) + 1)
+    upper = math.ceil(2 * result.x_plus) if result.roots else 2 * d
     probes = []
     all_ok = True
-    for x in x_probes:
-        x = int(x)
+    for x in range(1, max(upper, 2) + 1):
         params = NetworkParams(dim_raw=d, dim_comp=d, bond_dim=x,
                                teeth=m, tooth_len=1)
         delta = cost_delta(params, basis="schedule")
@@ -233,12 +244,12 @@ def crosscheck_quadratic(teeth: int, comp_dim: int,
     return CrosscheckReport(result, tuple(probes), all_ok)
 
 
-def verify_vieta(result: ThresholdResult, rel_tol: float = 1e-12) -> bool:
-    """Check x-*x+ == d and x- + x+ == d - 2/(M-2) to the given tolerance."""
+def verify_vieta(result: ThresholdResult) -> bool:
+    """Check x-*x+ == d and x- + x+ == d - 2/(M-2) to a relative 1e-12."""
     if not result.roots or result.teeth < 3:
         return True
     xm, xp = result.roots
     d, m = result.comp_dim, result.teeth
-    prod_ok = math.isclose(xm * xp, d, rel_tol=rel_tol)
-    sum_ok = math.isclose(xm + xp, d - 2.0 / (m - 2), rel_tol=rel_tol)
+    prod_ok = math.isclose(xm * xp, d, rel_tol=1e-12)
+    sum_ok = math.isclose(xm + xp, d - 2.0 / (m - 2), rel_tol=1e-12)
     return prod_ok and sum_ok

@@ -2,10 +2,10 @@
 
 Both planners emit fully explicit step lists over named operands, so a plan
 can be audited, costed, and replayed bit-for-bit. A plan depends only on the
-geometry, so networks of one geometry share one frozen plan object, kept in
-a small bounded memo. The independent value oracle contracts the raw bond
-graph in bond-index order and is used to cross-check the scalar produced by
-plan execution.
+network's kind and its (M, N), so networks that share them share one frozen
+plan object, kept in a small bounded memo. The independent value oracle
+contracts the raw bond graph in bond order and is used to cross-check the
+scalar produced by plan execution.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costmodel
-from .network import CombGeometry, MpsGeometry, TensorNetwork
+from .network import TensorNetwork
 from .tensor import AxisPairing, Tensor, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
@@ -62,9 +62,9 @@ class CostReport:
 # it with axis ib of the second, so three pairings serve every plan.
 _PAIRS = tuple(AxisPairing(((0, ib),)) for ib in range(3))
 
-# A plan depends only on its geometry. The grid visits every tuple of one
-# (M, N) in a row, so a few entries hit almost always, and a bound keeps the
-# memo from holding every plan a long run has seen.
+# A plan depends only on the kind and (M, N). The grid visits every tuple of
+# one (M, N) in a row, so a few entries hit almost always, and a bound keeps
+# the memo from holding every plan a long run has seen.
 _PLAN_MEMO = 4
 
 
@@ -75,9 +75,9 @@ def mps_plan(net: TensorNetwork) -> ContractionPlan:
     and x^2*d at interiors; each sweep step x^2; the final dot x. Networks
     of one chain length share one plan object.
     """
-    if not isinstance(net.geometry, MpsGeometry):
+    if net.kind != "mps":
         raise ValueError(f"mps_plan requires an MPS network, got {net.kind}")
-    return _mps_plan(net.geometry.length)
+    return _mps_plan(net.params.sites)
 
 
 @functools.lru_cache(maxsize=_PLAN_MEMO)
@@ -107,9 +107,9 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
     costs (M-2) x^2 and the final dot x. Networks of one (M, N) share one
     plan object.
     """
-    if not isinstance(net.geometry, CombGeometry):
+    if net.kind != "comb":
         raise ValueError(f"comb_plan requires a comb network, got {net.kind}")
-    return _comb_plan(net.geometry.teeth, net.geometry.tooth_len)
+    return _comb_plan(net.params.teeth, net.params.tooth_len)
 
 
 @functools.lru_cache(maxsize=_PLAN_MEMO)
@@ -195,8 +195,8 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     return float(final.array), report
 
 
-def naive_value_oracle(net: TensorNetwork, guard: int = ORACLE_GUARD) -> float:
-    """Contract the bond graph in bond-index order, ignoring cost.
+def naive_value_oracle(net: TensorNetwork) -> float:
+    """Contract the bond graph in bond order, ignoring cost.
 
     Independent of the planners and of ``contract_pair``: works directly off
     nodes and bonds with generic component merging. Each merge sums one
@@ -204,9 +204,10 @@ def naive_value_oracle(net: TensorNetwork, guard: int = ORACLE_GUARD) -> float:
     second, then multiplies the two as matrices with ``np.dot``; that is
     ``np.tensordot``'s own layout, without its argument handling. Each
     component keeps its member list, and a merge relabels the smaller one,
-    so relabelling costs O(nodes log nodes) over a whole contraction. Raises
-    OracleGuardError if any intermediate would hold more than ``guard``
-    scalars.
+    so relabelling costs O(nodes log nodes) over a whole contraction. Each
+    bond is labelled by its position in ``net.bonds``. Raises
+    OracleGuardError if any intermediate would hold more than
+    ``ORACLE_GUARD`` scalars.
     """
     arrays: dict[str, np.ndarray] = {}
     legs: dict[str, list[int]] = {}
@@ -217,33 +218,33 @@ def naive_value_oracle(net: TensorNetwork, guard: int = ORACLE_GUARD) -> float:
         legs[name] = [-1] * len(node.tensor.shape)
         owner[name] = name
         members[name] = [name]
-    for bond in net.bonds:
-        legs[bond.node_a][bond.axis_a] = bond.index
-        legs[bond.node_b][bond.axis_b] = bond.index
+    for label, bond in enumerate(net.bonds):
+        legs[bond.node_a][bond.axis_a] = label
+        legs[bond.node_b][bond.axis_b] = label
     for name, axes in legs.items():
         if -1 in axes:
             raise ValueError(f"network is not closed: node {name!r} has a free axis")
 
-    for bond in sorted(net.bonds, key=lambda b: b.index):
+    for label, bond in enumerate(net.bonds):
         comp_a = owner[bond.node_a]
         comp_b = owner[bond.node_b]
         if comp_a == comp_b:
             raise ValueError("cycle in bond graph; oracle supports trees only")
         a, b = arrays[comp_a], arrays[comp_b]
         legs_a, legs_b = legs[comp_a], legs[comp_b]
-        axis_a = legs_a.index(bond.index)
-        axis_b = legs_b.index(bond.index)
+        axis_a = legs_a.index(label)
+        axis_b = legs_b.index(label)
         summed = a.shape[axis_a]
         if b.shape[axis_b] != summed:
             raise ValueError(
-                f"bond {bond.index} joins extents {summed} and {b.shape[axis_b]}"
+                f"bond {label} joins extents {summed} and {b.shape[axis_b]}"
             )
         shape = a.shape[:axis_a] + a.shape[axis_a + 1:] \
             + b.shape[:axis_b] + b.shape[axis_b + 1:]
-        if math.prod(shape) > guard:
+        if math.prod(shape) > ORACLE_GUARD:
             raise OracleGuardError(
                 f"intermediate with {math.prod(shape)} elements exceeds "
-                f"the oracle guard of {guard}"
+                f"the oracle guard of {ORACLE_GUARD}"
             )
         if axis_a != a.ndim - 1:
             order = list(range(a.ndim))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -73,22 +73,7 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class MpsGeometry:
-    length: int
-
-
-@dataclass(frozen=True)
-class CombGeometry:
-    teeth: int
-    tooth_len: int
-
-
-Geometry = Union[MpsGeometry, CombGeometry]
-
-
-@dataclass(frozen=True)
 class Node:
-    name: str
     role: NodeRole
     tensor: Tensor
 
@@ -97,29 +82,26 @@ class Node:
 class Bond:
     """Edge joining axis ``axis_a`` of ``node_a`` to axis ``axis_b`` of ``node_b``.
 
-    ``index`` is assigned in construction order and defines the contraction
-    order used by the value oracle.
+    A bond's extent is read off either end's shape; its position in
+    ``TensorNetwork.bonds`` is the value oracle's contraction order.
     """
 
-    index: int
     node_a: str
     axis_a: int
     node_b: str
     axis_b: int
-    dim: int
 
 
 @dataclass(frozen=True)
 class TensorNetwork:
+    """A closed network of named nodes; ``kind`` is "mps" or "comb", and its
+    dimensions are all in ``params``."""
+
     params: NetworkParams
-    geometry: Geometry
+    kind: str
     nodes: dict[str, Node]
     bonds: tuple[Bond, ...]
     data_sites: tuple[str, ...]
-
-    @property
-    def kind(self) -> str:
-        return "mps" if isinstance(self.geometry, MpsGeometry) else "comb"
 
 
 class _Builder:
@@ -133,19 +115,19 @@ class _Builder:
 
     def add(self, name: str, role: NodeRole, shape: Sequence[int], fan_in: int) -> None:
         tensor = random_tensor(shape, self._rng, std=1.0 / math.sqrt(fan_in))
-        self.nodes[name] = Node(name, role, tensor)
+        self.nodes[name] = Node(role, tensor)
 
-    def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int, dim: int) -> None:
-        self.bonds.append(Bond(len(self.bonds), node_a, axis_a, node_b, axis_b, dim))
+    def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int) -> None:
+        self.bonds.append(Bond(node_a, axis_a, node_b, axis_b))
 
 
 def _add_physical_column(b: _Builder, site: str, tag: str, phys_axis: int,
                          dim_raw: int, dim_comp: int) -> None:
     # one compression matrix and one data vector per physical site
     b.add(f"u{tag}", NodeRole.COMPRESSION, (dim_raw, dim_comp), fan_in=dim_raw)
-    b.bond(site, phys_axis, f"u{tag}", 1, dim_comp)
+    b.bond(site, phys_axis, f"u{tag}", 1)
     b.add(f"data{tag}", NodeRole.DATA, (dim_raw,), fan_in=1)
-    b.bond(f"u{tag}", 0, f"data{tag}", 0, dim_raw)
+    b.bond(f"u{tag}", 0, f"data{tag}", 0)
 
 
 def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -169,11 +151,11 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
         b.add(f"site{i}", role, shape, fan_in=x ** (len(shape) - 1))
         if i > 0:
             prev_right = 1 if i == 1 else 2
-            b.bond(f"site{i - 1}", prev_right, f"site{i}", 0, x)
+            b.bond(f"site{i - 1}", prev_right, f"site{i}", 0)
         _add_physical_column(b, f"site{i}", str(i), phys_axis,
                              params.dim_raw, params.dim_comp)
     data_sites = tuple(f"data{i}" for i in range(length))
-    return TensorNetwork(params, MpsGeometry(length), b.nodes, tuple(b.bonds), data_sites)
+    return TensorNetwork(params, "mps", b.nodes, tuple(b.bonds), data_sites)
 
 
 def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -195,7 +177,7 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
         b.add(f"spine{m}", role, shape, fan_in=x ** len(shape))
         if m > 0:
             prev_right = 0 if m == 1 else 1
-            b.bond(f"spine{m - 1}", prev_right, f"spine{m}", 0, x)
+            b.bond(f"spine{m - 1}", prev_right, f"spine{m}", 0)
         for n in range(n_count):
             tag = f"{m}.{n}"
             if n == n_count - 1:
@@ -204,23 +186,21 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
                 shape, role = (x, d, x), NodeRole.TOOTH_INTERIOR
             b.add(f"tooth{tag}", role, shape, fan_in=x ** (len(shape) - 1))
             if n == 0:
-                b.bond(f"spine{m}", down_axis, f"tooth{tag}", 0, x)
+                b.bond(f"spine{m}", down_axis, f"tooth{tag}", 0)
             else:
-                b.bond(f"tooth{m}.{n - 1}", 2, f"tooth{tag}", 0, x)
+                b.bond(f"tooth{m}.{n - 1}", 2, f"tooth{tag}", 0)
             _add_physical_column(b, f"tooth{tag}", tag, 1,
                                  params.dim_raw, params.dim_comp)
     data_sites = tuple(
         f"data{m}.{n}" for m in range(m_count) for n in range(n_count)
     )
-    return TensorNetwork(params, CombGeometry(m_count, n_count),
-                         b.nodes, tuple(b.bonds), data_sites)
+    return TensorNetwork(params, "comb", b.nodes, tuple(b.bonds), data_sites)
 
 
 def _with_tensors(net: TensorNetwork, updates: dict[str, Tensor]) -> TensorNetwork:
     nodes = dict(net.nodes)
     for name, tensor in updates.items():
-        node = nodes[name]
-        nodes[name] = Node(node.name, node.role, tensor)
+        nodes[name] = Node(nodes[name].role, tensor)
     return replace(net, nodes=nodes)
 
 
@@ -253,16 +233,10 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    # modified Gram-Schmidt, two passes for orthogonality well below 1e-10
-    g = rng.normal(size=(rows, cols))
-    q = np.empty_like(g)
-    for j in range(cols):
-        v = g[:, j].copy()
-        for _ in range(2):
-            for k in range(j):
-                v -= (q[:, k] @ v) * q[:, k]
-        q[:, j] = v / np.linalg.norm(v)
-    return q
+    # QR of a Gaussian draw; the sign fix makes diag(r) positive, so the
+    # columns are the Gram-Schmidt ones of the same draw
+    q, r = np.linalg.qr(rng.normal(size=(rows, cols)))
+    return q * np.sign(np.diag(r))
 
 
 def set_orthonormal_compressions(net: TensorNetwork, seed=0) -> TensorNetwork:

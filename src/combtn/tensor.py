@@ -57,11 +57,6 @@ class Tensor:
     def size(self) -> int:
         return self.array.size
 
-    @property
-    def elements(self) -> np.ndarray:
-        """Flat row-major view of the scalars."""
-        return self.array.reshape(-1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented

@@ -6,8 +6,7 @@ the printed comb form minus M*x^2 (and the residual equals M*x^2); the
 executed scalar agrees with the value oracle to a relative 1e-10, with
 neither side zero or non-finite, wherever the oracle's size guard admits;
 Vieta identities on the threshold roots; and independence of the cost gap
-from N and D. The formula arguments exist so tests can inject a corrupted
-formula and observe the failure path.
+from N and D. The closed forms are the ones ``execute`` puts in its report.
 """
 
 from __future__ import annotations
@@ -15,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import costmodel
 from .costmodel import threshold_roots, verify_vieta
-from .engine import OracleGuardError, comb_plan, execute, mps_plan, naive_value_oracle
+from .engine import OracleGuardError, execute, naive_value_oracle, plan_for
 from .network import NetworkParams, build_comb, build_mps
 
 GRIDS = ("small", "full")
@@ -100,55 +99,44 @@ def _value_mismatch(scalar: float, reference: float) -> Optional[str]:
     return None
 
 
-def run_verification(
-    grid: str = "small",
-    seed: int = 42,
-    mps_cost_fn: Callable[[NetworkParams], int] = costmodel.mps_cost,
-    comb_printed_fn: Callable[[NetworkParams], int] = costmodel.comb_cost_printed,
-    comb_schedule_fn: Callable[[NetworkParams], int] = costmodel.comb_cost_schedule,
-) -> VerificationReport:
+def _fail(check: CheckResult, failure: str) -> None:
+    """Keep the first failure a check meets."""
+    if check.failure is None:
+        check.failure = failure
+
+
+def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
     """Run every check over the grid; deterministic for a fixed seed."""
     params_list = grid_params(grid)
     report = VerificationReport(grid=grid, seed=seed, tuples=len(params_list))
 
-    mps_check = CheckResult("mps measured == closed form")
-    comb_check = CheckResult("comb measured == printed form - M*x^2")
+    count_checks = {"mps": CheckResult("mps measured == closed form"),
+                    "comb": CheckResult("comb measured == printed form - M*x^2")}
     residual_check = CheckResult("printed - measured residual == M*x^2")
     oracle_check = CheckResult("executed scalar == value oracle")
 
     for idx, p in enumerate(params_list):
-        tuple_seed = seed + idx
         overhead = p.teeth * p.bond_dim * p.bond_dim
+        for build in (build_mps, build_comb):
+            net = build(p, seed=seed + idx)
+            scalar, cost = execute(net, plan_for(net))
+            # the printed comb form carries M*x^2 that no schedule step makes
+            unattributed = overhead if net.kind == "comb" else 0
+            expected = cost.analytic_printed - unattributed
+            count_check = count_checks[net.kind]
+            if cost.total != expected:
+                _fail(count_check, f"at {_describe(p)}: measured "
+                                   f"{cost.total}, formula {expected}")
+            else:
+                count_check.passed += 1
+            if net.kind == "comb":
+                gap = cost.analytic_printed - cost.analytic_schedule
+                if gap != overhead:
+                    _fail(residual_check, f"at {_describe(p)}: printed - schedule = "
+                                          f"{gap}, expected {overhead}")
+                else:
+                    residual_check.passed += 1
 
-        mps_net = build_mps(p, seed=tuple_seed)
-        mps_scalar, mps_report = execute(mps_net, mps_plan(mps_net))
-        expected = mps_cost_fn(p)
-        if mps_report.total != expected:
-            if mps_check.failure is None:
-                mps_check.failure = (f"at {_describe(p)}: measured "
-                                     f"{mps_report.total}, formula {expected}")
-        else:
-            mps_check.passed += 1
-
-        comb_net = build_comb(p, seed=tuple_seed)
-        comb_scalar, comb_report = execute(comb_net, comb_plan(comb_net))
-        expected = comb_printed_fn(p) - overhead
-        if comb_report.total != expected:
-            if comb_check.failure is None:
-                comb_check.failure = (f"at {_describe(p)}: measured "
-                                      f"{comb_report.total}, formula {expected}")
-        else:
-            comb_check.passed += 1
-        schedule = comb_schedule_fn(p)
-        if comb_printed_fn(p) - schedule != overhead:
-            if residual_check.failure is None:
-                residual_check.failure = (
-                    f"at {_describe(p)}: printed - schedule = "
-                    f"{comb_printed_fn(p) - schedule}, expected {overhead}")
-        else:
-            residual_check.passed += 1
-
-        for net, scalar in ((mps_net, mps_scalar), (comb_net, comb_scalar)):
             try:
                 reference = naive_value_oracle(net)
             except OracleGuardError:
@@ -156,10 +144,8 @@ def run_verification(
                 continue
             mismatch = _value_mismatch(scalar, reference)
             if mismatch is not None:
-                if oracle_check.failure is None:
-                    oracle_check.failure = (
-                        f"at {_describe(p)} [{net.kind}]: executed {scalar!r}, "
-                        f"oracle {reference!r}: {mismatch}")
+                _fail(oracle_check, f"at {_describe(p)} [{net.kind}]: executed "
+                                    f"{scalar!r}, oracle {reference!r}: {mismatch}")
             else:
                 oracle_check.passed += 1
 
@@ -175,9 +161,8 @@ def run_verification(
             vieta_check.skipped += 1
         elif verify_vieta(result):
             vieta_check.passed += 1
-        elif vieta_check.failure is None:
-            vieta_check.failure = (f"at (M={m}, d={d}): "
-                                   f"roots {result.roots} break Vieta")
+        else:
+            _fail(vieta_check, f"at (M={m}, d={d}): roots {result.roots} break Vieta")
 
     delta_check = CheckResult("cost gap independent of N and D")
     groups: dict[tuple[int, int, int], tuple[int, int, NetworkParams]] = {}
@@ -189,13 +174,11 @@ def run_verification(
             continue
         ref_sched, ref_printed, ref_p = groups[key]
         if deltas != (ref_sched, ref_printed):
-            if delta_check.failure is None:
-                delta_check.failure = (
-                    f"{_describe(p)} and {_describe(ref_p)} disagree: "
-                    f"{deltas} vs {(ref_sched, ref_printed)}")
+            _fail(delta_check, f"{_describe(p)} and {_describe(ref_p)} disagree: "
+                               f"{deltas} vs {(ref_sched, ref_printed)}")
         else:
             delta_check.passed += 1
 
-    report.checks = [mps_check, comb_check, residual_check,
+    report.checks = [count_checks["mps"], count_checks["comb"], residual_check,
                      oracle_check, vieta_check, delta_check]
     return report

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from combtn import costmodel
 from combtn.cli import main
 from combtn.verification import run_verification
 
@@ -78,6 +79,17 @@ class TestThreshold:
         assert payload["x_minus"] is None and payload["x_plus"] is None
         assert payload["regime"] == "mps-always-cheaper"
 
+    @pytest.mark.parametrize("teeth, dim_comp", [
+        ("50", "nan"), ("50", "inf"), ("50", "1e300"), (str(10**400), "30"),
+    ], ids=["nan", "inf", "1e300", "teeth-1e400"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_values_without_float64_roots_exit_2(self, capsys, teeth, dim_comp, as_json):
+        argv = ["threshold", "--teeth", teeth, "--dim-comp", dim_comp]
+        code, out, err = run(capsys, argv + ["--json"] * as_json)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSweep:
     def test_reference_rows(self, capsys, tmp_path):
@@ -114,6 +126,16 @@ class TestSweep:
         assert ">x-</text>" in content and ">x+</text>" in content
         assert ">d</text>" in content
 
+    def test_range_without_float64_roots_exits_2(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        huge = str(10**200)
+        code, out, err = run(capsys, ["sweep", "--teeth", "50", "--d-min", huge,
+                                      "--d-max", huge, "--out", str(out_csv)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_csv.exists()
+
     def test_unwritable_path_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["sweep", "--teeth", "50", "--d-min", "5",
                                     "--d-max", "6", "--out",
@@ -134,17 +156,38 @@ class TestVerify:
         b = run_verification("small", seed=7)
         assert a == b
 
-    def test_corrupted_formula_fails_naming_tuple(self):
-        from combtn.costmodel import mps_cost
+    @staticmethod
+    def _corrupt(monkeypatch, name):
+        # off by one at M=3, x=2 only
+        original = getattr(costmodel, name)
+        monkeypatch.setattr(costmodel, name, lambda p: original(p) + (
+            1 if p.teeth == 3 and p.bond_dim == 2 else 0))
 
-        def corrupted(p):
-            return mps_cost(p) + (1 if p.teeth == 3 and p.bond_dim == 2 else 0)
-
-        report = run_verification("small", seed=42, mps_cost_fn=corrupted)
+    def test_corrupted_formula_fails_naming_tuple(self, monkeypatch):
+        self._corrupt(monkeypatch, "mps_cost")
+        report = run_verification("small", seed=42)
         assert report.exit_code == 1
         assert not report.ok
+        assert report.first_failure.startswith("mps measured == closed form")
         assert "M=3" in report.first_failure
         assert "x=2" in report.first_failure
+
+    def test_corrupted_printed_comb_form_fails_the_comb_check(self, monkeypatch):
+        self._corrupt(monkeypatch, "comb_cost_printed")
+        report = run_verification("small", seed=42)
+        mps, comb = report.checks[:2]
+        assert mps.ok and not comb.ok
+        assert "M=3" in comb.failure and "x=2" in comb.failure
+        assert report.first_failure.startswith("comb measured == printed form - M*x^2")
+
+    def test_corrupted_schedule_comb_form_fails_only_the_residual(self, monkeypatch):
+        self._corrupt(monkeypatch, "comb_cost_schedule")
+        report = run_verification("small", seed=42)
+        mps, comb, residual = report.checks[:3]
+        assert mps.ok and comb.ok and not residual.ok
+        assert comb.passed == report.tuples
+        assert "M=3" in residual.failure and "x=2" in residual.failure
+        assert "printed - schedule" in residual.failure
 
 
 class TestContract:

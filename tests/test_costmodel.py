@@ -104,6 +104,29 @@ class TestThresholdRoots:
         with pytest.raises(ValueError, match="positive"):
             threshold_roots(0, 5)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_d(self, d):
+        with pytest.raises(ValueError, match="finite"):
+            threshold_roots(d, 50)
+
+    @pytest.mark.parametrize("d, m, name", [(30, 10**400, "teeth"),
+                                            (10**400, 50, "comp_dim")],
+                             ids=["teeth", "comp_dim"])
+    def test_rejects_values_beyond_float64(self, d, m, name):
+        with pytest.raises(ValueError, match=name):
+            threshold_roots(d, m)
+
+    @pytest.mark.parametrize("d, m", [(1e300, 50), (1e200, 3), (30, 10**300)],
+                             ids=["d-1e300", "d-1e200", "teeth-1e300"])
+    def test_rejects_non_finite_discriminant(self, d, m):
+        with pytest.raises(ValueError, match="discriminant"):
+            threshold_roots(d, m)
+
+    def test_largest_finite_discriminant_still_solved(self):
+        result = threshold_roots(1e150, 50)
+        assert math.isfinite(result.discriminant)
+        assert verify_vieta(result)
+
     def test_accepts_real_valued_d(self):
         result = threshold_roots(7.5, 20)
         assert result.roots is not None

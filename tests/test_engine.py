@@ -22,7 +22,6 @@ from combtn.engine import (
 )
 from combtn.network import (
     Bond,
-    MpsGeometry,
     NetworkParams,
     Node,
     NodeRole,
@@ -41,11 +40,10 @@ def params(D=3, d=2, x=2, M=2, N=1) -> NetworkParams:
 
 def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
     """Bare bond graph of all-ones tensors, for the oracle's error paths."""
-    nodes = {name: Node(name, NodeRole.DATA, Tensor(np.ones(shape)))
+    nodes = {name: Node(NodeRole.DATA, Tensor(np.ones(shape)))
              for name, shape in shapes.items()}
-    bonds = tuple(Bond(i, a, axis_a, b, axis_b, shapes[a][axis_a])
-                  for i, (a, axis_a, b, axis_b) in enumerate(edges))
-    return TensorNetwork(params(), MpsGeometry(len(nodes)), nodes, bonds, ())
+    bonds = tuple(Bond(*edge) for edge in edges)
+    return TensorNetwork(params(), "mps", nodes, bonds, ())
 
 
 def _tensordot_oracle(net: TensorNetwork) -> float:
@@ -53,13 +51,13 @@ def _tensordot_oracle(net: TensorNetwork) -> float:
     node, merged with the first operand's component kept."""
     arrays = {name: node.tensor.array for name, node in net.nodes.items()}
     legs = {name: [None] * len(node.tensor.shape) for name, node in net.nodes.items()}
-    for bond in net.bonds:
-        legs[bond.node_a][bond.axis_a] = bond.index
-        legs[bond.node_b][bond.axis_b] = bond.index
+    for label, bond in enumerate(net.bonds):
+        legs[bond.node_a][bond.axis_a] = label
+        legs[bond.node_b][bond.axis_b] = label
     owner = {name: name for name in net.nodes}
-    for bond in sorted(net.bonds, key=lambda b: b.index):
+    for label, bond in enumerate(net.bonds):
         ca, cb = owner[bond.node_a], owner[bond.node_b]
-        axis_a, axis_b = legs[ca].index(bond.index), legs[cb].index(bond.index)
+        axis_a, axis_b = legs[ca].index(label), legs[cb].index(label)
         arrays[ca] = np.tensordot(arrays[ca], arrays.pop(cb), axes=([axis_a], [axis_b]))
         legs[ca] = ([leg for i, leg in enumerate(legs[ca]) if i != axis_a]
                     + [leg for i, leg in enumerate(legs.pop(cb)) if i != axis_b])
@@ -343,7 +341,8 @@ class TestValueOracle:
         with pytest.raises(ValueError, match="joins extents 2 and 4"):
             naive_value_oracle(net)
 
-    def test_guard_raises(self):
+    def test_guard_raises(self, monkeypatch):
         net = build_mps(params(M=3, N=2), seed=0)
-        with pytest.raises(OracleGuardError, match="guard"):
-            naive_value_oracle(net, guard=1)
+        monkeypatch.setattr(engine, "ORACLE_GUARD", 1)
+        with pytest.raises(OracleGuardError, match="guard of 1"):
+            naive_value_oracle(net)

@@ -21,10 +21,16 @@ def small_params(**overrides) -> NetworkParams:
 
 
 def audit_bonds(net) -> None:
+    # every axis of every node is joined exactly once, to an axis of equal extent
+    joined = []
     for bond in net.bonds:
         shape_a = net.nodes[bond.node_a].tensor.shape
         shape_b = net.nodes[bond.node_b].tensor.shape
-        assert shape_a[bond.axis_a] == bond.dim == shape_b[bond.axis_b]
+        assert shape_a[bond.axis_a] == shape_b[bond.axis_b]
+        joined += [(bond.node_a, bond.axis_a), (bond.node_b, bond.axis_b)]
+    axes = [(name, axis) for name, node in net.nodes.items()
+            for axis in range(len(node.tensor.shape))]
+    assert sorted(joined) == sorted(axes)
 
 
 class TestParams:
