@@ -33,7 +33,6 @@ from .network import (
     Bond,
     NetworkParams,
     Node,
-    NodeRole,
     TensorNetwork,
     attach_data,
     build_comb,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import costmodel
 from .costmodel import SweepRow, threshold_roots, threshold_sweep
-from .engine import comb_plan, execute, mps_plan, plan_for
+from .engine import execute, plan_for
 from .network import NetworkParams, attach_data, build_comb, build_mps, \
     set_orthonormal_compressions
 from .tensor import CountOverflowError
@@ -39,6 +39,18 @@ def _params_from_args(args: argparse.Namespace) -> NetworkParams:
     return NetworkParams(dim_raw=args.dim_raw, dim_comp=args.dim_comp,
                          bond_dim=args.bond, teeth=args.teeth,
                          tooth_len=args.tooth_len)
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _fmt(count: int) -> str:
@@ -283,14 +295,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not bonds:
         raise ValueError("bond-list must name at least one bond dimension")
     lines = ["kind,x,measured_mults,median_ns,reps"]
-    for kind, build, plan in (("mps", build_mps, mps_plan),
-                              ("comb", build_comb, comb_plan)):
+    for kind, build in (("mps", build_mps), ("comb", build_comb)):
         for x in bonds:
             p = NetworkParams(dim_raw=args.dim_raw, dim_comp=args.dim_comp,
                               bond_dim=x, teeth=args.teeth,
                               tooth_len=args.tooth_len)
             net = build(p, seed=args.seed)
-            steps = plan(net)
+            steps = plan_for(net)
             timings = []
             total = None
             for _ in range(args.reps):
@@ -343,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser("verify", help="formula-vs-engine verification grid")
     verify.add_argument("--grid", choices=("small", "full"), default="small")
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--seed", type=_seed, default=42)
     verify.set_defaults(handler=cmd_verify)
 
     contract = subparsers.add_parser("contract", help="build and contract a network")
     contract.add_argument("--kind", choices=("mps", "comb"), required=True)
     _add_param_flags(contract)
     contract.add_argument("--bond", type=int, required=True)
-    contract.add_argument("--seed", type=int, default=42)
+    contract.add_argument("--seed", type=_seed, default=42)
     contract.add_argument("--data", help="data-matrix CSV (sites rows, dim-raw columns)")
     contract.add_argument("--orthonormal-u", action="store_true",
                           help="use orthonormal compression matrices")
@@ -362,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--bond-list", required=True,
                        help="comma-separated bond dimensions")
     bench.add_argument("--reps", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=42)
+    bench.add_argument("--seed", type=_seed, default=42)
     bench.add_argument("--out", required=True, help="CSV output path")
     bench.set_defaults(handler=cmd_bench)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +51,14 @@ class CostReport:
     printed-form minus measured: zero for MPS, M*x**2 for the comb.
     """
 
-    phase_subtotals: dict[str, int] = field(default_factory=dict)
-    total: int = 0
-    analytic_printed: int = 0
-    analytic_schedule: int = 0
-    residual_printed_minus_measured: int = 0
+    phase_subtotals: dict[str, int]
+    total: int
+    analytic_printed: int
+    analytic_schedule: int
+
+    @property
+    def residual_printed_minus_measured(self) -> int:
+        return self.analytic_printed - self.total
 
 
 # Every planner step sums axis 0 of its first operand; ``_PAIRS[ib]`` pairs
@@ -190,7 +193,6 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
         total=total,
         analytic_printed=printed,
         analytic_schedule=schedule,
-        residual_printed_minus_measured=printed - total,
     )
     return float(final.array), report
 

@@ -18,23 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _owned, random_tensor
-
-
-class NodeRole(Enum):
-    SITE_BOUNDARY = "site-boundary"
-    SITE_INTERIOR = "site-interior"
-    BACKBONE_BOUNDARY = "backbone-boundary"
-    BACKBONE_INTERIOR = "backbone-interior"
-    TOOTH_END = "tooth-end"
-    TOOTH_INTERIOR = "tooth-interior"
-    COMPRESSION = "compression"
-    DATA = "data"
+from .tensor import Tensor, _owned
 
 
 @dataclass(frozen=True)
@@ -74,7 +62,6 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class Node:
-    role: NodeRole
     tensor: Tensor
 
 
@@ -113,9 +100,11 @@ class _Builder:
         self.nodes: dict[str, Node] = {}
         self.bonds: list[Bond] = []
 
-    def add(self, name: str, role: NodeRole, shape: Sequence[int], fan_in: int) -> None:
-        tensor = random_tensor(shape, self._rng, std=1.0 / math.sqrt(fan_in))
-        self.nodes[name] = Node(role, tensor)
+    def add(self, name: str, shape: Sequence[int], fan_in: int) -> None:
+        # bit for bit normal(0, 1/sqrt(fan_in), shape), in an array of its own
+        arr = self._rng.standard_normal(shape)
+        arr *= 1.0 / math.sqrt(fan_in)
+        self.nodes[name] = Node(_owned(arr))
 
     def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int) -> None:
         self.bonds.append(Bond(node_a, axis_a, node_b, axis_b))
@@ -124,9 +113,9 @@ class _Builder:
 def _add_physical_column(b: _Builder, site: str, tag: str, phys_axis: int,
                          dim_raw: int, dim_comp: int) -> None:
     # one compression matrix and one data vector per physical site
-    b.add(f"u{tag}", NodeRole.COMPRESSION, (dim_raw, dim_comp), fan_in=dim_raw)
+    b.add(f"u{tag}", (dim_raw, dim_comp), fan_in=dim_raw)
     b.bond(site, phys_axis, f"u{tag}", 1)
-    b.add(f"data{tag}", NodeRole.DATA, (dim_raw,), fan_in=1)
+    b.add(f"data{tag}", (dim_raw,), fan_in=1)
     b.bond(f"u{tag}", 0, f"data{tag}", 0)
 
 
@@ -143,12 +132,12 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
     b = _Builder(seed)
     for i in range(length):
         if i == 0:
-            shape, phys_axis, role = (d, x), 0, NodeRole.SITE_BOUNDARY
+            shape, phys_axis = (d, x), 0
         elif i == length - 1:
-            shape, phys_axis, role = (x, d), 1, NodeRole.SITE_BOUNDARY
+            shape, phys_axis = (x, d), 1
         else:
-            shape, phys_axis, role = (x, d, x), 1, NodeRole.SITE_INTERIOR
-        b.add(f"site{i}", role, shape, fan_in=x ** (len(shape) - 1))
+            shape, phys_axis = (x, d, x), 1
+        b.add(f"site{i}", shape, fan_in=x ** (len(shape) - 1))
         if i > 0:
             prev_right = 1 if i == 1 else 2
             b.bond(f"site{i - 1}", prev_right, f"site{i}", 0)
@@ -169,22 +158,18 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
     d, x = params.dim_comp, params.bond_dim
     b = _Builder(seed)
     for m in range(m_count):
-        boundary = m in (0, m_count - 1)
-        if boundary:
-            shape, role, down_axis = (x, x), NodeRole.BACKBONE_BOUNDARY, 1
+        if m in (0, m_count - 1):
+            shape, down_axis = (x, x), 1
         else:
-            shape, role, down_axis = (x, x, x), NodeRole.BACKBONE_INTERIOR, 2
-        b.add(f"spine{m}", role, shape, fan_in=x ** len(shape))
+            shape, down_axis = (x, x, x), 2
+        b.add(f"spine{m}", shape, fan_in=x ** len(shape))
         if m > 0:
             prev_right = 0 if m == 1 else 1
             b.bond(f"spine{m - 1}", prev_right, f"spine{m}", 0)
         for n in range(n_count):
             tag = f"{m}.{n}"
-            if n == n_count - 1:
-                shape, role = (x, d), NodeRole.TOOTH_END
-            else:
-                shape, role = (x, d, x), NodeRole.TOOTH_INTERIOR
-            b.add(f"tooth{tag}", role, shape, fan_in=x ** (len(shape) - 1))
+            shape = (x, d) if n == n_count - 1 else (x, d, x)
+            b.add(f"tooth{tag}", shape, fan_in=x ** (len(shape) - 1))
             if n == 0:
                 b.bond(f"spine{m}", down_axis, f"tooth{tag}", 0)
             else:
@@ -200,7 +185,7 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
 def _with_tensors(net: TensorNetwork, updates: dict[str, Tensor]) -> TensorNetwork:
     nodes = dict(net.nodes)
     for name, tensor in updates.items():
-        nodes[name] = Node(nodes[name].role, tensor)
+        nodes[name] = Node(tensor)
     return replace(net, nodes=nodes)
 
 
@@ -247,8 +232,7 @@ def set_orthonormal_compressions(net: TensorNetwork, seed=0) -> TensorNetwork:
     rng = np.random.default_rng(seed)
     d_raw, d_comp = net.params.dim_raw, net.params.dim_comp
     updates = {
-        name: Tensor(_orthonormal_columns(rng, d_raw, d_comp))
-        for name, node in net.nodes.items()
-        if node.role is NodeRole.COMPRESSION
+        "u" + name.removeprefix("data"): Tensor(_orthonormal_columns(rng, d_raw, d_comp))
+        for name in net.data_sites
     }
     return _with_tensors(net, updates)

@@ -212,7 +212,8 @@ def random_tensor(shape: Sequence[int], seed, std: float = 1.0) -> Tensor:
     """Gaussian(0, std) tensor, deterministic for a fixed (shape, seed).
 
     ``seed`` may also be a ``numpy.random.Generator``, which is drawn from
-    and advanced.
+    and advanced. The network builders no longer call it: they draw from
+    their generator directly.
     """
     shape = tuple(shape)
     if any(extent < 1 for extent in shape):

@@ -329,3 +329,21 @@ class TestBench:
                                     "--out", str(tmp_path / "b.csv")])
         assert code == 2
         assert "reps" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "-5"],
+    ["contract", "--kind", "mps", "--teeth", "2", "--tooth-len", "1",
+     "--dim-raw", "2", "--dim-comp", "2", "--bond", "2", "--seed", "-5"],
+    ["bench", "--teeth", "2", "--tooth-len", "1", "--dim-raw", "2",
+     "--dim-comp", "2", "--bond-list", "1", "--seed", "-5", "--out", "unused.csv"],
+    ["verify", "--seed", "five"],
+], ids=["verify", "contract", "bench", "not-a-number"])
+def test_bad_seed_is_a_usage_error_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed" in captured.err
+    assert repr(argv[argv.index("--seed") + 1]) in captured.err

@@ -24,7 +24,6 @@ from combtn.network import (
     Bond,
     NetworkParams,
     Node,
-    NodeRole,
     TensorNetwork,
     attach_data,
     build_comb,
@@ -40,7 +39,7 @@ def params(D=3, d=2, x=2, M=2, N=1) -> NetworkParams:
 
 def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
     """Bare bond graph of all-ones tensors, for the oracle's error paths."""
-    nodes = {name: Node(NodeRole.DATA, Tensor(np.ones(shape)))
+    nodes = {name: Node(Tensor(np.ones(shape)))
              for name, shape in shapes.items()}
     bonds = tuple(Bond(*edge) for edge in edges)
     return TensorNetwork(params(), "mps", nodes, bonds, ())
