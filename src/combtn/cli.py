@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from statistics import median
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -147,12 +147,12 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
-    lines = ["d,x_minus,x_plus,regime"]
+def sweep_csv_lines(rows: Iterable[SweepRow]) -> Iterator[str]:
+    """The header, then one line per row, each as its row arrives."""
+    yield "d,x_minus,x_plus,regime"
     for row in rows:
-        lines.append(f"{row.comp_dim},{_root_str(row.x_minus, 6)},"
-                     f"{_root_str(row.x_plus, 6)},{row.regime.value}")
-    return lines
+        yield (f"{row.comp_dim},{_root_str(row.x_minus, 6)},"
+               f"{_root_str(row.x_plus, 6)},{row.regime.value}")
 
 
 def sweep_svg(rows: Sequence[SweepRow], teeth: int) -> str:
@@ -221,9 +221,12 @@ def sweep_svg(rows: Sequence[SweepRow], teeth: int) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = threshold_sweep(args.teeth, args.d_min, args.d_max, args.step)
+    if args.svg:
+        rows = list(rows)   # the chart needs every row; the CSV needs none kept
     with open(args.out, "w", newline="") as handle:
-        handle.write("\n".join(sweep_csv_lines(rows)) + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+        for count, line in enumerate(sweep_csv_lines(rows)):
+            handle.write(line + "\n")
+    print(f"wrote {count} rows to {args.out}")
     if args.svg:
         with open(args.svg, "w") as handle:
             handle.write(sweep_svg(rows, args.teeth))

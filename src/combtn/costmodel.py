@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .network import NetworkParams
 from .tensor import checked_count
@@ -181,17 +181,30 @@ class SweepRow:
     regime: Regime
 
 
-def threshold_sweep(teeth: int, d_min: int, d_max: int, step: int = 1) -> list[SweepRow]:
-    """One SweepRow per d in [d_min, d_max] at the given step."""
+def threshold_sweep(teeth: int, d_min: int, d_max: int,
+                    step: int = 1) -> Iterator[SweepRow]:
+    """One SweepRow per d in [d_min, d_max] at the given step, yielded in
+    order of d, each as soon as it is solved.
+
+    The whole range is checked before the first row: a bad range, or a d
+    where float64 holds no roots, raises ValueError here. For one ``teeth``,
+    ``threshold_roots`` fails at every d, at d <= 0 or past the d where the
+    discriminant overflows, so solving the first and the last d of the
+    range checks every d in it.
+    """
     if d_min > d_max:
         raise ValueError(f"d_min must not exceed d_max ({d_min} > {d_max})")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    rows = []
-    for d in range(d_min, d_max + 1, step):
-        res = threshold_roots(d, teeth)
-        rows.append(SweepRow(d, res.x_minus, res.x_plus, res.regime))
-    return rows
+    dims = range(d_min, d_max + 1, step)
+    threshold_roots(dims[0], teeth)
+    threshold_roots(dims[-1], teeth)
+    return (_sweep_row(d, teeth) for d in dims)
+
+
+def _sweep_row(d: int, teeth: int) -> SweepRow:
+    res = threshold_roots(d, teeth)
+    return SweepRow(d, res.x_minus, res.x_plus, res.regime)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import costmodel
 from .network import TensorNetwork
-from .tensor import AxisPairing, Tensor, checked_count, contract_pair
+from .tensor import AxisPairing, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
 
@@ -27,7 +27,7 @@ class OracleGuardError(RuntimeError):
     """An oracle intermediate would exceed the size guard."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanStep:
     a: str
     b: str
@@ -37,9 +37,65 @@ class PlanStep:
 
 
 @dataclass(frozen=True)
+class _Slots:
+    """A plan's steps over the positions of one list instead of names.
+
+    ``inputs`` are the names the plan reads from the network, in order of
+    first use; list position i starts as ``inputs[i]``. ``program`` holds
+    four entries per step, ``a, b, phase, pairing``: the step contracts
+    positions a and b, puts the result at a and clears b, and adds its
+    count to the subtotal of ``phases[phase]``. ``fits`` says whether the
+    plan runs on a network whose nodes are exactly ``inputs``, leaving one
+    tensor at ``result``.
+    """
+
+    inputs: tuple[str, ...]
+    program: tuple
+    phases: tuple[str, ...]
+    fits: bool
+    result: int
+
+
+def _resolve(steps: tuple[PlanStep, ...]) -> _Slots:
+    # the rules of _refusal, so a plan that fits is never refused on a
+    # network whose nodes are exactly its inputs
+    inputs: list[str] = []
+    slot_of: dict[str, int] = {}      # name -> its position; -1 once consumed
+    phases: dict[str, int] = {}
+    program: list = []
+    fits = True
+    for step in steps:
+        where = []
+        for name in (step.a, step.b):
+            slot = slot_of.get(name)
+            if slot is None:
+                slot = len(inputs)
+                inputs.append(name)
+            # a name read again after it was consumed is in no pool
+            fits = fits and slot >= 0
+            slot_of[name] = -1
+            where.append(slot)
+        if slot_of.get(step.out, -1) >= 0 or step.out in (step.a, step.b):
+            fits = False
+        slot_of[step.out] = where[0]
+        phase = phases.setdefault(step.phase, len(phases))
+        program += (where[0], where[1], phase, step.pairing)
+    fits = fits and sum(slot >= 0 for slot in slot_of.values()) == 1
+    return _Slots(tuple(inputs), tuple(program), tuple(phases), fits,
+                  program[-4] if program else 0)
+
+
+@dataclass(frozen=True)
 class ContractionPlan:
+    """Named steps, with their operand positions resolved once, when the
+    plan is made."""
+
     kind: str
     steps: tuple[PlanStep, ...]
+    slots: _Slots = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slots", _resolve(self.steps))
 
 
 @dataclass
@@ -148,40 +204,64 @@ def plan_for(net: TensorNetwork) -> ContractionPlan:
     return mps_plan(net) if net.kind == "mps" else comb_plan(net)
 
 
+def _refusal(nodes: dict, plan: ContractionPlan) -> str:
+    """Step through ``plan`` by name alone and raise the refusal of the
+    first step that does not fit ``nodes``; returns the one name left."""
+    live = set(nodes)
+    for step in plan.steps:
+        for operand in (step.a, step.b):
+            if operand not in live:
+                raise ValueError(
+                    f"plan does not match network: operand {operand!r} is not available"
+                )
+            live.remove(operand)
+        if step.out in live or step.out in (step.a, step.b):
+            raise ValueError(f"plan output name {step.out!r} already in use")
+        live.add(step.out)
+    if len(live) != 1:
+        raise ValueError(
+            f"plan leaves {len(live)} tensors instead of a single scalar"
+        )
+    (name,) = live
+    return name
+
+
 def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostReport]:
     """Run the plan over the network, counting every multiplication.
 
     Each operand is consumed exactly once; the plan must reduce the network
     to a single scalar. Raises ValueError when the plan does not match the
     network and CountOverflowError if any count leaves the 64-bit range.
+    The plan is checked against the network once, before any step runs;
+    each step is one ``contract_pair`` call, looked up on this module.
     """
     if plan.kind != net.kind:
         raise ValueError(
             f"plan kind {plan.kind!r} does not match network kind {net.kind!r}"
         )
-    pool: dict[str, Tensor] = {name: node.tensor for name, node in net.nodes.items()}
-    subtotals: dict[str, int] = {}
-    for step in plan.steps:
-        for operand in (step.a, step.b):
-            if operand not in pool:
-                raise ValueError(
-                    f"plan does not match network: operand {operand!r} is not available"
-                )
-        if step.out in pool:
-            raise ValueError(f"plan output name {step.out!r} already in use")
-        a = pool.pop(step.a)
-        b = pool.pop(step.b)
-        out, cost = contract_pair(a, b, step.pairing)
-        pool[step.out] = out
-        subtotals[step.phase] = subtotals.get(step.phase, 0) + cost.multiplications
-    if len(pool) != 1:
-        raise ValueError(
-            f"plan leaves {len(pool)} tensors instead of a single scalar"
-        )
-    (final,) = pool.values()
+    slots = plan.slots
+    nodes = net.nodes
+    pool = None
+    if slots.fits and len(nodes) == len(slots.inputs):
+        try:
+            pool = [nodes[name].tensor for name in slots.inputs]
+        except KeyError:
+            pass
+    if pool is None:
+        # refused, unless the plan has no steps and the network one node
+        pool = [nodes[_refusal(nodes, plan)].tensor]
+    pair = contract_pair
+    subtotals = [0] * len(slots.phases)
+    entries = iter(slots.program)
+    for a, b, phase, pairing in zip(entries, entries, entries, entries):
+        out, cost = pair(pool[a], pool[b], pairing)
+        pool[a] = out
+        pool[b] = None
+        subtotals[phase] += cost.multiplications
+    final = pool[slots.result]
     if final.shape != ():
         raise ValueError(f"plan result has shape {final.shape}, expected a scalar")
-    total = checked_count(sum(subtotals.values()))
+    total = checked_count(sum(subtotals))
     p = net.params
     if net.kind == "mps":
         printed = schedule = costmodel.mps_cost(p)
@@ -189,7 +269,7 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
         printed = costmodel.comb_cost_printed(p)
         schedule = costmodel.comb_cost_schedule(p)
     report = CostReport(
-        phase_subtotals=subtotals,
+        phase_subtotals=dict(zip(slots.phases, subtotals)),
         total=total,
         analytic_printed=printed,
         analytic_schedule=schedule,

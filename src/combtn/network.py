@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _owned
+from .tensor import Tensor, _owned, _wrap
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,9 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
             f"data matrix row {row}, column {col} is not finite: {matrix[row, col]}"
         )
     matrix.flags.writeable = False
+    # a row of the frozen matrix is a read-only view already
     updates = {
-        name: _owned(matrix[row]) for row, name in enumerate(net.data_sites)
+        name: _wrap(matrix[row]) for row, name in enumerate(net.data_sites)
     }
     return _with_tensors(net, updates)
 

@@ -9,6 +9,7 @@ an x-by-x matrix applied to a length-x vector costs exactly x**2.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,12 +33,17 @@ def checked_count(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Tensor:
-    """Immutable dense array of float64 scalars; shape () is a scalar.
+    """Dense array of float64 scalars; shape () is a scalar.
 
-    Storage is row-major and read-only, so tensors are safe to share across
-    threads. An array passed to the constructor is copied, so the caller may
-    keep writing to its own; arrays combtn makes itself (contraction results
-    and random draws) are wrapped as they are by ``_owned``.
+    An array passed to the constructor is copied, row-major, so the caller
+    may keep writing to its own; arrays combtn makes itself (contraction
+    results, builder draws, data rows) are wrapped as they are. Every array a
+    tensor holds is read-only: numpy's writeable flag is cleared on the array
+    that owns the memory, or the tensor holds a view of such an array. That
+    guards against accidental writes, such as ``tensor.array[0] = 1.0`` or an
+    in-place ufunc, and nothing more: numpy lets any holder of the owning
+    array call ``setflags(write=True)`` on it, after which writes go through
+    and change what every sharer of the tensor reads.
     """
 
     array: np.ndarray
@@ -96,7 +102,11 @@ class AxisPairing:
 
 @dataclass(frozen=True)
 class StepCost:
-    """Multiplication count of one pairwise contraction."""
+    """Multiplication count of one pairwise contraction.
+
+    ``contract_pair`` fills one in without this constructor, after its own
+    64-bit range check; the count it makes is never negative.
+    """
 
     multiplications: int
 
@@ -106,38 +116,81 @@ class StepCost:
         checked_count(self.multiplications)
 
 
-def _owned(arr: np.ndarray) -> Tensor:
-    """Wrap, without a copy, a C-contiguous float64 array that combtn made.
+_new = object.__new__
 
-    The array is frozen in place, so no caller may hold a writeable
-    reference to it or to its base.
-    """
-    arr.setflags(write=False)
-    tensor = object.__new__(Tensor)
-    object.__setattr__(tensor, "array", arr)
+
+def _wrap(arr: np.ndarray) -> Tensor:
+    """Wrap, without a copy or a check, a read-only float64 array that
+    combtn made, or a view of one (a view of a read-only array is read-only)."""
+    tensor = _new(Tensor)
+    tensor.__dict__["array"] = arr
     return tensor
 
 
-@functools.lru_cache(maxsize=32)
-def _layout(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int):
-    """How ``contract_pair`` reads its operands for one (pairs, ranks).
+def _owned(arr: np.ndarray) -> Tensor:
+    """Freeze, in place, a float64 array that combtn made, and wrap it.
 
-    Returns ``(a_order, b_order, a_free_count, b_block)``, where an order is
-    None when the operand needs no transpose; returns None when an axis is
-    out of range or used twice. ``a_order`` lays ``a`` out as [free, summed]
-    with the summed axes in pair order. ``b_block`` is set when ``a`` has no
-    free axis and ``b``'s summed axes form one block in pair order with free
-    axes on both sides: it is ``(start, merge)``, the block's first axis and
-    whether ``b`` must be reshaped (the block or the axes after it are more
-    than one) to become a stack of [summed, trail] matrices; ``b_order`` is
-    then None. Otherwise ``b_block`` is None and ``b_order`` lays ``b`` out
-    as [summed, free].
+    No caller may hold a writeable reference to the array or to its base.
+    """
+    arr.setflags(write=False)
+    # _wrap's body, inline: this runs once per contraction step
+    tensor = _new(Tensor)
+    tensor.__dict__["array"] = arr
+    return tensor
+
+
+def _dot_swapped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a vector against the last axis of a matrix
+    return np.dot(b, a)
+
+
+def _stacked(a_order, start: int, count: int,
+             a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # matmul broadcasts over b's leading axes and sums its next-to-last
+    if a_order is not None:
+        a = a.transpose(a_order)
+    lead, trail = b.shape[:start], b.shape[start + count:]
+    summed = a.size
+    return np.matmul(a.reshape(summed),
+                     b.reshape(lead + (summed, -1))).reshape(lead + trail)
+
+
+def _transposed(a_order, b_order, a_free_count: int,
+                a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a as [free, summed] and b as [summed, free], multiplied as matrices
+    if a_order is not None:
+        a = a.transpose(a_order)
+    if b_order is not None:
+        b = b.transpose(b_order)
+    summed = math.prod(a.shape[a_free_count:])
+    out = np.dot(a.reshape(-1, summed), b.reshape(summed, -1))
+    return out.reshape(a.shape[:a_free_count] + b.shape[a.ndim - a_free_count:])
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int):
+    """The matrix product ``contract_pair`` runs for one (pairs, ranks).
+
+    Returns a function of the two operand arrays, or None when an axis is
+    out of range or used twice. A vector against the first or the last axis
+    of a matrix is a bare ``np.dot``; a vector against the next-to-last axis
+    of a higher-rank ``b`` is a bare ``np.matmul``. When ``a`` has no free
+    axis and ``b``'s summed axes form one block in pair order with free axes
+    on both sides, ``_stacked`` reshapes ``b`` into a stack of
+    [summed, trail] matrices for ``np.matmul``. Any other pairing goes
+    through ``_transposed``, which lays ``a`` out as [free, summed] with the
+    summed axes in pair order and ``b`` as [summed, free].
     """
     try:
         # unit extents cannot differ, so this fails only on the axes themselves
         AxisPairing(pairs).validate((1,) * rank_a, (1,) * rank_b)
     except ValueError:
         return None
+    if rank_a == 1 and rank_b == 2:
+        if pairs == ((0, 0),):
+            return np.dot
+        if pairs == ((0, 1),):
+            return _dot_swapped
     a_sum = [ia for ia, _ in pairs]
     b_sum = [ib for _, ib in pairs]
     a_order = (*(i for i in range(rank_a) if i not in a_sum), *a_sum)
@@ -148,10 +201,12 @@ def _layout(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int):
     # reshaped view; matmul would sum b's next-to-last axis there
     if (rank_a == count and 0 < start and start + count < rank_b
             and b_sum == list(range(start, start + count))):
-        return a_order, None, 0, (start, count > 1 or start + count + 1 < rank_b)
+        if count == 1 and start + 2 == rank_b:
+            return np.matmul
+        return functools.partial(_stacked, a_order, start, count)
     b_order = (*b_sum, *(i for i in range(rank_b) if i not in b_sum))
-    return (a_order, None if b_order == tuple(range(rank_b)) else b_order,
-            rank_a - count, None)
+    b_order = None if b_order == tuple(range(rank_b)) else b_order
+    return functools.partial(_transposed, a_order, b_order, rank_a - count)
 
 
 def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, StepCost]:
@@ -162,50 +217,37 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     product(contracted extents), checked against the 64-bit range.
 
     Every pairing, scalars and outer products included, runs as one matrix
-    product, in one of three layouts:
+    product, picked once per (pairs, ranks) by ``_kernel``:
 
-    - ``b``'s summed axes lead it, or trail it, in pair order: ``a`` is laid
-      out as [free, summed] and ``b`` as [summed, free] for ``np.dot``. For
-      the C-contiguous arrays that tensors hold, and an ``a`` whose summed
-      axes trail (or lead) it in pair order, both are reshaped views, read
-      in place. Every plan step but the interior absorb is of this kind.
-    - ``a`` has no free axis and ``b``'s summed axes are one block in pair
-      order with free axes on both sides, as when a data vector meets the
-      middle (physical) axis of an interior [x, d, x] site: ``np.matmul``
-      reads ``b`` in place as a [lead, summed, trail] stack.
-    - any other pairing: the transposes above copy whichever operand they
-      do not leave as a view.
+    - a vector against the first or the last axis of a matrix (compress,
+      chain sweep, tooth sweep, a boundary absorb): a bare ``np.dot``, which
+      reads both operands as they are;
+    - a vector against the middle (physical) axis of an interior [x, d, x]
+      site: a bare ``np.matmul``, reading the site in place as a stack of
+      [d, x] matrices; ``a`` without a free axis against any block of ``b``
+      with free axes on both sides is the same product on reshaped views;
+    - any other pairing: ``a`` laid out as [free, summed] and ``b`` as
+      [summed, free] for ``np.dot``. For the C-contiguous arrays that tensors
+      hold these are reshaped views when ``b``'s summed axes lead or trail
+      it, and ``a``'s trail or lead it, in pair order; otherwise the
+      transposes copy whichever operand they do not leave as a view.
 
-    The layout of each (pairs, ranks) is worked out once; a pairing that
-    does not fit the operands is reported by ``AxisPairing.validate``.
+    A pairing that does not fit the operands is reported by
+    ``AxisPairing.validate``.
     """
     a_arr, b_arr = a.array, b.array
     a_shape, b_shape = a_arr.shape, b_arr.shape
     pairs = pairing.pairs
-    layout = _layout(pairs, len(a_shape), len(b_shape))
+    kernel = _kernel(pairs, len(a_shape), len(b_shape))
     summed = 1
     for ia, ib in pairs:
-        if layout is None or a_shape[ia] != b_shape[ib]:
+        if kernel is None or a_shape[ia] != b_shape[ib]:
             pairing.validate(a_shape, b_shape)
         summed *= a_shape[ia]
-    a_order, b_order, a_free_count, b_block = layout
-    if a_order is not None:
-        a_arr = a_arr.transpose(a_order)
-    if b_block is not None:
-        # matmul broadcasts over b's leading axes and sums its next-to-last
-        start, merge = b_block
-        if not merge:
-            out = np.matmul(a_arr, b_arr)
-        else:
-            lead, trail = b_shape[:start], b_shape[start + len(pairs):]
-            out = np.matmul(a_arr.reshape(summed),
-                            b_arr.reshape(lead + (summed, -1))).reshape(lead + trail)
-        return _owned(out), StepCost(out.size * summed)
-    if b_order is not None:
-        b_arr = b_arr.transpose(b_order)
-    out = np.dot(a_arr.reshape(-1, summed), b_arr.reshape(summed, -1))
-    out = out.reshape(a_arr.shape[:a_free_count] + b_arr.shape[len(pairs):])
-    return _owned(out), StepCost(out.size * summed)
+    out = kernel(a_arr, b_arr)
+    cost = _new(StepCost)
+    cost.__dict__["multiplications"] = checked_count(out.size * summed)
+    return _owned(out), cost
 
 
 def random_tensor(shape: Sequence[int], seed, std: float = 1.0) -> Tensor:

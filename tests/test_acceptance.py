@@ -163,9 +163,9 @@ def test_criterion_10_sweep_regression(tmp_path, capsys):
     assert main(argv + [str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
-    rows = threshold_sweep(50, 5, 60)
+    rows = list(threshold_sweep(50, 5, 60))
     lines = out_a.read_text().splitlines()
-    assert lines == sweep_csv_lines(rows)
+    assert lines == list(sweep_csv_lines(rows))
     assert len(rows) == 56
     for prev, cur in zip(rows, rows[1:]):
         assert cur.x_plus > prev.x_plus

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -131,6 +132,31 @@ class TestSweep:
         huge = str(10**200)
         code, out, err = run(capsys, ["sweep", "--teeth", "50", "--d-min", huge,
                                       "--d-max", huge, "--out", str(out_csv)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--teeth", "50", "--d-min", "1", "--d-max", "120"],
+         "c9186fa5ffb97cf2a8aa979a8a07dca5e595ff892e4406cf65f4980543a38f7d"),
+        (["--teeth", "3", "--d-min", "2", "--d-max", "400", "--step", "7"],
+         "d4178456cf2eac796094e3b16b419b0e2ce30ff3f4219e5261956a4b294a42f4"),
+    ], ids=["teeth-50", "teeth-3-step-7"])
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path, argv, digest):
+        # sha256 of the CSV the sweep wrote when it held every row first
+        out_csv = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, ["sweep", *argv, "--out", str(out_csv)])
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+        rows = out_csv.read_text().count("\n") - 1
+        assert out == f"wrote {rows} rows to {out_csv}\n"
+
+    def test_range_failing_at_its_far_end_writes_nothing(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, ["sweep", "--teeth", "50", "--d-min", "1",
+                                      "--d-max", str(10**200), "--step", str(10**199),
+                                      "--out", str(out_csv)])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

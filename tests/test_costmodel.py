@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -154,7 +156,7 @@ def test_vieta_identities(m, d):
 
 class TestSweep:
     def test_rows_without_roots(self):
-        rows = threshold_sweep(50, 1, 4)
+        rows = list(threshold_sweep(50, 1, 4))
         assert len(rows) == 4
         assert all(r.regime is Regime.MPS_ALWAYS_CHEAPER for r in rows)
         assert all(r.x_minus is None and r.x_plus is None for r in rows)
@@ -167,7 +169,7 @@ class TestSweep:
         assert row.regime is direct.regime
 
     def test_monotone_roots(self):
-        rows = threshold_sweep(50, 5, 60)
+        rows = list(threshold_sweep(50, 5, 60))
         assert len(rows) == 56
         for prev, cur in zip(rows, rows[1:]):
             assert cur.x_plus > prev.x_plus
@@ -183,6 +185,21 @@ class TestSweep:
             threshold_sweep(50, 10, 5)
         with pytest.raises(ValueError, match="step"):
             threshold_sweep(50, 1, 5, step=0)
+
+    def test_rows_are_yielded_as_they_are_solved(self):
+        rows = threshold_sweep(50, 1, 10**12)
+        start = time.perf_counter()
+        first = list(itertools.islice(rows, 3))
+        assert time.perf_counter() - start < 1.0
+        assert [r.comp_dim for r in first] == [1, 2, 3]
+        assert next(rows).comp_dim == 4
+
+    @pytest.mark.parametrize("d_min, d_max", [(0, 5), (1, 10**200), (10**200, 10**201)],
+                             ids=["first", "last", "both"])
+    def test_range_is_checked_before_the_first_row(self, d_min, d_max):
+        # the first or the last d has no float64 roots
+        with pytest.raises(ValueError):
+            threshold_sweep(50, d_min, d_max, step=max(1, d_max // 7))
 
 
 def gap_schedule_polynomial(m: int, d: int, x: float) -> float:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from combtn.costmodel import (
 )
 from combtn import engine
 from combtn.engine import (
+    ContractionPlan,
     OracleGuardError,
+    PlanStep,
     comb_plan,
     execute,
     mps_plan,
@@ -30,7 +34,8 @@ from combtn.network import (
     build_mps,
 )
 from combtn.network import _with_tensors
-from combtn.tensor import Tensor, contract_pair
+from combtn.tensor import AxisPairing, Tensor, contract_pair
+from combtn.verification import grid_params
 
 
 def params(D=3, d=2, x=2, M=2, N=1) -> NetworkParams:
@@ -264,6 +269,142 @@ class TestExecute:
         assert len(extra) == len(plan.steps)
         over = [(step.phase, step.b, n) for step, n in zip(plan.steps, extra) if n > 4096]
         assert not over
+
+
+def _steps(*steps) -> tuple[PlanStep, ...]:
+    """Plan steps from (a, b, out, axis of b) tuples, all in one phase."""
+    return tuple(PlanStep(a, b, AxisPairing([(0, ib)]), "compress", out)
+                 for a, b, out, ib in steps)
+
+
+class TestExecuteRefusals:
+    """Hand-built plans that do not fit their network, one per refusal."""
+
+    # the smallest MPS: site0 [d, x], site1 [x, d], u0/u1 [D, d], data0/data1 [D]
+    COMPRESS = (("data0", "u0", "w0", 0), ("data1", "u1", "w1", 0))
+    ABSORB = (("w0", "site0", "m0", 0), ("w1", "site1", "m1", 1))
+
+    def refusal(self, *steps, net=None) -> str:
+        net = net or build_mps(params(M=2, N=1), seed=0)
+        with pytest.raises(ValueError) as raised:
+            execute(net, ContractionPlan(net.kind, _steps(*steps)))
+        return str(raised.value)
+
+    def test_missing_operand(self):
+        assert self.refusal(("data0", "ghost", "w0", 0)) == \
+            "plan does not match network: operand 'ghost' is not available"
+
+    def test_operand_used_twice(self):
+        # the first use consumes it, so the second finds nothing
+        assert self.refusal(*self.COMPRESS, ("w0", "site0", "m0", 0),
+                            ("w0", "site1", "m1", 1)) == \
+            "plan does not match network: operand 'w0' is not available"
+
+    def test_one_step_names_an_operand_twice(self):
+        assert self.refusal(("data0", "data0", "w0", 0)) == \
+            "plan does not match network: operand 'data0' is not available"
+
+    def test_output_name_in_use(self):
+        # a node the plan has not consumed yet, a live intermediate, an
+        # operand; the last two in plans that read every node of the network
+        assert self.refusal(("data0", "u0", "site1", 0)) == \
+            "plan output name 'site1' already in use"
+        assert self.refusal(*self.COMPRESS, ("w0", "site0", "w1", 0),
+                            ("w1", "site1", "m1", 1)) == \
+            "plan output name 'w1' already in use"
+        assert self.refusal(*self.COMPRESS, *self.ABSORB, ("m0", "m1", "m0", 0)) == \
+            "plan output name 'm0' already in use"
+
+    def test_tensors_left_over(self):
+        assert self.refusal(*self.COMPRESS, *self.ABSORB) == \
+            "plan leaves 2 tensors instead of a single scalar"
+        assert self.refusal() == "plan leaves 6 tensors instead of a single scalar"
+
+    def test_network_with_an_extra_node(self):
+        net = build_mps(params(M=2, N=1), seed=0)
+        plan = mps_plan(net)
+        extra = _with_tensors(net, {"spare": Tensor(np.ones(2))})
+        with pytest.raises(ValueError) as raised:
+            execute(extra, plan)
+        assert str(raised.value) == "plan leaves 2 tensors instead of a single scalar"
+
+    def test_non_scalar_result(self):
+        net = _graph({"a": (2,), "b": (2, 3)}, [])
+        assert self.refusal(("a", "b", "ab", 0), net=net) == \
+            "plan result has shape (3,), expected a scalar"
+
+    def test_plan_without_steps_returns_the_only_tensor(self):
+        net = _graph({"a": ()}, [])
+        scalar, report = execute(net, ContractionPlan("mps", ()))
+        assert scalar == 1.0 and report.total == 0 and report.phase_subtotals == {}
+        assert self.refusal(net=_graph({"a": (2,)}, [])) == \
+            "plan result has shape (2,), expected a scalar"
+
+
+# sha256 over every executed scalar's float.hex and every phase subtotal of
+# the networks in ``test_executed_values_are_pinned``; a kernel or schedule
+# change that moves one bit of one scalar changes it
+VALUE_DIGEST = "9f8290a438379f2238477351a0003f0ba7bb7e5df9ac8fc612a9527216adc300"
+
+
+def test_executed_values_are_pinned():
+    digest = hashlib.sha256()
+    runs = 0
+    for idx, p in enumerate(grid_params("small")):
+        data = np.random.default_rng(idx).standard_normal((p.sites, p.dim_raw))
+        for build in (build_mps, build_comb):
+            net = build(p, seed=42 + idx)
+            for scored in (net, attach_data(net, data)):
+                scalar, report = execute(scored, plan_for(scored))
+                digest.update(f"{scored.kind} {scalar.hex()}".encode())
+                for phase, count in report.phase_subtotals.items():
+                    digest.update(f" {phase}={count}".encode())
+                digest.update(f" total={report.total};".encode())
+                runs += 1
+    assert runs == 648
+    assert digest.hexdigest() == VALUE_DIGEST
+
+
+@pytest.mark.parametrize("build", [build_mps, build_comb])
+def test_consumed_intermediates_are_released(build, monkeypatch):
+    net = build(params(M=3, N=2), seed=0)
+    plan = plan_for(net)
+    outputs = []    # a weak reference to every intermediate, in step order
+    alive = []      # intermediates alive as each step starts
+
+    def tracked(a, b, pairing):
+        alive.append(sum(ref() is not None for ref in outputs))
+        out, cost = contract_pair(a, b, pairing)
+        outputs.append(weakref.ref(out))
+        return out, cost
+
+    monkeypatch.setattr(engine, "contract_pair", tracked)
+    execute(net, plan)
+    live, expected = set(), []
+    for step in plan.steps:
+        expected.append(len(live))      # this step's operands included
+        live -= {step.a, step.b}
+        live.add(step.out)
+    assert alive == expected
+
+
+@pytest.mark.parametrize("build", [build_mps, build_comb])
+def test_every_step_calls_the_module_contract_pair(build, monkeypatch):
+    # the plan is memoised before the name is patched, as when a tracer
+    # wraps engine.contract_pair in a process that has planned already
+    net = build(params(M=3, N=2), seed=0)
+    plan = plan_for(net)
+    expected = execute(net, plan)
+    calls = []
+
+    def counted(a, b, pairing):
+        calls.append(pairing)
+        return contract_pair(a, b, pairing)
+
+    monkeypatch.setattr(engine, "contract_pair", counted)
+    assert plan_for(net) is plan
+    assert execute(net, plan) == expected
+    assert calls == [step.pairing for step in plan.steps]
 
 
 class TestValueOracle:

@@ -7,13 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combtn import engine, tensor
+from combtn.engine import execute, plan_for
+from combtn.network import NetworkParams, attach_data, build_comb, build_mps
+from combtn.verification import grid_params
+
 from combtn.tensor import (
     INT64_MAX,
     AxisPairing,
     CountOverflowError,
     StepCost,
     Tensor,
+    _dot_swapped,
+    _kernel,
     _owned,
+    _transposed,
     contract_pair,
     random_tensor,
 )
@@ -261,6 +269,60 @@ class TestContractPair:
         assert str(raised.value) == str(expected.value)
 
 
+def transposed_path(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
+    """``a`` as [free, summed] and ``b`` as [summed, free], one ``np.dot``:
+    the path ``contract_pair`` took for every plan step but the interior
+    absorb before it had a kernel table."""
+    a_sum = [ia for ia, _ in pairs]
+    b_sum = [ib for _, ib in pairs]
+    a_t = a.transpose([i for i in range(a.ndim) if i not in a_sum] + a_sum)
+    b_t = b.transpose(b_sum + [i for i in range(b.ndim) if i not in b_sum])
+    summed = math.prod(b_t.shape[:len(pairs)])
+    out = np.dot(a_t.reshape(-1, summed), b_t.reshape(summed, -1))
+    return out.reshape(a_t.shape[:a.ndim - len(pairs)] + b_t.shape[len(pairs):])
+
+
+# every (pairs, rank of a, rank of b) the two planners emit, and its kernel
+PLAN_KERNELS = {
+    (((0, 0),), 1, 2): np.dot,          # compress, chain sweep, first absorb
+    (((0, 1),), 1, 2): _dot_swapped,    # tooth sweep, boundary absorb and spine
+    (((0, 1),), 1, 3): np.matmul,       # interior absorb
+    (((0, 2),), 1, 3): _transposed,     # a tooth into an interior spine
+    (((0, 0),), 1, 1): _transposed,     # final dot
+}
+
+
+def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
+    steps = []
+
+    def recorded(a, b, pairing):
+        out, cost = contract_pair(a, b, pairing)
+        steps.append((a.array, b.array, pairing.pairs, out.array))
+        return out, cost
+
+    monkeypatch.setattr(engine, "contract_pair", recorded)
+    nets = [build(p, seed=7) for p in grid_params("small")
+            for build in (build_mps, build_comb)]
+    reference = NetworkParams(dim_raw=100, dim_comp=30, bond_dim=10,
+                              teeth=50, tooth_len=5)
+    rng = np.random.default_rng(3)
+    for build in (build_mps, build_comb):
+        data = rng.standard_normal((reference.sites, reference.dim_raw))
+        nets.append(attach_data(build(reference, seed=3), data))
+    for net in nets:
+        execute(net, plan_for(net))
+    seen = set()
+    for a, b, pairs, out in steps:
+        key = (pairs, a.ndim, b.ndim)
+        seen.add(key)
+        kernel = _kernel(*key)
+        assert getattr(kernel, "func", kernel) is PLAN_KERNELS[key], key
+        if kernel is not np.matmul:
+            assert np.array_equal(out, transposed_path(a, b, pairs)), key
+        assert out.flags.c_contiguous and not out.flags.writeable
+    assert seen == set(PLAN_KERNELS)
+
+
 @st.composite
 def contraction_cases(draw):
     ndim_a = draw(st.integers(1, 3))
@@ -336,6 +398,15 @@ class TestTensorInvariants:
         t = random_tensor((3,), seed=1)
         with pytest.raises(ValueError):
             t.array[0] = 1.0
+
+    def test_contract_pair_checks_each_count(self, monkeypatch):
+        a, b = random_tensor((3,), seed=1), random_tensor((3, 4), seed=2)
+        pairing = AxisPairing([(0, 0)])
+        monkeypatch.setattr(tensor, "INT64_MAX", 12)
+        assert contract_pair(a, b, pairing)[1].multiplications == 12
+        monkeypatch.setattr(tensor, "INT64_MAX", 11)
+        with pytest.raises(CountOverflowError, match="12 exceeds"):
+            contract_pair(a, b, pairing)
 
     def test_step_cost_bounds(self):
         with pytest.raises(ValueError):
