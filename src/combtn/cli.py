@@ -53,6 +53,18 @@ def _seed(text: str) -> int:
     return value
 
 
+def _bond_list(text: str) -> list[int]:
+    """argparse type of ``--bond-list``: comma-separated integers, at least one."""
+    try:
+        bonds = [int(entry) for entry in text.split(",") if entry]
+    except ValueError:
+        bonds = []
+    if not bonds:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, at least one, got {text!r}")
+    return bonds
+
+
 def _fmt(count: int) -> str:
     return f"{count:,}"
 
@@ -90,21 +102,20 @@ def load_data_matrix(path: str, sites: int, dim_raw: int) -> np.ndarray:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
+    # each total is checked against the 64-bit range before anything prints
+    tables = (
+        ("mps contraction cost", costmodel.mps_cost_terms(p), costmodel.mps_cost(p)),
+        ("comb contraction cost [schedule basis]",
+         costmodel.comb_cost_terms(p, "schedule"), costmodel.comb_cost_schedule(p)),
+        ("comb contraction cost [printed basis]",
+         costmodel.comb_cost_terms(p, "printed"), costmodel.comb_cost_printed(p)),
+    )
     print(f"parameters: teeth={p.teeth} tooth-len={p.tooth_len} "
           f"dim-raw={p.dim_raw} dim-comp={p.dim_comp} bond={p.bond_dim} "
           f"(sites={p.sites})")
     print()
-    mps_terms = costmodel.mps_cost_terms(p)
-    mps_total = costmodel.mps_cost(p)
-    print("mps contraction cost")
-    for name, value in mps_terms.items():
-        print(f"  {name:<28} {_fmt(value):>14}")
-    print(f"  {'total':<28} {_fmt(mps_total):>14}")
-    print()
-    for basis in ("schedule", "printed"):
-        terms = costmodel.comb_cost_terms(p, basis)
-        total = sum(terms.values())
-        print(f"comb contraction cost [{basis} basis]")
+    for title, terms, total in tables:
+        print(title)
         for name, value in terms.items():
             print(f"  {name:<28} {_fmt(value):>14}")
         print(f"  {'total':<28} {_fmt(total):>14}")
@@ -293,20 +304,16 @@ def cmd_contract(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 3:
-        raise ValueError(f"reps must be >= 3, got {args.reps}")
-    bonds = [int(b) for b in args.bond_list.split(",") if b]
-    if not bonds:
-        raise ValueError("bond-list must name at least one bond dimension")
+        raise ValueError(f"--reps must be >= 3, got {args.reps}")
     lines = ["kind,x,measured_mults,median_ns,reps"]
     for kind, build in (("mps", build_mps), ("comb", build_comb)):
-        for x in bonds:
+        for x in args.bond_list:
             p = NetworkParams(dim_raw=args.dim_raw, dim_comp=args.dim_comp,
                               bond_dim=x, teeth=args.teeth,
                               tooth_len=args.tooth_len)
             net = build(p, seed=args.seed)
             steps = plan_for(net)
             timings = []
-            total = None
             for _ in range(args.reps):
                 start = time.perf_counter_ns()
                 _, report = execute(net, steps)
@@ -373,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser("bench", help="wall-clock medians per bond dimension")
     _add_param_flags(bench)
-    bench.add_argument("--bond-list", required=True,
+    bench.add_argument("--bond-list", type=_bond_list, required=True,
                        help="comma-separated bond dimensions")
     bench.add_argument("--reps", type=int, default=5)
     bench.add_argument("--seed", type=_seed, default=42)

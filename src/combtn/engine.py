@@ -36,66 +36,70 @@ class PlanStep:
     out: str
 
 
-@dataclass(frozen=True)
-class _Slots:
-    """A plan's steps over the positions of one list instead of names.
+def _walk(steps: tuple[PlanStep, ...], live: dict | None) -> tuple:
+    """Resolve named steps to list positions, as ``ContractionPlan.slots``.
 
-    ``inputs`` are the names the plan reads from the network, in order of
-    first use; list position i starts as ``inputs[i]``. ``program`` holds
-    four entries per step, ``a, b, phase, pairing``: the step contracts
-    positions a and b, puts the result at a and clears b, and adds its
-    count to the subtotal of ``phases[phase]``. ``fits`` says whether the
-    plan runs on a network whose nodes are exactly ``inputs``, leaving one
-    tensor at ``result``.
+    ``live`` is None when a plan is made, and any name read before a step
+    makes it is an input. Otherwise it holds a network's node names, and
+    they are the only inputs. Raises the refusal of the first step that
+    reads a name that is not live or makes one that is, then refuses the
+    walk unless it leaves one tensor (or, with ``live`` None, none).
     """
-
-    inputs: tuple[str, ...]
-    program: tuple
-    phases: tuple[str, ...]
-    fits: bool
-    result: int
-
-
-def _resolve(steps: tuple[PlanStep, ...]) -> _Slots:
-    # the rules of _refusal, so a plan that fits is never refused on a
-    # network whose nodes are exactly its inputs
-    inputs: list[str] = []
-    slot_of: dict[str, int] = {}      # name -> its position; -1 once consumed
+    inputs = [] if live is None else list(live)
+    slot_of = {name: i for i, name in enumerate(inputs)}   # -1 once consumed
     phases: dict[str, int] = {}
     program: list = []
-    fits = True
     for step in steps:
         where = []
         for name in (step.a, step.b):
             slot = slot_of.get(name)
-            if slot is None:
+            if slot is None and live is None:
                 slot = len(inputs)
                 inputs.append(name)
-            # a name read again after it was consumed is in no pool
-            fits = fits and slot >= 0
+            if slot is None or slot < 0:
+                raise ValueError(
+                    f"plan does not match network: operand {name!r} is not available"
+                )
             slot_of[name] = -1
             where.append(slot)
         if slot_of.get(step.out, -1) >= 0 or step.out in (step.a, step.b):
-            fits = False
+            raise ValueError(f"plan output name {step.out!r} already in use")
         slot_of[step.out] = where[0]
         phase = phases.setdefault(step.phase, len(phases))
         program += (where[0], where[1], phase, step.pairing)
-    fits = fits and sum(slot >= 0 for slot in slot_of.values()) == 1
-    return _Slots(tuple(inputs), tuple(program), tuple(phases), fits,
-                  program[-4] if program else 0)
+    left = [slot for slot in slot_of.values() if slot >= 0]
+    # a plan without steps leaves whatever tensor its network holds
+    if len(left) > 1 or (not left and live is not None):
+        raise ValueError(
+            f"plan leaves {len(left)} tensors instead of a single scalar"
+        )
+    return tuple(inputs), tuple(program), tuple(phases), left[0] if left else 0
 
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """Named steps, with their operand positions resolved once, when the
-    plan is made."""
+    """Named steps, walked once, when the plan is made.
+
+    ``slots`` is ``(inputs, program, phases, result)``: ``inputs`` are the
+    names the plan reads from the network, in order of first use, and list
+    position i starts as ``inputs[i]``; ``program`` holds four entries per
+    step, ``a, b, phase, pairing``: the step contracts positions a and b,
+    puts the result at a and clears b, and adds its count to the subtotal
+    of ``phases[phase]``; ``result`` is the position of the tensor left.
+
+    Raises ValueError for a fault that no network could mend: an operand
+    read after it was consumed or named twice in one step, an output name
+    that is live or one of its step's own operands, or more than one tensor
+    left at the end. A plan with several faults is refused for the first of
+    these, which may not be the first fault a network would show.
+    """
 
     kind: str
     steps: tuple[PlanStep, ...]
-    slots: _Slots = field(init=False, repr=False, compare=False)
+    slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", _resolve(self.steps))
+        object.__setattr__(self, "slots", _walk(self.steps, None))
 
 
 @dataclass
@@ -204,28 +208,6 @@ def plan_for(net: TensorNetwork) -> ContractionPlan:
     return mps_plan(net) if net.kind == "mps" else comb_plan(net)
 
 
-def _refusal(nodes: dict, plan: ContractionPlan) -> str:
-    """Step through ``plan`` by name alone and raise the refusal of the
-    first step that does not fit ``nodes``; returns the one name left."""
-    live = set(nodes)
-    for step in plan.steps:
-        for operand in (step.a, step.b):
-            if operand not in live:
-                raise ValueError(
-                    f"plan does not match network: operand {operand!r} is not available"
-                )
-            live.remove(operand)
-        if step.out in live or step.out in (step.a, step.b):
-            raise ValueError(f"plan output name {step.out!r} already in use")
-        live.add(step.out)
-    if len(live) != 1:
-        raise ValueError(
-            f"plan leaves {len(live)} tensors instead of a single scalar"
-        )
-    (name,) = live
-    return name
-
-
 def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostReport]:
     """Run the plan over the network, counting every multiplication.
 
@@ -239,26 +221,26 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
         raise ValueError(
             f"plan kind {plan.kind!r} does not match network kind {net.kind!r}"
         )
-    slots = plan.slots
+    inputs, program, phases, result = plan.slots
     nodes = net.nodes
     pool = None
-    if slots.fits and len(nodes) == len(slots.inputs):
+    if len(nodes) == len(inputs):
         try:
-            pool = [nodes[name].tensor for name in slots.inputs]
+            pool = [nodes[name].tensor for name in inputs]
         except KeyError:
             pass
-    if pool is None:
+    if not pool:
         # refused, unless the plan has no steps and the network one node
-        pool = [nodes[_refusal(nodes, plan)].tensor]
+        pool = [nodes[name].tensor for name in _walk(plan.steps, nodes)[0]]
     pair = contract_pair
-    subtotals = [0] * len(slots.phases)
-    entries = iter(slots.program)
+    subtotals = [0] * len(phases)
+    entries = iter(program)
     for a, b, phase, pairing in zip(entries, entries, entries, entries):
         out, cost = pair(pool[a], pool[b], pairing)
         pool[a] = out
         pool[b] = None
         subtotals[phase] += cost.multiplications
-    final = pool[slots.result]
+    final = pool[result]
     if final.shape != ():
         raise ValueError(f"plan result has shape {final.shape}, expected a scalar")
     total = checked_count(sum(subtotals))
@@ -269,7 +251,7 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
         printed = costmodel.comb_cost_printed(p)
         schedule = costmodel.comb_cost_schedule(p)
     report = CostReport(
-        phase_subtotals=dict(zip(slots.phases, subtotals)),
+        phase_subtotals=dict(zip(phases, subtotals)),
         total=total,
         analytic_printed=printed,
         analytic_schedule=schedule,

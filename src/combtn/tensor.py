@@ -144,17 +144,6 @@ def _dot_swapped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.dot(b, a)
 
 
-def _stacked(a_order, start: int, count: int,
-             a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # matmul broadcasts over b's leading axes and sums its next-to-last
-    if a_order is not None:
-        a = a.transpose(a_order)
-    lead, trail = b.shape[:start], b.shape[start + count:]
-    summed = a.size
-    return np.matmul(a.reshape(summed),
-                     b.reshape(lead + (summed, -1))).reshape(lead + trail)
-
-
 def _transposed(a_order, b_order, a_free_count: int,
                 a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a as [free, summed] and b as [summed, free], multiplied as matrices
@@ -172,41 +161,30 @@ def _kernel(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int):
     """The matrix product ``contract_pair`` runs for one (pairs, ranks).
 
     Returns a function of the two operand arrays, or None when an axis is
-    out of range or used twice. A vector against the first or the last axis
-    of a matrix is a bare ``np.dot``; a vector against the next-to-last axis
-    of a higher-rank ``b`` is a bare ``np.matmul``. When ``a`` has no free
-    axis and ``b``'s summed axes form one block in pair order with free axes
-    on both sides, ``_stacked`` reshapes ``b`` into a stack of
-    [summed, trail] matrices for ``np.matmul``. Any other pairing goes
-    through ``_transposed``, which lays ``a`` out as [free, summed] with the
-    summed axes in pair order and ``b`` as [summed, free].
+    out of range or used twice. ``contract_pair`` lists the kernels; the
+    summed axes of ``_transposed`` are in pair order.
     """
     try:
         # unit extents cannot differ, so this fails only on the axes themselves
         AxisPairing(pairs).validate((1,) * rank_a, (1,) * rank_b)
     except ValueError:
         return None
-    if rank_a == 1 and rank_b == 2:
-        if pairs == ((0, 0),):
+    if rank_a == 1:
+        if pairs == ((0, 0),) and rank_b <= 2:
             return np.dot
-        if pairs == ((0, 1),):
+        # against the last axis of a rank-3 b (a tooth into an interior
+        # spine) np.dot(b, a) gives other bits than _transposed
+        if pairs == ((0, 1),) and rank_b == 2:
             return _dot_swapped
+        if pairs == ((0, rank_b - 2),) and rank_b >= 3:
+            return np.matmul
     a_sum = [ia for ia, _ in pairs]
     b_sum = [ib for _, ib in pairs]
     a_order = (*(i for i in range(rank_a) if i not in a_sum), *a_sum)
     a_order = None if a_order == tuple(range(rank_a)) else a_order
-    count = len(pairs)
-    start = b_sum[0] if b_sum else 0
-    # a block that leads or trails b stays on np.dot, which reads it as a
-    # reshaped view; matmul would sum b's next-to-last axis there
-    if (rank_a == count and 0 < start and start + count < rank_b
-            and b_sum == list(range(start, start + count))):
-        if count == 1 and start + 2 == rank_b:
-            return np.matmul
-        return functools.partial(_stacked, a_order, start, count)
     b_order = (*b_sum, *(i for i in range(rank_b) if i not in b_sum))
     b_order = None if b_order == tuple(range(rank_b)) else b_order
-    return functools.partial(_transposed, a_order, b_order, rank_a - count)
+    return functools.partial(_transposed, a_order, b_order, rank_a - len(pairs))
 
 
 def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, StepCost]:
@@ -219,13 +197,14 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     Every pairing, scalars and outer products included, runs as one matrix
     product, picked once per (pairs, ranks) by ``_kernel``:
 
-    - a vector against the first or the last axis of a matrix (compress,
-      chain sweep, tooth sweep, a boundary absorb): a bare ``np.dot``, which
-      reads both operands as they are;
-    - a vector against the middle (physical) axis of an interior [x, d, x]
-      site: a bare ``np.matmul``, reading the site in place as a stack of
-      [d, x] matrices; ``a`` without a free axis against any block of ``b``
-      with free axes on both sides is the same product on reshaped views;
+    - a vector against a vector or the first or the last axis of a matrix
+      (compress, chain sweep, tooth sweep, a boundary absorb, the final
+      dot): a bare ``np.dot``, operands swapped for the last axis, which
+      reads both as they are; a final dot gives an immutable float64 scalar;
+    - a vector against the next-to-last axis of a rank-3 or higher ``b``,
+      such as the middle (physical) axis of an interior [x, d, x] site: a
+      bare ``np.matmul``, reading the site in place as a stack of [d, x]
+      matrices;
     - any other pairing: ``a`` laid out as [free, summed] and ``b`` as
       [summed, free] for ``np.dot``. For the C-contiguous arrays that tensors
       hold these are reshaped views when ``b``'s summed axes lead or trail

@@ -47,6 +47,15 @@ class TestCost:
             main(["cost", "--nope"])
         assert exc.value.code == 2
 
+    def test_count_past_64_bits_prints_nothing(self, capsys):
+        code, out, err = run(capsys, ["cost", "--teeth", "3", "--tooth-len", "1",
+                                      "--dim-raw", "1", "--dim-comp", "1",
+                                      "--bond", "4194304"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: multiplication count 73787029071413116931 "
+                       "exceeds the 64-bit range\n")
+
 
 class TestThreshold:
     def test_reference_text(self, capsys):
@@ -355,6 +364,21 @@ class TestBench:
                                     "--out", str(tmp_path / "b.csv")])
         assert code == 2
         assert "reps" in err
+
+
+@pytest.mark.parametrize("bond_list", ["2,x", "", ","],
+                         ids=["not-a-number", "empty", "no-entry"])
+def test_bad_bond_list_is_a_usage_error_naming_the_flag(capsys, tmp_path, bond_list):
+    out_csv = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--teeth", "2", "--tooth-len", "1", "--dim-raw", "2",
+              "--dim-comp", "2", "--bond-list", bond_list, "--out", str(out_csv)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --bond-list" in captured.err
+    assert repr(bond_list) in captured.err
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -341,6 +341,40 @@ class TestExecuteRefusals:
             "plan result has shape (2,), expected a scalar"
 
 
+class TestPlanRefusals:
+    """Faults that no network could mend are refused when a plan is made;
+    the rest wait for ``execute`` and the network."""
+
+    COMPRESS = TestExecuteRefusals.COMPRESS
+    ABSORB = TestExecuteRefusals.ABSORB
+
+    @pytest.mark.parametrize("steps, message", [
+        ((*COMPRESS, ("w0", "site0", "m0", 0), ("w0", "site1", "m1", 1)),
+         "plan does not match network: operand 'w0' is not available"),
+        ((("data0", "data0", "w0", 0),),
+         "plan does not match network: operand 'data0' is not available"),
+        ((*COMPRESS, ("w0", "site0", "w1", 0), ("w1", "site1", "m1", 1)),
+         "plan output name 'w1' already in use"),
+        ((*COMPRESS, *ABSORB, ("m0", "m1", "m0", 0)),
+         "plan output name 'm0' already in use"),
+        ((*COMPRESS, *ABSORB), "plan leaves 2 tensors instead of a single scalar"),
+    ])
+    def test_refused_without_a_network(self, steps, message):
+        with pytest.raises(ValueError) as raised:
+            ContractionPlan("mps", _steps(*steps))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("steps", [
+        (("data0", "ghost", "w0", 0),),     # a node the network lacks
+        (("data0", "u0", "site1", 0),),     # an output named like a node
+        (),                                 # no steps on six nodes
+    ])
+    def test_network_faults_are_refused_by_execute(self, steps):
+        plan = ContractionPlan("mps", _steps(*steps))
+        with pytest.raises(ValueError):
+            execute(build_mps(params(M=2, N=1), seed=0), plan)
+
+
 # sha256 over every executed scalar's float.hex and every phase subtotal of
 # the networks in ``test_executed_values_are_pinned``; a kernel or schedule
 # change that moves one bit of one scalar changes it

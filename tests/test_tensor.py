@@ -288,7 +288,7 @@ PLAN_KERNELS = {
     (((0, 1),), 1, 2): _dot_swapped,    # tooth sweep, boundary absorb and spine
     (((0, 1),), 1, 3): np.matmul,       # interior absorb
     (((0, 2),), 1, 3): _transposed,     # a tooth into an interior spine
-    (((0, 0),), 1, 1): _transposed,     # final dot
+    (((0, 0),), 1, 1): np.dot,          # final dot
 }
 
 
@@ -321,6 +321,16 @@ def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
             assert np.array_equal(out, transposed_path(a, b, pairs)), key
         assert out.flags.c_contiguous and not out.flags.writeable
     assert seen == set(PLAN_KERNELS)
+
+
+def test_kernels_are_three_bare_products_or_the_transposed_path():
+    bare = {np.dot, _dot_swapped, np.matmul}
+    for rank_a, rank_b in itertools.product(range(5), repeat=2):
+        for count in range(min(rank_a, rank_b) + 1):
+            for a_axes in itertools.permutations(range(rank_a), count):
+                for b_axes in itertools.permutations(range(rank_b), count):
+                    kernel = _kernel(tuple(zip(a_axes, b_axes)), rank_a, rank_b)
+                    assert kernel in bare or kernel.func is _transposed
 
 
 @st.composite
