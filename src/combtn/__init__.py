@@ -33,6 +33,7 @@ from .network import (
     Bond,
     NetworkParams,
     Node,
+    Stack,
     TensorNetwork,
     attach_data,
     build_comb,

@@ -4,7 +4,8 @@ Subcommands: cost (closed-form tables), threshold (quadratic roots), sweep
 (threshold curves as CSV and optional SVG), verify (formula-vs-engine grid),
 contract (build and contract a real network), bench (wall-clock medians).
 
-Exit codes: 0 success, 1 verification, I/O or overflow failure, 2 usage error.
+Exit codes: 0 success, 1 verification, I/O or overflow failure, 2 usage error
+or an allocation numpy refuses.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ def _seed(text: str) -> int:
 
 
 def _bond_list(text: str) -> list[int]:
-    """argparse type of ``--bond-list``: comma-separated integers, at least one."""
+    """argparse type of ``--bond-list``: comma-separated positive integers,
+    at least one."""
     try:
         bonds = [int(entry) for entry in text.split(",") if entry]
     except ValueError:
         bonds = []
-    if not bonds:
+    if not bonds or min(bonds) < 1:
         raise argparse.ArgumentTypeError(
-            f"must be comma-separated integers, at least one, got {text!r}")
+            f"must be comma-separated positive integers, at least one, got {text!r}")
     return bonds
 
 
@@ -305,22 +307,23 @@ def cmd_contract(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 3:
         raise ValueError(f"--reps must be >= 3, got {args.reps}")
+    params = [NetworkParams(dim_raw=args.dim_raw, dim_comp=args.dim_comp,
+                            bond_dim=x, teeth=args.teeth, tooth_len=args.tooth_len)
+              for x in args.bond_list]
     lines = ["kind,x,measured_mults,median_ns,reps"]
-    for kind, build in (("mps", build_mps), ("comb", build_comb)):
-        for x in args.bond_list:
-            p = NetworkParams(dim_raw=args.dim_raw, dim_comp=args.dim_comp,
-                              bond_dim=x, teeth=args.teeth,
-                              tooth_len=args.tooth_len)
-            net = build(p, seed=args.seed)
-            steps = plan_for(net)
-            timings = []
-            for _ in range(args.reps):
-                start = time.perf_counter_ns()
-                _, report = execute(net, steps)
-                timings.append(time.perf_counter_ns() - start)
-                total = report.total
-            lines.append(f"{kind},{x},{total},{round(median(timings))},{args.reps}")
+    # opened before any build, so an unwritable path costs no work
     with open(args.out, "w", newline="") as handle:
+        for kind, build in (("mps", build_mps), ("comb", build_comb)):
+            for p in params:
+                net = build(p, seed=args.seed)
+                steps = plan_for(net)
+                timings = []
+                for _ in range(args.reps):
+                    start = time.perf_counter_ns()
+                    _, report = execute(net, steps)
+                    timings.append(time.perf_counter_ns() - start)
+                lines.append(f"{kind},{p.bond_dim},{report.total},"
+                             f"{round(median(timings))},{args.reps}")
         handle.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.out}")
     return 0
@@ -395,7 +398,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, CountOverflowError) as exc:
+    except (ValueError, CountOverflowError, MemoryError) as exc:
+        # numpy's MemoryError message gives the size it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

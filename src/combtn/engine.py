@@ -1,11 +1,15 @@
 """Deterministic contraction schedules and instrumented execution.
 
 Both planners emit fully explicit step lists over named operands, so a plan
-can be audited, costed, and replayed bit-for-bit. A plan depends only on the
-network's kind and its (M, N), so networks that share them share one frozen
-plan object, kept in a small bounded memo. The independent value oracle
-contracts the raw bond graph in bond order and is used to cross-check the
-scalar produced by plan execution.
+can be audited, costed, and replayed bit-for-bit. Their steps read the
+network's stacks: compress, absorb-physical, tooth-sweep and
+tooth-to-backbone each run across every site or tooth at once, and pass
+their results on as named views; only the chain sweep, the backbone sweep
+and the final dot run one step per site. A plan depends only on the
+network's kind and its (M, N), so networks that share them share one
+frozen plan object, kept in a small bounded memo. The independent value
+oracle contracts the raw bond graph in bond order and is used to
+cross-check the scalar produced by plan execution.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from . import costmodel
 from .network import TensorNetwork
-from .tensor import AxisPairing, checked_count, contract_pair
+from .tensor import AxisPairing, _wrap, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
 
@@ -29,24 +33,43 @@ class OracleGuardError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class PlanStep:
+    """Contract ``a`` with ``b`` and add the count to ``phase``.
+
+    ``out`` names the result, or is a tuple of (name, index) parts: the
+    result goes on as the views ``result[index]``, one per name, and is
+    not kept whole. An index is an int (one row), a range (a run of rows)
+    or a tuple of these, one per leading axis.
+    """
+
     a: str
     b: str
     pairing: AxisPairing
     phase: str
-    out: str
+    out: str | tuple
+
+
+def _index(index):
+    """A part's index as numpy reads it: ranges become slices."""
+    if isinstance(index, tuple):
+        return tuple(map(_index, index))
+    if isinstance(index, range):
+        return slice(index.start, index.stop, index.step)
+    return index
 
 
 def _walk(steps: tuple[PlanStep, ...], live: dict | None) -> tuple:
     """Resolve named steps to list positions, as ``ContractionPlan.slots``.
 
     ``live`` is None when a plan is made, and any name read before a step
-    makes it is an input. Otherwise it holds a network's node names, and
-    they are the only inputs. Raises the refusal of the first step that
-    reads a name that is not live or makes one that is, then refuses the
-    walk unless it leaves one tensor (or, with ``live`` None, none).
+    makes it is an input. Otherwise it holds a network's node or stack
+    names, and they are the only inputs. Raises the refusal of the first
+    step that reads a name that is not live or makes one that is, then
+    refuses the walk unless it leaves one tensor (or, with ``live`` None,
+    none).
     """
-    inputs = [] if live is None else list(live)
-    slot_of = {name: i for i, name in enumerate(inputs)}   # -1 once consumed
+    inputs = [] if live is None else list(enumerate(live))
+    slot_of = {name: slot for slot, name in inputs}   # -1 once consumed
+    size = len(inputs)
     phases: dict[str, int] = {}
     program: list = []
     for step in steps:
@@ -54,52 +77,73 @@ def _walk(steps: tuple[PlanStep, ...], live: dict | None) -> tuple:
         for name in (step.a, step.b):
             slot = slot_of.get(name)
             if slot is None and live is None:
-                slot = len(inputs)
-                inputs.append(name)
+                slot = size
+                size += 1
+                inputs.append((slot, name))
             if slot is None or slot < 0:
                 raise ValueError(
                     f"plan does not match network: operand {name!r} is not available"
                 )
             slot_of[name] = -1
             where.append(slot)
-        if slot_of.get(step.out, -1) >= 0 or step.out in (step.a, step.b):
-            raise ValueError(f"plan output name {step.out!r} already in use")
-        slot_of[step.out] = where[0]
+        whole = isinstance(step.out, str)
+        made = []
+        for name, index in ((step.out, None),) if whole else step.out:
+            if slot_of.get(name, -1) >= 0 or name in (step.a, step.b):
+                raise ValueError(f"plan output name {name!r} already in use")
+            slot_of[name] = size
+            made.append((size, _index(index)))
+            size += 1
         phase = phases.setdefault(step.phase, len(phases))
-        program += (where[0], where[1], phase, step.pairing)
+        program.append((*where, phase, step.pairing,
+                        made[0][0] if whole else tuple(made)))
     left = [slot for slot in slot_of.values() if slot >= 0]
     # a plan without steps leaves whatever tensor its network holds
     if len(left) > 1 or (not left and live is not None):
         raise ValueError(
             f"plan leaves {len(left)} tensors instead of a single scalar"
         )
-    return tuple(inputs), tuple(program), tuple(phases), left[0] if left else 0
+    return (tuple(inputs), tuple(program), tuple(phases),
+            left[0] if left else 0, size)
 
 
 @dataclass(frozen=True)
 class ContractionPlan:
     """Named steps, walked once, when the plan is made.
 
-    ``slots`` is ``(inputs, program, phases, result)``: ``inputs`` are the
-    names the plan reads from the network, in order of first use, and list
-    position i starts as ``inputs[i]``; ``program`` holds four entries per
-    step, ``a, b, phase, pairing``: the step contracts positions a and b,
-    puts the result at a and clears b, and adds its count to the subtotal
-    of ``phases[phase]``; ``result`` is the position of the tensor left.
+    ``stacks`` is empty for a plan over a network's nodes. A plan over its
+    stacks names each stack it reads with the leading extents its steps
+    index, and reads every stack of the networks it fits.
+
+    ``slots`` is ``(inputs, program, phases, result, size)``: list
+    positions run to ``size``, and ``inputs`` pairs each position that
+    starts filled with the name the plan reads there; ``program`` holds
+    one ``(a, b, phase, pairing, out)`` per step: the step contracts
+    positions a and b, clears both, and adds its count to the subtotal of
+    ``phases[phase]``; ``out`` is the position of the result or, for a
+    step with parts, a tuple of (position, numpy index); ``result`` is the
+    position of the tensor left.
 
     Raises ValueError for a fault that no network could mend: an operand
     read after it was consumed or named twice in one step, an output name
-    that is live or one of its step's own operands, or more than one tensor
-    left at the end. A plan with several faults is refused for the first of
-    these, which may not be the first fault a network would show.
+    that is live or one of its step's own operands, more than one tensor
+    left at the end, or stacks that are not the plan's inputs. A plan with
+    several faults is refused for the first of these, which may not be the
+    first fault a network would show.
     """
 
     kind: str
     steps: tuple[PlanStep, ...]
+    stacks: tuple[tuple[str, tuple[int, ...]], ...] = ()
     slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", _walk(self.steps, None))
+        slots = _walk(self.steps, None)
+        read = sorted(name for _, name in slots[0])
+        if self.stacks and sorted(name for name, _ in self.stacks) != read:
+            raise ValueError(f"plan stacks {[name for name, _ in self.stacks]} "
+                             f"are not the stacks it reads, {read}")
+        object.__setattr__(self, "slots", slots)
 
 
 @dataclass
@@ -121,9 +165,14 @@ class CostReport:
         return self.analytic_printed - self.total
 
 
-# Every planner step sums axis 0 of its first operand; ``_PAIRS[ib]`` pairs
-# it with axis ib of the second, so three pairings serve every plan.
-_PAIRS = tuple(AxisPairing(((0, ib),)) for ib in range(3))
+# The per-site steps sum axis 0 of a vector against axis 0 of the next
+# tensor; a stacked step sums the first axis past its batch axes of the
+# first operand against axis ``ib`` of the second.
+_PER_SITE = AxisPairing(((0, 0),))
+
+
+def _stacked(batch: int, ib: int) -> AxisPairing:
+    return AxisPairing(((batch, ib),), batch)
 
 # A plan depends only on the kind and (M, N). The grid visits every tuple of
 # one (M, N) in a row, so a few entries hit almost always, and a bound keeps
@@ -131,12 +180,23 @@ _PAIRS = tuple(AxisPairing(((0, ib),)) for ib in range(3))
 _PLAN_MEMO = 4
 
 
+def _sweep(steps: list, first: str, names: list[str], prefix: str) -> None:
+    # one step per site: the running vector into each matrix, then a dot
+    acc = first
+    for i, name in enumerate(names[:-1], start=1):
+        steps.append(PlanStep(acc, name, _PER_SITE, "chain-sweep", f"{prefix}{i}"))
+        acc = f"{prefix}{i}"
+    steps.append(PlanStep(acc, names[-1], _PER_SITE, "final-dot", "result"))
+
+
 def mps_plan(net: TensorNetwork) -> ContractionPlan:
     """Schedule: compress all data, absorb into sites, sweep left to right, dot.
 
-    Phase costs per step: compress D*d; absorption x*d at the two boundaries
-    and x^2*d at interiors; each sweep step x^2; the final dot x. Networks
-    of one chain length share one plan object.
+    Phase costs per site: compress D*d; absorption x*d at the two boundaries
+    and x^2*d at interiors; each sweep step x^2; the final dot x. Compress
+    is one step over the compression stack, absorption one step per site
+    stack; the sweep and the dot are one step per site. Networks of one
+    chain length share one plan object.
     """
     if net.kind != "mps":
         raise ValueError(f"mps_plan requires an MPS network, got {net.kind}")
@@ -145,19 +205,26 @@ def mps_plan(net: TensorNetwork) -> ContractionPlan:
 
 @functools.lru_cache(maxsize=_PLAN_MEMO)
 def _mps_plan(length: int) -> ContractionPlan:
-    steps = []
-    for i in range(length):
-        steps.append(PlanStep(f"data{i}", f"u{i}", _PAIRS[0], "compress", f"w{i}"))
-    for i in range(length):
-        phys_axis = 0 if i == 0 else 1
-        steps.append(PlanStep(f"w{i}", f"site{i}", _PAIRS[phys_axis],
-                              "absorb-physical", f"m{i}"))
-    acc = "m0"
-    for i in range(1, length - 1):
-        steps.append(PlanStep(acc, f"m{i}", _PAIRS[0], "chain-sweep", f"s{i}"))
-        acc = f"s{i}"
-    steps.append(PlanStep(acc, f"m{length - 1}", _PAIRS[0], "final-dot", "result"))
-    return ContractionPlan("mps", tuple(steps))
+    last = length - 1
+    interior = range(1, last)
+    w_parts = [("w0", range(0, 1)), (f"w{last}", range(last, length))]
+    if interior:
+        w_parts.insert(1, ("w-interior", interior))
+    steps = [
+        PlanStep("data", "compressions", _stacked(1, 1), "compress", tuple(w_parts)),
+        PlanStep("w0", "first-site", _stacked(1, 1), "absorb-physical", (("m0", 0),)),
+    ]
+    stacks = [("data", (length,)), ("compressions", (length,)),
+              ("first-site", (1,)), ("last-site", (1,))]
+    if interior:
+        steps.append(PlanStep("w-interior", "interior-sites", _stacked(1, 2),
+                              "absorb-physical",
+                              tuple((f"m{i}", i - 1) for i in interior)))
+        stacks.append(("interior-sites", (length - 2,)))
+    steps.append(PlanStep(f"w{last}", "last-site", _stacked(1, 2),
+                          "absorb-physical", ((f"m{last}", 0),)))
+    _sweep(steps, "m0", [f"m{i}" for i in range(1, length)], "s")
+    return ContractionPlan("mps", tuple(steps), tuple(stacks))
 
 
 def comb_plan(net: TensorNetwork) -> ContractionPlan:
@@ -167,8 +234,11 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
     tensors (x*d at the free end, x^2*d elsewhere), then sweep from the free
     end toward the backbone (N-1 steps of x^2). Tooth vectors enter the
     backbone at x^2 per boundary and x^3 per interior; the backbone sweep
-    costs (M-2) x^2 and the final dot x. Networks of one (M, N) share one
-    plan object.
+    costs (M-2) x^2 and the final dot x. Every step before the backbone
+    sweep runs across all M teeth at once: compress is one step, absorb
+    one per tooth-tensor stack, the tooth sweep one per tooth position and
+    the entry into the backbone one per spine stack. Networks of one
+    (M, N) share one plan object.
     """
     if net.kind != "comb":
         raise ValueError(f"comb_plan requires a comb network, got {net.kind}")
@@ -177,35 +247,60 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
 
 @functools.lru_cache(maxsize=_PLAN_MEMO)
 def _comb_plan(m_count: int, n_count: int) -> ContractionPlan:
-    steps = []
-    for m in range(m_count):
-        for n in range(n_count):
-            tag = f"{m}.{n}"
-            steps.append(PlanStep(f"data{tag}", f"u{tag}", _PAIRS[0],
-                                  "compress", f"w{tag}"))
-        for n in range(n_count):
-            tag = f"{m}.{n}"
-            steps.append(PlanStep(f"w{tag}", f"tooth{tag}", _PAIRS[1],
-                                  "absorb-physical", f"t{tag}"))
-        acc = f"t{m}.{n_count - 1}"
-        for n in range(n_count - 2, -1, -1):
-            # pair the running vector with the interior's downward axis
-            steps.append(PlanStep(acc, f"t{m}.{n}", _PAIRS[1],
-                                  "tooth-sweep", f"ts{m}.{n}"))
-            acc = f"ts{m}.{n}"
-        down_axis = 1 if m in (0, m_count - 1) else 2
-        steps.append(PlanStep(acc, f"spine{m}", _PAIRS[down_axis],
-                              "tooth-to-backbone", f"b{m}"))
-    acc = "b0"
-    for m in range(1, m_count - 1):
-        steps.append(PlanStep(acc, f"b{m}", _PAIRS[0], "chain-sweep", f"bs{m}"))
-        acc = f"bs{m}"
-    steps.append(PlanStep(acc, f"b{m_count - 1}", _PAIRS[0], "final-dot", "result"))
-    return ContractionPlan("comb", tuple(steps))
+    teeth, inner = range(m_count), range(n_count - 1)
+    spines = range(1, m_count - 1)
+    w_parts = [("w-end", (teeth, n_count - 1))]
+    stacks = [("data", (m_count, n_count)), ("compressions", (m_count, n_count)),
+              ("tooth-ends", (m_count,)), ("boundary-spines", (2,))]
+    if inner:
+        w_parts.insert(0, ("w-interior", (teeth, inner)))
+        stacks.append(("interior-teeth", (m_count, n_count - 1)))
+    if spines:
+        stacks.append(("interior-spines", (m_count - 2,)))
+    # the tooth vectors at the backbone: rows 0 and M-1 enter the boundary
+    # spines, the rows between them the interior spines
+    at_backbone = [("v-boundary", range(0, m_count, m_count - 1))]
+    if spines:
+        at_backbone.append(("v-interior", spines))
+    at_backbone = tuple(at_backbone)
+
+    steps = [PlanStep("data", "compressions", _stacked(2, 2), "compress",
+                      tuple(w_parts))]
+    if inner:
+        steps.append(PlanStep("w-interior", "interior-teeth", _stacked(2, 3),
+                              "absorb-physical",
+                              tuple((f"t{n}", (teeth, n)) for n in inner)))
+    # the running vectors of all teeth: ts{n} has swept positions n to N-1
+    steps.append(PlanStep("w-end", "tooth-ends", _stacked(1, 2), "absorb-physical",
+                          f"ts{n_count - 1}" if inner else at_backbone))
+    for n in reversed(inner):
+        # pair the running vectors with the interiors' downward axis
+        steps.append(PlanStep(f"ts{n + 1}", f"t{n}", _stacked(1, 2), "tooth-sweep",
+                              f"ts{n}" if n else at_backbone))
+    steps.append(PlanStep("v-boundary", "boundary-spines", _stacked(1, 2),
+                          "tooth-to-backbone",
+                          (("b0", 0), (f"b{m_count - 1}", 1))))
+    if spines:
+        steps.append(PlanStep("v-interior", "interior-spines", _stacked(1, 3),
+                              "tooth-to-backbone",
+                              tuple((f"b{m}", m - 1) for m in spines)))
+    _sweep(steps, "b0", [f"b{m}" for m in range(1, m_count)], "bs")
+    return ContractionPlan("comb", tuple(steps), tuple(stacks))
 
 
 def plan_for(net: TensorNetwork) -> ContractionPlan:
     return mps_plan(net) if net.kind == "mps" else comb_plan(net)
+
+
+def _fits(plan: ContractionPlan, tensors: dict) -> bool:
+    # the plan reads every node, or every stack at the extents it indexes
+    inputs = plan.slots[0]
+    if len(tensors) != len(inputs):
+        return False
+    if not plan.stacks:
+        return all(name in tensors for _, name in inputs)
+    return all(name in tensors and tensors[name].tensor.shape[:len(lead)] == lead
+               for name, lead in plan.stacks)
 
 
 def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostReport]:
@@ -215,30 +310,37 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     to a single scalar. Raises ValueError when the plan does not match the
     network and CountOverflowError if any count leaves the 64-bit range.
     The plan is checked against the network once, before any step runs;
-    each step is one ``contract_pair`` call, looked up on this module.
+    each step is one ``contract_pair`` call, looked up on this module, and
+    a step's parts are views of its result.
     """
     if plan.kind != net.kind:
         raise ValueError(
             f"plan kind {plan.kind!r} does not match network kind {net.kind!r}"
         )
-    inputs, program, phases, result = plan.slots
-    nodes = net.nodes
-    pool = None
-    if len(nodes) == len(inputs):
-        try:
-            pool = [nodes[name].tensor for name in inputs]
-        except KeyError:
-            pass
-    if not pool:
+    inputs, program, phases, result, size = plan.slots
+    tensors = net.stacks if plan.stacks else net.nodes
+    if not _fits(plan, tensors):
         # refused, unless the plan has no steps and the network one node
-        pool = [nodes[name].tensor for name in _walk(plan.steps, nodes)[0]]
+        inputs = _walk(plan.steps, tensors)[0]
+        for name, lead in plan.stacks:
+            extents = tensors[name].tensor.shape[:len(lead)]
+            if extents != lead:
+                raise ValueError(f"plan does not match network: stack {name!r} "
+                                 f"has leading extents {extents}, the plan "
+                                 f"reads {lead}")
+    pool = [None] * max(size, len(inputs))
+    for slot, name in inputs:
+        pool[slot] = tensors[name].tensor
     pair = contract_pair
     subtotals = [0] * len(phases)
-    entries = iter(program)
-    for a, b, phase, pairing in zip(entries, entries, entries, entries):
-        out, cost = pair(pool[a], pool[b], pairing)
-        pool[a] = out
-        pool[b] = None
+    for a, b, phase, pairing, out in program:
+        made, cost = pair(pool[a], pool[b], pairing)
+        pool[a] = pool[b] = None
+        if out.__class__ is int:
+            pool[out] = made
+        else:
+            for slot, index in out:
+                pool[slot] = _wrap(made.array[index])
         subtotals[phase] += cost.multiplications
     final = pool[result]
     if final.shape != ():

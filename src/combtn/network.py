@@ -12,6 +12,15 @@ Axis conventions (fixed so plans and bonds agree):
   backbone:         boundary [x_horizontal, x_down], interior [x_left, x_right, x_down]
   tooth tensors:    interior [x_up, d, x_down], end (farthest) [x_up, d]
   compression:      [D, d];  data: [D]
+
+Tensors of one shape and role are held in one stack, an array whose leading
+axes run over its members, and each node's tensor is a read-only view of
+one member. Stacks and their leading axes:
+  MPS:   first-site [1], interior-sites [L-2], last-site [1],
+         compressions [L], data [L]  (L = M*N sites, left to right)
+  comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
+         tooth-ends [M], compressions [M, N], data [M, N]
+A stack with no members is left out.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _owned, _wrap
+from .tensor import Tensor, _new, _owned, _wrap
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,15 @@ class Node:
 
 
 @dataclass(frozen=True)
+class Stack:
+    """Tensors of one shape held in one read-only array, ``tensor``: the
+    member named ``names[i]`` is row i of its leading axes, in C order."""
+
+    tensor: Tensor
+    names: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class Bond:
     """Edge joining axis ``axis_a`` of ``node_a`` to axis ``axis_b`` of ``node_b``.
 
@@ -82,40 +100,76 @@ class Bond:
 @dataclass(frozen=True)
 class TensorNetwork:
     """A closed network of named nodes; ``kind`` is "mps" or "comb", and its
-    dimensions are all in ``params``."""
+    dimensions are all in ``params``. Every node's tensor is a row of one
+    of ``stacks``; a plan reads either the nodes or the stacks."""
 
     params: NetworkParams
     kind: str
     nodes: dict[str, Node]
     bonds: tuple[Bond, ...]
     data_sites: tuple[str, ...]
+    stacks: dict[str, Stack]
+
+
+def _nodes_of(arr: np.ndarray, names: Sequence[str],
+              shape: tuple[int, ...]) -> dict[str, Node]:
+    """A node for each row of the read-only stack ``arr``, a view of it."""
+    nodes = {}
+    for name, row in zip(names, arr.reshape(len(names), *shape)):
+        # Node(_wrap(row)), without the frozen dataclass's __init__: this
+        # runs once per data row of every scored sample
+        node = _new(Node)
+        node.__dict__["tensor"] = _wrap(row)
+        nodes[name] = node
+    return nodes
 
 
 class _Builder:
     """Accumulates nodes and bonds; every tensor is drawn, in order of
-    ``add`` calls, from one generator seeded once per build."""
+    ``add`` calls, from one generator seeded once per build, into the next
+    row of its stack. ``groups`` gives each stack's name, leading extents
+    and member shape, in order of first draw."""
 
-    def __init__(self, seed) -> None:
+    def __init__(self, seed, groups) -> None:
         self._rng = np.random.default_rng(seed)
-        self.nodes: dict[str, Node] = {}
+        self._stacks = {}
+        for group, lead, shape in groups:
+            if math.prod(lead):
+                arr = np.empty(lead + shape)
+                self._stacks[group] = (arr, arr.reshape(-1, *shape), [])
+        self._order: list[str] = []
         self.bonds: list[Bond] = []
 
-    def add(self, name: str, shape: Sequence[int], fan_in: int) -> None:
-        # bit for bit normal(0, 1/sqrt(fan_in), shape), in an array of its own
-        arr = self._rng.standard_normal(shape)
-        arr *= 1.0 / math.sqrt(fan_in)
-        self.nodes[name] = Node(_owned(arr))
+    def add(self, name: str, group: str, fan_in: int) -> None:
+        # bit for bit normal(0, 1/sqrt(fan_in), shape), drawn into its row
+        _, rows, names = self._stacks[group]
+        row = rows[len(names)]
+        self._rng.standard_normal(out=row)
+        row *= 1.0 / math.sqrt(fan_in)
+        names.append(name)
+        self._order.append(name)
 
     def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int) -> None:
         self.bonds.append(Bond(node_a, axis_a, node_b, axis_b))
 
+    def network(self, params: NetworkParams, kind: str,
+                data_sites: tuple[str, ...]) -> TensorNetwork:
+        """Freeze every stack, then view its rows as the nodes."""
+        stacks, views = {}, {}
+        for group, (arr, rows, names) in self._stacks.items():
+            stacks[group] = Stack(_owned(arr), tuple(names))
+            views.update(_nodes_of(arr, names, rows.shape[1:]))
+        nodes = {name: views[name] for name in self._order}
+        return TensorNetwork(params, kind, nodes, tuple(self.bonds),
+                             data_sites, stacks)
+
 
 def _add_physical_column(b: _Builder, site: str, tag: str, phys_axis: int,
-                         dim_raw: int, dim_comp: int) -> None:
+                         dim_raw: int) -> None:
     # one compression matrix and one data vector per physical site
-    b.add(f"u{tag}", (dim_raw, dim_comp), fan_in=dim_raw)
+    b.add(f"u{tag}", "compressions", fan_in=dim_raw)
     b.bond(site, phys_axis, f"u{tag}", 1)
-    b.add(f"data{tag}", (dim_raw,), fan_in=1)
+    b.add(f"data{tag}", "data", fan_in=1)
     b.bond(f"u{tag}", 0, f"data{tag}", 0)
 
 
@@ -128,23 +182,27 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
     length = params.sites
     if length < 2:
         raise ValueError(f"an MPS needs at least 2 sites, got {length}")
-    d, x = params.dim_comp, params.bond_dim
-    b = _Builder(seed)
+    big_d, d, x = params.dim_raw, params.dim_comp, params.bond_dim
+    b = _Builder(seed, [
+        ("first-site", (1,), (d, x)),
+        ("compressions", (length,), (big_d, d)),
+        ("data", (length,), (big_d,)),
+        ("interior-sites", (length - 2,), (x, d, x)),
+        ("last-site", (1,), (x, d)),
+    ])
     for i in range(length):
         if i == 0:
-            shape, phys_axis = (d, x), 0
+            group, phys_axis, fan_in = "first-site", 0, x
         elif i == length - 1:
-            shape, phys_axis = (x, d), 1
+            group, phys_axis, fan_in = "last-site", 1, x
         else:
-            shape, phys_axis = (x, d, x), 1
-        b.add(f"site{i}", shape, fan_in=x ** (len(shape) - 1))
+            group, phys_axis, fan_in = "interior-sites", 1, x * x
+        b.add(f"site{i}", group, fan_in)
         if i > 0:
             prev_right = 1 if i == 1 else 2
             b.bond(f"site{i - 1}", prev_right, f"site{i}", 0)
-        _add_physical_column(b, f"site{i}", str(i), phys_axis,
-                             params.dim_raw, params.dim_comp)
-    data_sites = tuple(f"data{i}" for i in range(length))
-    return TensorNetwork(params, "mps", b.nodes, tuple(b.bonds), data_sites)
+        _add_physical_column(b, f"site{i}", str(i), phys_axis, big_d)
+    return b.network(params, "mps", tuple(f"data{i}" for i in range(length)))
 
 
 def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -155,38 +213,68 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
     cost model presupposes two backbone ends.
     """
     m_count, n_count = params.teeth, params.tooth_len
-    d, x = params.dim_comp, params.bond_dim
-    b = _Builder(seed)
+    big_d, d, x = params.dim_raw, params.dim_comp, params.bond_dim
+    b = _Builder(seed, [
+        ("boundary-spines", (2,), (x, x)),
+        ("interior-teeth", (m_count, n_count - 1), (x, d, x)),
+        ("tooth-ends", (m_count,), (x, d)),
+        ("compressions", (m_count, n_count), (big_d, d)),
+        ("data", (m_count, n_count), (big_d,)),
+        ("interior-spines", (m_count - 2,), (x, x, x)),
+    ])
     for m in range(m_count):
         if m in (0, m_count - 1):
-            shape, down_axis = (x, x), 1
+            group, down_axis, fan_in = "boundary-spines", 1, x * x
         else:
-            shape, down_axis = (x, x, x), 2
-        b.add(f"spine{m}", shape, fan_in=x ** len(shape))
+            group, down_axis, fan_in = "interior-spines", 2, x ** 3
+        b.add(f"spine{m}", group, fan_in)
         if m > 0:
             prev_right = 0 if m == 1 else 1
             b.bond(f"spine{m - 1}", prev_right, f"spine{m}", 0)
         for n in range(n_count):
             tag = f"{m}.{n}"
-            shape = (x, d) if n == n_count - 1 else (x, d, x)
-            b.add(f"tooth{tag}", shape, fan_in=x ** (len(shape) - 1))
+            if n == n_count - 1:
+                b.add(f"tooth{tag}", "tooth-ends", fan_in=x)
+            else:
+                b.add(f"tooth{tag}", "interior-teeth", fan_in=x * x)
             if n == 0:
                 b.bond(f"spine{m}", down_axis, f"tooth{tag}", 0)
             else:
                 b.bond(f"tooth{m}.{n - 1}", 2, f"tooth{tag}", 0)
-            _add_physical_column(b, f"tooth{tag}", tag, 1,
-                                 params.dim_raw, params.dim_comp)
+            _add_physical_column(b, f"tooth{tag}", tag, 1, big_d)
     data_sites = tuple(
         f"data{m}.{n}" for m in range(m_count) for n in range(n_count)
     )
-    return TensorNetwork(params, "comb", b.nodes, tuple(b.bonds), data_sites)
+    return b.network(params, "comb", data_sites)
 
 
 def _with_tensors(net: TensorNetwork, updates: dict[str, Tensor]) -> TensorNetwork:
-    nodes = dict(net.nodes)
-    for name, tensor in updates.items():
-        nodes[name] = Node(tensor)
-    return replace(net, nodes=nodes)
+    """Copy of ``net`` with the named tensors replaced. Each stack holding
+    one of them is copied, written and frozen again, and its nodes viewed
+    anew; the other stacks are shared. A name no stack holds becomes a node
+    in a stack of its own."""
+    nodes, stacks = dict(net.nodes), dict(net.stacks)
+    pending = dict(updates)
+    for group, stack in net.stacks.items():
+        touched = [i for i, name in enumerate(stack.names) if name in pending]
+        if not touched:
+            continue
+        shape = net.nodes[stack.names[0]].tensor.shape
+        arr = np.array(stack.tensor.array)
+        rows = arr.reshape(len(stack.names), *shape)
+        for i in touched:
+            tensor = pending.pop(stack.names[i])
+            if tensor.shape != shape:
+                raise ValueError(f"{stack.names[i]!r} must keep its shape "
+                                 f"{shape}, got {tensor.shape}")
+            rows[i] = tensor.array
+        stacks[group] = Stack(_owned(arr), stack.names)
+        nodes.update(_nodes_of(arr, stack.names, shape))
+    for name, tensor in pending.items():
+        arr = np.array(tensor.array)[None]
+        stacks[name] = Stack(_owned(arr), (name,))
+        nodes.update(_nodes_of(arr, (name,), tensor.shape))
+    return replace(net, nodes=nodes, stacks=stacks)
 
 
 def attach_data(net: TensorNetwork, data) -> TensorNetwork:
@@ -194,8 +282,8 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
 
     Rows follow site order: MPS left to right; comb tooth-major, backbone
     left to right and within a tooth from the backbone outward. Every value
-    must be finite. ``data`` is copied once; the data tensors are read-only
-    rows of that copy.
+    must be finite. ``data`` is copied once; that copy, frozen, is the data
+    stack, and the data tensors are its rows.
     """
     matrix = np.array(data, dtype=np.float64, order="C", copy=True)
     expected = (len(net.data_sites), net.params.dim_raw)
@@ -211,11 +299,12 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
             f"data matrix row {row}, column {col} is not finite: {matrix[row, col]}"
         )
     matrix.flags.writeable = False
-    # a row of the frozen matrix is a read-only view already
-    updates = {
-        name: _wrap(matrix[row]) for row, name in enumerate(net.data_sites)
-    }
-    return _with_tensors(net, updates)
+    stack = net.stacks["data"]
+    stacks = dict(net.stacks)
+    stacks["data"] = Stack(_wrap(matrix.reshape(stack.tensor.shape)), stack.names)
+    nodes = dict(net.nodes)
+    nodes.update(_nodes_of(matrix, net.data_sites, (expected[1],)))
+    return replace(net, nodes=nodes, stacks=stacks)
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -71,20 +71,35 @@ class Tensor:
 
 @dataclass(frozen=True)
 class AxisPairing:
-    """Axis pairs (axis_in_a, axis_in_b) to sum over; empty means outer product."""
+    """Axis pairs (axis_in_a, axis_in_b) to sum over, after ``batch``
+    leading axes that both operands share and the result keeps.
+
+    Axes are counted from the front of each operand, batch axes included, so
+    a pair names axes at or past ``batch``. No pairs and no batch axes is an
+    outer product; batch axes alone multiply element by element.
+    """
 
     pairs: tuple[tuple[int, int], ...]
+    batch: int
 
-    def __init__(self, pairs: Iterable[Sequence[int]] = ()) -> None:
+    def __init__(self, pairs: Iterable[Sequence[int]] = (), batch: int = 0) -> None:
         object.__setattr__(
             self, "pairs", tuple((int(i), int(j)) for i, j in pairs)
         )
+        object.__setattr__(self, "batch", int(batch))
 
     def validate(self, a_shape: Sequence[int], b_shape: Sequence[int]) -> None:
+        batch = self.batch
+        lead_a, lead_b = tuple(a_shape[:batch]), tuple(b_shape[:batch])
+        if batch < 0 or len(lead_a) < batch or lead_a != lead_b:
+            raise ValueError(
+                f"batch of {batch} leading axes does not fit shapes "
+                f"{tuple(a_shape)} and {tuple(b_shape)}"
+            )
         seen_a: set[int] = set()
         seen_b: set[int] = set()
         for ia, ib in self.pairs:
-            if not (0 <= ia < len(a_shape)) or not (0 <= ib < len(b_shape)):
+            if not (batch <= ia < len(a_shape)) or not (batch <= ib < len(b_shape)):
                 raise ValueError(
                     f"axis pair ({ia}, {ib}) out of range for shapes "
                     f"{tuple(a_shape)} and {tuple(b_shape)}"
@@ -130,7 +145,8 @@ def _wrap(arr: np.ndarray) -> Tensor:
 def _owned(arr: np.ndarray) -> Tensor:
     """Freeze, in place, a float64 array that combtn made, and wrap it.
 
-    No caller may hold a writeable reference to the array or to its base.
+    No caller may hold a writeable reference to the array or to its base;
+    a kernel that returns a view freezes the array it views.
     """
     arr.setflags(write=False)
     # _wrap's body, inline: this runs once per contraction step
@@ -139,88 +155,98 @@ def _owned(arr: np.ndarray) -> Tensor:
     return tensor
 
 
-def _dot_swapped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a vector against the last axis of a matrix
-    return np.dot(b, a)
+def _absorb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # each vector of a against the middle axis of its [x, d, x] item of b,
+    # read in place as x stacked [d, x] matrices
+    out = np.matmul(a[..., None, None, :], b)
+    out.setflags(write=False)
+    return out[..., 0, :]
 
 
-def _transposed(a_order, b_order, a_free_count: int,
+def _transposed(batch: int, a_order, b_order, a_free_count: int,
                 a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a as [free, summed] and b as [summed, free], multiplied as matrices
+    # per batch item, a as [free, summed] and b as [summed, free], one matmul
     if a_order is not None:
         a = a.transpose(a_order)
     if b_order is not None:
         b = b.transpose(b_order)
-    summed = math.prod(a.shape[a_free_count:])
-    out = np.dot(a.reshape(-1, summed), b.reshape(summed, -1))
-    return out.reshape(a.shape[:a_free_count] + b.shape[a.ndim - a_free_count:])
+    lead = a.shape[:batch]
+    free_end = batch + a_free_count
+    summed = math.prod(a.shape[free_end:])
+    out = np.matmul(a.reshape(*lead, -1, summed), b.reshape(*lead, summed, -1))
+    out.setflags(write=False)
+    return out.reshape(a.shape[:free_end] + b.shape[batch + a.ndim - free_end:])
 
 
 @functools.lru_cache(maxsize=32)
-def _kernel(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int):
-    """The matrix product ``contract_pair`` runs for one (pairs, ranks).
+def _kernel(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int,
+            batch: int):
+    """The matrix product ``contract_pair`` runs for one (pairs, ranks, batch).
 
-    Returns a function of the two operand arrays, or None when an axis is
-    out of range or used twice. ``contract_pair`` lists the kernels; the
-    summed axes of ``_transposed`` are in pair order.
+    Returns a function of the two operand arrays, or None when the batch
+    does not fit the ranks or an axis is out of range or used twice.
+    ``contract_pair`` lists the kernels; the summed axes of ``_transposed``
+    are in pair order.
     """
     try:
         # unit extents cannot differ, so this fails only on the axes themselves
-        AxisPairing(pairs).validate((1,) * rank_a, (1,) * rank_b)
+        AxisPairing(pairs, batch).validate((1,) * rank_a, (1,) * rank_b)
     except ValueError:
         return None
-    if rank_a == 1:
-        if pairs == ((0, 0),) and rank_b <= 2:
-            return np.dot
-        # against the last axis of a rank-3 b (a tooth into an interior
-        # spine) np.dot(b, a) gives other bits than _transposed
-        if pairs == ((0, 1),) and rank_b == 2:
-            return _dot_swapped
-        if pairs == ((0, rank_b - 2),) and rank_b >= 3:
-            return np.matmul
+    if batch == 0 and rank_a == 1 and pairs == ((0, 0),) and rank_b <= 2:
+        return np.dot
+    if rank_a == batch + 1 and pairs == ((batch, batch + 1),) and rank_b == batch + 3:
+        return _absorb
+    lead = tuple(range(batch))
     a_sum = [ia for ia, _ in pairs]
     b_sum = [ib for _, ib in pairs]
-    a_order = (*(i for i in range(rank_a) if i not in a_sum), *a_sum)
+    a_order = (*lead, *(i for i in range(batch, rank_a) if i not in a_sum), *a_sum)
     a_order = None if a_order == tuple(range(rank_a)) else a_order
-    b_order = (*b_sum, *(i for i in range(rank_b) if i not in b_sum))
+    b_order = (*lead, *b_sum, *(i for i in range(batch, rank_b) if i not in b_sum))
     b_order = None if b_order == tuple(range(rank_b)) else b_order
-    return functools.partial(_transposed, a_order, b_order, rank_a - len(pairs))
+    return functools.partial(_transposed, batch, a_order, b_order,
+                             rank_a - batch - len(pairs))
 
 
 def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, StepCost]:
-    """Contract two tensors over the paired axes.
+    """Contract two tensors over the paired axes, item by item over the
+    batch axes.
 
-    The result keeps the unpaired axes of ``a`` (in order) followed by the
-    unpaired axes of ``b`` (in order). Cost is product(output extents) times
-    product(contracted extents), checked against the 64-bit range.
+    The result keeps the batch axes, then the other unpaired axes of ``a``
+    (in order), then those of ``b`` (in order). Cost is product(output
+    extents) times product(contracted extents), checked against the 64-bit
+    range: a product over k batch items counts k times one item's count.
 
     Every pairing, scalars and outer products included, runs as one matrix
-    product, picked once per (pairs, ranks) by ``_kernel``:
+    product, picked once per (pairs, ranks, batch) by ``_kernel``:
 
-    - a vector against a vector or the first or the last axis of a matrix
-      (compress, chain sweep, tooth sweep, a boundary absorb, the final
-      dot): a bare ``np.dot``, operands swapped for the last axis, which
-      reads both as they are; a final dot gives an immutable float64 scalar;
-    - a vector against the next-to-last axis of a rank-3 or higher ``b``,
-      such as the middle (physical) axis of an interior [x, d, x] site: a
-      bare ``np.matmul``, reading the site in place as a stack of [d, x]
+    - without batch axes, a vector against a vector or the first axis of a
+      matrix (chain sweep, final dot): a bare ``np.dot``; a final dot gives
+      an immutable float64 scalar;
+    - a vector against the next-to-last axis of a rank-3 item, such as the
+      physical axis of an interior [x, d, x] site (the interior absorb):
+      ``np.matmul`` reading each item in place as a stack of [d, x]
       matrices;
-    - any other pairing: ``a`` laid out as [free, summed] and ``b`` as
-      [summed, free] for ``np.dot``. For the C-contiguous arrays that tensors
-      hold these are reshaped views when ``b``'s summed axes lead or trail
-      it, and ``a``'s trail or lead it, in pair order; otherwise the
-      transposes copy whichever operand they do not leave as a view.
+    - any other pairing: per batch item, ``a`` laid out as [free, summed]
+      and ``b`` as [summed, free] for one ``np.matmul`` over the batch. For
+      the C-contiguous items that stacks hold these are views when ``b``'s
+      summed axes lead or trail its item, and ``a``'s trail or lead it, in
+      pair order; otherwise the reshape copies whichever operand it cannot
+      view.
 
-    A pairing that does not fit the operands is reported by
+    Each item's result has the bits of the same contraction run on that
+    item alone. A pairing that does not fit the operands is reported by
     ``AxisPairing.validate``.
     """
     a_arr, b_arr = a.array, b.array
     a_shape, b_shape = a_arr.shape, b_arr.shape
-    pairs = pairing.pairs
-    kernel = _kernel(pairs, len(a_shape), len(b_shape))
+    pairs, batch = pairing.pairs, pairing.batch
+    kernel = _kernel(pairs, len(a_shape), len(b_shape), batch)
+    if kernel is None or (batch and a_shape[:batch] != b_shape[:batch]):
+        pairing.validate(a_shape, b_shape)
     summed = 1
     for ia, ib in pairs:
-        if kernel is None or a_shape[ia] != b_shape[ib]:
+        if a_shape[ia] != b_shape[ib]:
             pairing.validate(a_shape, b_shape)
         summed *= a_shape[ia]
     out = kernel(a_arr, b_arr)

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from combtn import costmodel
+from combtn import cli, costmodel
 from combtn.cli import main
 from combtn.verification import run_verification
 
@@ -310,6 +310,17 @@ class TestContract:
         assert out == ""
         assert err.startswith("error:") and f"scalar is {value}" in err
 
+    def test_refused_allocation_is_an_error_line(self, capsys):
+        # the first backbone tensors alone would need 2 x 2^44 floats; numpy
+        # refuses that at once, before any memory is touched
+        code, out, err = run(capsys, ["contract", "--kind", "comb", "--teeth", "3",
+                                      "--tooth-len", "1", "--dim-raw", "1",
+                                      "--dim-comp", "1", "--bond", "4194304"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "TiB" in err
+
     def test_wrong_column_count(self, capsys, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("0,0\n0,0\n0,0\n0,0\n")
@@ -357,6 +368,20 @@ class TestBench:
         for kind in ("mps", "comb"):
             assert mults[(kind, 1)] < mults[(kind, 2)] < mults[(kind, 3)]
 
+    def test_unwritable_out_is_refused_before_any_build(self, capsys, tmp_path,
+                                                         monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_mps", lambda *args, **kw: built.append(args))
+        monkeypatch.setattr(cli, "build_comb", lambda *args, **kw: built.append(args))
+        code, out, err = run(capsys, ["bench", "--teeth", "3", "--tooth-len", "1",
+                                      "--dim-raw", "2", "--dim-comp", "2",
+                                      "--bond-list", "2", "--out",
+                                      str(tmp_path / "missing-dir" / "b.csv")])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
+        assert built == []
+
     def test_too_few_reps_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["bench", "--teeth", "3", "--tooth-len", "1",
                                     "--dim-raw", "2", "--dim-comp", "2",
@@ -366,8 +391,8 @@ class TestBench:
         assert "reps" in err
 
 
-@pytest.mark.parametrize("bond_list", ["2,x", "", ","],
-                         ids=["not-a-number", "empty", "no-entry"])
+@pytest.mark.parametrize("bond_list", ["2,x", "", ",", "0", "2,-1"],
+                         ids=["not-a-number", "empty", "no-entry", "zero", "negative"])
 def test_bad_bond_list_is_a_usage_error_naming_the_flag(capsys, tmp_path, bond_list):
     out_csv = tmp_path / "b.csv"
     with pytest.raises(SystemExit) as exc:

@@ -47,7 +47,7 @@ def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
     nodes = {name: Node(Tensor(np.ones(shape)))
              for name, shape in shapes.items()}
     bonds = tuple(Bond(*edge) for edge in edges)
-    return TensorNetwork(params(), "mps", nodes, bonds, ())
+    return TensorNetwork(params(), "mps", nodes, bonds, (), {})
 
 
 def _tensordot_oracle(net: TensorNetwork) -> float:
@@ -237,12 +237,14 @@ class TestExecute:
         for net in (build_mps(params(M=3, N=2), seed=0),
                     build_comb(params(M=3, N=2), seed=0)):
             plan = plan_for(net)
-            produced = [s.out for s in plan.steps]
+            produced = [name for s in plan.steps for name in _made(s)]
             assert len(produced) == len(set(produced))
             consumed = [name for s in plan.steps for name in (s.a, s.b)]
             for out in produced:
                 uses = consumed.count(out)
                 assert uses == (0 if out == "result" else 1)
+            # and every stack is read once, by name
+            assert sorted(set(consumed) - set(produced)) == sorted(net.stacks)
 
     @pytest.mark.parametrize("build", [build_mps, build_comb])
     def test_no_step_copies_an_operand(self, build, monkeypatch):
@@ -269,6 +271,11 @@ class TestExecute:
         assert len(extra) == len(plan.steps)
         over = [(step.phase, step.b, n) for step, n in zip(plan.steps, extra) if n > 4096]
         assert not over
+
+
+def _made(step: PlanStep) -> list[str]:
+    """The names a step makes: its result, or its parts."""
+    return [step.out] if isinstance(step.out, str) else [name for name, _ in step.out]
 
 
 def _steps(*steps) -> tuple[PlanStep, ...]:
@@ -399,27 +406,105 @@ def test_executed_values_are_pinned():
     assert digest.hexdigest() == VALUE_DIGEST
 
 
+# the same digest over both networks of the reference point (M=50, N=5, D=100,
+# d=30, x=10), build seed 3, raw and with two seeded samples each; its
+# steps run at other extents, so other BLAS paths, than the small grid's
+REFERENCE_DIGEST = "2f30c13025973f698323c79243e503d45a9f4a2c6edf6019c0f15216f516ce54"
+
+
+def test_reference_values_are_pinned():
+    p = params(D=100, d=30, x=10, M=50, N=5)
+    digest = hashlib.sha256()
+    for build in (build_mps, build_comb):
+        net = build(p, seed=3)
+        rng = np.random.default_rng(11)
+        samples = [rng.standard_normal((p.sites, p.dim_raw)) for _ in range(2)]
+        for scored in (net, *(attach_data(net, data) for data in samples)):
+            scalar, report = execute(scored, plan_for(scored))
+            digest.update(f"{scored.kind} {scalar.hex()}".encode())
+            for phase, count in report.phase_subtotals.items():
+                digest.update(f" {phase}={count}".encode())
+            digest.update(f" total={report.total};".encode())
+    assert digest.hexdigest() == REFERENCE_DIGEST
+
+
 @pytest.mark.parametrize("build", [build_mps, build_comb])
 def test_consumed_intermediates_are_released(build, monkeypatch):
     net = build(params(M=3, N=2), seed=0)
     plan = plan_for(net)
-    outputs = []    # a weak reference to every intermediate, in step order
-    alive = []      # intermediates alive as each step starts
+    # a weak reference to the memory of every result but the scalar, in
+    # step order: a step's parts are views of it and keep it alive
+    owners = []
+    alive = []      # results alive as each step starts
 
     def tracked(a, b, pairing):
-        alive.append(sum(ref() is not None for ref in outputs))
+        alive.append(sum(ref() is not None for ref in owners))
         out, cost = contract_pair(a, b, pairing)
-        outputs.append(weakref.ref(out))
+        arr = out.array
+        if arr.shape:
+            owners.append(weakref.ref(arr if arr.base is None else arr.base))
         return out, cost
 
     monkeypatch.setattr(engine, "contract_pair", tracked)
     execute(net, plan)
-    live, expected = set(), []
-    for step in plan.steps:
-        expected.append(len(live))      # this step's operands included
-        live -= {step.a, step.b}
-        live.add(step.out)
+    live, expected = {}, []     # live name -> the step that made it
+    for k, step in enumerate(plan.steps):
+        expected.append(len(set(live.values())))   # this step's operands included
+        live.pop(step.a, None)
+        live.pop(step.b, None)
+        live.update((name, k) for name in _made(step))
     assert alive == expected
+
+
+def expected_calls(kind: str, m: int, n: int) -> int:
+    """``contract_pair`` calls of one ``execute``: one per stacked phase step
+    and one per backbone or chain step."""
+    if kind == "mps":
+        # compress; absorb into the first, the interior and the last sites;
+        # L - 2 sweep steps and the dot
+        sites = m * n
+        return 1 + 2 + (sites > 2) + (sites - 2) + 1
+    # compress; absorb into the interior teeth and the tooth ends; N - 1
+    # tooth sweeps; enter the boundary and the interior spines; M - 2 sweep
+    # steps and the dot
+    return 1 + (n > 1) + 1 + (n - 1) + 1 + (m > 2) + (m - 2) + 1
+
+
+def test_call_count_is_the_closed_form(monkeypatch):
+    calls = []
+
+    def counted(a, b, pairing):
+        calls.append(pairing)
+        return contract_pair(a, b, pairing)
+
+    monkeypatch.setattr(engine, "contract_pair", counted)
+    cases = [*grid_params("small"), params(D=100, d=30, x=10, M=50, N=5)]
+    for p in cases:
+        for build in (build_mps, build_comb):
+            net = build(p, seed=1)
+            calls.clear()
+            execute(net, plan_for(net))
+            assert len(calls) == len(plan_for(net).steps) == \
+                expected_calls(net.kind, p.teeth, p.tooth_len), (net.kind, p)
+    assert expected_calls("mps", 50, 5) + expected_calls("comb", 50, 5) == 311
+
+
+def test_stacked_plan_on_other_extents_is_refused():
+    small = build_mps(params(M=3, N=1), seed=0)
+    plan = mps_plan(build_mps(params(M=2, N=2), seed=0))
+    with pytest.raises(ValueError) as raised:
+        execute(small, plan)
+    assert str(raised.value) == ("plan does not match network: stack 'data' has "
+                                 "leading extents (3,), the plan reads (4,)")
+    comb = build_comb(params(M=3, N=2), seed=0)
+    with pytest.raises(ValueError, match="operand 'interior-teeth' is not available"):
+        execute(build_comb(params(M=3, N=1), seed=0), comb_plan(comb))
+
+
+def test_plan_stacks_must_be_the_stacks_it_reads():
+    steps = _steps(("data", "u0", "w0", 0), ("w0", "site0", "result", 0))
+    with pytest.raises(ValueError, match="are not the stacks it reads"):
+        ContractionPlan("mps", steps, (("data", (2,)), ("site0", (1,))))
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])

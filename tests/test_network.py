@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -200,6 +201,59 @@ def test_build_tensors_are_read_only_and_separate(build):
             assert not np.shares_memory(first, second)
 
 
+@pytest.mark.parametrize("build", [build_mps, build_comb])
+@pytest.mark.parametrize("mutate", ["built", "data", "orthonormal", "replaced"])
+def test_every_node_is_a_read_only_view_of_a_read_only_stack(build, mutate):
+    p = small_params(teeth=4, tooth_len=3)
+    net = build(p, seed=5)
+    if mutate == "data":
+        net = attach_data(net, np.ones((p.sites, p.dim_raw)))
+    elif mutate == "orthonormal":
+        net = set_orthonormal_compressions(net, seed=5)
+    elif mutate == "replaced":
+        first = next(iter(net.nodes))
+        net = _with_tensors(net, {first: Tensor(np.ones(net.nodes[first].tensor.shape))})
+    owners = {}
+    for group, stack in net.stacks.items():
+        arr = stack.tensor.array
+        owner = arr if arr.base is None else arr.base
+        assert not arr.flags.writeable and not owner.flags.writeable
+        assert arr.shape[-1] > 0 and math.prod(arr.shape) == \
+            len(stack.names) * net.nodes[stack.names[0]].tensor.size
+        rows = arr.reshape(len(stack.names), -1)
+        for i, name in enumerate(stack.names):
+            node = net.nodes[name].tensor.array
+            assert node.base is owner and not node.flags.writeable, name
+            assert np.shares_memory(node, rows[i]) and np.array_equal(node.ravel(), rows[i])
+            owners[name] = group
+    # every node is in exactly one stack, and the stacks of a build are
+    # the groups of its kind
+    assert sorted(owners) == sorted(net.nodes)
+    groups = {"mps": {"first-site", "interior-sites", "last-site", "compressions", "data"},
+              "comb": {"boundary-spines", "interior-spines", "interior-teeth",
+                       "tooth-ends", "compressions", "data"}}
+    assert set(net.stacks) == groups[net.kind]
+    assert net.stacks["data"].names == net.data_sites
+
+
+def test_stacks_without_members_are_left_out():
+    assert "interior-sites" not in build_mps(small_params(tooth_len=1), seed=0).stacks
+    comb = build_comb(small_params(teeth=2, tooth_len=1), seed=0)
+    assert not {"interior-spines", "interior-teeth"} & set(comb.stacks)
+
+
+def test_replacing_a_tensor_restacks_only_its_group():
+    net = build_comb(small_params(teeth=3, tooth_len=2), seed=1)
+    swapped = _with_tensors(net, {"u1.0": Tensor(np.zeros((3, 2)))})
+    for group, stack in net.stacks.items():
+        assert (swapped.stacks[group] is stack) == (group != "compressions")
+    assert not swapped.nodes["u1.0"].tensor.array.any()
+    assert swapped.nodes["u1.1"].tensor == net.nodes["u1.1"].tensor
+    assert net.nodes["u1.0"].tensor.array.any()
+    with pytest.raises(ValueError, match="must keep its shape"):
+        _with_tensors(net, {"u1.0": Tensor(np.zeros((2, 3)))})
+
+
 class TestAttachData:
     def test_zero_data_contracts_to_zero(self):
         p = small_params(teeth=2, tooth_len=2)
@@ -260,6 +314,17 @@ class TestAttachData:
         for name in attached.data_sites:
             assert np.array_equal(attached.nodes[name].tensor.array, np.ones(p.dim_raw))
             assert not attached.nodes[name].tensor.array.flags.writeable
+
+    def test_the_copy_is_the_data_stack(self):
+        p = small_params(teeth=3, tooth_len=2)
+        net = build_comb(p, seed=0)
+        data = np.arange(p.sites * p.dim_raw, dtype=float).reshape(p.sites, p.dim_raw)
+        attached = attach_data(net, data)
+        stack = attached.stacks["data"].tensor.array
+        assert stack.shape == (3, 2, p.dim_raw)
+        assert np.array_equal(stack.reshape(data.shape), data)
+        for group in net.stacks:
+            assert (attached.stacks[group] is net.stacks[group]) == (group != "data")
 
     def test_comb_row_order_is_tooth_major(self):
         net = build_comb(small_params(teeth=3, tooth_len=2), seed=0)

@@ -18,7 +18,7 @@ from combtn.tensor import (
     CountOverflowError,
     StepCost,
     Tensor,
-    _dot_swapped,
+    _absorb,
     _kernel,
     _owned,
     _transposed,
@@ -228,10 +228,14 @@ class TestContractPair:
                             assert not out.array.flags.writeable
 
     def test_absorb_reads_the_site_in_place(self):
-        # a data vector against the middle axis of an [x, d, x] site
-        w = random_tensor((30,), seed=1)
-        site = random_tensor((64, 30, 64), seed=2)
-        pairing = AxisPairing([(0, 1)])
+        self.test_stacked_absorb_reads_the_sites_in_place(())
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    def test_stacked_absorb_reads_the_sites_in_place(self, lead):
+        # data vectors against the middle axis of [x, d, x] sites
+        w = random_tensor(lead + (30,), seed=1)
+        site = random_tensor(lead + (64, 30, 64), seed=2)
+        pairing = AxisPairing([(len(lead), len(lead) + 1)], batch=len(lead))
         contract_pair(w, site, pairing)
         tracemalloc.start()
         try:
@@ -239,7 +243,7 @@ class TestContractPair:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.array.nbytes == 64 * 64 * 8
+        assert out.array.nbytes == math.prod(lead) * 64 * 64 * 8
         assert peak < site.array.nbytes / 10
 
     @pytest.mark.parametrize("pairs, good, bad, words", [
@@ -282,22 +286,37 @@ def transposed_path(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     return out.reshape(a_t.shape[:a.ndim - len(pairs)] + b_t.shape[len(pairs):])
 
 
-# every (pairs, rank of a, rank of b) the two planners emit, and its kernel
+def one_item(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
+    """One item's contraction as plans ran it one site at a time, before
+    stacks: ``np.matmul`` for the interior absorb, the transposed path for
+    every other step."""
+    if pairs == ((0, 1),) and a.ndim == 1 and b.ndim == 3:
+        return np.matmul(a, b)
+    return transposed_path(a, b, pairs)
+
+
+# every (pairs, rank of a, rank of b, batch) the two planners emit, and its kernel
 PLAN_KERNELS = {
-    (((0, 0),), 1, 2): np.dot,          # compress, chain sweep, first absorb
-    (((0, 1),), 1, 2): _dot_swapped,    # tooth sweep, boundary absorb and spine
-    (((0, 1),), 1, 3): np.matmul,       # interior absorb
-    (((0, 2),), 1, 3): _transposed,     # a tooth into an interior spine
-    (((0, 0),), 1, 1): np.dot,          # final dot
+    (((0, 0),), 1, 2, 0): np.dot,         # chain sweep
+    (((0, 0),), 1, 1, 0): np.dot,         # final dot
+    (((1, 1),), 2, 3, 1): _transposed,    # MPS compress and first absorb
+    (((1, 2),), 2, 4, 1): _absorb,        # MPS interior absorb
+    (((1, 2),), 2, 3, 1): _transposed,    # last absorb, tooth ends, tooth sweep,
+                                          # boundary spines
+    (((2, 2),), 3, 4, 2): _transposed,    # comb compress
+    (((2, 3),), 3, 5, 2): _absorb,        # comb interior absorb
+    (((1, 3),), 2, 4, 1): _transposed,    # teeth into the interior spines
 }
 
 
 def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
+    # each batch item of a stacked step has the bits of that item's step
+    # run alone, as plans ran it one site at a time
     steps = []
 
     def recorded(a, b, pairing):
         out, cost = contract_pair(a, b, pairing)
-        steps.append((a.array, b.array, pairing.pairs, out.array))
+        steps.append((a.array, b.array, pairing, out.array))
         return out, cost
 
     monkeypatch.setattr(engine, "contract_pair", recorded)
@@ -312,25 +331,81 @@ def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
     for net in nets:
         execute(net, plan_for(net))
     seen = set()
-    for a, b, pairs, out in steps:
-        key = (pairs, a.ndim, b.ndim)
+    for a, b, pairing, out in steps:
+        key = (pairing.pairs, a.ndim, b.ndim, pairing.batch)
         seen.add(key)
         kernel = _kernel(*key)
         assert getattr(kernel, "func", kernel) is PLAN_KERNELS[key], key
-        if kernel is not np.matmul:
-            assert np.array_equal(out, transposed_path(a, b, pairs)), key
+        batch = pairing.batch
+        pairs = tuple((ia - batch, ib - batch) for ia, ib in pairing.pairs)
+        for item in np.ndindex(a.shape[:batch]):
+            assert np.array_equal(out[item], one_item(a[item], b[item], pairs)), key
         assert out.flags.c_contiguous and not out.flags.writeable
     assert seen == set(PLAN_KERNELS)
 
 
-def test_kernels_are_three_bare_products_or_the_transposed_path():
-    bare = {np.dot, _dot_swapped, np.matmul}
+def test_kernels_are_np_dot_the_absorb_or_the_transposed_path():
     for rank_a, rank_b in itertools.product(range(5), repeat=2):
-        for count in range(min(rank_a, rank_b) + 1):
-            for a_axes in itertools.permutations(range(rank_a), count):
-                for b_axes in itertools.permutations(range(rank_b), count):
-                    kernel = _kernel(tuple(zip(a_axes, b_axes)), rank_a, rank_b)
-                    assert kernel in bare or kernel.func is _transposed
+        for batch in range(min(rank_a, rank_b, 2) + 1):
+            for count in range(min(rank_a, rank_b) - batch + 1):
+                for a_axes in itertools.permutations(range(batch, rank_a), count):
+                    for b_axes in itertools.permutations(range(batch, rank_b), count):
+                        kernel = _kernel(tuple(zip(a_axes, b_axes)),
+                                         rank_a, rank_b, batch)
+                        assert kernel in (np.dot, _absorb) or kernel.func is _transposed
+                        assert kernel is not np.dot or batch == 0
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("rank_a", range(3))
+@pytest.mark.parametrize("rank_b", range(4))
+def test_batched_pairing_matches_the_loop_reference_per_item(batch, rank_a, rank_b):
+    # distinct extents per axis, so a wrong axis order cannot pass; the
+    # batch axes lead both operands, and a strided view of a stack must be
+    # read right too
+    lead = (3, 2)[:batch]
+    a_item = (2, 3, 4)[:rank_a]
+    for count in range(min(rank_a, rank_b, 2) + 1):
+        for a_axes in itertools.permutations(range(rank_a), count):
+            for b_axes in itertools.permutations(range(rank_b), count):
+                b_item = [5, 1, 2, 6][:rank_b]
+                for ia, ib in zip(a_axes, b_axes):
+                    b_item[ib] = a_item[ia]
+                a = random_tensor(lead + a_item, seed=rank_a)
+                b = random_tensor(lead + tuple(b_item), seed=rank_b + 10)
+                pairs = [(ia + batch, ib + batch) for ia, ib in zip(a_axes, b_axes)]
+                item_pairs = list(zip(a_axes, b_axes))
+                for a_op, b_op in zip(_strided(a), _strided(b)):
+                    out, cost = contract_pair(a_op, b_op, AxisPairing(pairs, batch))
+                    for item in np.ndindex(lead):
+                        reference = loop_contract(Tensor(a.array[item]),
+                                                  Tensor(b.array[item]), item_pairs)
+                        assert np.allclose(out.array[item], reference,
+                                           rtol=1e-12, atol=1e-14), (pairs, item)
+                    assert out.shape[:batch] == lead
+                    assert cost.multiplications == math.prod(lead) * convention_cost(
+                        a_item, tuple(b_item), item_pairs)
+                    # a view is frozen with the array that owns its memory
+                    owner = out.array if out.array.base is None else out.array.base
+                    assert not out.array.flags.writeable
+                    assert not owner.flags.writeable
+
+
+@pytest.mark.parametrize("pairing, a_shape, b_shape, words", [
+    (AxisPairing([(1, 1)], batch=1), (3, 2), (4, 2, 5), "batch of 1 leading axes"),
+    (AxisPairing([(2, 2)], batch=2), (3, 4, 2), (3, 5, 2, 2), "batch of 2 leading axes"),
+    (AxisPairing([], batch=2), (3,), (3, 4), "batch of 2 leading axes"),
+    (AxisPairing([(0, 1)], batch=1), (3, 2), (3, 2), "out of range"),
+    (AxisPairing([(1, 0)], batch=1), (3, 2), (3, 2), "out of range"),
+    (AxisPairing([(1, 1)], batch=1), (3, 2), (3, 4), "paired extents differ"),
+])
+def test_batch_errors_match_validate(pairing, a_shape, b_shape, words):
+    a, b = random_tensor(a_shape, seed=3), random_tensor(b_shape, seed=4)
+    with pytest.raises(ValueError, match=words) as raised:
+        contract_pair(a, b, pairing)
+    with pytest.raises(ValueError) as expected:
+        pairing.validate(a.shape, b.shape)
+    assert str(raised.value) == str(expected.value)
 
 
 @st.composite
