@@ -14,6 +14,7 @@ from .costmodel import (
     crosscheck_quadratic,
     mps_cost,
     mps_cost_terms,
+    sequential_products,
     threshold_roots,
     threshold_sweep,
     verify_vieta,
@@ -41,6 +42,7 @@ from .network import (
     set_orthonormal_compressions,
 )
 from .tensor import (
+    CHAIN,
     INT64_MAX,
     AxisPairing,
     CountOverflowError,

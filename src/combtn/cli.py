@@ -42,16 +42,22 @@ def _params_from_args(args: argparse.Namespace) -> NetworkParams:
                          tooth_len=args.tooth_len)
 
 
-def _seed(text: str) -> int:
-    """argparse type of ``--seed``: numpy seeds are non-negative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _int_at_least(0)        # numpy seeds are non-negative integers
+_reps = _int_at_least(3)        # bench reports a median of at least three runs
 
 
 def _bond_list(text: str) -> list[int]:
@@ -305,8 +311,6 @@ def cmd_contract(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.reps < 3:
-        raise ValueError(f"--reps must be >= 3, got {args.reps}")
     params = [NetworkParams(dim_raw=args.dim_raw, dim_comp=args.dim_comp,
                             bond_dim=x, teeth=args.teeth, tooth_len=args.tooth_len)
               for x in args.bond_list]
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(bench)
     bench.add_argument("--bond-list", type=_bond_list, required=True,
                        help="comma-separated bond dimensions")
-    bench.add_argument("--reps", type=int, default=5)
+    bench.add_argument("--reps", type=_reps, default=5)
     bench.add_argument("--seed", type=_seed, default=42)
     bench.add_argument("--out", required=True, help="CSV output path")
     bench.set_defaults(handler=cmd_bench)
@@ -395,7 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (2) or the help (0)
+        return exc.code
     try:
         return args.handler(args)
     except (ValueError, CountOverflowError, MemoryError) as exc:

@@ -91,6 +91,23 @@ def cost_delta(params: NetworkParams, basis: str = "schedule") -> int:
     return mps_cost(params) - comb
 
 
+def sequential_products(kind: str, params: NetworkParams) -> int:
+    """Products on the longest chain of dependent steps of the schedule.
+
+    Steps that do not wait on one another can run as one batched product,
+    so they count once; a sweep counts one product per matrix it passes.
+    Batching the schedule's steps further cannot make this chain shorter.
+    MPS: compress, absorb, the L - 2 interior sites and the final dot, L + 1
+    in all. Comb: compress, absorb, the N - 1 tooth steps, the entry into
+    the backbone, its M - 2 interior spines and the final dot, N + M + 1.
+    """
+    if kind == "mps":
+        return params.sites + 1
+    if kind == "comb":
+        return params.tooth_len + params.teeth + 1
+    raise ValueError(f"kind must be 'mps' or 'comb', got {kind!r}")
+
+
 class Regime(Enum):
     MPS_ALWAYS_CHEAPER = "mps-always-cheaper"
     COMB_WINDOW = "comb-window"

@@ -4,8 +4,9 @@ Both planners emit fully explicit step lists over named operands, so a plan
 can be audited, costed, and replayed bit-for-bit. Their steps read the
 network's stacks: compress, absorb-physical, tooth-sweep and
 tooth-to-backbone each run across every site or tooth at once, and pass
-their results on as named views; only the chain sweep, the backbone sweep
-and the final dot run one step per site. A plan depends only on the
+their results on whole or as named views; the chain sweep (the backbone
+sweep, for a comb) is one ``CHAIN`` step through every interior matrix,
+and the final dot one more step. A plan depends only on the
 network's kind and its (M, N), so networks that share them share one
 frozen plan object, kept in a small bounded memo. The independent value
 oracle contracts the raw bond graph in bond order and is used to
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import costmodel
 from .network import TensorNetwork
-from .tensor import AxisPairing, _wrap, checked_count, contract_pair
+from .tensor import CHAIN, AxisPairing, _wrap, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
 
@@ -165,10 +166,10 @@ class CostReport:
         return self.analytic_printed - self.total
 
 
-# The per-site steps sum axis 0 of a vector against axis 0 of the next
-# tensor; a stacked step sums the first axis past its batch axes of the
-# first operand against axis ``ib`` of the second.
-_PER_SITE = AxisPairing(((0, 0),))
+# The final dot sums a vector against a vector; a stacked step sums the
+# first axis past its batch axes of the first operand against axis ``ib``
+# of the second.
+_DOT = AxisPairing(((0, 0),))
 
 
 def _stacked(batch: int, ib: int) -> AxisPairing:
@@ -180,13 +181,13 @@ def _stacked(batch: int, ib: int) -> AxisPairing:
 _PLAN_MEMO = 4
 
 
-def _sweep(steps: list, first: str, names: list[str], prefix: str) -> None:
-    # one step per site: the running vector into each matrix, then a dot
-    acc = first
-    for i, name in enumerate(names[:-1], start=1):
-        steps.append(PlanStep(acc, name, _PER_SITE, "chain-sweep", f"{prefix}{i}"))
-        acc = f"{prefix}{i}"
-    steps.append(PlanStep(acc, names[-1], _PER_SITE, "final-dot", "result"))
+def _sweep(steps: list, first: str, interior: str | None, last: str) -> None:
+    # the running vector through every interior matrix in one chain step,
+    # when there are any, then a dot with the last vector
+    if interior is not None:
+        steps.append(PlanStep(first, interior, CHAIN, "chain-sweep", "swept"))
+        first = "swept"
+    steps.append(PlanStep(first, last, _DOT, "final-dot", "result"))
 
 
 def mps_plan(net: TensorNetwork) -> ContractionPlan:
@@ -195,7 +196,8 @@ def mps_plan(net: TensorNetwork) -> ContractionPlan:
     Phase costs per site: compress D*d; absorption x*d at the two boundaries
     and x^2*d at interiors; each sweep step x^2; the final dot x. Compress
     is one step over the compression stack, absorption one step per site
-    stack; the sweep and the dot are one step per site. Networks of one
+    stack, the sweep one chain step through the absorbed interior sites,
+    and the dot one step: 4 + 2*[L > 2] steps in all. Networks of one
     chain length share one plan object.
     """
     if net.kind != "mps":
@@ -218,12 +220,11 @@ def _mps_plan(length: int) -> ContractionPlan:
               ("first-site", (1,)), ("last-site", (1,))]
     if interior:
         steps.append(PlanStep("w-interior", "interior-sites", _stacked(1, 2),
-                              "absorb-physical",
-                              tuple((f"m{i}", i - 1) for i in interior)))
+                              "absorb-physical", "m-interior"))
         stacks.append(("interior-sites", (length - 2,)))
     steps.append(PlanStep(f"w{last}", "last-site", _stacked(1, 2),
                           "absorb-physical", ((f"m{last}", 0),)))
-    _sweep(steps, "m0", [f"m{i}" for i in range(1, length)], "s")
+    _sweep(steps, "m0", "m-interior" if interior else None, f"m{last}")
     return ContractionPlan("mps", tuple(steps), tuple(stacks))
 
 
@@ -237,7 +238,9 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
     costs (M-2) x^2 and the final dot x. Every step before the backbone
     sweep runs across all M teeth at once: compress is one step, absorb
     one per tooth-tensor stack, the tooth sweep one per tooth position and
-    the entry into the backbone one per spine stack. Networks of one
+    the entry into the backbone one per spine stack. The backbone sweep is
+    one chain step through the entered interior spines, and the dot one
+    step: N + 3 + [N > 1] + 2*[M > 2] steps in all. Networks of one
     (M, N) share one plan object.
     """
     if net.kind != "comb":
@@ -282,9 +285,8 @@ def _comb_plan(m_count: int, n_count: int) -> ContractionPlan:
                           (("b0", 0), (f"b{m_count - 1}", 1))))
     if spines:
         steps.append(PlanStep("v-interior", "interior-spines", _stacked(1, 3),
-                              "tooth-to-backbone",
-                              tuple((f"b{m}", m - 1) for m in spines)))
-    _sweep(steps, "b0", [f"b{m}" for m in range(1, m_count)], "bs")
+                              "tooth-to-backbone", "b-interior"))
+    _sweep(steps, "b0", "b-interior" if spines else None, f"b{m_count - 1}")
     return ContractionPlan("comb", tuple(steps), tuple(stacks))
 
 

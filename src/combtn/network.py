@@ -14,8 +14,9 @@ Axis conventions (fixed so plans and bonds agree):
   compression:      [D, d];  data: [D]
 
 Tensors of one shape and role are held in one stack, an array whose leading
-axes run over its members, and each node's tensor is a read-only view of
-one member. Stacks and their leading axes:
+axes run over its members; a node's tensor is a read-only view of one
+member, made when a network's nodes are first read. Stacks and their
+leading axes:
   MPS:   first-site [1], interior-sites [L-2], last-site [1],
          compressions [L], data [L]  (L = M*N sites, left to right)
   comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
@@ -25,9 +26,9 @@ A stack with no members is left out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -76,11 +77,13 @@ class Node:
 
 @dataclass(frozen=True)
 class Stack:
-    """Tensors of one shape held in one read-only array, ``tensor``: the
-    member named ``names[i]`` is row i of its leading axes, in C order."""
+    """Tensors of one shape held in one read-only array, ``tensor``: its
+    first ``lead`` axes run over the members, and the member named
+    ``names[i]`` is row i of them, in C order."""
 
     tensor: Tensor
     names: tuple[str, ...]
+    lead: int
 
 
 @dataclass(frozen=True)
@@ -101,27 +104,32 @@ class Bond:
 class TensorNetwork:
     """A closed network of named nodes; ``kind`` is "mps" or "comb", and its
     dimensions are all in ``params``. Every node's tensor is a row of one
-    of ``stacks``; a plan reads either the nodes or the stacks."""
+    of ``stacks``, and ``order`` names the nodes in the order they were
+    drawn; a plan reads either the nodes or the stacks."""
 
     params: NetworkParams
     kind: str
-    nodes: dict[str, Node]
     bonds: tuple[Bond, ...]
     data_sites: tuple[str, ...]
     stacks: dict[str, Stack]
+    order: tuple[str, ...]
 
-
-def _nodes_of(arr: np.ndarray, names: Sequence[str],
-              shape: tuple[int, ...]) -> dict[str, Node]:
-    """A node for each row of the read-only stack ``arr``, a view of it."""
-    nodes = {}
-    for name, row in zip(names, arr.reshape(len(names), *shape)):
-        # Node(_wrap(row)), without the frozen dataclass's __init__: this
-        # runs once per data row of every scored sample
-        node = _new(Node)
-        node.__dict__["tensor"] = _wrap(row)
-        nodes[name] = node
-    return nodes
+    @functools.cached_property
+    def nodes(self) -> dict[str, Node]:
+        """Each stack row as a node, by name in ``order``: read-only views,
+        made when first read and kept, so scoring, which reads only the
+        stacks, makes none."""
+        views = {}
+        for stack in self.stacks.values():
+            arr = stack.tensor.array
+            rows = arr.reshape(len(stack.names), *arr.shape[stack.lead:])
+            for i, name in enumerate(stack.names):
+                # Node(_wrap(row)), without the frozen dataclass's
+                # __init__: this runs once per node the value oracle reads
+                node = _new(Node)
+                node.__dict__["tensor"] = _wrap(rows[i, ...])
+                views[name] = node
+        return {name: views[name] for name in self.order}
 
 
 class _Builder:
@@ -136,13 +144,13 @@ class _Builder:
         for group, lead, shape in groups:
             if math.prod(lead):
                 arr = np.empty(lead + shape)
-                self._stacks[group] = (arr, arr.reshape(-1, *shape), [])
+                self._stacks[group] = (arr, arr.reshape(-1, *shape), [], len(lead))
         self._order: list[str] = []
         self.bonds: list[Bond] = []
 
     def add(self, name: str, group: str, fan_in: int) -> None:
         # bit for bit normal(0, 1/sqrt(fan_in), shape), drawn into its row
-        _, rows, names = self._stacks[group]
+        _, rows, names, _ = self._stacks[group]
         row = rows[len(names)]
         self._rng.standard_normal(out=row)
         row *= 1.0 / math.sqrt(fan_in)
@@ -154,14 +162,11 @@ class _Builder:
 
     def network(self, params: NetworkParams, kind: str,
                 data_sites: tuple[str, ...]) -> TensorNetwork:
-        """Freeze every stack, then view its rows as the nodes."""
-        stacks, views = {}, {}
-        for group, (arr, rows, names) in self._stacks.items():
-            stacks[group] = Stack(_owned(arr), tuple(names))
-            views.update(_nodes_of(arr, names, rows.shape[1:]))
-        nodes = {name: views[name] for name in self._order}
-        return TensorNetwork(params, kind, nodes, tuple(self.bonds),
-                             data_sites, stacks)
+        """Freeze every stack; the nodes are its rows."""
+        stacks = {group: Stack(_owned(arr), tuple(names), lead)
+                  for group, (arr, _, names, lead) in self._stacks.items()}
+        return TensorNetwork(params, kind, tuple(self.bonds), data_sites,
+                             stacks, tuple(self._order))
 
 
 def _add_physical_column(b: _Builder, site: str, tag: str, phys_axis: int,
@@ -250,17 +255,17 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
 
 def _with_tensors(net: TensorNetwork, updates: dict[str, Tensor]) -> TensorNetwork:
     """Copy of ``net`` with the named tensors replaced. Each stack holding
-    one of them is copied, written and frozen again, and its nodes viewed
-    anew; the other stacks are shared. A name no stack holds becomes a node
-    in a stack of its own."""
-    nodes, stacks = dict(net.nodes), dict(net.stacks)
+    one of them is copied, written and frozen again; the other stacks are
+    shared. A name no stack holds becomes a node in a stack of its own,
+    after every other node."""
+    stacks = dict(net.stacks)
     pending = dict(updates)
     for group, stack in net.stacks.items():
         touched = [i for i, name in enumerate(stack.names) if name in pending]
         if not touched:
             continue
-        shape = net.nodes[stack.names[0]].tensor.shape
         arr = np.array(stack.tensor.array)
+        shape = arr.shape[stack.lead:]
         rows = arr.reshape(len(stack.names), *shape)
         for i in touched:
             tensor = pending.pop(stack.names[i])
@@ -268,13 +273,10 @@ def _with_tensors(net: TensorNetwork, updates: dict[str, Tensor]) -> TensorNetwo
                 raise ValueError(f"{stack.names[i]!r} must keep its shape "
                                  f"{shape}, got {tensor.shape}")
             rows[i] = tensor.array
-        stacks[group] = Stack(_owned(arr), stack.names)
-        nodes.update(_nodes_of(arr, stack.names, shape))
+        stacks[group] = Stack(_owned(arr), stack.names, stack.lead)
     for name, tensor in pending.items():
-        arr = np.array(tensor.array)[None]
-        stacks[name] = Stack(_owned(arr), (name,))
-        nodes.update(_nodes_of(arr, (name,), tensor.shape))
-    return replace(net, nodes=nodes, stacks=stacks)
+        stacks[name] = Stack(_owned(np.array(tensor.array[None])), (name,), 1)
+    return replace(net, stacks=stacks, order=net.order + tuple(pending))
 
 
 def attach_data(net: TensorNetwork, data) -> TensorNetwork:
@@ -283,7 +285,7 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
     Rows follow site order: MPS left to right; comb tooth-major, backbone
     left to right and within a tooth from the backbone outward. Every value
     must be finite. ``data`` is copied once; that copy, frozen, is the data
-    stack, and the data tensors are its rows.
+    stack, and the data tensors are its rows. Only the data stack changes.
     """
     matrix = np.array(data, dtype=np.float64, order="C", copy=True)
     expected = (len(net.data_sites), net.params.dim_raw)
@@ -301,10 +303,9 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
     matrix.flags.writeable = False
     stack = net.stacks["data"]
     stacks = dict(net.stacks)
-    stacks["data"] = Stack(_wrap(matrix.reshape(stack.tensor.shape)), stack.names)
-    nodes = dict(net.nodes)
-    nodes.update(_nodes_of(matrix, net.data_sites, (expected[1],)))
-    return replace(net, nodes=nodes, stacks=stacks)
+    stacks["data"] = Stack(_wrap(matrix.reshape(stack.tensor.shape)),
+                           stack.names, stack.lead)
+    return replace(net, stacks=stacks)
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -77,18 +77,34 @@ class AxisPairing:
     Axes are counted from the front of each operand, batch axes included, so
     a pair names axes at or past ``batch``. No pairs and no batch axes is an
     outer product; batch axes alone multiply element by element.
+
+    A ``chain`` pairing takes neither: it threads a vector [x] through a
+    stack [k, x, x], summing the vector against the first axis of each row
+    in turn, and leaves a vector [x]. ``CHAIN`` is the one such pairing.
     """
 
     pairs: tuple[tuple[int, int], ...]
     batch: int
+    chain: bool
 
-    def __init__(self, pairs: Iterable[Sequence[int]] = (), batch: int = 0) -> None:
+    def __init__(self, pairs: Iterable[Sequence[int]] = (), batch: int = 0,
+                 chain: bool = False) -> None:
         object.__setattr__(
             self, "pairs", tuple((int(i), int(j)) for i, j in pairs)
         )
         object.__setattr__(self, "batch", int(batch))
+        object.__setattr__(self, "chain", bool(chain))
+        if self.chain and (self.pairs or self.batch):
+            raise ValueError("a chain pairing takes no axis pairs and no batch axes")
 
     def validate(self, a_shape: Sequence[int], b_shape: Sequence[int]) -> None:
+        if self.chain:
+            if len(a_shape) != 1 or tuple(b_shape[1:]) != (a_shape[0],) * 2:
+                raise ValueError(
+                    f"a chain threads a vector [x] through a stack [k, x, x], "
+                    f"got shapes {tuple(a_shape)} and {tuple(b_shape)}"
+                )
+            return
         batch = self.batch
         lead_a, lead_b = tuple(a_shape[:batch]), tuple(b_shape[:batch])
         if batch < 0 or len(lead_a) < batch or lead_a != lead_b:
@@ -113,6 +129,9 @@ class AxisPairing:
                     f"paired extents differ: axis {ia} of {tuple(a_shape)} is "
                     f"{a_shape[ia]}, axis {ib} of {tuple(b_shape)} is {b_shape[ib]}"
                 )
+
+
+CHAIN = AxisPairing(chain=True)
 
 
 @dataclass(frozen=True)
@@ -161,6 +180,14 @@ def _absorb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.matmul(a[..., None, None, :], b)
     out.setflags(write=False)
     return out[..., 0, :]
+
+
+def _chain(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    # one np.dot per row, in order: the product a step of one site makes,
+    # so each row leaves the bits that step left
+    for matrix in stack:
+        v = np.dot(v, matrix)
+    return v
 
 
 def _transposed(batch: int, a_order, b_order, a_free_count: int,
@@ -217,12 +244,13 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     extents) times product(contracted extents), checked against the 64-bit
     range: a product over k batch items counts k times one item's count.
 
-    Every pairing, scalars and outer products included, runs as one matrix
-    product, picked once per (pairs, ranks, batch) by ``_kernel``:
+    Every pairing but ``CHAIN``, scalars and outer products included, runs
+    as one matrix product, picked once per (pairs, ranks, batch) by
+    ``_kernel``:
 
     - without batch axes, a vector against a vector or the first axis of a
-      matrix (chain sweep, final dot): a bare ``np.dot``; a final dot gives
-      an immutable float64 scalar;
+      matrix (the final dot): a bare ``np.dot``; a final dot gives an
+      immutable float64 scalar;
     - a vector against the next-to-last axis of a rank-3 item, such as the
       physical axis of an interior [x, d, x] site (the interior absorb):
       ``np.matmul`` reading each item in place as a stack of [d, x]
@@ -235,23 +263,36 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
       view.
 
     Each item's result has the bits of the same contraction run on that
-    item alone. A pairing that does not fit the operands is reported by
+    item alone.
+
+    ``CHAIN`` threads a vector [x] through a stack [k, x, x] (a chain or
+    backbone sweep): one ``np.dot`` per row, in row order, each with the
+    bits of that row's step run alone. It counts x**2 per row, k * x**2 in
+    all, which is the stack's size.
+
+    A pairing that does not fit the operands is reported by
     ``AxisPairing.validate``.
     """
     a_arr, b_arr = a.array, b.array
     a_shape, b_shape = a_arr.shape, b_arr.shape
-    pairs, batch = pairing.pairs, pairing.batch
-    kernel = _kernel(pairs, len(a_shape), len(b_shape), batch)
-    if kernel is None or (batch and a_shape[:batch] != b_shape[:batch]):
-        pairing.validate(a_shape, b_shape)
-    summed = 1
-    for ia, ib in pairs:
-        if a_shape[ia] != b_shape[ib]:
+    if pairing.chain:
+        if len(a_shape) != 1 or b_shape[1:] != a_shape * 2:
             pairing.validate(a_shape, b_shape)
-        summed *= a_shape[ia]
-    out = kernel(a_arr, b_arr)
+        out, count = _chain(a_arr, b_arr), b_arr.size
+    else:
+        pairs, batch = pairing.pairs, pairing.batch
+        kernel = _kernel(pairs, len(a_shape), len(b_shape), batch)
+        if kernel is None or (batch and a_shape[:batch] != b_shape[:batch]):
+            pairing.validate(a_shape, b_shape)
+        summed = 1
+        for ia, ib in pairs:
+            if a_shape[ia] != b_shape[ib]:
+                pairing.validate(a_shape, b_shape)
+            summed *= a_shape[ia]
+        out = kernel(a_arr, b_arr)
+        count = out.size * summed
     cost = _new(StepCost)
-    cost.__dict__["multiplications"] = checked_count(out.size * summed)
+    cost.__dict__["multiplications"] = checked_count(count)
     return _owned(out), cost
 
 

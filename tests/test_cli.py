@@ -42,10 +42,11 @@ class TestCost:
         assert code == 2
         assert "must not exceed raw" in err
 
-    def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["cost", "--nope"])
-        assert exc.value.code == 2
+    def test_unknown_flag_exits_2(self, capsys):
+        code, out, err = run(capsys, ["cost", *REFERENCE_FLAGS, "--bond", "10", "--nope"])
+        assert code == 2
+        assert out == ""
+        assert "error: unrecognized arguments: --nope" in err
 
     def test_count_past_64_bits_prints_nothing(self, capsys):
         code, out, err = run(capsys, ["cost", "--teeth", "3", "--tooth-len", "1",
@@ -388,21 +389,21 @@ class TestBench:
                                     "--bond-list", "1", "--reps", "2",
                                     "--out", str(tmp_path / "b.csv")])
         assert code == 2
-        assert "reps" in err
+        assert "error: argument --reps: must be an integer >= 3, got '2'" in err
+        assert not (tmp_path / "b.csv").exists()
 
 
 @pytest.mark.parametrize("bond_list", ["2,x", "", ",", "0", "2,-1"],
                          ids=["not-a-number", "empty", "no-entry", "zero", "negative"])
 def test_bad_bond_list_is_a_usage_error_naming_the_flag(capsys, tmp_path, bond_list):
     out_csv = tmp_path / "b.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--teeth", "2", "--tooth-len", "1", "--dim-raw", "2",
-              "--dim-comp", "2", "--bond-list", bond_list, "--out", str(out_csv)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --bond-list" in captured.err
-    assert repr(bond_list) in captured.err
+    code, out, err = run(capsys, [
+        "bench", "--teeth", "2", "--tooth-len", "1", "--dim-raw", "2",
+        "--dim-comp", "2", "--bond-list", bond_list, "--out", str(out_csv)])
+    assert code == 2
+    assert out == ""
+    assert "error: argument --bond-list" in err
+    assert repr(bond_list) in err
     assert not out_csv.exists()
 
 
@@ -415,10 +416,14 @@ def test_bad_bond_list_is_a_usage_error_naming_the_flag(capsys, tmp_path, bond_l
     ["verify", "--seed", "five"],
 ], ids=["verify", "contract", "bench", "not-a-number"])
 def test_bad_seed_is_a_usage_error_naming_the_flag(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --seed" in captured.err
-    assert repr(argv[argv.index("--seed") + 1]) in captured.err
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "error: argument --seed" in err
+    assert repr(argv[argv.index("--seed") + 1]) in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, ["bench", "--help"])
+    assert code == 0 and err == ""
+    assert "--reps" in out

@@ -12,6 +12,7 @@ from combtn.costmodel import (
     comb_cost_terms,
     mps_cost,
     mps_cost_terms,
+    sequential_products,
 )
 from combtn import engine
 from combtn.engine import (
@@ -27,14 +28,14 @@ from combtn.engine import (
 from combtn.network import (
     Bond,
     NetworkParams,
-    Node,
+    Stack,
     TensorNetwork,
     attach_data,
     build_comb,
     build_mps,
 )
 from combtn.network import _with_tensors
-from combtn.tensor import AxisPairing, Tensor, contract_pair
+from combtn.tensor import CHAIN, AxisPairing, Tensor, contract_pair
 from combtn.verification import grid_params
 
 
@@ -43,11 +44,12 @@ def params(D=3, d=2, x=2, M=2, N=1) -> NetworkParams:
 
 
 def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
-    """Bare bond graph of all-ones tensors, for the oracle's error paths."""
-    nodes = {name: Node(Tensor(np.ones(shape)))
-             for name, shape in shapes.items()}
+    """Bare bond graph of all-ones tensors, each the one row of a stack
+    named after it, for the oracle's error paths."""
+    stacks = {name: Stack(Tensor(np.ones((1, *shape))), (name,), 1)
+              for name, shape in shapes.items()}
     bonds = tuple(Bond(*edge) for edge in edges)
-    return TensorNetwork(params(), "mps", nodes, bonds, (), {})
+    return TensorNetwork(params(), "mps", bonds, (), stacks, tuple(shapes))
 
 
 def _tensordot_oracle(net: TensorNetwork) -> float:
@@ -89,10 +91,11 @@ class TestMpsPlan:
 
     @pytest.mark.parametrize("M,N", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 3)])
     def test_chain_sweep_step_count(self, M, N):
+        # one chain step through all L - 2 absorbed interior sites
         net = build_mps(params(M=M, N=N), seed=0)
         plan = mps_plan(net)
-        sweeps = [s for s in plan.steps if s.phase == "chain-sweep"]
-        assert len(sweeps) == M * N - 2
+        sweeps = [(s.b, s.pairing) for s in plan.steps if s.phase == "chain-sweep"]
+        assert sweeps == [("m-interior", CHAIN)] * (M * N > 2)
 
     def test_phase_subtotals_match_terms(self):
         p = params(D=4, d=3, x=2, M=3, N=2)
@@ -176,7 +179,7 @@ class TestPlanSharing:
         assert plan_fn(a) is plan_fn(b)
         other = build(params(D=3, d=2, x=2, M=3, N=3), seed=0)
         assert plan_fn(other) is not plan_fn(a)
-        assert len(plan_fn(other).steps) > len(plan_fn(a).steps)
+        assert plan_fn(other).stacks != plan_fn(a).stacks
 
     def test_shared_plan_still_checks_the_kind(self):
         mps = build_mps(params(M=3, N=2), seed=0)
@@ -457,17 +460,17 @@ def test_consumed_intermediates_are_released(build, monkeypatch):
 
 
 def expected_calls(kind: str, m: int, n: int) -> int:
-    """``contract_pair`` calls of one ``execute``: one per stacked phase step
-    and one per backbone or chain step."""
+    """``contract_pair`` calls of one ``execute``: one per stacked phase
+    step, one chain step per sweep with an interior, and the dot."""
     if kind == "mps":
         # compress; absorb into the first, the interior and the last sites;
-        # L - 2 sweep steps and the dot
+        # the chain through the interior sites and the dot
         sites = m * n
-        return 1 + 2 + (sites > 2) + (sites - 2) + 1
+        return 4 + 2 * (sites > 2)
     # compress; absorb into the interior teeth and the tooth ends; N - 1
-    # tooth sweeps; enter the boundary and the interior spines; M - 2 sweep
-    # steps and the dot
-    return 1 + (n > 1) + 1 + (n - 1) + 1 + (m > 2) + (m - 2) + 1
+    # tooth sweeps; enter the boundary and the interior spines; the chain
+    # through the interior spines and the dot
+    return n + 3 + (n > 1) + 2 * (m > 2)
 
 
 def test_call_count_is_the_closed_form(monkeypatch):
@@ -486,7 +489,35 @@ def test_call_count_is_the_closed_form(monkeypatch):
             execute(net, plan_for(net))
             assert len(calls) == len(plan_for(net).steps) == \
                 expected_calls(net.kind, p.teeth, p.tooth_len), (net.kind, p)
-    assert expected_calls("mps", 50, 5) + expected_calls("comb", 50, 5) == 311
+    assert expected_calls("mps", 50, 5) + expected_calls("comb", 50, 5) == 17
+
+
+def test_sequential_products_are_the_longest_dependency_path(monkeypatch):
+    # a step waits for the steps that made its operands; a stacked step is
+    # one product whatever its batch, and a chain step is one per row
+    rows = []
+
+    def recorded(a, b, pairing):
+        rows.append(b.shape[0] if pairing.chain else 1)
+        return contract_pair(a, b, pairing)
+
+    monkeypatch.setattr(engine, "contract_pair", recorded)
+    for p in grid_params("small"):
+        for build in (build_mps, build_comb):
+            net = build(p, seed=0)
+            plan = plan_for(net)
+            rows.clear()
+            execute(net, plan)
+            depth: dict[str, int] = {}
+            for step, products in zip(plan.steps, rows):
+                made = max(depth.get(step.a, 0), depth.get(step.b, 0)) + products
+                depth.update((name, made) for name in _made(step))
+            assert depth["result"] == sequential_products(net.kind, p), (net.kind, p)
+    reference = params(D=100, d=30, x=10, M=50, N=5)
+    assert sequential_products("mps", reference) == 251
+    assert sequential_products("comb", reference) == 56
+    with pytest.raises(ValueError, match="kind"):
+        sequential_products("tree", reference)
 
 
 def test_stacked_plan_on_other_extents_is_refused():

@@ -236,6 +236,40 @@ def test_every_node_is_a_read_only_view_of_a_read_only_stack(build, mutate):
     assert net.stacks["data"].names == net.data_sites
 
 
+@pytest.mark.parametrize("build", [build_mps, build_comb])
+def test_node_views_are_made_on_first_read(build):
+    p = small_params(teeth=3, tooth_len=2)
+    net = build(p, seed=4)
+    data = np.arange(p.sites * p.dim_raw, dtype=float).reshape(p.sites, p.dim_raw)
+    scored = attach_data(net, data)
+    execute(scored, plan_for(scored))
+    # scoring reads the stacks alone, so neither network holds a view yet
+    assert "nodes" not in vars(net) and "nodes" not in vars(scored)
+    nodes = scored.nodes
+    assert scored.nodes is nodes and "nodes" not in vars(net)
+    # in draw order, each a read-only row of its stack
+    assert list(nodes) == list(net.nodes)
+    for stack in scored.stacks.values():
+        rows = stack.tensor.array.reshape(len(stack.names), -1)
+        for i, name in enumerate(stack.names):
+            view = nodes[name].tensor.array
+            assert not view.flags.writeable and np.shares_memory(view, rows[i])
+            assert np.array_equal(view.ravel(), rows[i])
+    assert [nodes[name].tensor.array.tolist() for name in net.data_sites] == \
+        data.tolist()
+
+
+def test_a_name_no_stack_holds_goes_last():
+    net = build_mps(small_params(), seed=0)
+    extra = _with_tensors(net, {"spare": Tensor(np.ones(2)), "u1": Tensor(np.ones((3, 2)))})
+    assert list(extra.nodes) == [*net.nodes, "spare"]
+    assert extra.stacks["spare"].names == ("spare",)
+    assert extra.nodes["spare"].tensor == Tensor(np.ones(2))
+    assert extra.nodes["u1"].tensor == Tensor(np.ones((3, 2)))
+    owner = extra.stacks["spare"].tensor.array
+    assert owner.base is None and not owner.flags.writeable
+
+
 def test_stacks_without_members_are_left_out():
     assert "interior-sites" not in build_mps(small_params(tooth_len=1), seed=0).stacks
     comb = build_comb(small_params(teeth=2, tooth_len=1), seed=0)

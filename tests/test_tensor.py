@@ -13,12 +13,14 @@ from combtn.network import NetworkParams, attach_data, build_comb, build_mps
 from combtn.verification import grid_params
 
 from combtn.tensor import (
+    CHAIN,
     INT64_MAX,
     AxisPairing,
     CountOverflowError,
     StepCost,
     Tensor,
     _absorb,
+    _chain,
     _kernel,
     _owned,
     _transposed,
@@ -295,23 +297,72 @@ def one_item(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     return transposed_path(a, b, pairs)
 
 
-# every (pairs, rank of a, rank of b, batch) the two planners emit, and its kernel
+def per_site_sweep(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """A sweep as plans ran it one site at a time: one ``np.dot`` per row."""
+    for matrix in stack:
+        v = np.dot(v, matrix)
+    return v
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_chain_is_the_per_site_sweep_bit_for_bit(k):
+    # frozen stacks as a build makes them, a Fortran-ordered copy and a
+    # strided view; the chain counts x**2 per row
+    for x in [*range(1, 20), 30, 64]:
+        v = random_tensor((x,), seed=x)
+        stack = random_tensor((k, x, x), seed=100 + x)
+        for v_op, stack_op in zip(_strided(v), _strided(stack)):
+            out, cost = contract_pair(v_op, stack_op, CHAIN)
+            expected = per_site_sweep(v_op.array, stack_op.array)
+            assert out.shape == (x,)
+            assert out.array.tobytes() == expected.tobytes(), (k, x)
+            assert cost.multiplications == k * x * x == stack.size
+            assert not out.array.flags.writeable
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3,), (2, 3, 4)),          # rows not square
+    ((3,), (2, 4, 3)),
+    ((3,), (2, 4, 4)),          # square rows of another extent
+    ((3,), (3, 3)),             # not a stack
+    ((3,), (1, 2, 3, 3)),
+    ((3, 3), (2, 3, 3)),        # not a vector
+])
+def test_chain_refuses_a_stack_that_does_not_fit(a_shape, b_shape):
+    a, b = random_tensor(a_shape, seed=1), random_tensor(b_shape, seed=2)
+    with pytest.raises(ValueError) as raised:
+        contract_pair(a, b, CHAIN)
+    assert str(a_shape) in str(raised.value) and str(b_shape) in str(raised.value)
+    with pytest.raises(ValueError) as expected:
+        CHAIN.validate(a_shape, b_shape)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_chain_takes_no_pairs_and_no_batch():
+    for pairs, batch in (([(0, 1)], 0), ([], 1)):
+        with pytest.raises(ValueError, match="no axis pairs and no batch"):
+            AxisPairing(pairs, batch, chain=True)
+
+
+# every (pairs, rank of a, rank of b, batch, chain) the two planners emit,
+# and its kernel
 PLAN_KERNELS = {
-    (((0, 0),), 1, 2, 0): np.dot,         # chain sweep
-    (((0, 0),), 1, 1, 0): np.dot,         # final dot
-    (((1, 1),), 2, 3, 1): _transposed,    # MPS compress and first absorb
-    (((1, 2),), 2, 4, 1): _absorb,        # MPS interior absorb
-    (((1, 2),), 2, 3, 1): _transposed,    # last absorb, tooth ends, tooth sweep,
-                                          # boundary spines
-    (((2, 2),), 3, 4, 2): _transposed,    # comb compress
-    (((2, 3),), 3, 5, 2): _absorb,        # comb interior absorb
-    (((1, 3),), 2, 4, 1): _transposed,    # teeth into the interior spines
+    ((), 1, 3, 0, True): _chain,                # chain and backbone sweeps
+    (((0, 0),), 1, 1, 0, False): np.dot,        # final dot
+    (((1, 1),), 2, 3, 1, False): _transposed,   # MPS compress and first absorb
+    (((1, 2),), 2, 4, 1, False): _absorb,       # MPS interior absorb
+    (((1, 2),), 2, 3, 1, False): _transposed,   # last absorb, tooth ends,
+                                                # tooth sweep, boundary spines
+    (((2, 2),), 3, 4, 2, False): _transposed,   # comb compress
+    (((2, 3),), 3, 5, 2, False): _absorb,       # comb interior absorb
+    (((1, 3),), 2, 4, 1, False): _transposed,   # teeth into the interior spines
 }
 
 
 def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
     # each batch item of a stacked step has the bits of that item's step
-    # run alone, as plans ran it one site at a time
+    # run alone, and a chain step the bits of its sweep, as plans ran them
+    # one site at a time
     steps = []
 
     def recorded(a, b, pairing):
@@ -332,9 +383,13 @@ def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
         execute(net, plan_for(net))
     seen = set()
     for a, b, pairing, out in steps:
-        key = (pairing.pairs, a.ndim, b.ndim, pairing.batch)
+        key = (pairing.pairs, a.ndim, b.ndim, pairing.batch, pairing.chain)
         seen.add(key)
-        kernel = _kernel(*key)
+        if pairing.chain:
+            assert PLAN_KERNELS[key] is _chain
+            assert out.tobytes() == per_site_sweep(a, b).tobytes()
+            continue
+        kernel = _kernel(*key[:4])
         assert getattr(kernel, "func", kernel) is PLAN_KERNELS[key], key
         batch = pairing.batch
         pairs = tuple((ia - batch, ib - batch) for ia, ib in pairing.pairs)
