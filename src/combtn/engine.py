@@ -1,14 +1,16 @@
 """Deterministic contraction schedules and instrumented execution.
 
 Both planners emit fully explicit step lists over named operands, so a plan
-can be audited, costed, and replayed bit-for-bit. Their steps read the
+can be audited, costed, and replayed bit-for-bit. A plan reads only the
 network's stacks: compress, absorb-physical, tooth-sweep and
 tooth-to-backbone each run across every site or tooth at once, and pass
 their results on whole or as named views; the chain sweep (the backbone
 sweep, for a comb) is one ``CHAIN`` step through every interior matrix,
-and the final dot one more step. A plan depends only on the
-network's kind and its (M, N), so networks that share them share one
-frozen plan object, kept in a small bounded memo. The independent value
+and the final dot one more step. A plan is walked by name once, when it
+is made, and ``execute`` checks the network's stack names and leading
+extents against it once, then runs its steps by name. A plan depends only
+on the network's kind and its (M, N), so networks that share them share
+one frozen plan object, kept in a small bounded memo. The independent value
 oracle contracts the raw bond graph in bond order and is used to
 cross-check the scalar produced by plan execution.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +40,7 @@ class PlanStep:
 
     ``out`` names the result, or is a tuple of (name, index) parts: the
     result goes on as the views ``result[index]``, one per name, and is
-    not kept whole. An index is an int (one row), a range (a run of rows)
+    not kept whole. An index is an int (one row), a slice (a run of rows)
     or a tuple of these, one per leading axis.
     """
 
@@ -49,102 +51,55 @@ class PlanStep:
     out: str | tuple
 
 
-def _index(index):
-    """A part's index as numpy reads it: ranges become slices."""
-    if isinstance(index, tuple):
-        return tuple(map(_index, index))
-    if isinstance(index, range):
-        return slice(index.start, index.stop, index.step)
-    return index
-
-
-def _walk(steps: tuple[PlanStep, ...], live: dict | None) -> tuple:
-    """Resolve named steps to list positions, as ``ContractionPlan.slots``.
-
-    ``live`` is None when a plan is made, and any name read before a step
-    makes it is an input. Otherwise it holds a network's node or stack
-    names, and they are the only inputs. Raises the refusal of the first
-    step that reads a name that is not live or makes one that is, then
-    refuses the walk unless it leaves one tensor (or, with ``live`` None,
-    none).
-    """
-    inputs = [] if live is None else list(enumerate(live))
-    slot_of = {name: slot for slot, name in inputs}   # -1 once consumed
-    size = len(inputs)
-    phases: dict[str, int] = {}
-    program: list = []
-    for step in steps:
-        where = []
-        for name in (step.a, step.b):
-            slot = slot_of.get(name)
-            if slot is None and live is None:
-                slot = size
-                size += 1
-                inputs.append((slot, name))
-            if slot is None or slot < 0:
-                raise ValueError(
-                    f"plan does not match network: operand {name!r} is not available"
-                )
-            slot_of[name] = -1
-            where.append(slot)
-        whole = isinstance(step.out, str)
-        made = []
-        for name, index in ((step.out, None),) if whole else step.out:
-            if slot_of.get(name, -1) >= 0 or name in (step.a, step.b):
-                raise ValueError(f"plan output name {name!r} already in use")
-            slot_of[name] = size
-            made.append((size, _index(index)))
-            size += 1
-        phase = phases.setdefault(step.phase, len(phases))
-        program.append((*where, phase, step.pairing,
-                        made[0][0] if whole else tuple(made)))
-    left = [slot for slot in slot_of.values() if slot >= 0]
-    # a plan without steps leaves whatever tensor its network holds
-    if len(left) > 1 or (not left and live is not None):
-        raise ValueError(
-            f"plan leaves {len(left)} tensors instead of a single scalar"
-        )
-    return (tuple(inputs), tuple(program), tuple(phases),
-            left[0] if left else 0, size)
+def _made(step: PlanStep) -> list[str]:
+    """The names a step makes: its result, or its parts."""
+    return [step.out] if isinstance(step.out, str) else [name for name, _ in step.out]
 
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """Named steps, walked once, when the plan is made.
+    """Named steps over a network's stacks.
 
-    ``stacks`` is empty for a plan over a network's nodes. A plan over its
-    stacks names each stack it reads with the leading extents its steps
-    index, and reads every stack of the networks it fits.
-
-    ``slots`` is ``(inputs, program, phases, result, size)``: list
-    positions run to ``size``, and ``inputs`` pairs each position that
-    starts filled with the name the plan reads there; ``program`` holds
-    one ``(a, b, phase, pairing, out)`` per step: the step contracts
-    positions a and b, clears both, and adds its count to the subtotal of
-    ``phases[phase]``; ``out`` is the position of the result or, for a
-    step with parts, a tuple of (position, numpy index); ``result`` is the
-    position of the tensor left.
+    ``stacks`` names each stack the plan reads with its leading extents,
+    and a network fits the plan when it holds exactly these stacks at these
+    extents. The steps are walked by name once, when the plan is made.
 
     Raises ValueError for a fault that no network could mend: an operand
     read after it was consumed or named twice in one step, an output name
-    that is live or one of its step's own operands, more than one tensor
-    left at the end, or stacks that are not the plan's inputs. A plan with
-    several faults is refused for the first of these, which may not be the
-    first fault a network would show.
+    that is live or one of its step's own operands, anything but one tensor
+    left at the end (a plan with no steps leaves none), or ``stacks`` that
+    are not the names it reads before a step makes them. A plan with
+    several faults is refused for the first of these.
     """
 
     kind: str
     steps: tuple[PlanStep, ...]
-    stacks: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    slots: tuple = field(init=False, repr=False, compare=False)
+    stacks: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        slots = _walk(self.steps, None)
-        read = sorted(name for _, name in slots[0])
-        if self.stacks and sorted(name for name, _ in self.stacks) != read:
+        read, live, gone = [], set(), set()
+        for step in self.steps:
+            for name in (step.a, step.b):
+                if name in gone:
+                    raise ValueError(
+                        f"plan does not match network: operand {name!r} is not available"
+                    )
+                if name not in live:
+                    read.append(name)
+                live.discard(name)
+                gone.add(name)
+            for name in _made(step):
+                if name in live or name in (step.a, step.b):
+                    raise ValueError(f"plan output name {name!r} already in use")
+                live.add(name)
+                gone.discard(name)
+        if len(live) != 1:
+            raise ValueError(
+                f"plan leaves {len(live)} tensors instead of a single scalar"
+            )
+        if sorted(name for name, _ in self.stacks) != sorted(read):
             raise ValueError(f"plan stacks {[name for name, _ in self.stacks]} "
-                             f"are not the stacks it reads, {read}")
-        object.__setattr__(self, "slots", slots)
+                             f"are not the stacks it reads, {sorted(read)}")
 
 
 @dataclass
@@ -208,10 +163,10 @@ def mps_plan(net: TensorNetwork) -> ContractionPlan:
 @functools.lru_cache(maxsize=_PLAN_MEMO)
 def _mps_plan(length: int) -> ContractionPlan:
     last = length - 1
-    interior = range(1, last)
-    w_parts = [("w0", range(0, 1)), (f"w{last}", range(last, length))]
+    interior = length > 2
+    w_parts = [("w0", slice(0, 1)), (f"w{last}", slice(last, length))]
     if interior:
-        w_parts.insert(1, ("w-interior", interior))
+        w_parts.insert(1, ("w-interior", slice(1, last)))
     steps = [
         PlanStep("data", "compressions", _stacked(1, 1), "compress", tuple(w_parts)),
         PlanStep("w0", "first-site", _stacked(1, 1), "absorb-physical", (("m0", 0),)),
@@ -250,21 +205,20 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
 
 @functools.lru_cache(maxsize=_PLAN_MEMO)
 def _comb_plan(m_count: int, n_count: int) -> ContractionPlan:
-    teeth, inner = range(m_count), range(n_count - 1)
-    spines = range(1, m_count - 1)
+    teeth, inner, spines = slice(None), range(n_count - 1), m_count > 2
     w_parts = [("w-end", (teeth, n_count - 1))]
     stacks = [("data", (m_count, n_count)), ("compressions", (m_count, n_count)),
               ("tooth-ends", (m_count,)), ("boundary-spines", (2,))]
     if inner:
-        w_parts.insert(0, ("w-interior", (teeth, inner)))
+        w_parts.insert(0, ("w-interior", (teeth, slice(0, n_count - 1))))
         stacks.append(("interior-teeth", (m_count, n_count - 1)))
     if spines:
         stacks.append(("interior-spines", (m_count - 2,)))
     # the tooth vectors at the backbone: rows 0 and M-1 enter the boundary
     # spines, the rows between them the interior spines
-    at_backbone = [("v-boundary", range(0, m_count, m_count - 1))]
+    at_backbone = [("v-boundary", slice(0, m_count, m_count - 1))]
     if spines:
-        at_backbone.append(("v-interior", spines))
+        at_backbone.append(("v-interior", slice(1, m_count - 1)))
     at_backbone = tuple(at_backbone)
 
     steps = [PlanStep("data", "compressions", _stacked(2, 2), "compress",
@@ -294,60 +248,42 @@ def plan_for(net: TensorNetwork) -> ContractionPlan:
     return mps_plan(net) if net.kind == "mps" else comb_plan(net)
 
 
-def _fits(plan: ContractionPlan, tensors: dict) -> bool:
-    # the plan reads every node, or every stack at the extents it indexes
-    inputs = plan.slots[0]
-    if len(tensors) != len(inputs):
-        return False
-    if not plan.stacks:
-        return all(name in tensors for _, name in inputs)
-    return all(name in tensors and tensors[name].tensor.shape[:len(lead)] == lead
-               for name, lead in plan.stacks)
-
-
 def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostReport]:
-    """Run the plan over the network, counting every multiplication.
+    """Run the plan over the network's stacks, counting every multiplication.
 
-    Each operand is consumed exactly once; the plan must reduce the network
-    to a single scalar. Raises ValueError when the plan does not match the
-    network and CountOverflowError if any count leaves the 64-bit range.
-    The plan is checked against the network once, before any step runs;
-    each step is one ``contract_pair`` call, looked up on this module, and
-    a step's parts are views of its result.
+    Raises ValueError when the plan does not match the network and
+    CountOverflowError if any count leaves the 64-bit range. Before any
+    step runs, the network's stack names and leading extents are checked
+    against ``plan.stacks`` in one comparison. Each step pops its operands,
+    so an intermediate is freed once consumed, and is one ``contract_pair``
+    call, looked up on this module; a step's parts are views of its result.
     """
     if plan.kind != net.kind:
         raise ValueError(
             f"plan kind {plan.kind!r} does not match network kind {net.kind!r}"
         )
-    inputs, program, phases, result, size = plan.slots
-    tensors = net.stacks if plan.stacks else net.nodes
-    if not _fits(plan, tensors):
-        # refused, unless the plan has no steps and the network one node
-        inputs = _walk(plan.steps, tensors)[0]
-        for name, lead in plan.stacks:
-            extents = tensors[name].tensor.shape[:len(lead)]
-            if extents != lead:
-                raise ValueError(f"plan does not match network: stack {name!r} "
-                                 f"has leading extents {extents}, the plan "
-                                 f"reads {lead}")
-    pool = [None] * max(size, len(inputs))
-    for slot, name in inputs:
-        pool[slot] = tensors[name].tensor
-    pair = contract_pair
-    subtotals = [0] * len(phases)
-    for a, b, phase, pairing, out in program:
-        made, cost = pair(pool[a], pool[b], pairing)
-        pool[a] = pool[b] = None
-        if out.__class__ is int:
-            pool[out] = made
+    reads = set(plan.stacks)
+    holds = {(name, stack.tensor.shape[:stack.lead])
+             for name, stack in net.stacks.items()}
+    if holds != reads:
+        raise ValueError(f"plan does not match network: where they differ, the "
+                         f"plan reads stacks {sorted(reads - holds)} and the "
+                         f"network holds {sorted(holds - reads)}")
+    tensors = {name: stack.tensor for name, stack in net.stacks.items()}
+    subtotals: dict[str, int] = {}
+    for step in plan.steps:
+        made, cost = contract_pair(tensors.pop(step.a), tensors.pop(step.b),
+                                   step.pairing)
+        if isinstance(step.out, str):
+            tensors[step.out] = made
         else:
-            for slot, index in out:
-                pool[slot] = _wrap(made.array[index])
-        subtotals[phase] += cost.multiplications
-    final = pool[result]
+            for name, index in step.out:
+                tensors[name] = _wrap(made.array[index])
+        subtotals[step.phase] = subtotals.get(step.phase, 0) + cost.multiplications
+    (final,) = tensors.values()
     if final.shape != ():
         raise ValueError(f"plan result has shape {final.shape}, expected a scalar")
-    total = checked_count(sum(subtotals))
+    total = checked_count(sum(subtotals.values()))
     p = net.params
     if net.kind == "mps":
         printed = schedule = costmodel.mps_cost(p)
@@ -355,7 +291,7 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
         printed = costmodel.comb_cost_printed(p)
         schedule = costmodel.comb_cost_schedule(p)
     report = CostReport(
-        phase_subtotals=dict(zip(phases, subtotals)),
+        phase_subtotals=subtotals,
         total=total,
         analytic_printed=printed,
         analytic_schedule=schedule,

@@ -105,14 +105,18 @@ class TensorNetwork:
     """A closed network of named nodes; ``kind`` is "mps" or "comb", and its
     dimensions are all in ``params``. Every node's tensor is a row of one
     of ``stacks``, and ``order`` names the nodes in the order they were
-    drawn; a plan reads either the nodes or the stacks."""
+    drawn; a plan reads the stacks."""
 
     params: NetworkParams
     kind: str
     bonds: tuple[Bond, ...]
-    data_sites: tuple[str, ...]
     stacks: dict[str, Stack]
     order: tuple[str, ...]
+
+    @property
+    def data_sites(self) -> tuple[str, ...]:
+        """The data nodes in row order of ``attach_data``'s matrix."""
+        return self.stacks["data"].names
 
     @functools.cached_property
     def nodes(self) -> dict[str, Node]:
@@ -160,13 +164,12 @@ class _Builder:
     def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int) -> None:
         self.bonds.append(Bond(node_a, axis_a, node_b, axis_b))
 
-    def network(self, params: NetworkParams, kind: str,
-                data_sites: tuple[str, ...]) -> TensorNetwork:
+    def network(self, params: NetworkParams, kind: str) -> TensorNetwork:
         """Freeze every stack; the nodes are its rows."""
         stacks = {group: Stack(_owned(arr), tuple(names), lead)
                   for group, (arr, _, names, lead) in self._stacks.items()}
-        return TensorNetwork(params, kind, tuple(self.bonds), data_sites,
-                             stacks, tuple(self._order))
+        return TensorNetwork(params, kind, tuple(self.bonds), stacks,
+                             tuple(self._order))
 
 
 def _add_physical_column(b: _Builder, site: str, tag: str, phys_axis: int,
@@ -207,7 +210,7 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
             prev_right = 1 if i == 1 else 2
             b.bond(f"site{i - 1}", prev_right, f"site{i}", 0)
         _add_physical_column(b, f"site{i}", str(i), phys_axis, big_d)
-    return b.network(params, "mps", tuple(f"data{i}" for i in range(length)))
+    return b.network(params, "mps")
 
 
 def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -247,36 +250,7 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
             else:
                 b.bond(f"tooth{m}.{n - 1}", 2, f"tooth{tag}", 0)
             _add_physical_column(b, f"tooth{tag}", tag, 1, big_d)
-    data_sites = tuple(
-        f"data{m}.{n}" for m in range(m_count) for n in range(n_count)
-    )
-    return b.network(params, "comb", data_sites)
-
-
-def _with_tensors(net: TensorNetwork, updates: dict[str, Tensor]) -> TensorNetwork:
-    """Copy of ``net`` with the named tensors replaced. Each stack holding
-    one of them is copied, written and frozen again; the other stacks are
-    shared. A name no stack holds becomes a node in a stack of its own,
-    after every other node."""
-    stacks = dict(net.stacks)
-    pending = dict(updates)
-    for group, stack in net.stacks.items():
-        touched = [i for i, name in enumerate(stack.names) if name in pending]
-        if not touched:
-            continue
-        arr = np.array(stack.tensor.array)
-        shape = arr.shape[stack.lead:]
-        rows = arr.reshape(len(stack.names), *shape)
-        for i in touched:
-            tensor = pending.pop(stack.names[i])
-            if tensor.shape != shape:
-                raise ValueError(f"{stack.names[i]!r} must keep its shape "
-                                 f"{shape}, got {tensor.shape}")
-            rows[i] = tensor.array
-        stacks[group] = Stack(_owned(arr), stack.names, stack.lead)
-    for name, tensor in pending.items():
-        stacks[name] = Stack(_owned(np.array(tensor.array[None])), (name,), 1)
-    return replace(net, stacks=stacks, order=net.order + tuple(pending))
+    return b.network(params, "comb")
 
 
 def attach_data(net: TensorNetwork, data) -> TensorNetwork:
@@ -319,11 +293,14 @@ def set_orthonormal_compressions(net: TensorNetwork, seed=0) -> TensorNetwork:
     """Replace every compression matrix with one having orthonormal columns.
 
     Stand-in for trained compressions; cost counting never depends on values.
+    One draw per row of the compression stack, in row order, fills a new
+    stack; only the compression stack changes.
     """
     rng = np.random.default_rng(seed)
     d_raw, d_comp = net.params.dim_raw, net.params.dim_comp
-    updates = {
-        "u" + name.removeprefix("data"): Tensor(_orthonormal_columns(rng, d_raw, d_comp))
-        for name in net.data_sites
-    }
-    return _with_tensors(net, updates)
+    stack = net.stacks["compressions"]
+    arr = np.empty(stack.tensor.shape)
+    for row in arr.reshape(-1, d_raw, d_comp):
+        row[...] = _orthonormal_columns(rng, d_raw, d_comp)
+    compressions = Stack(_owned(arr), stack.names, stack.lead)
+    return replace(net, stacks={**net.stacks, "compressions": compressions})

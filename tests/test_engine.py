@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from combtn.network import (
     build_comb,
     build_mps,
 )
-from combtn.network import _with_tensors
 from combtn.tensor import CHAIN, AxisPairing, Tensor, contract_pair
 from combtn.verification import grid_params
 
@@ -49,7 +49,7 @@ def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
     stacks = {name: Stack(Tensor(np.ones((1, *shape))), (name,), 1)
               for name, shape in shapes.items()}
     bonds = tuple(Bond(*edge) for edge in edges)
-    return TensorNetwork(params(), "mps", bonds, (), stacks, tuple(shapes))
+    return TensorNetwork(params(), "mps", bonds, stacks, tuple(shapes))
 
 
 def _tensordot_oracle(net: TensorNetwork) -> float:
@@ -282,27 +282,44 @@ def _made(step: PlanStep) -> list[str]:
 
 
 def _steps(*steps) -> tuple[PlanStep, ...]:
-    """Plan steps from (a, b, out, axis of b) tuples, all in one phase."""
-    return tuple(PlanStep(a, b, AxisPairing([(0, ib)]), "compress", out)
+    """Plan steps from (a, b, out, axis of b) tuples, all in one phase, over
+    one-row stacks: each pairs the operands' first axes past the row."""
+    return tuple(PlanStep(a, b, AxisPairing([(1, ib + 1)], 1), "compress", out)
                  for a, b, out, ib in steps)
 
 
-class TestExecuteRefusals:
-    """Hand-built plans that do not fit their network, one per refusal."""
+def _plan(*steps) -> ContractionPlan:
+    """An MPS plan of ``_steps`` that reads, as one-row stacks, every name a
+    step reads before a step makes it."""
+    made, reads = set(), []
+    for a, b, out, _ in steps:
+        reads += [name for name in (a, b) if name not in made | set(reads)]
+        made.add(out)
+    return ContractionPlan("mps", _steps(*steps), tuple((name, (1,)) for name in reads))
 
-    # the smallest MPS: site0 [d, x], site1 [x, d], u0/u1 [D, d], data0/data1 [D]
+
+# the smallest MPS as one-row stacks: site0 [d, x], site1 [x, d], u0/u1
+# [D, d], data0/data1 [D]
+SMALLEST = {"site0": (2, 2), "u0": (3, 2), "data0": (3,),
+            "site1": (2, 2), "u1": (3, 2), "data1": (3,)}
+
+
+class TestExecuteRefusals:
+    """Hand-built stack plans that do not fit their network, one per refusal."""
+
     COMPRESS = (("data0", "u0", "w0", 0), ("data1", "u1", "w1", 0))
     ABSORB = (("w0", "site0", "m0", 0), ("w1", "site1", "m1", 1))
 
     def refusal(self, *steps, net=None) -> str:
-        net = net or build_mps(params(M=2, N=1), seed=0)
         with pytest.raises(ValueError) as raised:
-            execute(net, ContractionPlan(net.kind, _steps(*steps)))
+            execute(net or _graph(SMALLEST, []), _plan(*steps))
         return str(raised.value)
 
     def test_missing_operand(self):
-        assert self.refusal(("data0", "ghost", "w0", 0)) == \
-            "plan does not match network: operand 'ghost' is not available"
+        assert self.refusal(("data0", "ghost", "w0", 0)) == (
+            "plan does not match network: where they differ, the plan reads "
+            "stacks [('ghost', (1,))] and the network holds [('data1', (1,)), "
+            "('site0', (1,)), ('site1', (1,)), ('u0', (1,)), ('u1', (1,))]")
 
     def test_operand_used_twice(self):
         # the first use consumes it, so the second finds nothing
@@ -315,10 +332,12 @@ class TestExecuteRefusals:
             "plan does not match network: operand 'data0' is not available"
 
     def test_output_name_in_use(self):
-        # a node the plan has not consumed yet, a live intermediate, an
-        # operand; the last two in plans that read every node of the network
-        assert self.refusal(("data0", "u0", "site1", 0)) == \
-            "plan output name 'site1' already in use"
+        # a stack the plan does not read, so the network holds one it does
+        # not read; a live intermediate; an operand
+        assert self.refusal(("data0", "u0", "site1", 0)) == (
+            "plan does not match network: where they differ, the plan reads "
+            "stacks [] and the network holds [('data1', (1,)), ('site0', (1,)), "
+            "('site1', (1,)), ('u1', (1,))]")
         assert self.refusal(*self.COMPRESS, ("w0", "site0", "w1", 0),
                             ("w1", "site1", "m1", 1)) == \
             "plan output name 'w1' already in use"
@@ -328,27 +347,22 @@ class TestExecuteRefusals:
     def test_tensors_left_over(self):
         assert self.refusal(*self.COMPRESS, *self.ABSORB) == \
             "plan leaves 2 tensors instead of a single scalar"
-        assert self.refusal() == "plan leaves 6 tensors instead of a single scalar"
+        assert self.refusal() == "plan leaves 0 tensors instead of a single scalar"
 
     def test_network_with_an_extra_node(self):
         net = build_mps(params(M=2, N=1), seed=0)
-        plan = mps_plan(net)
-        extra = _with_tensors(net, {"spare": Tensor(np.ones(2))})
+        spare = Stack(Tensor(np.ones((1, 2))), ("spare",), 1)
+        extra = replace(net, stacks={**net.stacks, "spare": spare})
         with pytest.raises(ValueError) as raised:
-            execute(extra, plan)
-        assert str(raised.value) == "plan leaves 2 tensors instead of a single scalar"
+            execute(extra, mps_plan(net))
+        assert str(raised.value) == (
+            "plan does not match network: where they differ, the plan reads "
+            "stacks [] and the network holds [('spare', (1,))]")
 
     def test_non_scalar_result(self):
         net = _graph({"a": (2,), "b": (2, 3)}, [])
         assert self.refusal(("a", "b", "ab", 0), net=net) == \
-            "plan result has shape (3,), expected a scalar"
-
-    def test_plan_without_steps_returns_the_only_tensor(self):
-        net = _graph({"a": ()}, [])
-        scalar, report = execute(net, ContractionPlan("mps", ()))
-        assert scalar == 1.0 and report.total == 0 and report.phase_subtotals == {}
-        assert self.refusal(net=_graph({"a": (2,)}, [])) == \
-            "plan result has shape (2,), expected a scalar"
+            "plan result has shape (1, 3), expected a scalar"
 
 
 class TestPlanRefusals:
@@ -368,21 +382,63 @@ class TestPlanRefusals:
         ((*COMPRESS, *ABSORB, ("m0", "m1", "m0", 0)),
          "plan output name 'm0' already in use"),
         ((*COMPRESS, *ABSORB), "plan leaves 2 tensors instead of a single scalar"),
+        ((), "plan leaves 0 tensors instead of a single scalar"),
     ])
     def test_refused_without_a_network(self, steps, message):
         with pytest.raises(ValueError) as raised:
-            ContractionPlan("mps", _steps(*steps))
+            _plan(*steps)
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("steps", [
-        (("data0", "ghost", "w0", 0),),     # a node the network lacks
-        (("data0", "u0", "site1", 0),),     # an output named like a node
-        (),                                 # no steps on six nodes
+        (("data0", "ghost", "w0", 0),),     # a stack the network lacks
+        (("data0", "u0", "site1", 0),),     # an output named like a stack
+        (*COMPRESS, ("w0", "w1", "result", 0)),    # no step reads a site
     ])
     def test_network_faults_are_refused_by_execute(self, steps):
-        plan = ContractionPlan("mps", _steps(*steps))
-        with pytest.raises(ValueError):
-            execute(build_mps(params(M=2, N=1), seed=0), plan)
+        plan = _plan(*steps)
+        with pytest.raises(ValueError, match="does not match network"):
+            execute(_graph(SMALLEST, []), plan)
+
+
+MISMATCHES = {
+    "missing": "plan does not match network: where they differ, the plan reads "
+               "stacks [('compressions', (3, 2)), ('data', (3, 2)), "
+               "('interior-teeth', (3, 1))] and the network holds "
+               "[('compressions', (3, 1)), ('data', (3, 1))]",
+    "extra": "plan does not match network: where they differ, the plan reads "
+             "stacks [] and the network holds [('spare', (1,))]",
+    "extents": "plan does not match network: where they differ, the plan reads "
+               "stacks [('compressions', (4,)), ('data', (4,)), "
+               "('interior-sites', (2,))] and the network holds "
+               "[('compressions', (3,)), ('data', (3,)), ('interior-sites', (1,))]",
+    "kind": "plan kind 'comb' does not match network kind 'mps'",
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCHES))
+def test_execute_refuses_a_mismatched_network_before_any_step(case, monkeypatch):
+    comb = build_comb(params(M=3, N=2), seed=0)
+    mps = build_mps(params(M=3, N=1), seed=0)
+    spare = Stack(Tensor(np.ones((1, 2))), ("spare",), 1)
+    net, plan = {
+        # the comb plan for N=2 on N=1, which has no interior teeth
+        "missing": (build_comb(params(M=3, N=1), seed=0), comb_plan(comb)),
+        "extra": (replace(mps, stacks={**mps.stacks, "spare": spare}), mps_plan(mps)),
+        # the MPS plan for 4 sites on 3
+        "extents": (mps, mps_plan(build_mps(params(M=2, N=2), seed=0))),
+        "kind": (mps, comb_plan(comb)),
+    }[case]
+    calls = []
+
+    def counted(a, b, pairing):
+        calls.append(pairing)
+        return contract_pair(a, b, pairing)
+
+    monkeypatch.setattr(engine, "contract_pair", counted)
+    with pytest.raises(ValueError) as raised:
+        execute(net, plan)
+    assert str(raised.value) == MISMATCHES[case]
+    assert calls == []
 
 
 # sha256 over every executed scalar's float.hex and every phase subtotal of
@@ -525,11 +581,11 @@ def test_stacked_plan_on_other_extents_is_refused():
     plan = mps_plan(build_mps(params(M=2, N=2), seed=0))
     with pytest.raises(ValueError) as raised:
         execute(small, plan)
-    assert str(raised.value) == ("plan does not match network: stack 'data' has "
-                                 "leading extents (3,), the plan reads (4,)")
+    assert str(raised.value) == MISMATCHES["extents"]
     comb = build_comb(params(M=3, N=2), seed=0)
-    with pytest.raises(ValueError, match="operand 'interior-teeth' is not available"):
+    with pytest.raises(ValueError) as raised:
         execute(build_comb(params(M=3, N=1), seed=0), comb_plan(comb))
+    assert str(raised.value) == MISMATCHES["missing"]
 
 
 def test_plan_stacks_must_be_the_stacks_it_reads():
@@ -561,9 +617,11 @@ class TestValueOracle:
     def test_all_ones_unit_network(self):
         p = params(D=1, d=1, x=1, M=2, N=1)
         net = build_mps(p, seed=0)
-        ones = {name: Tensor(np.ones(node.tensor.shape))
-                for name, node in net.nodes.items()}
-        net = _with_tensors(net, ones)
+        net = replace(net, stacks={
+            group: replace(stack, tensor=Tensor(np.ones(stack.tensor.shape)))
+            for group, stack in net.stacks.items()})
+        assert all(node.tensor == Tensor(np.ones(node.tensor.shape))
+                   for node in net.nodes.values())
         assert naive_value_oracle(net) == 1.0
         scalar, _ = execute(net, plan_for(net))
         assert scalar == 1.0
