@@ -123,7 +123,9 @@ class CostReport:
 
 # The final dot sums a vector against a vector; a stacked step sums the
 # first axis past its batch axes of the first operand against axis ``ib``
-# of the second.
+# of the second. The interior sites and teeth are stored with that axis
+# first past their leading axes, so the absorbs that read them pair
+# ``ib`` = batch.
 _DOT = AxisPairing(((0, 0),))
 
 
@@ -174,7 +176,7 @@ def _mps_plan(length: int) -> ContractionPlan:
     stacks = [("data", (length,)), ("compressions", (length,)),
               ("first-site", (1,)), ("last-site", (1,))]
     if interior:
-        steps.append(PlanStep("w-interior", "interior-sites", _stacked(1, 2),
+        steps.append(PlanStep("w-interior", "interior-sites", _stacked(1, 1),
                               "absorb-physical", "m-interior"))
         stacks.append(("interior-sites", (length - 2,)))
     steps.append(PlanStep(f"w{last}", "last-site", _stacked(1, 2),
@@ -224,7 +226,7 @@ def _comb_plan(m_count: int, n_count: int) -> ContractionPlan:
     steps = [PlanStep("data", "compressions", _stacked(2, 2), "compress",
                       tuple(w_parts))]
     if inner:
-        steps.append(PlanStep("w-interior", "interior-teeth", _stacked(2, 3),
+        steps.append(PlanStep("w-interior", "interior-teeth", _stacked(2, 2),
                               "absorb-physical",
                               tuple((f"t{n}", (teeth, n)) for n in inner)))
     # the running vectors of all teeth: ts{n} has swept positions n to N-1

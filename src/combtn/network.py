@@ -6,22 +6,29 @@ only tooth tensors have physical legs. In both geometries every physical
 site reads one data vector of length dim_raw through its own compression
 matrix of shape [dim_raw, dim_comp].
 
-Axis conventions (fixed so plans and bonds agree):
-  MPS sites:        left boundary [d, x], interior [x_left, d, x_right],
-                    right boundary [x, d]
+Axis conventions (fixed so plans and bonds agree), and in brackets after
+"stored" the order a stack keeps a member's axes in where that differs:
+the axis a plan sums first leads, so that step reads each member in place
+as one matrix.
+  MPS sites:        left boundary [d, x], right boundary [x, d],
+                    interior [x_left, d, x_right], stored [d, x_left, x_right]
   backbone:         boundary [x_horizontal, x_down], interior [x_left, x_right, x_down]
-  tooth tensors:    interior [x_up, d, x_down], end (farthest) [x_up, d]
+  tooth tensors:    end (farthest) [x_up, d],
+                    interior [x_up, d, x_down], stored [d, x_up, x_down]
   compression:      [D, d];  data: [D]
 
 Tensors of one shape and role are held in one stack, an array whose leading
 axes run over its members; a node's tensor is a read-only view of one
-member, made when a network's nodes are first read. Stacks and their
-leading axes:
+member, in the node's axis order, made when a network's nodes are first
+read. Stacks and their leading axes:
   MPS:   first-site [1], interior-sites [L-2], last-site [1],
          compressions [L], data [L]  (L = M*N sites, left to right)
   comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
          tooth-ends [M], compressions [M, N], data [M, N]
 A stack with no members is left out.
+
+Names, bonds and draw order depend only on the kind and (M, N), so each
+build reads them from a small bounded memo and only allocates and draws.
 """
 
 from __future__ import annotations
@@ -79,11 +86,14 @@ class Node:
 class Stack:
     """Tensors of one shape held in one read-only array, ``tensor``: its
     first ``lead`` axes run over the members, and the member named
-    ``names[i]`` is row i of them, in C order."""
+    ``names[i]`` is row i of them, in C order. A member is stored with its
+    node's axes permuted: the node is the member transposed by
+    ``node_axes``, or the member itself when that is None."""
 
     tensor: Tensor
     names: tuple[str, ...]
     lead: int
+    node_axes: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,8 @@ class TensorNetwork:
         for stack in self.stacks.values():
             arr = stack.tensor.array
             rows = arr.reshape(len(stack.names), *arr.shape[stack.lead:])
+            if stack.node_axes is not None:
+                rows = rows.transpose(0, *(axis + 1 for axis in stack.node_axes))
             for i, name in enumerate(stack.names):
                 # Node(_wrap(row)), without the frozen dataclass's
                 # __init__: this runs once per node the value oracle reads
@@ -136,49 +148,115 @@ class TensorNetwork:
         return {name: views[name] for name in self.order}
 
 
-class _Builder:
-    """Accumulates nodes and bonds; every tensor is drawn, in order of
-    ``add`` calls, from one generator seeded once per build, into the next
-    row of its stack. ``groups`` gives each stack's name, leading extents
-    and member shape, in order of first draw."""
+@dataclass(frozen=True)
+class _Layout:
+    """What every build of one kind and (M, N) shares, whatever its extents
+    and seed: each stack's member names, the bonds, the node order and the
+    draws, each a (stack, row) pair, in draw order."""
 
-    def __init__(self, seed, groups) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._stacks = {}
-        for group, lead, shape in groups:
-            if math.prod(lead):
-                arr = np.empty(lead + shape)
-                self._stacks[group] = (arr, arr.reshape(-1, *shape), [], len(lead))
-        self._order: list[str] = []
-        self.bonds: list[Bond] = []
+    names: dict[str, tuple[str, ...]]
+    bonds: tuple[Bond, ...]
+    order: tuple[str, ...]
+    draws: tuple[tuple[str, int], ...]
 
-    def add(self, name: str, group: str, fan_in: int) -> None:
-        # bit for bit normal(0, 1/sqrt(fan_in), shape), drawn into its row
-        _, rows, names, _ = self._stacks[group]
-        row = rows[len(names)]
-        self._rng.standard_normal(out=row)
-        row *= 1.0 / math.sqrt(fan_in)
+
+class _Recorder:
+    """Records a layout: one ``add`` per tensor, in draw order, each the
+    next row of its stack, and one ``bond`` per edge."""
+
+    def __init__(self) -> None:
+        self._names: dict[str, list[str]] = {}
+        self._draws: list[tuple[str, int]] = []
+        self._bonds: list[Bond] = []
+
+    def add(self, name: str, group: str) -> None:
+        names = self._names.setdefault(group, [])
+        self._draws.append((group, len(names)))
         names.append(name)
-        self._order.append(name)
 
     def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int) -> None:
-        self.bonds.append(Bond(node_a, axis_a, node_b, axis_b))
+        self._bonds.append(Bond(node_a, axis_a, node_b, axis_b))
 
-    def network(self, params: NetworkParams, kind: str) -> TensorNetwork:
-        """Freeze every stack; the nodes are its rows."""
-        stacks = {group: Stack(_owned(arr), tuple(names), lead)
-                  for group, (arr, _, names, lead) in self._stacks.items()}
-        return TensorNetwork(params, kind, tuple(self.bonds), stacks,
-                             tuple(self._order))
+    def layout(self) -> _Layout:
+        names = {group: tuple(members) for group, members in self._names.items()}
+        order = tuple(names[group][row] for group, row in self._draws)
+        return _Layout(names, tuple(self._bonds), order, tuple(self._draws))
 
 
-def _add_physical_column(b: _Builder, site: str, tag: str, phys_axis: int,
-                         dim_raw: int) -> None:
+# A layout depends only on the kind and (M, N); the grid visits every tuple
+# of one (M, N) in a row, so a few entries hit almost always, as for plans.
+_LAYOUT_MEMO = 4
+
+
+def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
+          groups) -> TensorNetwork:
+    """Allocate every stack and draw every tensor into its row, in layout
+    order, from one generator seeded once per build.
+
+    ``groups`` gives each stack's name, leading extents, node shape,
+    fan-in and stored axis order: None for the node's own order, else the
+    node's axes in the order the stack keeps them. Each tensor is, bit for
+    bit, ``normal(0, 1/sqrt(fan_in), node shape)``: a member stored in its
+    node's order is drawn into its row and scaled there, any other is drawn
+    into one buffer of the node's shape and scaled into its row.
+    """
+    rng = np.random.default_rng(seed)
+    normal = rng.standard_normal
+    slots, frozen = {}, {}
+    for group, lead, shape, fan_in, stored in groups:
+        if not math.prod(lead):
+            continue
+        scale = 1.0 / math.sqrt(fan_in)
+        if stored is None:
+            arr = np.empty(lead + shape)
+            slots[group] = (arr.reshape(-1, *shape), scale, None, None)
+            node_axes = None
+        else:
+            member = tuple(shape[axis] for axis in stored)
+            arr = np.empty(lead + member)
+            buffer = np.empty(shape)
+            slots[group] = (arr.reshape(-1, *member), scale, buffer,
+                            buffer.transpose(stored))
+            node_axes = tuple(stored.index(axis) for axis in range(len(shape)))
+        frozen[group] = (arr, len(lead), node_axes)
+    for group, i in layout.draws:
+        rows, scale, buffer, permuted = slots[group]
+        if buffer is None:
+            row = rows[i]
+            normal(out=row)
+            row *= scale
+        else:
+            normal(out=buffer)
+            np.multiply(permuted, scale, out=rows[i])
+    stacks = {group: Stack(_owned(arr), layout.names[group], lead, node_axes)
+              for group, (arr, lead, node_axes) in frozen.items()}
+    return TensorNetwork(params, kind, layout.bonds, stacks, layout.order)
+
+
+def _add_physical_column(b: _Recorder, site: str, tag: str, phys_axis: int) -> None:
     # one compression matrix and one data vector per physical site
-    b.add(f"u{tag}", "compressions", fan_in=dim_raw)
+    b.add(f"u{tag}", "compressions")
     b.bond(site, phys_axis, f"u{tag}", 1)
-    b.add(f"data{tag}", "data", fan_in=1)
+    b.add(f"data{tag}", "data")
     b.bond(f"u{tag}", 0, f"data{tag}", 0)
+
+
+@functools.lru_cache(maxsize=_LAYOUT_MEMO)
+def _mps_layout(length: int) -> _Layout:
+    b = _Recorder()
+    for i in range(length):
+        if i == 0:
+            group, phys_axis = "first-site", 0
+        elif i == length - 1:
+            group, phys_axis = "last-site", 1
+        else:
+            group, phys_axis = "interior-sites", 1
+        b.add(f"site{i}", group)
+        if i > 0:
+            prev_right = 1 if i == 1 else 2
+            b.bond(f"site{i - 1}", prev_right, f"site{i}", 0)
+        _add_physical_column(b, f"site{i}", str(i), phys_axis)
+    return b.layout()
 
 
 def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -191,26 +269,39 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
     if length < 2:
         raise ValueError(f"an MPS needs at least 2 sites, got {length}")
     big_d, d, x = params.dim_raw, params.dim_comp, params.bond_dim
-    b = _Builder(seed, [
-        ("first-site", (1,), (d, x)),
-        ("compressions", (length,), (big_d, d)),
-        ("data", (length,), (big_d,)),
-        ("interior-sites", (length - 2,), (x, d, x)),
-        ("last-site", (1,), (x, d)),
+    return _draw(params, "mps", seed, _mps_layout(length), [
+        ("first-site", (1,), (d, x), x, None),
+        ("compressions", (length,), (big_d, d), big_d, None),
+        ("data", (length,), (big_d,), 1, None),
+        ("interior-sites", (length - 2,), (x, d, x), x * x, (1, 0, 2)),
+        ("last-site", (1,), (x, d), x, None),
     ])
-    for i in range(length):
-        if i == 0:
-            group, phys_axis, fan_in = "first-site", 0, x
-        elif i == length - 1:
-            group, phys_axis, fan_in = "last-site", 1, x
+
+
+@functools.lru_cache(maxsize=_LAYOUT_MEMO)
+def _comb_layout(m_count: int, n_count: int) -> _Layout:
+    b = _Recorder()
+    for m in range(m_count):
+        if m in (0, m_count - 1):
+            group, down_axis = "boundary-spines", 1
         else:
-            group, phys_axis, fan_in = "interior-sites", 1, x * x
-        b.add(f"site{i}", group, fan_in)
-        if i > 0:
-            prev_right = 1 if i == 1 else 2
-            b.bond(f"site{i - 1}", prev_right, f"site{i}", 0)
-        _add_physical_column(b, f"site{i}", str(i), phys_axis, big_d)
-    return b.network(params, "mps")
+            group, down_axis = "interior-spines", 2
+        b.add(f"spine{m}", group)
+        if m > 0:
+            prev_right = 0 if m == 1 else 1
+            b.bond(f"spine{m - 1}", prev_right, f"spine{m}", 0)
+        for n in range(n_count):
+            tag = f"{m}.{n}"
+            if n == n_count - 1:
+                b.add(f"tooth{tag}", "tooth-ends")
+            else:
+                b.add(f"tooth{tag}", "interior-teeth")
+            if n == 0:
+                b.bond(f"spine{m}", down_axis, f"tooth{tag}", 0)
+            else:
+                b.bond(f"tooth{m}.{n - 1}", 2, f"tooth{tag}", 0)
+            _add_physical_column(b, f"tooth{tag}", tag, 1)
+    return b.layout()
 
 
 def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -222,35 +313,14 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
     """
     m_count, n_count = params.teeth, params.tooth_len
     big_d, d, x = params.dim_raw, params.dim_comp, params.bond_dim
-    b = _Builder(seed, [
-        ("boundary-spines", (2,), (x, x)),
-        ("interior-teeth", (m_count, n_count - 1), (x, d, x)),
-        ("tooth-ends", (m_count,), (x, d)),
-        ("compressions", (m_count, n_count), (big_d, d)),
-        ("data", (m_count, n_count), (big_d,)),
-        ("interior-spines", (m_count - 2,), (x, x, x)),
+    return _draw(params, "comb", seed, _comb_layout(m_count, n_count), [
+        ("boundary-spines", (2,), (x, x), x * x, None),
+        ("interior-teeth", (m_count, n_count - 1), (x, d, x), x * x, (1, 0, 2)),
+        ("tooth-ends", (m_count,), (x, d), x, None),
+        ("compressions", (m_count, n_count), (big_d, d), big_d, None),
+        ("data", (m_count, n_count), (big_d,), 1, None),
+        ("interior-spines", (m_count - 2,), (x, x, x), x ** 3, None),
     ])
-    for m in range(m_count):
-        if m in (0, m_count - 1):
-            group, down_axis, fan_in = "boundary-spines", 1, x * x
-        else:
-            group, down_axis, fan_in = "interior-spines", 2, x ** 3
-        b.add(f"spine{m}", group, fan_in)
-        if m > 0:
-            prev_right = 0 if m == 1 else 1
-            b.bond(f"spine{m - 1}", prev_right, f"spine{m}", 0)
-        for n in range(n_count):
-            tag = f"{m}.{n}"
-            if n == n_count - 1:
-                b.add(f"tooth{tag}", "tooth-ends", fan_in=x)
-            else:
-                b.add(f"tooth{tag}", "interior-teeth", fan_in=x * x)
-            if n == 0:
-                b.bond(f"spine{m}", down_axis, f"tooth{tag}", 0)
-            else:
-                b.bond(f"tooth{m}.{n - 1}", 2, f"tooth{tag}", 0)
-            _add_physical_column(b, f"tooth{tag}", tag, 1, big_d)
-    return b.network(params, "comb")
 
 
 def attach_data(net: TensorNetwork, data) -> TensorNetwork:

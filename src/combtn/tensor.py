@@ -174,14 +174,6 @@ def _owned(arr: np.ndarray) -> Tensor:
     return tensor
 
 
-def _absorb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # each vector of a against the middle axis of its [x, d, x] item of b,
-    # read in place as x stacked [d, x] matrices
-    out = np.matmul(a[..., None, None, :], b)
-    out.setflags(write=False)
-    return out[..., 0, :]
-
-
 def _chain(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
     # one np.dot per row, in order: the product a step of one site makes,
     # so each row leaves the bits that step left
@@ -222,8 +214,6 @@ def _kernel(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int,
         return None
     if batch == 0 and rank_a == 1 and pairs == ((0, 0),) and rank_b <= 2:
         return np.dot
-    if rank_a == batch + 1 and pairs == ((batch, batch + 1),) and rank_b == batch + 3:
-        return _absorb
     lead = tuple(range(batch))
     a_sum = [ia for ia, _ in pairs]
     b_sum = [ib for _, ib in pairs]
@@ -251,16 +241,14 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     - without batch axes, a vector against a vector or the first axis of a
       matrix (the final dot): a bare ``np.dot``; a final dot gives an
       immutable float64 scalar;
-    - a vector against the next-to-last axis of a rank-3 item, such as the
-      physical axis of an interior [x, d, x] site (the interior absorb):
-      ``np.matmul`` reading each item in place as a stack of [d, x]
-      matrices;
     - any other pairing: per batch item, ``a`` laid out as [free, summed]
       and ``b`` as [summed, free] for one ``np.matmul`` over the batch. For
       the C-contiguous items that stacks hold these are views when ``b``'s
       summed axes lead or trail its item, and ``a``'s trail or lead it, in
       pair order; otherwise the reshape copies whichever operand it cannot
-      view.
+      view. The interior sites and teeth are stored with the axis their
+      absorb sums leading, so a data vector against one of them is one
+      matrix–vector product per item, read in place.
 
     Each item's result has the bits of the same contraction run on that
     item alone.

@@ -444,7 +444,7 @@ def test_execute_refuses_a_mismatched_network_before_any_step(case, monkeypatch)
 # sha256 over every executed scalar's float.hex and every phase subtotal of
 # the networks in ``test_executed_values_are_pinned``; a kernel or schedule
 # change that moves one bit of one scalar changes it
-VALUE_DIGEST = "9f8290a438379f2238477351a0003f0ba7bb7e5df9ac8fc612a9527216adc300"
+VALUE_DIGEST = "c06b85a90f625a363a3a8a77bd20376b2ec275ada48aa1c0110d01a2b568c394"
 
 
 def test_executed_values_are_pinned():
@@ -468,7 +468,7 @@ def test_executed_values_are_pinned():
 # the same digest over both networks of the reference point (M=50, N=5, D=100,
 # d=30, x=10), build seed 3, raw and with two seeded samples each; its
 # steps run at other extents, so other BLAS paths, than the small grid's
-REFERENCE_DIGEST = "2f30c13025973f698323c79243e503d45a9f4a2c6edf6019c0f15216f516ce54"
+REFERENCE_DIGEST = "81ad8a78d81a0e89fef1b9035f810cabab9776f8aec3eb6467e04e2b0c2e7c51"
 
 
 def test_reference_values_are_pinned():
@@ -485,6 +485,26 @@ def test_reference_values_are_pinned():
                 digest.update(f" {phase}={count}".encode())
             digest.update(f" total={report.total};".encode())
     assert digest.hexdigest() == REFERENCE_DIGEST
+
+
+# sha256 over every phase subtotal and total, without the scalars, of every
+# small-grid network and both reference networks; a schedule or kernel
+# change that moves one count changes it, a change of summation order does not
+COUNT_DIGEST = "b7ac43e2a240471f58d6e8876a59a0b09d2e1d8417b3e51a8ab4f61b96da304c"
+
+
+def test_counts_are_pinned():
+    cases = [*grid_params("small"), params(D=100, d=30, x=10, M=50, N=5)]
+    digest = hashlib.sha256()
+    for p in cases:
+        for build in (build_mps, build_comb):
+            net = build(p, seed=1)
+            _, report = execute(net, plan_for(net))
+            digest.update(f"{net.kind}".encode())
+            for phase, count in report.phase_subtotals.items():
+                digest.update(f" {phase}={count}".encode())
+            digest.update(f" total={report.total};".encode())
+    assert digest.hexdigest() == COUNT_DIGEST
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])
@@ -574,6 +594,36 @@ def test_sequential_products_are_the_longest_dependency_path(monkeypatch):
     assert sequential_products("comb", reference) == 56
     with pytest.raises(ValueError, match="kind"):
         sequential_products("tree", reference)
+
+
+def test_every_step_costs_its_items_times_one_monomial(monkeypatch):
+    # at the prime extents D=7, d=5, x=3 the six monomials x, x², x³, dx,
+    # dx² and Dd are distinct, so each step's count, over its item count
+    # (its batch, or a chain's rows), names the one it costs per item
+    D, d, x = 7, 5, 3
+    monomials = {"compress": {D * d}, "absorb-physical": {d * x, d * x * x},
+                 "tooth-sweep": {x * x}, "tooth-to-backbone": {x * x, x ** 3},
+                 "chain-sweep": {x * x}, "final-dot": {x}}
+    assert len(set().union(*monomials.values())) == 6
+    recorded = []
+
+    def counted(a, b, pairing):
+        out, cost = contract_pair(a, b, pairing)
+        items = b.shape[0] if pairing.chain else math.prod(a.shape[:pairing.batch])
+        recorded.append((items, cost.multiplications))
+        return out, cost
+
+    monkeypatch.setattr(engine, "contract_pair", counted)
+    for m, n in sorted({(p.teeth, p.tooth_len) for p in grid_params("small")}):
+        for build in (build_mps, build_comb):
+            net = build(params(D=D, d=d, x=x, M=m, N=n), seed=0)
+            plan = plan_for(net)
+            recorded.clear()
+            execute(net, plan)
+            assert len(recorded) == len(plan.steps)
+            for step, (items, count) in zip(plan.steps, recorded):
+                assert count % items == 0, (net.kind, m, n, step)
+                assert count // items in monomials[step.phase], (net.kind, m, n, step)
 
 
 def test_stacked_plan_on_other_extents_is_refused():

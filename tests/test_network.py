@@ -188,6 +188,26 @@ def test_draw_policy_is_pinned():
     assert digest.hexdigest() == DRAW_DIGEST
 
 
+# sha256 over every node's name and shape, in node order, and every bond,
+# of each small-grid network of both kinds: the graph a build gives, which
+# does not depend on the draws or on how a stack lays out its members
+GRAPH_DIGEST = "60d20e49f6ad5edb12842eb9ebb4f579cc96e45c434acc0026d84f6eda5198d2"
+
+
+def test_graph_is_pinned():
+    digest = hashlib.sha256()
+    for p in grid_params("small"):
+        for build in (build_mps, build_comb):
+            net = build(p, seed=0)
+            digest.update(f"{net.kind} {p}".encode())
+            for name, node in net.nodes.items():
+                digest.update(f" {name}{node.tensor.shape}".encode())
+            for bond in net.bonds:
+                digest.update(f" {bond.node_a}.{bond.axis_a}-"
+                              f"{bond.node_b}.{bond.axis_b}".encode())
+    assert digest.hexdigest() == GRAPH_DIGEST
+
+
 @pytest.mark.parametrize("build", [build_mps, build_comb])
 def test_build_tensors_are_read_only_and_separate(build):
     net = build(small_params(teeth=3, tooth_len=2), seed=5)
@@ -199,6 +219,43 @@ def test_build_tensors_are_read_only_and_separate(build):
     for i, first in enumerate(arrays):
         for second in arrays[i + 1:]:
             assert not np.shares_memory(first, second)
+
+
+def _rows(stack) -> np.ndarray:
+    """The stack's members, one per row, as stored."""
+    arr = stack.tensor.array
+    return arr.reshape(len(stack.names), *arr.shape[stack.lead:])
+
+
+def _as_node(stack, row: np.ndarray) -> np.ndarray:
+    """A stored member with its axes permuted back to its node's order."""
+    return row if stack.node_axes is None else row.transpose(stack.node_axes)
+
+
+@pytest.mark.parametrize("group, build", [("interior-sites", build_mps),
+                                          ("interior-teeth", build_comb)])
+def test_interior_stacks_store_the_summed_axis_first(group, build):
+    # a plan's absorb sums the physical axis, node axis 1, first, so the
+    # stack keeps it right after the leading axes, the others in order;
+    # distinct extents, so a wrong order of d and x cannot pass
+    axis = 1
+    p = NetworkParams(dim_raw=5, dim_comp=3, bond_dim=2, teeth=4, tooth_len=3)
+    net = build(p, seed=6)
+    partner = {}
+    for bond in net.bonds:
+        partner[bond.node_a, bond.axis_a] = bond.node_b
+        partner[bond.node_b, bond.axis_b] = bond.node_a
+    stack = net.stacks[group]
+    arr = stack.tensor.array
+    shape = net.nodes[stack.names[0]].tensor.shape
+    assert arr.shape[stack.lead:] == \
+        (shape[axis], *(e for i, e in enumerate(shape) if i != axis))
+    assert arr.flags.c_contiguous and not arr.flags.writeable
+    for name, row in zip(stack.names, _rows(stack)):
+        node = net.nodes[name].tensor.array
+        assert partner[name, axis].startswith("u")
+        assert np.shares_memory(node, row) and not node.flags.writeable
+        assert np.array_equal(np.moveaxis(node, axis, 0), row), name
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])
@@ -217,11 +274,10 @@ def test_every_node_is_a_read_only_view_of_a_read_only_stack(build, mutate):
         assert not arr.flags.writeable and not owner.flags.writeable
         assert arr.shape[-1] > 0 and math.prod(arr.shape) == \
             len(stack.names) * net.nodes[stack.names[0]].tensor.size
-        rows = arr.reshape(len(stack.names), -1)
-        for i, name in enumerate(stack.names):
+        for name, row in zip(stack.names, _rows(stack)):
             node = net.nodes[name].tensor.array
             assert node.base is owner and not node.flags.writeable, name
-            assert np.shares_memory(node, rows[i]) and np.array_equal(node.ravel(), rows[i])
+            assert np.shares_memory(node, row) and np.array_equal(node, _as_node(stack, row))
             owners[name] = group
     # every node is in exactly one stack, and the stacks of a build are
     # the groups of its kind
@@ -243,14 +299,13 @@ def test_node_views_are_made_on_first_read(build):
     assert "nodes" not in vars(net) and "nodes" not in vars(scored)
     nodes = scored.nodes
     assert scored.nodes is nodes and "nodes" not in vars(net)
-    # in draw order, each a read-only row of its stack
+    # in draw order, each a read-only row of its stack in its node's axes
     assert list(nodes) == list(net.nodes)
     for stack in scored.stacks.values():
-        rows = stack.tensor.array.reshape(len(stack.names), -1)
-        for i, name in enumerate(stack.names):
+        for name, row in zip(stack.names, _rows(stack)):
             view = nodes[name].tensor.array
-            assert not view.flags.writeable and np.shares_memory(view, rows[i])
-            assert np.array_equal(view.ravel(), rows[i])
+            assert not view.flags.writeable and np.shares_memory(view, row)
+            assert np.array_equal(view, _as_node(stack, row))
     assert [nodes[name].tensor.array.tolist() for name in net.data_sites] == \
         data.tolist()
 

@@ -19,7 +19,6 @@ from combtn.tensor import (
     CountOverflowError,
     StepCost,
     Tensor,
-    _absorb,
     _chain,
     _kernel,
     _owned,
@@ -234,10 +233,11 @@ class TestContractPair:
 
     @pytest.mark.parametrize("lead", [(3,), (2, 2)])
     def test_stacked_absorb_reads_the_sites_in_place(self, lead):
-        # data vectors against the middle axis of [x, d, x] sites
+        # data vectors against the leading axis of [d, x, x] sites, the
+        # order an interior site is stored in
         w = random_tensor(lead + (30,), seed=1)
-        site = random_tensor(lead + (64, 30, 64), seed=2)
-        pairing = AxisPairing([(len(lead), len(lead) + 1)], batch=len(lead))
+        site = random_tensor(lead + (30, 64, 64), seed=2)
+        pairing = AxisPairing([(len(lead), len(lead))], batch=len(lead))
         contract_pair(w, site, pairing)
         tracemalloc.start()
         try:
@@ -277,8 +277,8 @@ class TestContractPair:
 
 def transposed_path(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     """``a`` as [free, summed] and ``b`` as [summed, free], one ``np.dot``:
-    the path ``contract_pair`` took for every plan step but the interior
-    absorb before it had a kernel table."""
+    the path ``contract_pair`` takes for every plan step but the sweeps and
+    the final dot, run on one item."""
     a_sum = [ia for ia, _ in pairs]
     b_sum = [ib for _, ib in pairs]
     a_t = a.transpose([i for i in range(a.ndim) if i not in a_sum] + a_sum)
@@ -286,15 +286,6 @@ def transposed_path(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     summed = math.prod(b_t.shape[:len(pairs)])
     out = np.dot(a_t.reshape(-1, summed), b_t.reshape(summed, -1))
     return out.reshape(a_t.shape[:a.ndim - len(pairs)] + b_t.shape[len(pairs):])
-
-
-def one_item(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
-    """One item's contraction as plans ran it one site at a time, before
-    stacks: ``np.matmul`` for the interior absorb, the transposed path for
-    every other step."""
-    if pairs == ((0, 1),) and a.ndim == 1 and b.ndim == 3:
-        return np.matmul(a, b)
-    return transposed_path(a, b, pairs)
 
 
 def per_site_sweep(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -350,19 +341,19 @@ PLAN_KERNELS = {
     ((), 1, 3, 0, True): _chain,                # chain and backbone sweeps
     (((0, 0),), 1, 1, 0, False): np.dot,        # final dot
     (((1, 1),), 2, 3, 1, False): _transposed,   # MPS compress and first absorb
-    (((1, 2),), 2, 4, 1, False): _absorb,       # MPS interior absorb
+    (((1, 1),), 2, 4, 1, False): _transposed,   # MPS interior absorb
     (((1, 2),), 2, 3, 1, False): _transposed,   # last absorb, tooth ends,
                                                 # tooth sweep, boundary spines
     (((2, 2),), 3, 4, 2, False): _transposed,   # comb compress
-    (((2, 3),), 3, 5, 2, False): _absorb,       # comb interior absorb
+    (((2, 2),), 3, 5, 2, False): _transposed,   # comb interior absorb
     (((1, 3),), 2, 4, 1, False): _transposed,   # teeth into the interior spines
 }
 
 
 def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
-    # each batch item of a stacked step has the bits of that item's step
-    # run alone, and a chain step the bits of its sweep, as plans ran them
-    # one site at a time
+    # each batch item of a stacked step has the bits of the transposed
+    # path run on that item alone, and a chain step the bits of its sweep
+    # as plans ran it one site at a time
     steps = []
 
     def recorded(a, b, pairing):
@@ -394,12 +385,12 @@ def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
         batch = pairing.batch
         pairs = tuple((ia - batch, ib - batch) for ia, ib in pairing.pairs)
         for item in np.ndindex(a.shape[:batch]):
-            assert np.array_equal(out[item], one_item(a[item], b[item], pairs)), key
+            assert np.array_equal(out[item], transposed_path(a[item], b[item], pairs)), key
         assert out.flags.c_contiguous and not out.flags.writeable
     assert seen == set(PLAN_KERNELS)
 
 
-def test_kernels_are_np_dot_the_absorb_or_the_transposed_path():
+def test_kernels_are_np_dot_or_the_transposed_path():
     for rank_a, rank_b in itertools.product(range(5), repeat=2):
         for batch in range(min(rank_a, rank_b, 2) + 1):
             for count in range(min(rank_a, rank_b) - batch + 1):
@@ -407,7 +398,7 @@ def test_kernels_are_np_dot_the_absorb_or_the_transposed_path():
                     for b_axes in itertools.permutations(range(batch, rank_b), count):
                         kernel = _kernel(tuple(zip(a_axes, b_axes)),
                                          rank_a, rank_b, batch)
-                        assert kernel in (np.dot, _absorb) or kernel.func is _transposed
+                        assert kernel is np.dot or kernel.func is _transposed
                         assert kernel is not np.dot or batch == 0
 
 
