@@ -58,6 +58,8 @@ def _int_at_least(low: int):
 
 _seed = _int_at_least(0)        # numpy seeds are non-negative integers
 _reps = _int_at_least(3)        # bench reports a median of at least three runs
+_teeth = _int_at_least(2)       # a comb backbone has two ends
+_extent = _int_at_least(1)      # every other network dimension
 
 
 def _bond_list(text: str) -> list[int]:
@@ -314,9 +316,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     params = [NetworkParams(dim_raw=args.dim_raw, dim_comp=args.dim_comp,
                             bond_dim=x, teeth=args.teeth, tooth_len=args.tooth_len)
               for x in args.bond_list]
-    lines = ["kind,x,measured_mults,median_ns,reps"]
-    # opened before any build, so an unwritable path costs no work
+    # opened before any build, so an unwritable path costs no work; each
+    # row is written once timed, so a later failure keeps the rows before it
     with open(args.out, "w", newline="") as handle:
+        handle.write("kind,x,measured_mults,median_ns,reps\n")
         for kind, build in (("mps", build_mps), ("comb", build_comb)):
             for p in params:
                 net = build(p, seed=args.seed)
@@ -326,18 +329,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     start = time.perf_counter_ns()
                     _, report = execute(net, steps)
                     timings.append(time.perf_counter_ns() - start)
-                lines.append(f"{kind},{p.bond_dim},{report.total},"
-                             f"{round(median(timings))},{args.reps}")
-        handle.write("\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} rows to {args.out}")
+                handle.write(f"{kind},{p.bond_dim},{report.total},"
+                             f"{round(median(timings))},{args.reps}\n")
+    print(f"wrote {2 * len(params)} rows to {args.out}")
     return 0
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--teeth", type=int, required=True, help="backbone length M")
-    sub.add_argument("--tooth-len", type=int, required=True, help="tensors per tooth N")
-    sub.add_argument("--dim-raw", type=int, required=True, help="raw physical dimension D")
-    sub.add_argument("--dim-comp", type=int, required=True,
+    sub.add_argument("--teeth", type=_teeth, required=True, help="backbone length M")
+    sub.add_argument("--tooth-len", type=_extent, required=True,
+                     help="tensors per tooth N")
+    sub.add_argument("--dim-raw", type=_extent, required=True,
+                     help="raw physical dimension D")
+    sub.add_argument("--dim-comp", type=_extent, required=True,
                      help="compressed physical dimension d")
 
 
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cost = subparsers.add_parser("cost", help="closed-form cost tables")
     _add_param_flags(cost)
-    cost.add_argument("--bond", type=int, required=True, help="bond dimension x")
+    cost.add_argument("--bond", type=_extent, required=True, help="bond dimension x")
     cost.add_argument("--basis", choices=costmodel.BASES, default="schedule")
     cost.set_defaults(handler=cmd_cost)
 
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     contract = subparsers.add_parser("contract", help="build and contract a network")
     contract.add_argument("--kind", choices=("mps", "comb"), required=True)
     _add_param_flags(contract)
-    contract.add_argument("--bond", type=int, required=True)
+    contract.add_argument("--bond", type=_extent, required=True)
     contract.add_argument("--seed", type=_seed, default=42)
     contract.add_argument("--data", help="data-matrix CSV (sites rows, dim-raw columns)")
     contract.add_argument("--orthonormal-u", action="store_true",

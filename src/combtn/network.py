@@ -139,11 +139,11 @@ class TensorNetwork:
             rows = arr.reshape(len(stack.names), *arr.shape[stack.lead:])
             if stack.node_axes is not None:
                 rows = rows.transpose(0, *(axis + 1 for axis in stack.node_axes))
-            for i, name in enumerate(stack.names):
+            for name, row in zip(stack.names, rows):
                 # Node(_wrap(row)), without the frozen dataclass's
                 # __init__: this runs once per node the value oracle reads
                 node = _new(Node)
-                node.__dict__["tensor"] = _wrap(rows[i, ...])
+                node.__dict__["tensor"] = _wrap(row)
                 views[name] = node
         return {name: views[name] for name in self.order}
 
@@ -196,9 +196,9 @@ def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
     ``groups`` gives each stack's name, leading extents, node shape,
     fan-in and stored axis order: None for the node's own order, else the
     node's axes in the order the stack keeps them. Each tensor is, bit for
-    bit, ``normal(0, 1/sqrt(fan_in), node shape)``: a member stored in its
-    node's order is drawn into its row and scaled there, any other is drawn
-    into one buffer of the node's shape and scaled into its row.
+    bit, ``normal(0, 1/sqrt(fan_in), node shape)``: it is drawn into one
+    buffer of the node's shape per stack and scaled into its row, in the
+    stack's axis order.
     """
     rng = np.random.default_rng(seed)
     normal = rng.standard_normal
@@ -206,28 +206,19 @@ def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
     for group, lead, shape, fan_in, stored in groups:
         if not math.prod(lead):
             continue
-        scale = 1.0 / math.sqrt(fan_in)
-        if stored is None:
-            arr = np.empty(lead + shape)
-            slots[group] = (arr.reshape(-1, *shape), scale, None, None)
-            node_axes = None
-        else:
-            member = tuple(shape[axis] for axis in stored)
-            arr = np.empty(lead + member)
-            buffer = np.empty(shape)
-            slots[group] = (arr.reshape(-1, *member), scale, buffer,
-                            buffer.transpose(stored))
-            node_axes = tuple(stored.index(axis) for axis in range(len(shape)))
+        buffer = np.empty(shape)
+        permuted = buffer.transpose(tuple(range(len(shape))) if stored is None
+                                    else stored)
+        arr = np.empty(lead + permuted.shape)
+        slots[group] = (arr.reshape(-1, *permuted.shape),
+                        1.0 / math.sqrt(fan_in), buffer, permuted)
+        node_axes = None if stored is None else tuple(
+            stored.index(axis) for axis in range(len(shape)))
         frozen[group] = (arr, len(lead), node_axes)
     for group, i in layout.draws:
         rows, scale, buffer, permuted = slots[group]
-        if buffer is None:
-            row = rows[i]
-            normal(out=row)
-            row *= scale
-        else:
-            normal(out=buffer)
-            np.multiply(permuted, scale, out=rows[i])
+        normal(out=buffer)
+        np.multiply(permuted, scale, out=rows[i])
     stacks = {group: Stack(_owned(arr), layout.names[group], lead, node_axes)
               for group, (arr, lead, node_axes) in frozen.items()}
     return TensorNetwork(params, kind, layout.bonds, stacks, layout.order)

@@ -168,10 +168,7 @@ def _owned(arr: np.ndarray) -> Tensor:
     a kernel that returns a view freezes the array it views.
     """
     arr.setflags(write=False)
-    # _wrap's body, inline: this runs once per contraction step
-    tensor = _new(Tensor)
-    tensor.__dict__["array"] = arr
-    return tensor
+    return _wrap(arr)
 
 
 def _chain(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -200,20 +197,9 @@ def _transposed(batch: int, a_order, b_order, a_free_count: int,
 @functools.lru_cache(maxsize=32)
 def _kernel(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int,
             batch: int):
-    """The matrix product ``contract_pair`` runs for one (pairs, ranks, batch).
-
-    Returns a function of the two operand arrays, or None when the batch
-    does not fit the ranks or an axis is out of range or used twice.
-    ``contract_pair`` lists the kernels; the summed axes of ``_transposed``
-    are in pair order.
-    """
-    try:
-        # unit extents cannot differ, so this fails only on the axes themselves
-        AxisPairing(pairs, batch).validate((1,) * rank_a, (1,) * rank_b)
-    except ValueError:
-        return None
-    if batch == 0 and rank_a == 1 and pairs == ((0, 0),) and rank_b <= 2:
-        return np.dot
+    """``_transposed`` with the axis orders of one (pairs, ranks, batch)
+    worked out, for a pairing that ``AxisPairing.validate`` has passed; the
+    summed axes are in pair order."""
     lead = tuple(range(batch))
     a_sum = [ia for ia, _ in pairs]
     b_sum = [ib for _, ib in pairs]
@@ -234,21 +220,21 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     extents) times product(contracted extents), checked against the 64-bit
     range: a product over k batch items counts k times one item's count.
 
-    Every pairing but ``CHAIN``, scalars and outer products included, runs
-    as one matrix product, picked once per (pairs, ranks, batch) by
-    ``_kernel``:
+    Every call first checks the pairing against both shapes with
+    ``AxisPairing.validate``, which raises on a pairing that does not fit.
 
-    - without batch axes, a vector against a vector or the first axis of a
-      matrix (the final dot): a bare ``np.dot``; a final dot gives an
-      immutable float64 scalar;
-    - any other pairing: per batch item, ``a`` laid out as [free, summed]
-      and ``b`` as [summed, free] for one ``np.matmul`` over the batch. For
-      the C-contiguous items that stacks hold these are views when ``b``'s
-      summed axes lead or trail its item, and ``a``'s trail or lead it, in
-      pair order; otherwise the reshape copies whichever operand it cannot
-      view. The interior sites and teeth are stored with the axis their
-      absorb sums leading, so a data vector against one of them is one
-      matrix–vector product per item, read in place.
+    Every pairing but ``CHAIN``, the final dot, scalars and outer products
+    included, then runs as one matrix product, with axis orders worked out
+    once per (pairs, ranks, batch) by ``_kernel``: per batch item, ``a``
+    laid out as [free, summed] and ``b`` as [summed, free] for one
+    ``np.matmul`` over the batch. For the C-contiguous items that stacks
+    hold these are views when ``b``'s summed axes lead or trail its item,
+    and ``a``'s trail or lead it, in pair order; otherwise the reshape
+    copies whichever operand it cannot view. The interior sites and teeth
+    are stored with the axis their absorb sums leading, so a data vector
+    against one of them is one matrix–vector product per item, read in
+    place. A vector against a vector (the final dot) gives a read-only
+    0-d array with the bits of ``np.dot``.
 
     Each item's result has the bits of the same contraction run on that
     item alone.
@@ -257,28 +243,15 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     backbone sweep): one ``np.dot`` per row, in row order, each with the
     bits of that row's step run alone. It counts x**2 per row, k * x**2 in
     all, which is the stack's size.
-
-    A pairing that does not fit the operands is reported by
-    ``AxisPairing.validate``.
     """
     a_arr, b_arr = a.array, b.array
-    a_shape, b_shape = a_arr.shape, b_arr.shape
+    pairing.validate(a_arr.shape, b_arr.shape)
     if pairing.chain:
-        if len(a_shape) != 1 or b_shape[1:] != a_shape * 2:
-            pairing.validate(a_shape, b_shape)
         out, count = _chain(a_arr, b_arr), b_arr.size
     else:
-        pairs, batch = pairing.pairs, pairing.batch
-        kernel = _kernel(pairs, len(a_shape), len(b_shape), batch)
-        if kernel is None or (batch and a_shape[:batch] != b_shape[:batch]):
-            pairing.validate(a_shape, b_shape)
-        summed = 1
-        for ia, ib in pairs:
-            if a_shape[ia] != b_shape[ib]:
-                pairing.validate(a_shape, b_shape)
-            summed *= a_shape[ia]
-        out = kernel(a_arr, b_arr)
-        count = out.size * summed
+        pairs = pairing.pairs
+        out = _kernel(pairs, a_arr.ndim, b_arr.ndim, pairing.batch)(a_arr, b_arr)
+        count = out.size * math.prod(a_arr.shape[ia] for ia, _ in pairs)
     cost = _new(StepCost)
     cost.__dict__["multiplications"] = checked_count(count)
     return _owned(out), cost

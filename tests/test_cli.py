@@ -383,6 +383,20 @@ class TestBench:
         assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
         assert built == []
 
+    def test_rows_timed_before_a_refused_allocation_are_kept(self, capsys, tmp_path):
+        # the MPS at x=2 is timed; its x=4194304 interior sites are refused
+        out_csv = tmp_path / "b.csv"
+        code, out, err = run(capsys, ["bench", "--teeth", "3", "--tooth-len", "1",
+                                      "--dim-raw", "1", "--dim-comp", "1",
+                                      "--bond-list", "2,4194304",
+                                      "--out", str(out_csv)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == "kind,x,measured_mults,median_ns,reps"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["mps", "2"]]
+
     def test_too_few_reps_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["bench", "--teeth", "3", "--tooth-len", "1",
                                     "--dim-raw", "2", "--dim-comp", "2",
@@ -404,6 +418,29 @@ def test_bad_bond_list_is_a_usage_error_naming_the_flag(capsys, tmp_path, bond_l
     assert out == ""
     assert "error: argument --bond-list" in err
     assert repr(bond_list) in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command in ("cost", "contract", "bench")
+    for flag, value in (("--teeth", "1"), ("--tooth-len", "0"), ("--dim-raw", "0"),
+                        ("--dim-comp", "-1"), ("--bond", "0"), ("--teeth", "two"))
+    if (command, flag) != ("bench", "--bond")
+])
+def test_network_flag_out_of_bounds_is_a_usage_error_naming_the_flag(
+        capsys, tmp_path, command, flag, value):
+    out_csv = tmp_path / "b.csv"
+    flags = {"--teeth": "2", "--tooth-len": "1", "--dim-raw": "2", "--dim-comp": "2"}
+    extra = {"cost": ["--bond", "2"], "contract": ["--kind", "mps", "--bond", "2"],
+             "bench": ["--bond-list", "2", "--out", str(out_csv)]}[command]
+    argv = [command, *(item for pair in flags.items() for item in pair), *extra]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run(capsys, argv)
+    low = 2 if flag == "--teeth" else 1
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {flag}: must be an integer >= {low}, got {value!r}" in err
     assert not out_csv.exists()
 
 

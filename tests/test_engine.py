@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -624,6 +627,79 @@ def test_every_step_costs_its_items_times_one_monomial(monkeypatch):
             for step, (items, count) in zip(plan.steps, recorded):
                 assert count % items == 0, (net.kind, m, n, step)
                 assert count // items in monomials[step.phase], (net.kind, m, n, step)
+
+
+def _exact_rank(rows) -> int:
+    """Rank of an integer matrix, by elimination over the rationals."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("grid, rank", [("full", 16), ("small", 12)])
+def test_grid_points_pin_the_span_of_step_costs(grid, rank):
+    # an engine total, like every closed form, lies in the span of the 16
+    # monomials D^a d^b x^c (a, b <= 1, c <= 3); a polynomial there is fixed
+    # by its values on points whose evaluation matrix has rank 16, so a full
+    # grid PASS holds at every (D, d, x) of its (M, N), and a small one does
+    # not prove it
+    points: dict[tuple[int, int], set[tuple[int, int, int]]] = {}
+    for p in grid_params(grid):
+        points.setdefault((p.teeth, p.tooth_len), set()).add(
+            (p.dim_raw, p.dim_comp, p.bond_dim))
+    shared = points[2, 1]
+    assert all(group == shared for group in points.values())
+    assert len(shared) == {"full": 36, "small": 18}[grid]
+    matrix = [[D ** a * d ** b * x ** c
+               for a, b, c in itertools.product((0, 1), (0, 1), range(4))]
+              for D, d, x in sorted(shared)]
+    assert _exact_rank(matrix) == rank
+
+
+def test_step_counts_per_phase_and_monomial_are_affine_in_m_n_mn(monkeypatch):
+    # items per (phase, monomial) at the prime extents D=7, d=5, x=3; a
+    # function of (M, N) is affine in (1, M, N, MN) when it is affine in M
+    # at each N and in N at each M, so its second differences vanish
+    D, d, x = 7, 5, 3
+    recorded = []
+
+    def counted(a, b, pairing):
+        out, cost = contract_pair(a, b, pairing)
+        items = b.shape[0] if pairing.chain else math.prod(a.shape[:pairing.batch])
+        monomial, rest = divmod(cost.multiplications, items)
+        assert rest == 0 and monomial in {x, x * x, x ** 3, d * x, d * x * x, D * d}
+        recorded.append((items, monomial))
+        return out, cost
+
+    monkeypatch.setattr(engine, "contract_pair", counted)
+    m_range, n_range = range(2, 13), range(1, 13)
+    for build in (build_mps, build_comb):
+        tallies = {}
+        for m, n in itertools.product(m_range, n_range):
+            net = build(params(D=D, d=d, x=x, M=m, N=n), seed=0)
+            plan = plan_for(net)
+            recorded.clear()
+            execute(net, plan)
+            tally = tallies[m, n] = Counter()
+            for step, (items, monomial) in zip(plan.steps, recorded):
+                tally[step.phase, monomial] += items
+        keys = set().union(*tallies.values())
+        assert len(keys) == {"mps": 5, "comb": 8}[net.kind]
+        for key in keys:
+            f = {mn: tally[key] for mn, tally in tallies.items()}
+            for m, n in itertools.product(m_range[:-2], n_range):
+                assert f[m, n] - 2 * f[m + 1, n] + f[m + 2, n] == 0, (build, key, m, n)
+            for m, n in itertools.product(m_range, n_range[:-2]):
+                assert f[m, n] - 2 * f[m, n + 1] + f[m, n + 2] == 0, (build, key, m, n)
 
 
 def test_stacked_plan_on_other_extents_is_refused():

@@ -277,8 +277,8 @@ class TestContractPair:
 
 def transposed_path(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     """``a`` as [free, summed] and ``b`` as [summed, free], one ``np.dot``:
-    the path ``contract_pair`` takes for every plan step but the sweeps and
-    the final dot, run on one item."""
+    the path ``contract_pair`` takes for every plan step but the sweeps,
+    run on one item."""
     a_sum = [ia for ia, _ in pairs]
     b_sum = [ib for _, ib in pairs]
     a_t = a.transpose([i for i in range(a.ndim) if i not in a_sum] + a_sum)
@@ -339,7 +339,7 @@ def test_a_chain_takes_no_pairs_and_no_batch():
 # and its kernel
 PLAN_KERNELS = {
     ((), 1, 3, 0, True): _chain,                # chain and backbone sweeps
-    (((0, 0),), 1, 1, 0, False): np.dot,        # final dot
+    (((0, 0),), 1, 1, 0, False): _transposed,   # final dot
     (((1, 1),), 2, 3, 1, False): _transposed,   # MPS compress and first absorb
     (((1, 1),), 2, 4, 1, False): _transposed,   # MPS interior absorb
     (((1, 2),), 2, 3, 1, False): _transposed,   # last absorb, tooth ends,
@@ -380,8 +380,7 @@ def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
             assert PLAN_KERNELS[key] is _chain
             assert out.tobytes() == per_site_sweep(a, b).tobytes()
             continue
-        kernel = _kernel(*key[:4])
-        assert getattr(kernel, "func", kernel) is PLAN_KERNELS[key], key
+        assert _kernel(*key[:4]).func is PLAN_KERNELS[key], key
         batch = pairing.batch
         pairs = tuple((ia - batch, ib - batch) for ia, ib in pairing.pairs)
         for item in np.ndindex(a.shape[:batch]):
@@ -390,7 +389,7 @@ def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
     assert seen == set(PLAN_KERNELS)
 
 
-def test_kernels_are_np_dot_or_the_transposed_path():
+def test_every_pairing_runs_the_transposed_path():
     for rank_a, rank_b in itertools.product(range(5), repeat=2):
         for batch in range(min(rank_a, rank_b, 2) + 1):
             for count in range(min(rank_a, rank_b) - batch + 1):
@@ -398,8 +397,19 @@ def test_kernels_are_np_dot_or_the_transposed_path():
                     for b_axes in itertools.permutations(range(batch, rank_b), count):
                         kernel = _kernel(tuple(zip(a_axes, b_axes)),
                                          rank_a, rank_b, batch)
-                        assert kernel is np.dot or kernel.func is _transposed
-                        assert kernel is not np.dot or batch == 0
+                        assert kernel.func is _transposed
+
+
+def test_final_dot_is_a_read_only_scalar_with_the_bits_of_np_dot():
+    # the final dot runs on the matmul path, as [1, n] @ [n, 1]
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 70), 100, 128, 257]:
+        for _ in range(10):
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            out, cost = contract_pair(Tensor(a), Tensor(b), AxisPairing([(0, 0)]))
+            assert out.shape == () and not out.array.flags.writeable
+            assert float(out.array).hex() == float(np.dot(a, b)).hex(), n
+            assert cost.multiplications == n
 
 
 @pytest.mark.parametrize("batch", [1, 2])
