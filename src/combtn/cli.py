@@ -152,6 +152,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         return 0
     print(f"teeth (M):          {result.teeth}")
     print(f"compressed dim (d): {result.comp_dim:g}")
+    if result.teeth == 2:
+        print(f"linear: {result.b:g}*x = 0  (the x^2 term vanishes at M = 2)")
+        print("root: x = 0")
+        print("MPS always cheaper for x >= 1")
+        return 0
     print(f"quadratic: {result.a:g}*x^2 + {result.b:g}*x + {result.c:g} = 0  "
           f"(discriminant {result.discriminant:g})")
     if result.roots is None:
@@ -359,16 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     cost.set_defaults(handler=cmd_cost)
 
     threshold = subparsers.add_parser("threshold", help="threshold quadratic roots")
-    threshold.add_argument("--teeth", type=int, required=True)
+    threshold.add_argument("--teeth", type=_teeth, required=True)
     threshold.add_argument("--dim-comp", type=float, required=True)
     threshold.add_argument("--json", action="store_true")
     threshold.set_defaults(handler=cmd_threshold)
 
     sweep = subparsers.add_parser("sweep", help="threshold roots over a range of d")
-    sweep.add_argument("--teeth", type=int, required=True)
-    sweep.add_argument("--d-min", type=int, required=True)
-    sweep.add_argument("--d-max", type=int, required=True)
-    sweep.add_argument("--step", type=int, default=1)
+    sweep.add_argument("--teeth", type=_teeth, required=True)
+    sweep.add_argument("--d-min", type=_extent, required=True)
+    sweep.add_argument("--d-max", type=_extent, required=True)
+    sweep.add_argument("--step", type=_extent, default=1)
     sweep.add_argument("--out", required=True, help="CSV output path")
     sweep.add_argument("--svg", help="optional SVG chart path")
     sweep.set_defaults(handler=cmd_sweep)

@@ -12,7 +12,10 @@ extents against it once, then runs its steps by name. A plan depends only
 on the network's kind and its (M, N), so networks that share them share
 one frozen plan object, kept in a small bounded memo. The independent value
 oracle contracts the raw bond graph in bond order and is used to
-cross-check the scalar produced by plan execution.
+cross-check the scalar produced by plan execution. Its merge schedule
+depends only on the bond graph, so it is walked once per graph, kept in a
+small bounded memo of its own, and replayed for every network on that
+graph; a replay only transposes, reshapes and multiplies.
 """
 
 from __future__ import annotations
@@ -301,6 +304,95 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     return float(final.array), report
 
 
+@dataclass(frozen=True, slots=True)
+class _OracleSchedule:
+    """The value oracle's merges of one bond graph, in bond order.
+
+    Node i of the graph starts in component slot i. Each op is (bond label,
+    slot of the bond's first end, its transpose order or None, slot of the
+    second end, its transpose order or None, slot kept); the first side is
+    transposed to sum its last axis, the second its first, and the merge is
+    kept in the larger component's slot. ``result`` is the slot left.
+    """
+
+    ops: tuple[tuple, ...]
+    result: int
+
+
+# An oracle schedule depends only on the bond graph: the node order, the
+# bonds and each node's rank. Builds of one kind and (M, N) share the
+# layout memo's tuples, so a hit costs an identity check per item; a bound
+# keeps the memo as small as the plan memo.
+_ORACLE_MEMO = 4
+_oracle_schedules: list[tuple[tuple, _OracleSchedule]] = []
+
+
+def _oracle_schedule(order: tuple[str, ...], bonds, ranks: tuple[int, ...]
+                     ) -> _OracleSchedule:
+    """The memo's schedule for this graph, walked and kept on a miss."""
+    key = (order, bonds, ranks)
+    for i, (seen, schedule) in enumerate(_oracle_schedules):
+        if seen == key:
+            if i:
+                _oracle_schedules.insert(0, _oracle_schedules.pop(i))
+            return schedule
+    schedule = _walk_bond_graph(order, bonds, ranks)
+    _oracle_schedules.insert(0, (key, schedule))
+    del _oracle_schedules[_ORACLE_MEMO:]
+    return schedule
+
+
+def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...]
+                     ) -> _OracleSchedule:
+    """Label every leg, check the graph is a closed tree, and record one
+    merge per bond; reads no extent, so any network on this graph replays it.
+
+    Each component keeps its member list, and a merge relabels the smaller
+    one, so relabelling costs O(nodes log nodes) over a whole walk.
+    """
+    slot_of = {name: i for i, name in enumerate(order)}
+    legs = [[-1] * rank for rank in ranks]
+    for label, bond in enumerate(bonds):
+        legs[slot_of[bond.node_a]][bond.axis_a] = label
+        legs[slot_of[bond.node_b]][bond.axis_b] = label
+    for name, axes in zip(order, legs):
+        if -1 in axes:
+            raise ValueError(f"network is not closed: node {name!r} has a free axis")
+
+    owner = list(range(len(order)))
+    members = [[slot] for slot in owner]
+    ops = []
+    for label, bond in enumerate(bonds):
+        comp_a = owner[slot_of[bond.node_a]]
+        comp_b = owner[slot_of[bond.node_b]]
+        if comp_a == comp_b:
+            raise ValueError("cycle in bond graph; oracle supports trees only")
+        legs_a, legs_b = legs[comp_a], legs[comp_b]
+        axis_a = legs_a.index(label)
+        axis_b = legs_b.index(label)
+        rank_a, rank_b = len(legs_a), len(legs_b)
+        order_a = None if axis_a == rank_a - 1 else \
+            (*range(axis_a), *range(axis_a + 1, rank_a), axis_a)
+        order_b = None if axis_b == 0 else \
+            (axis_b, *range(axis_b), *range(axis_b + 1, rank_b))
+        keep, gone = comp_a, comp_b
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        ops.append((label, comp_a, order_a, comp_b, order_b, keep))
+        legs[keep] = legs_a[:axis_a] + legs_a[axis_a + 1:] \
+            + legs_b[:axis_b] + legs_b[axis_b + 1:]
+        legs[gone] = None
+        for slot in members[gone]:
+            owner[slot] = keep
+        members[keep] += members[gone]
+        members[gone] = None
+
+    left = [slot for slot, comp in enumerate(members) if comp is not None]
+    if len(left) != 1:
+        raise ValueError("network is disconnected; oracle needs one component")
+    return _OracleSchedule(tuple(ops), left[0])
+
+
 def naive_value_oracle(net: TensorNetwork) -> float:
     """Contract the bond graph in bond order, ignoring cost.
 
@@ -308,74 +400,42 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     nodes and bonds with generic component merging. Each merge sums one
     bond, moving its axis last in the first component and first in the
     second, then multiplies the two as matrices with ``np.dot``; that is
-    ``np.tensordot``'s own layout, without its argument handling. Each
-    component keeps its member list, and a merge relabels the smaller one,
-    so relabelling costs O(nodes log nodes) over a whole contraction. Each
-    bond is labelled by its position in ``net.bonds``. Raises
-    OracleGuardError if any intermediate would hold more than
+    ``np.tensordot``'s own layout, without its argument handling. Each bond
+    is labelled by its position in ``net.bonds``.
+
+    The merge schedule (legs, component owners, transpose orders, which
+    component is kept) depends only on the bond graph, so it is walked once
+    per graph, kept in a small bounded memo keyed on the node order, the
+    bonds and each node's rank, and replayed for every network on that
+    graph; a replay only transposes, reshapes and multiplies. A graph that
+    is not closed, has a cycle or is disconnected raises ValueError before
+    any merge. Raises ValueError if a bond joins two extents that differ,
+    and OracleGuardError if any intermediate would hold more than
     ``ORACLE_GUARD`` scalars.
     """
-    arrays: dict[str, np.ndarray] = {}
-    legs: dict[str, list[int]] = {}
-    owner: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
-    for name, node in net.nodes.items():
-        arrays[name] = node.tensor.array
-        legs[name] = [-1] * len(node.tensor.shape)
-        owner[name] = name
-        members[name] = [name]
-    for label, bond in enumerate(net.bonds):
-        legs[bond.node_a][bond.axis_a] = label
-        legs[bond.node_b][bond.axis_b] = label
-    for name, axes in legs.items():
-        if -1 in axes:
-            raise ValueError(f"network is not closed: node {name!r} has a free axis")
-
-    for label, bond in enumerate(net.bonds):
-        comp_a = owner[bond.node_a]
-        comp_b = owner[bond.node_b]
-        if comp_a == comp_b:
-            raise ValueError("cycle in bond graph; oracle supports trees only")
-        a, b = arrays[comp_a], arrays[comp_b]
-        legs_a, legs_b = legs[comp_a], legs[comp_b]
-        axis_a = legs_a.index(label)
-        axis_b = legs_b.index(label)
-        summed = a.shape[axis_a]
-        if b.shape[axis_b] != summed:
-            raise ValueError(
-                f"bond {label} joins extents {summed} and {b.shape[axis_b]}"
-            )
-        shape = a.shape[:axis_a] + a.shape[axis_a + 1:] \
-            + b.shape[:axis_b] + b.shape[axis_b + 1:]
-        if math.prod(shape) > ORACLE_GUARD:
+    arrays = [node.tensor.array for node in net.nodes.values()]
+    schedule = _oracle_schedule(net.order, net.bonds,
+                                tuple([a.ndim for a in arrays]))
+    for label, slot_a, order_a, slot_b, order_b, keep in schedule.ops:
+        a, b = arrays[slot_a], arrays[slot_b]
+        if order_a is not None:
+            a = a.transpose(order_a)
+        if order_b is not None:
+            b = b.transpose(order_b)
+        summed = a.shape[-1]
+        if b.shape[0] != summed:
+            raise ValueError(f"bond {label} joins extents {summed} and {b.shape[0]}")
+        shape = a.shape[:-1] + b.shape[1:]
+        size = math.prod(shape)
+        if size > ORACLE_GUARD:
             raise OracleGuardError(
-                f"intermediate with {math.prod(shape)} elements exceeds "
+                f"intermediate with {size} elements exceeds "
                 f"the oracle guard of {ORACLE_GUARD}"
             )
-        if axis_a != a.ndim - 1:
-            order = list(range(a.ndim))
-            order.append(order.pop(axis_a))
-            a = a.transpose(order)
-        if axis_b != 0:
-            order = list(range(b.ndim))
-            order.insert(0, order.pop(axis_b))
-            b = b.transpose(order)
-        merged = np.dot(a.reshape(-1, summed), b.reshape(summed, -1)).reshape(shape)
-        merged_legs = legs_a[:axis_a] + legs_a[axis_a + 1:] \
-            + legs_b[:axis_b] + legs_b[axis_b + 1:]
-        keep, gone = comp_a, comp_b
-        if len(members[keep]) < len(members[gone]):
-            keep, gone = gone, keep
-        del arrays[gone], legs[gone]
-        arrays[keep] = merged
-        legs[keep] = merged_legs
-        for name in members[gone]:
-            owner[name] = keep
-        members[keep] += members.pop(gone)
+        arrays[slot_a] = arrays[slot_b] = None
+        arrays[keep] = np.dot(a.reshape(-1, summed), b.reshape(summed, -1)).reshape(shape)
 
-    if len(arrays) != 1:
-        raise ValueError("network is disconnected; oracle needs one component")
-    (result,) = arrays.values()
+    result = arrays[schedule.result]
     if result.shape != ():
         raise ValueError(f"oracle result has shape {result.shape}, expected scalar")
     return float(result)

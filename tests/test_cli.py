@@ -72,6 +72,16 @@ class TestThreshold:
         assert code == 0
         assert "no real roots; MPS always cheaper" in out
 
+    def test_two_teeth_is_a_linear_equation(self, capsys):
+        code, out, _ = run(capsys, ["threshold", "--teeth", "2", "--dim-comp", "30"])
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "linear: 2*x = 0  (the x^2 term vanishes at M = 2)",
+            "root: x = 0",
+            "MPS always cheaper for x >= 1",
+        ]
+        assert "discriminant" not in out and "no real roots" not in out
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, ["threshold", "--teeth", "50",
                                     "--dim-comp", "30", "--json"])
@@ -438,6 +448,27 @@ def test_network_flag_out_of_bounds_is_a_usage_error_naming_the_flag(
     argv[argv.index(flag) + 1] = value
     code, out, err = run(capsys, argv)
     low = 2 if flag == "--teeth" else 1
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {flag}: must be an integer >= {low}, got {value!r}" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, low", [
+    ("threshold", "--teeth", "1", 2),
+    ("sweep", "--teeth", "1", 2),
+    ("sweep", "--d-min", "0", 1),
+    ("sweep", "--d-max", "0", 1),
+    ("sweep", "--step", "0", 1),
+], ids=["threshold-teeth", "sweep-teeth", "sweep-d-min", "sweep-d-max", "sweep-step"])
+def test_threshold_and_sweep_bounds_are_usage_errors_naming_the_flag(
+        capsys, tmp_path, command, flag, value, low):
+    out_csv = tmp_path / "s.csv"
+    argv = {"threshold": ["threshold", "--teeth", "50", "--dim-comp", "30"],
+            "sweep": ["sweep", "--teeth", "50", "--d-min", "5", "--d-max", "6",
+                      "--step", "1", "--out", str(out_csv)]}[command]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert f"error: argument {flag}: must be an integer >= {low}, got {value!r}" in err

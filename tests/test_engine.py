@@ -820,3 +820,102 @@ class TestValueOracle:
         monkeypatch.setattr(engine, "ORACLE_GUARD", 1)
         with pytest.raises(OracleGuardError, match="guard of 1"):
             naive_value_oracle(net)
+
+
+# sha256 over the float.hex of the value oracle's scalar on every small-grid
+# network (both kinds, build seed 42 + idx) and on both reference networks
+# (M=50, N=5, D=100, d=30, x=10, build seed 3); a change to the oracle's
+# merge order or layouts that moves one bit of one scalar changes it
+ORACLE_DIGEST = "e433ecf0045917afbb098e0c707ef0d6465b20c64075b80cbce2d76fe7017bc1"
+
+
+def test_oracle_values_are_pinned():
+    cases = [(p, 42 + idx) for idx, p in enumerate(grid_params("small"))]
+    cases.append((params(D=100, d=30, x=10, M=50, N=5), 3))
+    digest = hashlib.sha256()
+    runs = 0
+    for p, seed in cases:
+        for build in (build_mps, build_comb):
+            net = build(p, seed=seed)
+            digest.update(f"{net.kind} {naive_value_oracle(net).hex()};".encode())
+            runs += 1
+    assert runs == 326
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
+class TestOracleSchedules:
+    """The oracle walks a bond graph once and replays it per network."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        # an empty memo, and the graphs walked since
+        walked = []
+        walk = engine._walk_bond_graph
+
+        def counted(order, bonds, ranks):
+            walked.append(order)
+            return walk(order, bonds, ranks)
+
+        monkeypatch.setattr(engine, "_oracle_schedules", [])
+        monkeypatch.setattr(engine, "_walk_bond_graph", counted)
+        return walked
+
+    def test_another_graph_after_a_build_gets_its_own_schedule(self, walks):
+        net = build_mps(params(), seed=5)
+        built = naive_value_oracle(net)
+        # the same graph of all-ones tensors replays the build's schedule
+        ones = _graph({name: node.tensor.shape for name, node in net.nodes.items()},
+                      [(b.node_a, b.axis_a, b.node_b, b.axis_b) for b in net.bonds])
+        assert naive_value_oracle(ones) == 2 * 2 * 3 * 2 * 3
+        assert len(walks) == 1
+        # the same names, ranks, kind and params, but the sites swap
+        # compression columns: another graph, so another schedule and value
+        swapped = replace(net, bonds=(
+            Bond("site0", 1, "site1", 0), Bond("site0", 0, "u1", 1),
+            Bond("u1", 0, "data0", 0), Bond("site1", 1, "u0", 1),
+            Bond("u0", 0, "data1", 0)))
+        assert naive_value_oracle(swapped) == _tensordot_oracle(swapped) != built
+        assert len(walks) == 2
+        # a `_graph` of the build's kind and params with another error
+        split = _graph({"a": (2,), "b": (2,), "c": (3,), "d": (3,)},
+                       [("a", 0, "b", 0), ("c", 0, "d", 0)])
+        with pytest.raises(ValueError, match="disconnected"):
+            naive_value_oracle(split)
+        assert naive_value_oracle(net) == built
+        assert len(walks) == 3
+
+    def test_extent_mismatch_on_a_cached_schedule(self, walks):
+        assert naive_value_oracle(_graph({"a": (2,), "b": (2,)},
+                                         [("a", 0, "b", 0)])) == 2.0
+        net = _graph({"a": (2,), "b": (4,)}, [("a", 0, "b", 0)])
+        with pytest.raises(ValueError, match="^bond 0 joins extents 2 and 4$"):
+            naive_value_oracle(net)
+        assert len(walks) == 1
+
+    def test_guard_on_a_cached_schedule(self, walks, monkeypatch):
+        net = build_mps(params(M=3, N=2), seed=0)
+        naive_value_oracle(net)
+        monkeypatch.setattr(engine, "ORACLE_GUARD", 1)
+        with pytest.raises(OracleGuardError,
+                           match="^intermediate with 6 elements exceeds "
+                                 "the oracle guard of 1$"):
+            naive_value_oracle(net)
+        assert len(walks) == 1
+
+    def test_memo_is_bounded_and_holds_no_arrays(self, walks):
+        def held(item):
+            if isinstance(item, (tuple, list)):
+                return [leaf for part in item for leaf in held(part)]
+            if isinstance(item, engine._OracleSchedule):
+                return held((item.ops, item.result))
+            if isinstance(item, Bond):
+                return held((item.node_a, item.axis_a, item.node_b, item.axis_b))
+            return [item]
+
+        for m, n in itertools.product((2, 3, 4), (1, 2)):
+            for build in (build_mps, build_comb):
+                naive_value_oracle(build(params(M=m, N=n), seed=0))
+                assert len(engine._oracle_schedules) <= engine._ORACLE_MEMO
+        assert len(engine._oracle_schedules) == engine._ORACLE_MEMO
+        leaves = held(engine._oracle_schedules)
+        assert {type(leaf) for leaf in leaves} <= {int, str, type(None)}
