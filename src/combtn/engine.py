@@ -126,9 +126,9 @@ class CostReport:
 
 # The final dot sums a vector against a vector; a stacked step sums the
 # first axis past its batch axes of the first operand against axis ``ib``
-# of the second. The interior sites and teeth are stored with that axis
-# first past their leading axes, so the absorbs that read them pair
-# ``ib`` = batch.
+# of the second. The interior sites, teeth and spines are stored with that
+# axis first past their leading axes, so the absorbs and the spine entry
+# that read them pair ``ib`` = batch.
 _DOT = AxisPairing(((0, 0),))
 
 
@@ -243,7 +243,7 @@ def _comb_plan(m_count: int, n_count: int) -> ContractionPlan:
                           "tooth-to-backbone",
                           (("b0", 0), (f"b{m_count - 1}", 1))))
     if spines:
-        steps.append(PlanStep("v-interior", "interior-spines", _stacked(1, 3),
+        steps.append(PlanStep("v-interior", "interior-spines", _stacked(1, 1),
                               "tooth-to-backbone", "b-interior"))
     _sweep(steps, "b0", "b-interior" if spines else None, f"b{m_count - 1}")
     return ContractionPlan("comb", tuple(steps), tuple(stacks))

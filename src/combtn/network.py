@@ -6,13 +6,13 @@ only tooth tensors have physical legs. In both geometries every physical
 site reads one data vector of length dim_raw through its own compression
 matrix of shape [dim_raw, dim_comp].
 
-Axis conventions (fixed so plans and bonds agree), and in brackets after
-"stored" the order a stack keeps a member's axes in where that differs:
-the axis a plan sums first leads, so that step reads each member in place
-as one matrix.
+Axis conventions (fixed so plans and bonds agree), and after "stored" the
+order a stack keeps a member's axes in where that differs: the axis a plan
+sums first leads, so that step reads each member in place as one matrix.
   MPS sites:        left boundary [d, x], right boundary [x, d],
                     interior [x_left, d, x_right], stored [d, x_left, x_right]
-  backbone:         boundary [x_horizontal, x_down], interior [x_left, x_right, x_down]
+  backbone:         boundary [x_horizontal, x_down],
+                    interior [x_left, x_right, x_down], stored [x_down, x_left, x_right]
   tooth tensors:    end (farthest) [x_up, d],
                     interior [x_up, d, x_down], stored [d, x_up, x_down]
   compression:      [D, d];  data: [D]
@@ -27,8 +27,9 @@ read. Stacks and their leading axes:
          tooth-ends [M], compressions [M, N], data [M, N]
 A stack with no members is left out.
 
-Names, bonds and draw order depend only on the kind and (M, N), so each
-build reads them from a small bounded memo and only allocates and draws.
+Names, bonds and node order depend only on the kind and (M, N), so each
+build reads them from a small bounded memo and only draws: one generator
+call per stack, in the order the stack is stored.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ class Bond:
 class TensorNetwork:
     """A closed network of named nodes; ``kind`` is "mps" or "comb", and its
     dimensions are all in ``params``. Every node's tensor is a row of one
-    of ``stacks``, and ``order`` names the nodes in the order they were
-    drawn; a plan reads the stacks."""
+    of ``stacks``, and ``order`` names the nodes in the order the builder
+    made them; a plan reads the stacks."""
 
     params: NetworkParams
     kind: str
@@ -151,36 +152,32 @@ class TensorNetwork:
 @dataclass(frozen=True)
 class _Layout:
     """What every build of one kind and (M, N) shares, whatever its extents
-    and seed: each stack's member names, the bonds, the node order and the
-    draws, each a (stack, row) pair, in draw order."""
+    and seed: each stack's member names, the bonds and the node order."""
 
     names: dict[str, tuple[str, ...]]
     bonds: tuple[Bond, ...]
     order: tuple[str, ...]
-    draws: tuple[tuple[str, int], ...]
 
 
 class _Recorder:
-    """Records a layout: one ``add`` per tensor, in draw order, each the
-    next row of its stack, and one ``bond`` per edge."""
+    """Records a layout: one ``add`` per tensor, in node order, each the
+    next member of its stack, and one ``bond`` per edge."""
 
     def __init__(self) -> None:
         self._names: dict[str, list[str]] = {}
-        self._draws: list[tuple[str, int]] = []
+        self._order: list[str] = []
         self._bonds: list[Bond] = []
 
     def add(self, name: str, group: str) -> None:
-        names = self._names.setdefault(group, [])
-        self._draws.append((group, len(names)))
-        names.append(name)
+        self._names.setdefault(group, []).append(name)
+        self._order.append(name)
 
     def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int) -> None:
         self._bonds.append(Bond(node_a, axis_a, node_b, axis_b))
 
     def layout(self) -> _Layout:
         names = {group: tuple(members) for group, members in self._names.items()}
-        order = tuple(names[group][row] for group, row in self._draws)
-        return _Layout(names, tuple(self._bonds), order, tuple(self._draws))
+        return _Layout(names, tuple(self._bonds), tuple(self._order))
 
 
 # A layout depends only on the kind and (M, N); the grid visits every tuple
@@ -190,37 +187,24 @@ _LAYOUT_MEMO = 4
 
 def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
           groups) -> TensorNetwork:
-    """Allocate every stack and draw every tensor into its row, in layout
-    order, from one generator seeded once per build.
+    """Draw every stack, in ``groups`` order, from one generator seeded once
+    per build.
 
-    ``groups`` gives each stack's name, leading extents, node shape,
-    fan-in and stored axis order: None for the node's own order, else the
-    node's axes in the order the stack keeps them. Each tensor is, bit for
-    bit, ``normal(0, 1/sqrt(fan_in), node shape)``: it is drawn into one
-    buffer of the node's shape per stack and scaled into its row, in the
-    stack's axis order.
+    ``groups`` gives each stack's name, leading extents, stored member
+    shape, fan-in and ``node_axes`` (None when a member is stored in its
+    node's axis order). A stack is one ``standard_normal(lead + stored
+    shape)`` call, scaled in place by 1/sqrt(fan_in) and frozen, so each
+    tensor is Gaussian with std 1/sqrt(fan_in); a stack with no members is
+    left out and draws nothing.
     """
-    rng = np.random.default_rng(seed)
-    normal = rng.standard_normal
-    slots, frozen = {}, {}
-    for group, lead, shape, fan_in, stored in groups:
-        if not math.prod(lead):
-            continue
-        buffer = np.empty(shape)
-        permuted = buffer.transpose(tuple(range(len(shape))) if stored is None
-                                    else stored)
-        arr = np.empty(lead + permuted.shape)
-        slots[group] = (arr.reshape(-1, *permuted.shape),
-                        1.0 / math.sqrt(fan_in), buffer, permuted)
-        node_axes = None if stored is None else tuple(
-            stored.index(axis) for axis in range(len(shape)))
-        frozen[group] = (arr, len(lead), node_axes)
-    for group, i in layout.draws:
-        rows, scale, buffer, permuted = slots[group]
-        normal(out=buffer)
-        np.multiply(permuted, scale, out=rows[i])
-    stacks = {group: Stack(_owned(arr), layout.names[group], lead, node_axes)
-              for group, (arr, lead, node_axes) in frozen.items()}
+    normal = np.random.default_rng(seed).standard_normal
+    stacks = {}
+    for group, lead, shape, fan_in, node_axes in groups:
+        if math.prod(lead):
+            arr = normal(lead + shape)
+            arr *= 1.0 / math.sqrt(fan_in)
+            stacks[group] = Stack(_owned(arr), layout.names[group], len(lead),
+                                  node_axes)
     return TensorNetwork(params, kind, layout.bonds, stacks, layout.order)
 
 
@@ -264,7 +248,7 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
         ("first-site", (1,), (d, x), x, None),
         ("compressions", (length,), (big_d, d), big_d, None),
         ("data", (length,), (big_d,), 1, None),
-        ("interior-sites", (length - 2,), (x, d, x), x * x, (1, 0, 2)),
+        ("interior-sites", (length - 2,), (d, x, x), x * x, (1, 0, 2)),
         ("last-site", (1,), (x, d), x, None),
     ])
 
@@ -306,11 +290,11 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
     big_d, d, x = params.dim_raw, params.dim_comp, params.bond_dim
     return _draw(params, "comb", seed, _comb_layout(m_count, n_count), [
         ("boundary-spines", (2,), (x, x), x * x, None),
-        ("interior-teeth", (m_count, n_count - 1), (x, d, x), x * x, (1, 0, 2)),
+        ("interior-teeth", (m_count, n_count - 1), (d, x, x), x * x, (1, 0, 2)),
         ("tooth-ends", (m_count,), (x, d), x, None),
         ("compressions", (m_count, n_count), (big_d, d), big_d, None),
         ("data", (m_count, n_count), (big_d,), 1, None),
-        ("interior-spines", (m_count - 2,), (x, x, x), x ** 3, None),
+        ("interior-spines", (m_count - 2,), (x, x, x), x ** 3, (1, 2, 0)),
     ])
 
 

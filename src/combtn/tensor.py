@@ -230,8 +230,8 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     ``np.matmul`` over the batch. For the C-contiguous items that stacks
     hold these are views when ``b``'s summed axes lead or trail its item,
     and ``a``'s trail or lead it, in pair order; otherwise the reshape
-    copies whichever operand it cannot view. The interior sites and teeth
-    are stored with the axis their absorb sums leading, so a data vector
+    copies whichever operand it cannot view. The interior sites, teeth and
+    spines are stored with the axis their step sums leading, so a vector
     against one of them is one matrix–vector product per item, read in
     place. A vector against a vector (the final dot) gives a read-only
     0-d array with the bits of ``np.dot``.

@@ -447,7 +447,7 @@ def test_execute_refuses_a_mismatched_network_before_any_step(case, monkeypatch)
 # sha256 over every executed scalar's float.hex and every phase subtotal of
 # the networks in ``test_executed_values_are_pinned``; a kernel or schedule
 # change that moves one bit of one scalar changes it
-VALUE_DIGEST = "c06b85a90f625a363a3a8a77bd20376b2ec275ada48aa1c0110d01a2b568c394"
+VALUE_DIGEST = "ef1d778da57a0f957193cbb1affcbe9310ad251a5794c9fa1c0fa8674298822f"
 
 
 def test_executed_values_are_pinned():
@@ -471,7 +471,7 @@ def test_executed_values_are_pinned():
 # the same digest over both networks of the reference point (M=50, N=5, D=100,
 # d=30, x=10), build seed 3, raw and with two seeded samples each; its
 # steps run at other extents, so other BLAS paths, than the small grid's
-REFERENCE_DIGEST = "81ad8a78d81a0e89fef1b9035f810cabab9776f8aec3eb6467e04e2b0c2e7c51"
+REFERENCE_DIGEST = "350960ec418072e93b0ba76689f3d0bc5867ec6638cc2afc0e3ebfa3c52afece"
 
 
 def test_reference_values_are_pinned():
@@ -826,7 +826,7 @@ class TestValueOracle:
 # network (both kinds, build seed 42 + idx) and on both reference networks
 # (M=50, N=5, D=100, d=30, x=10, build seed 3); a change to the oracle's
 # merge order or layouts that moves one bit of one scalar changes it
-ORACLE_DIGEST = "e433ecf0045917afbb098e0c707ef0d6465b20c64075b80cbce2d76fe7017bc1"
+ORACLE_DIGEST = "e35e8254463fbf0d87a760ee7d18bdfcf660e4fec74df2c9972d96f1151fe40f"
 
 
 def test_oracle_values_are_pinned():

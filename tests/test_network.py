@@ -167,7 +167,7 @@ def test_tensors_of_one_build_are_distinct(build):
 # sha256 over every node's name and tensor bytes, in node order, of the
 # networks in ``test_draw_policy_is_pinned``; a change here changes every
 # scalar a seed gives, so it must be deliberate and noted in the README
-DRAW_DIGEST = "8e5dfdf4271ff9b9562bc016d9dd60f0ca18b70490635b84fe0c475f5c39f3c8"
+DRAW_DIGEST = "c72c00b65a9c497e50d18346665390603fcb2a5fe76c9b3d9d5ddd150846eba6"
 
 
 def test_draw_policy_is_pinned():
@@ -186,6 +186,71 @@ def test_draw_policy_is_pinned():
             elements += node.tensor.size
     assert (tensors, elements) == (7115, 39428)
     assert digest.hexdigest() == DRAW_DIGEST
+
+
+def _stacks_in_draw_order(kind: str, p: NetworkParams):
+    """Each stack a build of ``kind`` draws, in the order it draws them, as
+    (name, leading extents, stored member shape, fan-in)."""
+    big_d, d, x, m, n = p.dim_raw, p.dim_comp, p.bond_dim, p.teeth, p.tooth_len
+    if kind == "mps":
+        length = m * n
+        return [("first-site", (1,), (d, x), x),
+                ("compressions", (length,), (big_d, d), big_d),
+                ("data", (length,), (big_d,), 1),
+                ("interior-sites", (length - 2,), (d, x, x), x * x),
+                ("last-site", (1,), (x, d), x)]
+    return [("boundary-spines", (2,), (x, x), x * x),
+            ("interior-teeth", (m, n - 1), (d, x, x), x * x),
+            ("tooth-ends", (m,), (x, d), x),
+            ("compressions", (m, n), (big_d, d), big_d),
+            ("data", (m, n), (big_d,), 1),
+            ("interior-spines", (m - 2,), (x, x, x), x ** 3)]
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_each_stack_is_one_scaled_draw_in_stored_order(as_generator):
+    # the draw policy by its definition: one standard_normal call per stack,
+    # of its leading extents and stored member shape, in the builder's
+    # order, times 1/sqrt(fan-in); a stack with no members draws nothing
+    left_out = 0
+    for idx, p in enumerate(grid_params("small")):
+        for build in (build_mps, build_comb):
+            seed = 42 + idx
+            given = np.random.default_rng(seed) if as_generator else seed
+            net = build(p, seed=given)
+            rng = np.random.default_rng(seed)
+            drawn = []
+            for group, lead, shape, fan_in in _stacks_in_draw_order(net.kind, p):
+                if not math.prod(lead):
+                    assert group not in net.stacks
+                    left_out += 1
+                    continue
+                expected = rng.standard_normal(lead + shape) * (1 / math.sqrt(fan_in))
+                arr = net.stacks[group].tensor.array
+                assert arr.shape == expected.shape, group
+                assert arr.tobytes() == expected.tobytes(), (group, p)
+                drawn.append(group)
+            assert list(net.stacks) == drawn
+            if as_generator:
+                # the caller's generator is advanced by exactly these draws
+                assert given.bit_generator.state == rng.bit_generator.state
+    # M=2 leaves out the interior spines, N=1 the interior teeth, and an
+    # MPS of two sites its interior sites
+    assert left_out == 54 + 54 + 18
+
+
+@pytest.mark.parametrize("build", [build_mps, build_comb])
+def test_each_stack_has_std_one_over_root_fan_in(build):
+    # every stack holds at least 2400 draws, so a 5% band is over 3 standard
+    # errors of the sample std wide
+    p = NetworkParams(dim_raw=400, dim_comp=50, bond_dim=50, teeth=3, tooth_len=2)
+    net = build(p, seed=9)
+    groups = _stacks_in_draw_order(net.kind, p)
+    assert list(net.stacks) == [group for group, *_ in groups]
+    for group, lead, shape, fan_in in groups:
+        arr = net.stacks[group].tensor.array
+        assert arr.size >= 2400
+        assert float(np.std(arr)) * math.sqrt(fan_in) == pytest.approx(1.0, abs=0.05), group
 
 
 # sha256 over every node's name and shape, in node order, and every bond,
@@ -233,18 +298,21 @@ def _as_node(stack, row: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("group, build", [("interior-sites", build_mps),
-                                          ("interior-teeth", build_comb)])
+                                          ("interior-teeth", build_comb),
+                                          ("interior-spines", build_comb)])
 def test_interior_stacks_store_the_summed_axis_first(group, build):
-    # a plan's absorb sums the physical axis, node axis 1, first, so the
-    # stack keeps it right after the leading axes, the others in order;
-    # distinct extents, so a wrong order of d and x cannot pass
-    axis = 1
+    # a plan's first step on an interior stack sums one node axis: an
+    # absorb the physical axis, node axis 1, the spine entry the downward
+    # axis, node axis 2, whose partner is a tooth; the stack keeps it right
+    # after the leading axes, the others in order; distinct extents, so a
+    # wrong order of d and x cannot pass
+    axis, partner = (2, "tooth") if group == "interior-spines" else (1, "u")
     p = NetworkParams(dim_raw=5, dim_comp=3, bond_dim=2, teeth=4, tooth_len=3)
     net = build(p, seed=6)
-    partner = {}
+    partners = {}
     for bond in net.bonds:
-        partner[bond.node_a, bond.axis_a] = bond.node_b
-        partner[bond.node_b, bond.axis_b] = bond.node_a
+        partners[bond.node_a, bond.axis_a] = bond.node_b
+        partners[bond.node_b, bond.axis_b] = bond.node_a
     stack = net.stacks[group]
     arr = stack.tensor.array
     shape = net.nodes[stack.names[0]].tensor.shape
@@ -253,7 +321,7 @@ def test_interior_stacks_store_the_summed_axis_first(group, build):
     assert arr.flags.c_contiguous and not arr.flags.writeable
     for name, row in zip(stack.names, _rows(stack)):
         node = net.nodes[name].tensor.array
-        assert partner[name, axis].startswith("u")
+        assert partners[name, axis].startswith(partner)
         assert np.shares_memory(node, row) and not node.flags.writeable
         assert np.array_equal(np.moveaxis(node, axis, 0), row), name
 
@@ -299,7 +367,7 @@ def test_node_views_are_made_on_first_read(build):
     assert "nodes" not in vars(net) and "nodes" not in vars(scored)
     nodes = scored.nodes
     assert scored.nodes is nodes and "nodes" not in vars(net)
-    # in draw order, each a read-only row of its stack in its node's axes
+    # in node order, each a read-only row of its stack in its node's axes
     assert list(nodes) == list(net.nodes)
     for stack in scored.stacks.values():
         for name, row in zip(stack.names, _rows(stack)):

@@ -341,12 +341,12 @@ PLAN_KERNELS = {
     ((), 1, 3, 0, True): _chain,                # chain and backbone sweeps
     (((0, 0),), 1, 1, 0, False): _transposed,   # final dot
     (((1, 1),), 2, 3, 1, False): _transposed,   # MPS compress and first absorb
-    (((1, 1),), 2, 4, 1, False): _transposed,   # MPS interior absorb
+    (((1, 1),), 2, 4, 1, False): _transposed,   # MPS interior absorb, teeth
+                                                # into the interior spines
     (((1, 2),), 2, 3, 1, False): _transposed,   # last absorb, tooth ends,
                                                 # tooth sweep, boundary spines
     (((2, 2),), 3, 4, 2, False): _transposed,   # comb compress
     (((2, 2),), 3, 5, 2, False): _transposed,   # comb interior absorb
-    (((1, 3),), 2, 4, 1, False): _transposed,   # teeth into the interior spines
 }
 
 
