@@ -11,6 +11,7 @@ or an allocation numpy refuses.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -249,13 +250,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = threshold_sweep(args.teeth, args.d_min, args.d_max, args.step)
     if args.svg:
         rows = list(rows)   # the chart needs every row; the CSV needs none kept
-    with open(args.out, "w", newline="") as handle:
+    # every output is opened before the first row, so an unwritable path
+    # costs no rows and no "wrote" line
+    with (open(args.svg, "w") if args.svg else contextlib.nullcontext()) as chart, \
+            open(args.out, "w", newline="") as handle:
         for count, line in enumerate(sweep_csv_lines(rows)):
             handle.write(line + "\n")
+        if chart:
+            chart.write(sweep_svg(rows, args.teeth))
     print(f"wrote {count} rows to {args.out}")
     if args.svg:
-        with open(args.svg, "w") as handle:
-            handle.write(sweep_svg(rows, args.teeth))
         print(f"wrote chart to {args.svg}")
     return 0
 

@@ -11,11 +11,12 @@ is made, and ``execute`` checks the network's stack names and leading
 extents against it once, then runs its steps by name. A plan depends only
 on the network's kind and its (M, N), so networks that share them share
 one frozen plan object, kept in a small bounded memo. The independent value
-oracle contracts the raw bond graph in bond order and is used to
-cross-check the scalar produced by plan execution. Its merge schedule
-depends only on the bond graph, so it is walked once per graph, kept in a
-small bounded memo of its own, and replayed for every network on that
-graph; a replay only transposes, reshapes and multiplies.
+oracle contracts the raw bond graph in bond order, reading each node as a
+plain array view of its stack row, and is used to cross-check the scalar
+produced by plan execution. Its merge schedule depends only on the bond
+graph, so it is walked once per graph, kept in a small ``lru_cache``, and
+replayed for every network on that graph; a replay only transposes,
+reshapes and multiplies.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costmodel
-from .network import TensorNetwork
+from .network import TensorNetwork, _node_arrays
 from .tensor import CHAIN, AxisPairing, _wrap, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
@@ -321,40 +322,38 @@ class _OracleSchedule:
 
 # An oracle schedule depends only on the bond graph: the node order, the
 # bonds and each node's rank. Builds of one kind and (M, N) share the
-# layout memo's tuples, so a hit costs an identity check per item; a bound
-# keeps the memo as small as the plan memo.
+# layout memo's tuples, so a hit costs a hash and an identity check per
+# item; a bound keeps the memo as small as the plan memo.
 _ORACLE_MEMO = 4
-_oracle_schedules: list[tuple[tuple, _OracleSchedule]] = []
 
 
-def _oracle_schedule(order: tuple[str, ...], bonds, ranks: tuple[int, ...]
-                     ) -> _OracleSchedule:
-    """The memo's schedule for this graph, walked and kept on a miss."""
-    key = (order, bonds, ranks)
-    for i, (seen, schedule) in enumerate(_oracle_schedules):
-        if seen == key:
-            if i:
-                _oracle_schedules.insert(0, _oracle_schedules.pop(i))
-            return schedule
-    schedule = _walk_bond_graph(order, bonds, ranks)
-    _oracle_schedules.insert(0, (key, schedule))
-    del _oracle_schedules[_ORACLE_MEMO:]
-    return schedule
-
-
+@functools.lru_cache(maxsize=_ORACLE_MEMO)
 def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...]
                      ) -> _OracleSchedule:
     """Label every leg, check the graph is a closed tree, and record one
     merge per bond; reads no extent, so any network on this graph replays it.
 
+    A bond end that names no node, an axis outside its node's rank or a
+    leg already labelled is refused, naming the bond's position and end.
     Each component keeps its member list, and a merge relabels the smaller
     one, so relabelling costs O(nodes log nodes) over a whole walk.
     """
     slot_of = {name: i for i, name in enumerate(order)}
     legs = [[-1] * rank for rank in ranks]
     for label, bond in enumerate(bonds):
-        legs[slot_of[bond.node_a]][bond.axis_a] = label
-        legs[slot_of[bond.node_b]][bond.axis_b] = label
+        for end, name, axis in (("a", bond.node_a, bond.axis_a),
+                                ("b", bond.node_b, bond.axis_b)):
+            where = f"bond {label} end {end}"
+            if name not in slot_of:
+                raise ValueError(f"{where}: no node {name!r}")
+            node_legs = legs[slot_of[name]]
+            if not 0 <= axis < len(node_legs):
+                raise ValueError(f"{where}: node {name!r} has no axis {axis} "
+                                 f"(rank {len(node_legs)})")
+            if node_legs[axis] != -1:
+                raise ValueError(f"{where}: axis {axis} of node {name!r} is "
+                                 f"already bonded by bond {node_legs[axis]}")
+            node_legs[axis] = label
     for name, axes in zip(order, legs):
         if -1 in axes:
             raise ValueError(f"network is not closed: node {name!r} has a free axis")
@@ -397,24 +396,28 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     """Contract the bond graph in bond order, ignoring cost.
 
     Independent of the planners and of ``contract_pair``: works directly off
-    nodes and bonds with generic component merging. Each merge sums one
-    bond, moving its axis last in the first component and first in the
-    second, then multiplies the two as matrices with ``np.dot``; that is
-    ``np.tensordot``'s own layout, without its argument handling. Each bond
-    is labelled by its position in ``net.bonds``.
+    the node arrays (each stack row in its node's axis order, the views
+    ``net.nodes`` wraps) and the bonds, with generic component merging.
+    Each merge sums one bond, moving its axis last in the first component
+    and first in the second, then multiplies the two as matrices with
+    ``np.dot``; that is ``np.tensordot``'s own layout, without its argument
+    handling. Each bond is labelled by its position in ``net.bonds``.
 
     The merge schedule (legs, component owners, transpose orders, which
     component is kept) depends only on the bond graph, so it is walked once
-    per graph, kept in a small bounded memo keyed on the node order, the
-    bonds and each node's rank, and replayed for every network on that
-    graph; a replay only transposes, reshapes and multiplies. A graph that
-    is not closed, has a cycle or is disconnected raises ValueError before
-    any merge. Raises ValueError if a bond joins two extents that differ,
-    and OracleGuardError if any intermediate would hold more than
+    per graph, kept in an ``lru_cache`` keyed on the node order, the bonds
+    and each node's rank, and replayed for every network on that graph; a
+    replay only transposes, reshapes and multiplies. A graph with a bond
+    end that names no node, no axis or an axis bonded twice, or that is not
+    closed, has a cycle or is disconnected, raises ValueError before any
+    merge. Raises ValueError if a bond joins two extents that differ, and
+    OracleGuardError if any intermediate would hold more than
     ``ORACLE_GUARD`` scalars.
     """
-    arrays = [node.tensor.array for node in net.nodes.values()]
-    schedule = _oracle_schedule(net.order, net.bonds,
+    arrays = list(_node_arrays(net).values())
+    # tuple() returns a tuple as it is, so a hit stays an identity check,
+    # and makes a network built with lists hashable
+    schedule = _walk_bond_graph(tuple(net.order), tuple(net.bonds),
                                 tuple([a.ndim for a in arrays]))
     for label, slot_a, order_a, slot_b, order_b, keep in schedule.ops:
         a, b = arrays[slot_a], arrays[slot_b]

@@ -18,9 +18,9 @@ sums first leads, so that step reads each member in place as one matrix.
   compression:      [D, d];  data: [D]
 
 Tensors of one shape and role are held in one stack, an array whose leading
-axes run over its members; a node's tensor is a read-only view of one
-member, in the node's axis order, made when a network's nodes are first
-read. Stacks and their leading axes:
+axes run over its members; a node's array is a read-only view of one
+member, in the node's axis order, made only when something reads the nodes
+(the value oracle does). Stacks and their leading axes:
   MPS:   first-site [1], interior-sites [L-2], last-site [1],
          compressions [L], data [L]  (L = M*N sites, left to right)
   comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Tensor, _new, _owned, _wrap
+from .tensor import Tensor, _owned, _wrap
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,24 @@ class TensorNetwork:
 
     @functools.cached_property
     def nodes(self) -> dict[str, Node]:
-        """Each stack row as a node, by name in ``order``: read-only views,
-        made when first read and kept, so scoring, which reads only the
-        stacks, makes none."""
-        views = {}
-        for stack in self.stacks.values():
-            arr = stack.tensor.array
-            rows = arr.reshape(len(stack.names), *arr.shape[stack.lead:])
-            if stack.node_axes is not None:
-                rows = rows.transpose(0, *(axis + 1 for axis in stack.node_axes))
-            for name, row in zip(stack.names, rows):
-                # Node(_wrap(row)), without the frozen dataclass's
-                # __init__: this runs once per node the value oracle reads
-                node = _new(Node)
-                node.__dict__["tensor"] = _wrap(row)
-                views[name] = node
-        return {name: views[name] for name in self.order}
+        """Each node's array from ``_node_arrays`` wrapped as a ``Node``,
+        made when first read and kept. Nothing in combtn reads it: the value
+        oracle reads ``_node_arrays``, and the benchmark in ``perfbench/``
+        reads this."""
+        return {name: Node(_wrap(arr)) for name, arr in _node_arrays(self).items()}
+
+
+def _node_arrays(net: TensorNetwork) -> dict[str, np.ndarray]:
+    """Each stack row as a read-only view in its node's axis order, by name
+    in ``net.order``; scoring, which reads only the stacks, makes none."""
+    views = {}
+    for stack in net.stacks.values():
+        arr = stack.tensor.array
+        rows = arr.reshape(len(stack.names), *arr.shape[stack.lead:])
+        if stack.node_axes is not None:
+            rows = rows.transpose(0, *(axis + 1 for axis in stack.node_axes))
+        views.update(zip(stack.names, rows))
+    return {name: views[name] for name in net.order}
 
 
 @dataclass(frozen=True)
@@ -303,9 +305,12 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
 
     Rows follow site order: MPS left to right; comb tooth-major, backbone
     left to right and within a tooth from the backbone outward. Every value
-    must be finite. ``data`` is copied once; that copy, frozen, is the data
-    stack, and the data tensors are its rows. Only the data stack changes.
+    must be real and finite. ``data`` is copied once; that copy, frozen, is
+    the data stack, and the data tensors are its rows. Only the data stack
+    changes.
     """
+    if np.iscomplexobj(data):
+        raise ValueError("data matrix must be real, got complex values")
     matrix = np.array(data, dtype=np.float64, order="C", copy=True)
     expected = (len(net.data_sites), net.params.dim_raw)
     if matrix.ndim != 2 or matrix.shape != expected:

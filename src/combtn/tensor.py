@@ -33,7 +33,8 @@ def checked_count(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Tensor:
-    """Dense array of float64 scalars; shape () is a scalar.
+    """Dense array of float64 scalars; shape () is a scalar. Complex values
+    are refused, not cast to their real part.
 
     An array passed to the constructor is copied, row-major, so the caller
     may keep writing to its own; arrays combtn makes itself (contraction
@@ -49,6 +50,8 @@ class Tensor:
     array: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.array):
+            raise ValueError("tensor values must be real, got complex values")
         arr = np.array(self.array, dtype=np.float64, order="C", copy=True)
         if any(extent < 1 for extent in arr.shape):
             raise ValueError(f"every extent must be >= 1, got shape {arr.shape}")

@@ -189,6 +189,16 @@ class TestSweep:
         assert code == 1
         assert "error" in err
 
+    def test_unwritable_chart_path_writes_no_rows(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, ["sweep", "--teeth", "50", "--d-min", "5",
+                                      "--d-max", "8", "--out", str(out_csv),
+                                      "--svg", str(tmp_path / "missing" / "s.svg")])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_csv.exists()
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):

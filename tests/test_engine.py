@@ -34,6 +34,7 @@ from combtn.network import (
     NetworkParams,
     Stack,
     TensorNetwork,
+    _node_arrays,
     attach_data,
     build_comb,
     build_mps,
@@ -821,6 +822,24 @@ class TestValueOracle:
         with pytest.raises(OracleGuardError, match="guard of 1"):
             naive_value_oracle(net)
 
+    @pytest.mark.parametrize("shapes, edges, message", [
+        ({"a": (2,), "b": (2,)}, [("a", 0, "c", 0)], "bond 0 end b: no node 'c'"),
+        ({"a": (2,), "b": (2,)}, [("a", 0, "b", 1)],
+         r"bond 0 end b: node 'b' has no axis 1 \(rank 1\)"),
+        ({"a": (2,), "b": (2,)}, [("a", -1, "b", 0)],
+         r"bond 0 end a: node 'a' has no axis -1 \(rank 1\)"),
+        ({"a": (2, 2), "b": (2,), "c": (2,)}, [("a", 0, "b", 0), ("a", 0, "c", 0)],
+         "bond 1 end a: axis 0 of node 'a' is already bonded by bond 0"),
+    ], ids=["unknown-node", "axis-past-rank", "negative-axis", "axis-bonded-twice"])
+    def test_malformed_bond_end_rejected(self, shapes, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            naive_value_oracle(_graph(shapes, edges))
+
+    def test_makes_no_node_wrappers(self):
+        net = build_comb(params(M=3, N=2), seed=0)
+        naive_value_oracle(net)
+        assert "nodes" not in vars(net)
+
 
 # sha256 over the float.hex of the value oracle's scalar on every small-grid
 # network (both kinds, build seed 42 + idx) and on both reference networks
@@ -847,18 +866,10 @@ class TestOracleSchedules:
     """The oracle walks a bond graph once and replays it per network."""
 
     @pytest.fixture
-    def walks(self, monkeypatch):
-        # an empty memo, and the graphs walked since
-        walked = []
-        walk = engine._walk_bond_graph
-
-        def counted(order, bonds, ranks):
-            walked.append(order)
-            return walk(order, bonds, ranks)
-
-        monkeypatch.setattr(engine, "_oracle_schedules", [])
-        monkeypatch.setattr(engine, "_walk_bond_graph", counted)
-        return walked
+    def walks(self):
+        # an empty memo; walks() counts the graphs walked since
+        engine._walk_bond_graph.cache_clear()
+        return lambda: engine._walk_bond_graph.cache_info().misses
 
     def test_another_graph_after_a_build_gets_its_own_schedule(self, walks):
         net = build_mps(params(), seed=5)
@@ -867,7 +878,7 @@ class TestOracleSchedules:
         ones = _graph({name: node.tensor.shape for name, node in net.nodes.items()},
                       [(b.node_a, b.axis_a, b.node_b, b.axis_b) for b in net.bonds])
         assert naive_value_oracle(ones) == 2 * 2 * 3 * 2 * 3
-        assert len(walks) == 1
+        assert walks() == 1
         # the same names, ranks, kind and params, but the sites swap
         # compression columns: another graph, so another schedule and value
         swapped = replace(net, bonds=(
@@ -875,22 +886,25 @@ class TestOracleSchedules:
             Bond("u1", 0, "data0", 0), Bond("site1", 1, "u0", 1),
             Bond("u0", 0, "data1", 0)))
         assert naive_value_oracle(swapped) == _tensordot_oracle(swapped) != built
-        assert len(walks) == 2
+        assert walks() == 2
         # a `_graph` of the build's kind and params with another error
         split = _graph({"a": (2,), "b": (2,), "c": (3,), "d": (3,)},
                        [("a", 0, "b", 0), ("c", 0, "d", 0)])
         with pytest.raises(ValueError, match="disconnected"):
             naive_value_oracle(split)
         assert naive_value_oracle(net) == built
-        assert len(walks) == 3
+        assert walks() == 3
 
     def test_extent_mismatch_on_a_cached_schedule(self, walks):
-        assert naive_value_oracle(_graph({"a": (2,), "b": (2,)},
-                                         [("a", 0, "b", 0)])) == 2.0
+        two = _graph({"a": (2,), "b": (2,)}, [("a", 0, "b", 0)])
+        assert naive_value_oracle(two) == 2.0
+        # the same graph with its bonds and order in lists
+        listed = replace(two, bonds=list(two.bonds), order=list(two.order))
+        assert naive_value_oracle(listed) == 2.0
         net = _graph({"a": (2,), "b": (4,)}, [("a", 0, "b", 0)])
         with pytest.raises(ValueError, match="^bond 0 joins extents 2 and 4$"):
             naive_value_oracle(net)
-        assert len(walks) == 1
+        assert walks() == 1
 
     def test_guard_on_a_cached_schedule(self, walks, monkeypatch):
         net = build_mps(params(M=3, N=2), seed=0)
@@ -900,7 +914,7 @@ class TestOracleSchedules:
                            match="^intermediate with 6 elements exceeds "
                                  "the oracle guard of 1$"):
             naive_value_oracle(net)
-        assert len(walks) == 1
+        assert walks() == 1
 
     def test_memo_is_bounded_and_holds_no_arrays(self, walks):
         def held(item):
@@ -908,14 +922,21 @@ class TestOracleSchedules:
                 return [leaf for part in item for leaf in held(part)]
             if isinstance(item, engine._OracleSchedule):
                 return held((item.ops, item.result))
-            if isinstance(item, Bond):
-                return held((item.node_a, item.axis_a, item.node_b, item.axis_b))
             return [item]
 
+        memo = engine._walk_bond_graph
         for m, n in itertools.product((2, 3, 4), (1, 2)):
             for build in (build_mps, build_comb):
-                naive_value_oracle(build(params(M=m, N=n), seed=0))
-                assert len(engine._oracle_schedules) <= engine._ORACLE_MEMO
-        assert len(engine._oracle_schedules) == engine._ORACLE_MEMO
-        leaves = held(engine._oracle_schedules)
-        assert {type(leaf) for leaf in leaves} <= {int, str, type(None)}
+                net = build(params(M=m, N=n), seed=0)
+                naive_value_oracle(net)
+                assert memo.cache_info().currsize <= memo.cache_info().maxsize
+                # the schedule the oracle just replayed, read back as a hit
+                walked = walks()
+                ranks = tuple(a.ndim for a in _node_arrays(net).values())
+                schedule = memo(net.order, net.bonds, ranks)
+                assert walks() == walked
+                leaves = held(schedule)
+                assert {type(leaf) for leaf in leaves} <= {int, str, type(None)}
+        assert walks() == 12
+        assert memo.cache_info().maxsize == engine._ORACLE_MEMO
+        assert memo.cache_info().currsize == engine._ORACLE_MEMO

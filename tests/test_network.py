@@ -451,6 +451,15 @@ class TestAttachData:
         with pytest.raises(ValueError, match="row 2.*not finite"):
             attach_data(net, data)
 
+    def test_complex_rejected(self):
+        # a cast would keep only the real part, and the value would be wrong
+        p = small_params()
+        net = build_mps(p, seed=0)
+        data = np.ones((p.sites, p.dim_raw), dtype=complex)
+        data[0, 0] = 1.0 + 2.0j
+        with pytest.raises(ValueError, match="^data matrix must be real"):
+            attach_data(net, data)
+
     def test_caller_array_is_copied(self):
         p = small_params()
         net = build_mps(p, seed=0)

@@ -527,6 +527,10 @@ class TestTensorInvariants:
         with pytest.raises(ValueError, match="extent"):
             Tensor(np.zeros((2, 0)))
 
+    def test_complex_rejected(self):
+        with pytest.raises(ValueError, match="^tensor values must be real"):
+            Tensor(np.array([1.0, 2.0j]))
+
     def test_caller_array_is_copied(self):
         source = np.arange(6.0).reshape(2, 3)
         t = Tensor(source)
