@@ -15,6 +15,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 from statistics import median
@@ -250,10 +251,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = threshold_sweep(args.teeth, args.d_min, args.d_max, args.step)
     if args.svg:
         rows = list(rows)   # the chart needs every row; the CSV needs none kept
-    # every output is opened before the first row, so an unwritable path
-    # costs no rows and no "wrote" line
-    with (open(args.svg, "w") if args.svg else contextlib.nullcontext()) as chart, \
-            open(args.out, "w", newline="") as handle:
+    # every output is opened before the first row, and without truncating,
+    # so an unwritable path costs no rows, no "wrote" line and no file: a
+    # file the other open made is removed, one that was there is untouched
+    made = [path for path in (args.svg, args.out) if path and not os.path.exists(path)]
+    with contextlib.ExitStack() as outputs:
+        try:
+            chart = outputs.enter_context(open(args.svg, "a")) if args.svg else None
+            handle = outputs.enter_context(open(args.out, "a", newline=""))
+        except OSError:
+            outputs.close()
+            for path in made:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+            raise
+        for output in (chart, handle):
+            if output:
+                output.truncate(0)
         for count, line in enumerate(sweep_csv_lines(rows)):
             handle.write(line + "\n")
         if chart:

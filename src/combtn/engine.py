@@ -322,8 +322,9 @@ class _OracleSchedule:
 
 # An oracle schedule depends only on the bond graph: the node order, the
 # bonds and each node's rank. Builds of one kind and (M, N) share the
-# layout memo's tuples, so a hit costs a hash and an identity check per
-# item; a bound keeps the memo as small as the plan memo.
+# layout memo's tuples, so a hit hashes every name and bond, in C since a
+# bond is a named tuple, and then finds the same tuples by identity; a
+# bound keeps the memo as small as the plan memo.
 _ORACLE_MEMO = 4
 
 
@@ -333,8 +334,8 @@ def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...]
     """Label every leg, check the graph is a closed tree, and record one
     merge per bond; reads no extent, so any network on this graph replays it.
 
-    A bond end that names no node, an axis outside its node's rank or a
-    leg already labelled is refused, naming the bond's position and end.
+    A bond end that names no node, an axis that is not an int or is outside
+    its node's rank, or a leg already labelled is refused, naming the bond's position and end.
     Each component keeps its member list, and a merge relabels the smaller
     one, so relabelling costs O(nodes log nodes) over a whole walk.
     """
@@ -347,6 +348,9 @@ def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...]
             if name not in slot_of:
                 raise ValueError(f"{where}: no node {name!r}")
             node_legs = legs[slot_of[name]]
+            if not isinstance(axis, int):
+                raise ValueError(f"{where}: axis {axis!r} of node {name!r} "
+                                 f"is not an integer")
             if not 0 <= axis < len(node_legs):
                 raise ValueError(f"{where}: node {name!r} has no axis {axis} "
                                  f"(rank {len(node_legs)})")
@@ -408,15 +412,15 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     per graph, kept in an ``lru_cache`` keyed on the node order, the bonds
     and each node's rank, and replayed for every network on that graph; a
     replay only transposes, reshapes and multiplies. A graph with a bond
-    end that names no node, no axis or an axis bonded twice, or that is not
-    closed, has a cycle or is disconnected, raises ValueError before any
-    merge. Raises ValueError if a bond joins two extents that differ, and
+    end that names no node, a non-int axis, no axis or an axis bonded twice,
+    or that is not closed, has a cycle or is disconnected, raises ValueError
+    before any merge. Raises ValueError if a bond joins two extents that differ, and
     OracleGuardError if any intermediate would hold more than
     ``ORACLE_GUARD`` scalars.
     """
     arrays = list(_node_arrays(net).values())
-    # tuple() returns a tuple as it is, so a hit stays an identity check,
-    # and makes a network built with lists hashable
+    # tuple() returns a tuple as it is, so a hit compares the layout's own
+    # tuples by identity, and makes a network built with lists hashable
     schedule = _walk_bond_graph(tuple(net.order), tuple(net.bonds),
                                 tuple([a.ndim for a in arrays]))
     for label, slot_a, order_a, slot_b, order_b, keep in schedule.ops:

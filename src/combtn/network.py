@@ -28,15 +28,22 @@ member, in the node's axis order, made only when something reads the nodes
 A stack with no members is left out.
 
 Names, bonds and node order depend only on the kind and (M, N), so each
-build reads them from a small bounded memo and only draws: one generator
-call per stack, in the order the stack is stored.
+build reads them from a small bounded memo and only draws, stack by stack in
+the order each stack is stored. A stack of at most ``_CHUNK`` elements is
+one call on the build's generator; a larger one is cut into runs of
+``_CHUNK`` elements, each drawn from its own child stream and filled on
+every CPU at once. The values depend only on the seed and ``_CHUNK``, never
+on how many CPUs fill them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,12 +104,13 @@ class Stack:
     node_axes: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     """Edge joining axis ``axis_a`` of ``node_a`` to axis ``axis_b`` of ``node_b``.
 
     A bond's extent is read off either end's shape; its position in
-    ``TensorNetwork.bonds`` is the value oracle's contraction order.
+    ``TensorNetwork.bonds`` is the value oracle's contraction order. A
+    named tuple, so hashing a network's bonds, as the oracle's memo does on
+    every call, runs in C.
     """
 
     node_a: str
@@ -187,6 +195,14 @@ class _Recorder:
 _LAYOUT_MEMO = 4
 
 
+# A stack of more elements than this is drawn in runs of this many, in C
+# order, each from its own child stream of the build's generator, so the
+# runs can be filled at once. 2**20 doubles are 8 MiB: a run takes about
+# 20 ms, long against starting a thread. The values a seed gives depend on
+# this constant, so changing it changes every large stack.
+_CHUNK = 2**20
+
+
 def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
           groups) -> TensorNetwork:
     """Draw every stack, in ``groups`` order, from one generator seeded once
@@ -194,20 +210,82 @@ def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
 
     ``groups`` gives each stack's name, leading extents, stored member
     shape, fan-in and ``node_axes`` (None when a member is stored in its
-    node's axis order). A stack is one ``standard_normal(lead + stored
-    shape)`` call, scaled in place by 1/sqrt(fan_in) and frozen, so each
-    tensor is Gaussian with std 1/sqrt(fan_in); a stack with no members is
-    left out and draws nothing.
+    node's axis order). A stack of at most ``_CHUNK`` elements is one
+    ``standard_normal(lead + stored shape)`` call on the generator. A larger
+    one is made with ``np.empty`` and cut into runs of ``_CHUNK`` elements
+    in C order; run j is filled in place from the j-th of ``spawn(k)``
+    child generators, which advances the generator itself not at all. Every
+    stack is scaled in place by 1/sqrt(fan_in), so each tensor is Gaussian
+    with std 1/sqrt(fan_in), and frozen once every run is filled. A stack
+    with no members is left out and draws nothing.
     """
-    normal = np.random.default_rng(seed).standard_normal
-    stacks = {}
+    rng = np.random.default_rng(seed)
+    drawn, runs = [], []
     for group, lead, shape, fan_in, node_axes in groups:
-        if math.prod(lead):
-            arr = normal(lead + shape)
-            arr *= 1.0 / math.sqrt(fan_in)
-            stacks[group] = Stack(_owned(arr), layout.names[group], len(lead),
-                                  node_axes)
+        size = math.prod(lead + shape)
+        if not size:
+            continue
+        scale = 1.0 / math.sqrt(fan_in)
+        if size <= _CHUNK:
+            arr = rng.standard_normal(lead + shape)
+            arr *= scale
+        else:
+            arr = np.empty(lead + shape)
+            flat = arr.reshape(-1)
+            starts = range(0, size, _CHUNK)
+            runs += [(child, flat[start:start + _CHUNK], scale)
+                     for child, start in zip(rng.spawn(len(starts)), starts)]
+        drawn.append((group, arr, len(lead), node_axes))
+    if runs:
+        _fill_all(runs)
+    stacks = {group: Stack(_owned(arr), layout.names[group], lead, node_axes)
+              for group, arr, lead, node_axes in drawn}
     return TensorNetwork(params, kind, layout.bonds, stacks, layout.order)
+
+
+def _fill(rng: np.random.Generator, run: np.ndarray, scale: float) -> None:
+    rng.standard_normal(out=run)
+    run *= scale
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_all(runs: list) -> None:
+    """``_fill`` every (generator, run, scale), shared out over one thread
+    per CPU; numpy releases the GIL while it draws and scales. With one CPU
+    the runs are filled in order on the calling thread. Every thread is
+    joined before this returns, and the first exception a fill raised is
+    raised here, so no unfilled run becomes parameters."""
+    workers = min(_cpus(), len(runs))
+    if workers == 1:
+        for run in runs:
+            _fill(*run)
+        return
+    errors = []
+
+    def fill_share(share: list) -> None:
+        try:
+            for run in share:
+                _fill(*run)
+        except Exception as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill_share, args=(runs[i::workers],))
+               for i in range(workers)]
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _add_physical_column(b: _Recorder, site: str, tag: str, phys_axis: int) -> None:

@@ -199,6 +199,40 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_csv.exists()
 
+    def test_unwritable_csv_path_leaves_no_chart(self, capsys, tmp_path):
+        svg = tmp_path / "s.svg"
+        code, out, err = run(capsys, ["sweep", "--teeth", "50", "--d-min", "5",
+                                      "--d-max", "8", "--svg", str(svg),
+                                      "--out", str(tmp_path / "missing" / "s.csv")])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("missing", ["svg", "out"])
+    def test_unwritable_path_leaves_an_existing_file_as_it_was(self, capsys, tmp_path,
+                                                               missing):
+        paths = {"out": tmp_path / "sweep.csv", "svg": tmp_path / "s.svg"}
+        kept = paths["svg" if missing == "out" else "out"]
+        kept.write_text("before\n")
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        code, _, _ = run(capsys, ["sweep", "--teeth", "50", "--d-min", "5",
+                                  "--d-max", "8", "--out", str(paths["out"]),
+                                  "--svg", str(paths["svg"])])
+        assert code == 1
+        assert kept.read_text() == "before\n"
+
+    def test_existing_files_are_overwritten(self, capsys, tmp_path):
+        out_csv, svg = tmp_path / "sweep.csv", tmp_path / "s.svg"
+        argv = ["sweep", "--teeth", "50", "--d-min", "5", "--d-max", "8",
+                "--out", str(out_csv), "--svg", str(svg)]
+        assert run(capsys, argv)[0] == 0
+        first = out_csv.read_bytes(), svg.read_bytes()
+        out_csv.write_text("x" * 10000)
+        svg.write_text("x" * 100000)
+        assert run(capsys, argv)[0] == 0
+        assert (out_csv.read_bytes(), svg.read_bytes()) == first
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):

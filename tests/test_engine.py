@@ -830,8 +830,16 @@ class TestValueOracle:
          r"bond 0 end a: node 'a' has no axis -1 \(rank 1\)"),
         ({"a": (2, 2), "b": (2,), "c": (2,)}, [("a", 0, "b", 0), ("a", 0, "c", 0)],
          "bond 1 end a: axis 0 of node 'a' is already bonded by bond 0"),
-    ], ids=["unknown-node", "axis-past-rank", "negative-axis", "axis-bonded-twice"])
+        ({"a": (2,), "b": (2,)}, [("a", 0.0, "b", 0)],
+         "bond 0 end a: axis 0.0 of node 'a' is not an integer"),
+        ({"a": (2,), "b": (2,)}, [("a", 0, "b", "0")],
+         "bond 0 end b: axis '0' of node 'b' is not an integer"),
+    ], ids=["unknown-node", "axis-past-rank", "negative-axis", "axis-bonded-twice",
+            "float-axis", "str-axis"])
     def test_malformed_bond_end_rejected(self, shapes, edges, message):
+        # a bond with axis 0.0 equals one with axis 0, so a memo holding
+        # that graph's schedule would answer for it: start from an empty memo
+        engine._walk_bond_graph.cache_clear()
         with pytest.raises(ValueError, match=f"^{message}$"):
             naive_value_oracle(_graph(shapes, edges))
 

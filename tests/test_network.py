@@ -1,10 +1,14 @@
 import hashlib
+import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from combtn import network
 from combtn.engine import execute, naive_value_oracle, plan_for
 from combtn.network import (
     NetworkParams,
@@ -207,12 +211,26 @@ def _stacks_in_draw_order(kind: str, p: NetworkParams):
             ("interior-spines", (m - 2,), (x, x, x), x ** 3)]
 
 
-@pytest.mark.parametrize("as_generator", [False, True])
-def test_each_stack_is_one_scaled_draw_in_stored_order(as_generator):
-    # the draw policy by its definition: one standard_normal call per stack,
-    # of its leading extents and stored member shape, in the builder's
-    # order, times 1/sqrt(fan-in); a stack with no members draws nothing
-    left_out = 0
+def _stack_by_definition(rng, lead, shape, fan_in, chunk) -> tuple[np.ndarray, bool]:
+    """A stack as the draw policy defines it, and whether it was chunked:
+    at most ``chunk`` elements are one standard_normal call on ``rng``;
+    more are runs of ``chunk`` elements in C order, run j drawn from the
+    j-th of ``rng.spawn(k)``; then times 1/sqrt(fan-in)."""
+    size = math.prod(lead + shape)
+    if size <= chunk:
+        values = rng.standard_normal(lead + shape)
+    else:
+        starts = range(0, size, chunk)
+        values = np.concatenate([child.standard_normal(min(chunk, size - start))
+                                 for child, start in zip(rng.spawn(len(starts)), starts)])
+    return values.reshape(lead + shape) * (1 / math.sqrt(fan_in)), size > chunk
+
+
+def _check_small_grid_by_definition(as_generator: bool) -> int:
+    """Rebuild every small-grid stack of both kinds by the definition, byte
+    for byte, at the current ``network._CHUNK``; return how many stacks
+    were chunked."""
+    left_out = chunked = 0
     for idx, p in enumerate(grid_params("small")):
         for build in (build_mps, build_comb):
             seed = 42 + idx
@@ -225,18 +243,110 @@ def test_each_stack_is_one_scaled_draw_in_stored_order(as_generator):
                     assert group not in net.stacks
                     left_out += 1
                     continue
-                expected = rng.standard_normal(lead + shape) * (1 / math.sqrt(fan_in))
+                expected, was_chunked = _stack_by_definition(rng, lead, shape, fan_in,
+                                                             network._CHUNK)
+                chunked += was_chunked
                 arr = net.stacks[group].tensor.array
                 assert arr.shape == expected.shape, group
                 assert arr.tobytes() == expected.tobytes(), (group, p)
                 drawn.append(group)
             assert list(net.stacks) == drawn
             if as_generator:
-                # the caller's generator is advanced by exactly these draws
+                # the caller's generator is advanced by exactly the serial
+                # draws, and has spawned exactly the chunks' streams
                 assert given.bit_generator.state == rng.bit_generator.state
+                assert given.bit_generator.seed_seq.n_children_spawned \
+                    == rng.bit_generator.seed_seq.n_children_spawned
     # M=2 leaves out the interior spines, N=1 the interior teeth, and an
     # MPS of two sites its interior sites
     assert left_out == 54 + 54 + 18
+    return chunked
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_each_stack_is_one_scaled_draw_in_stored_order(as_generator):
+    # the draw policy by its definition: one standard_normal call per stack,
+    # of its leading extents and stored member shape, in the builder's
+    # order, times 1/sqrt(fan-in); a stack with no members draws nothing;
+    # no small-grid stack reaches the chunk size
+    assert _check_small_grid_by_definition(as_generator) == 0
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_large_stacks_are_drawn_in_chunks(as_generator, monkeypatch):
+    monkeypatch.setattr(network, "_CHUNK", 64)
+    assert _check_small_grid_by_definition(as_generator) == 132
+
+
+# sha256 over every node's name and tensor bytes, in node order, of every
+# small-grid network of both kinds (build seed 42) drawn with a chunk of 64
+# elements, so most of them hold chunked stacks
+CHUNKED_DRAW_DIGEST = "c9b4153f889b944975ad481b60c2864607a667f64f8d7b1ab07816eef3b664b5"
+
+
+def test_chunked_draw_is_pinned(monkeypatch):
+    monkeypatch.setattr(network, "_CHUNK", 64)
+    digest = hashlib.sha256()
+    for p in grid_params("small"):
+        for build in (build_mps, build_comb):
+            for name, node in build(p, seed=42).nodes.items():
+                digest.update(name.encode())
+                digest.update(node.tensor.array.tobytes())
+    assert digest.hexdigest() == CHUNKED_DRAW_DIGEST
+
+
+@pytest.mark.parametrize("build", [build_mps, build_comb])
+def test_chunked_bytes_do_not_depend_on_the_thread_count(build, monkeypatch):
+    # more threads than this host may have CPUs, each switching often
+    monkeypatch.setattr(network, "_CHUNK", 64)
+    p = small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5, tooth_len=3)
+    threads, fill = [], network._fill
+
+    def recorded(rng, run, scale):
+        threads.append(threading.current_thread())
+        fill(rng, run, scale)
+
+    monkeypatch.setattr(network, "_fill", recorded)
+    built = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 3):
+            monkeypatch.setattr(network, "_cpus", lambda: cpus)
+            threads.clear()
+            before = threading.active_count()
+            built[cpus] = build(p, seed=3)
+            assert threading.active_count() == before
+            assert len(threads) >= 3
+            if cpus == 1:
+                assert set(threads) == {threading.current_thread()}
+            else:
+                assert threading.current_thread() not in threads
+                assert len(set(threads)) == 3
+    finally:
+        sys.setswitchinterval(interval)
+    for name, node in built[1].nodes.items():
+        assert node.tensor.array.tobytes() == built[3].nodes[name].tensor.array.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_failed_fill_fails_the_build(cpus, monkeypatch):
+    monkeypatch.setattr(network, "_CHUNK", 64)
+    monkeypatch.setattr(network, "_cpus", lambda: cpus)
+    calls, fill = itertools.count(), network._fill
+
+    def fails_once(rng, run, scale):
+        if next(calls) == 2:
+            raise RuntimeError("fill 2 failed")
+        fill(rng, run, scale)
+
+    monkeypatch.setattr(network, "_fill", fails_once)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="fill 2 failed"):
+        build_comb(small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5,
+                                tooth_len=3), seed=3)
+    assert next(calls) >= 3
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])
