@@ -2,7 +2,8 @@
 
 Both planners emit fully explicit step lists over named operands, so a plan
 can be audited, costed, and replayed bit-for-bit. A plan reads only the
-network's stacks: compress, absorb-physical, tooth-sweep and
+network's stacks, and every operand and result is a plain read-only
+``np.ndarray``: compress, absorb-physical, tooth-sweep and
 tooth-to-backbone each run across every site or tooth at once, and pass
 their results on whole or as named views; the chain sweep (the backbone
 sweep, for a comb) is one ``CHAIN`` step through every interior matrix,
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import costmodel
 from .network import TensorNetwork, _node_arrays
-from .tensor import CHAIN, AxisPairing, _wrap, checked_count, contract_pair
+from .tensor import CHAIN, AxisPairing, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
 
@@ -262,31 +263,35 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     step runs, the network's stack names and leading extents are checked
     against ``plan.stacks`` in one comparison. Each step pops its operands,
     so an intermediate is freed once consumed, and is one ``contract_pair``
-    call, looked up on this module; a step's parts are views of its result.
+    call, looked up on this module, so whatever replaces that name sees
+    every step. A step's read-only result goes on whole or as the views
+    ``result[index]`` of its parts. The scalar is ``float`` of the 0-d
+    array left: a complex one, which only a stack made by hand can bring
+    in, raises TypeError rather than losing its imaginary part.
     """
     if plan.kind != net.kind:
         raise ValueError(
             f"plan kind {plan.kind!r} does not match network kind {net.kind!r}"
         )
     reads = set(plan.stacks)
-    holds = {(name, stack.tensor.shape[:stack.lead])
+    holds = {(name, stack.array.shape[:stack.lead])
              for name, stack in net.stacks.items()}
     if holds != reads:
         raise ValueError(f"plan does not match network: where they differ, the "
                          f"plan reads stacks {sorted(reads - holds)} and the "
                          f"network holds {sorted(holds - reads)}")
-    tensors = {name: stack.tensor for name, stack in net.stacks.items()}
+    arrays = {name: stack.array for name, stack in net.stacks.items()}
     subtotals: dict[str, int] = {}
     for step in plan.steps:
-        made, cost = contract_pair(tensors.pop(step.a), tensors.pop(step.b),
+        made, cost = contract_pair(arrays.pop(step.a), arrays.pop(step.b),
                                    step.pairing)
         if isinstance(step.out, str):
-            tensors[step.out] = made
+            arrays[step.out] = made
         else:
             for name, index in step.out:
-                tensors[name] = _wrap(made.array[index])
+                arrays[name] = made[index]
         subtotals[step.phase] = subtotals.get(step.phase, 0) + cost.multiplications
-    (final,) = tensors.values()
+    (final,) = arrays.values()
     if final.shape != ():
         raise ValueError(f"plan result has shape {final.shape}, expected a scalar")
     total = checked_count(sum(subtotals.values()))
@@ -302,7 +307,7 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
         analytic_printed=printed,
         analytic_schedule=schedule,
     )
-    return float(final.array), report
+    return float(final), report
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,18 +326,24 @@ class _OracleSchedule:
 
 
 # An oracle schedule depends only on the bond graph: the node order, the
-# bonds and each node's rank. Builds of one kind and (M, N) share the
-# layout memo's tuples, so a hit hashes every name and bond, in C since a
-# bond is a named tuple, and then finds the same tuples by identity; a
-# bound keeps the memo as small as the plan memo.
+# bonds, each node's rank and the types of each bond's axes. Builds of one
+# kind and (M, N) share the layout memo's tuples, so a hit hashes every
+# name and bond, in C since a bond is a named tuple, and then finds the
+# same tuples by identity; a bound keeps the memo as small as the plan memo.
 _ORACLE_MEMO = 4
 
 
 @functools.lru_cache(maxsize=_ORACLE_MEMO)
-def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...]
-                     ) -> _OracleSchedule:
+def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
+                     axis_types: tuple[tuple[type, type], ...]) -> _OracleSchedule:
     """Label every leg, check the graph is a closed tree, and record one
     merge per bond; reads no extent, so any network on this graph replays it.
+
+    ``axis_types``, the types of each bond's two axes, is read only as part
+    of the memo's key: a bond hashes and compares as a tuple, and an axis
+    ``0.0`` or ``np.int64(0)`` equals ``0``, so without the types such a
+    graph would be answered from the schedule of the integer one, where a
+    walk of its own refuses it.
 
     A bond end that names no node, an axis that is not an int or is outside
     its node's rank, or a leg already labelled is refused, naming the bond's position and end.
@@ -401,7 +412,7 @@ def naive_value_oracle(net: TensorNetwork) -> float:
 
     Independent of the planners and of ``contract_pair``: works directly off
     the node arrays (each stack row in its node's axis order, the views
-    ``net.nodes`` wraps) and the bonds, with generic component merging.
+    ``net.nodes`` hands out) and the bonds, with generic component merging.
     Each merge sums one bond, moving its axis last in the first component
     and first in the second, then multiplies the two as matrices with
     ``np.dot``; that is ``np.tensordot``'s own layout, without its argument
@@ -409,8 +420,9 @@ def naive_value_oracle(net: TensorNetwork) -> float:
 
     The merge schedule (legs, component owners, transpose orders, which
     component is kept) depends only on the bond graph, so it is walked once
-    per graph, kept in an ``lru_cache`` keyed on the node order, the bonds
-    and each node's rank, and replayed for every network on that graph; a
+    per graph, kept in an ``lru_cache`` keyed on the node order, the bonds,
+    each node's rank and each bond's axis types, and replayed for every
+    network on that graph, so a memo hit answers as a fresh walk would; a
     replay only transposes, reshapes and multiplies. A graph with a bond
     end that names no node, a non-int axis, no axis or an axis bonded twice,
     or that is not closed, has a cycle or is disconnected, raises ValueError
@@ -421,8 +433,9 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     arrays = list(_node_arrays(net).values())
     # tuple() returns a tuple as it is, so a hit compares the layout's own
     # tuples by identity, and makes a network built with lists hashable
-    schedule = _walk_bond_graph(tuple(net.order), tuple(net.bonds),
-                                tuple([a.ndim for a in arrays]))
+    bonds = tuple(net.bonds)
+    schedule = _walk_bond_graph(tuple(net.order), bonds, tuple([a.ndim for a in arrays]),
+                                tuple([(type(b[1]), type(b[3])) for b in bonds]))
     for label, slot_a, order_a, slot_b, order_b, keep in schedule.ops:
         a, b = arrays[slot_a], arrays[slot_b]
         if order_a is not None:

@@ -25,7 +25,9 @@ member, in the node's axis order, made only when something reads the nodes
          compressions [L], data [L]  (L = M*N sites, left to right)
   comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
          tooth-ends [M], compressions [M, N], data [M, N]
-A stack with no members is left out.
+A stack with no members is left out. Every stack this module makes holds a
+plain read-only ``np.ndarray`` that it made; ``TensorNetwork.nodes`` hands
+the node views out as ``Node(Tensor(view))`` named tuples.
 
 Names, bonds and node order depend only on the kind and (M, N), so each
 build reads them from a small bounded memo and only draws, stack by stack in
@@ -47,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor, _owned, _wrap
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -85,20 +87,26 @@ class NetworkParams:
         return self.teeth * self.tooth_len
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
+    """One node's array, as ``TensorNetwork.nodes`` hands it out."""
+
     tensor: Tensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stack:
-    """Tensors of one shape held in one read-only array, ``tensor``: its
-    first ``lead`` axes run over the members, and the member named
-    ``names[i]`` is row i of them, in C order. A member is stored with its
-    node's axes permuted: the node is the member transposed by
-    ``node_axes``, or the member itself when that is None."""
+    """Tensors of one shape held in one array, ``array``: its first
+    ``lead`` axes run over the members, and the member named ``names[i]``
+    is row i of them, in C order. A member is stored with its node's axes
+    permuted: the node is the member transposed by ``node_axes``, or the
+    member itself when that is None.
 
-    tensor: Tensor
+    Every stack the builders, ``attach_data`` and
+    ``set_orthonormal_compressions`` make holds a read-only array they
+    made. A stack made by hand holds the array it is given, as numpy
+    containers do: no copy, no check and no change to its flags."""
+
+    array: np.ndarray
     names: tuple[str, ...]
     lead: int
     node_axes: tuple[int, ...] | None = None
@@ -139,19 +147,20 @@ class TensorNetwork:
 
     @functools.cached_property
     def nodes(self) -> dict[str, Node]:
-        """Each node's array from ``_node_arrays`` wrapped as a ``Node``,
-        made when first read and kept. Nothing in combtn reads it: the value
-        oracle reads ``_node_arrays``, and the benchmark in ``perfbench/``
-        reads this."""
-        return {name: Node(_wrap(arr)) for name, arr in _node_arrays(self).items()}
+        """Each node's view from ``_node_arrays`` as ``Node(Tensor(view))``,
+        made when first read and kept. Nothing in
+        combtn reads it: the value oracle reads ``_node_arrays``, and the
+        benchmark in ``perfbench/`` reads this."""
+        return {name: Node(Tensor(arr)) for name, arr in _node_arrays(self).items()}
 
 
 def _node_arrays(net: TensorNetwork) -> dict[str, np.ndarray]:
-    """Each stack row as a read-only view in its node's axis order, by name
-    in ``net.order``; scoring, which reads only the stacks, makes none."""
+    """Each stack row as a view in its node's axis order, read-only when
+    its stack is, by name in ``net.order``; scoring, which reads only the
+    stacks, makes none."""
     views = {}
     for stack in net.stacks.values():
-        arr = stack.tensor.array
+        arr = stack.array
         rows = arr.reshape(len(stack.names), *arr.shape[stack.lead:])
         if stack.node_axes is not None:
             rows = rows.transpose(0, *(axis + 1 for axis in stack.node_axes))
@@ -238,8 +247,10 @@ def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
         drawn.append((group, arr, len(lead), node_axes))
     if runs:
         _fill_all(runs)
-    stacks = {group: Stack(_owned(arr), layout.names[group], lead, node_axes)
-              for group, arr, lead, node_axes in drawn}
+    stacks = {}
+    for group, arr, lead, node_axes in drawn:
+        arr.setflags(write=False)
+        stacks[group] = Stack(arr, layout.names[group], lead, node_axes)
     return TensorNetwork(params, kind, layout.bonds, stacks, layout.order)
 
 
@@ -256,30 +267,28 @@ def _cpus() -> int:
 
 
 def _fill_all(runs: list) -> None:
-    """``_fill`` every (generator, run, scale), shared out over one thread
-    per CPU; numpy releases the GIL while it draws and scales. With one CPU
-    the runs are filled in order on the calling thread. Every thread is
-    joined before this returns, and the first exception a fill raised is
-    raised here, so no unfilled run becomes parameters."""
+    """``_fill`` every (generator, run, scale), shared out over one share
+    per CPU: the calling thread fills the first share, and one more thread
+    each of the others; numpy releases the GIL while it draws and scales.
+    With one CPU no thread starts. Every thread is joined before this
+    returns, and the first exception a fill raised is raised here, so no
+    unfilled run becomes parameters."""
     workers = min(_cpus(), len(runs))
-    if workers == 1:
-        for run in runs:
-            _fill(*run)
-        return
     errors = []
 
     def fill_share(share: list) -> None:
         try:
             for run in share:
                 _fill(*run)
-        except Exception as exc:  # raised again on the calling thread
+        except Exception as exc:  # raised again once every share is done
             errors.append(exc)
 
     threads = [threading.Thread(target=fill_share, args=(runs[i::workers],))
-               for i in range(workers)]
+               for i in range(1, workers)]
     try:
         for thread in threads:
             thread.start()
+        fill_share(runs[::workers])
     finally:
         for thread in threads:
             if thread.ident is not None:
@@ -405,7 +414,7 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
     matrix.flags.writeable = False
     stack = net.stacks["data"]
     stacks = dict(net.stacks)
-    stacks["data"] = Stack(_wrap(matrix.reshape(stack.tensor.shape)),
+    stacks["data"] = Stack(matrix.reshape(stack.array.shape),
                            stack.names, stack.lead)
     return replace(net, stacks=stacks)
 
@@ -427,8 +436,9 @@ def set_orthonormal_compressions(net: TensorNetwork, seed=0) -> TensorNetwork:
     rng = np.random.default_rng(seed)
     d_raw, d_comp = net.params.dim_raw, net.params.dim_comp
     stack = net.stacks["compressions"]
-    arr = np.empty(stack.tensor.shape)
+    arr = np.empty(stack.array.shape)
     for row in arr.reshape(-1, d_raw, d_comp):
         row[...] = _orthonormal_columns(rng, d_raw, d_comp)
-    compressions = Stack(_owned(arr), stack.names, stack.lead)
+    arr.setflags(write=False)
+    compressions = Stack(arr, stack.names, stack.lead)
     return replace(net, stacks={**net.stacks, "compressions": compressions})

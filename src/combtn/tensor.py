@@ -1,9 +1,19 @@
-"""Dense tensors with instrumented pairwise contraction.
+"""Instrumented pairwise contraction of plain numpy arrays.
 
 Every contraction reports its cost in scalar multiplications: the product
 of the output extents times the product of the contracted extents. Additions
 are not counted and no factor of two is applied for fused multiply-adds, so
 an x-by-x matrix applied to a length-x vector costs exactly x**2.
+
+The program passes read-only ``np.ndarray``s throughout, and freezes only
+arrays it made itself: numpy's writeable flag guards against an accidental
+write, such as ``arr[0] = 1.0`` or an in-place ufunc, and nothing more,
+since any holder of the owning array may set it writeable again. Caller
+values are checked where they enter the program (``network.attach_data``);
+``contract_pair`` checks only that its pairing fits the two shapes, and
+that each count fits in 64 bits. ``Tensor`` and ``StepCost`` are named
+tuples that carry an array and a count out to readers that want
+``.array``, ``.size`` or ``.multiplications``.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,32 +41,11 @@ def checked_count(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class Tensor:
-    """Dense array of float64 scalars; shape () is a scalar. Complex values
-    are refused, not cast to their real part.
-
-    An array passed to the constructor is copied, row-major, so the caller
-    may keep writing to its own; arrays combtn makes itself (contraction
-    results, builder draws, data rows) are wrapped as they are. Every array a
-    tensor holds is read-only: numpy's writeable flag is cleared on the array
-    that owns the memory, or the tensor holds a view of such an array. That
-    guards against accidental writes, such as ``tensor.array[0] = 1.0`` or an
-    in-place ufunc, and nothing more: numpy lets any holder of the owning
-    array call ``setflags(write=True)`` on it, after which writes go through
-    and change what every sharer of the tensor reads.
-    """
+class Tensor(NamedTuple):
+    """A read-only array as ``TensorNetwork.nodes`` and ``random_tensor``
+    hand it out; the program itself passes plain arrays."""
 
     array: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.iscomplexobj(self.array):
-            raise ValueError("tensor values must be real, got complex values")
-        arr = np.array(self.array, dtype=np.float64, order="C", copy=True)
-        if any(extent < 1 for extent in arr.shape):
-            raise ValueError(f"every extent must be >= 1, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "array", arr)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -65,11 +54,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.array.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self.array, other.array)
 
 
 @dataclass(frozen=True)
@@ -137,64 +121,39 @@ class AxisPairing:
 CHAIN = AxisPairing(chain=True)
 
 
-@dataclass(frozen=True)
-class StepCost:
-    """Multiplication count of one pairwise contraction.
-
-    ``contract_pair`` fills one in without this constructor, after its own
-    64-bit range check; the count it makes is never negative.
-    """
+class StepCost(NamedTuple):
+    """Multiplication count of one pairwise contraction."""
 
     multiplications: int
-
-    def __post_init__(self) -> None:
-        if self.multiplications < 0:
-            raise ValueError("multiplication count must be non-negative")
-        checked_count(self.multiplications)
-
-
-_new = object.__new__
-
-
-def _wrap(arr: np.ndarray) -> Tensor:
-    """Wrap, without a copy or a check, a read-only float64 array that
-    combtn made, or a view of one (a view of a read-only array is read-only)."""
-    tensor = _new(Tensor)
-    tensor.__dict__["array"] = arr
-    return tensor
-
-
-def _owned(arr: np.ndarray) -> Tensor:
-    """Freeze, in place, a float64 array that combtn made, and wrap it.
-
-    No caller may hold a writeable reference to the array or to its base;
-    a kernel that returns a view freezes the array it views.
-    """
-    arr.setflags(write=False)
-    return _wrap(arr)
 
 
 def _chain(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
     # one np.dot per row, in order: the product a step of one site makes,
-    # so each row leaves the bits that step left
+    # so each row leaves the bits that step left; a stack of no rows
+    # leaves a view of v, so freezing the result leaves v as it was
+    v = v.view()
     for matrix in stack:
         v = np.dot(v, matrix)
+    v.setflags(write=False)
     return v
 
 
 def _transposed(batch: int, a_order, b_order, a_free_count: int,
                 a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # per batch item, a as [free, summed] and b as [summed, free], one matmul
+    # per batch item, a as [free, summed] and b as [summed, free], one
+    # matmul; every extent is spelled out, so a zero one reshapes too
     if a_order is not None:
         a = a.transpose(a_order)
     if b_order is not None:
         b = b.transpose(b_order)
     lead = a.shape[:batch]
     free_end = batch + a_free_count
+    a_free, b_free = a.shape[batch:free_end], b.shape[batch + a.ndim - free_end:]
     summed = math.prod(a.shape[free_end:])
-    out = np.matmul(a.reshape(*lead, -1, summed), b.reshape(*lead, summed, -1))
+    out = np.matmul(a.reshape(*lead, math.prod(a_free), summed),
+                    b.reshape(*lead, summed, math.prod(b_free)))
     out.setflags(write=False)
-    return out.reshape(a.shape[:free_end] + b.shape[batch + a.ndim - free_end:])
+    return out.reshape(lead + a_free + b_free)
 
 
 @functools.lru_cache(maxsize=32)
@@ -214,9 +173,11 @@ def _kernel(pairs: tuple[tuple[int, int], ...], rank_a: int, rank_b: int,
                              rank_a - batch - len(pairs))
 
 
-def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, StepCost]:
-    """Contract two tensors over the paired axes, item by item over the
-    batch axes.
+def contract_pair(a: np.ndarray, b: np.ndarray,
+                  pairing: AxisPairing) -> tuple[np.ndarray, StepCost]:
+    """Contract two arrays over the paired axes, item by item over the
+    batch axes, and return the result as a new read-only array, or a
+    read-only view of one, with its cost; neither operand's flags change.
 
     The result keeps the batch axes, then the other unpaired axes of ``a``
     (in order), then those of ``b`` (in order). Cost is product(output
@@ -245,29 +206,30 @@ def contract_pair(a: Tensor, b: Tensor, pairing: AxisPairing) -> tuple[Tensor, S
     ``CHAIN`` threads a vector [x] through a stack [k, x, x] (a chain or
     backbone sweep): one ``np.dot`` per row, in row order, each with the
     bits of that row's step run alone. It counts x**2 per row, k * x**2 in
-    all, which is the stack's size.
+    all, which is the stack's size; through k = 0 rows the result is a
+    read-only view of ``a``.
     """
-    a_arr, b_arr = a.array, b.array
-    pairing.validate(a_arr.shape, b_arr.shape)
+    pairing.validate(a.shape, b.shape)
     if pairing.chain:
-        out, count = _chain(a_arr, b_arr), b_arr.size
+        out, count = _chain(a, b), b.size
     else:
         pairs = pairing.pairs
-        out = _kernel(pairs, a_arr.ndim, b_arr.ndim, pairing.batch)(a_arr, b_arr)
-        count = out.size * math.prod(a_arr.shape[ia] for ia, _ in pairs)
-    cost = _new(StepCost)
-    cost.__dict__["multiplications"] = checked_count(count)
-    return _owned(out), cost
+        out = _kernel(pairs, a.ndim, b.ndim, pairing.batch)(a, b)
+        count = out.size * math.prod(a.shape[ia] for ia, _ in pairs)
+    return out, StepCost(checked_count(count))
 
 
 def random_tensor(shape: Sequence[int], seed, std: float = 1.0) -> Tensor:
-    """Gaussian(0, std) tensor, deterministic for a fixed (shape, seed).
+    """Gaussian(0, std) read-only array as a ``Tensor``, deterministic for
+    a fixed (shape, seed).
 
     ``seed`` may also be a ``numpy.random.Generator``, which is drawn from
-    and advanced. The network builders no longer call it: they draw from
+    and advanced. The network builders do not call it: they draw from
     their generator directly.
     """
     shape = tuple(shape)
     if any(extent < 1 for extent in shape):
         raise ValueError(f"every extent must be >= 1, got shape {shape}")
-    return _owned(np.random.default_rng(seed).normal(0.0, std, size=shape))
+    arr = np.random.default_rng(seed).normal(0.0, std, size=shape)
+    arr.setflags(write=False)
+    return Tensor(arr)

@@ -39,7 +39,7 @@ from combtn.network import (
     build_comb,
     build_mps,
 )
-from combtn.tensor import CHAIN, AxisPairing, Tensor, contract_pair
+from combtn.tensor import CHAIN, AxisPairing, contract_pair
 from combtn.verification import grid_params
 
 
@@ -50,7 +50,7 @@ def params(D=3, d=2, x=2, M=2, N=1) -> NetworkParams:
 def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
     """Bare bond graph of all-ones tensors, each the one row of a stack
     named after it, for the oracle's error paths."""
-    stacks = {name: Stack(Tensor(np.ones((1, *shape))), (name,), 1)
+    stacks = {name: Stack(np.ones((1, *shape)), (name,), 1)
               for name, shape in shapes.items()}
     bonds = tuple(Bond(*edge) for edge in edges)
     return TensorNetwork(params(), "mps", bonds, stacks, tuple(shapes))
@@ -265,7 +265,7 @@ class TestExecute:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             out, cost = contract_pair(a, b, pairing)
-            extra.append(tracemalloc.get_traced_memory()[1] - before - out.array.nbytes)
+            extra.append(tracemalloc.get_traced_memory()[1] - before - out.nbytes)
             return out, cost
 
         monkeypatch.setattr(engine, "contract_pair", traced)
@@ -355,7 +355,7 @@ class TestExecuteRefusals:
 
     def test_network_with_an_extra_node(self):
         net = build_mps(params(M=2, N=1), seed=0)
-        spare = Stack(Tensor(np.ones((1, 2))), ("spare",), 1)
+        spare = Stack(np.ones((1, 2)), ("spare",), 1)
         extra = replace(net, stacks={**net.stacks, "spare": spare})
         with pytest.raises(ValueError) as raised:
             execute(extra, mps_plan(net))
@@ -423,7 +423,7 @@ MISMATCHES = {
 def test_execute_refuses_a_mismatched_network_before_any_step(case, monkeypatch):
     comb = build_comb(params(M=3, N=2), seed=0)
     mps = build_mps(params(M=3, N=1), seed=0)
-    spare = Stack(Tensor(np.ones((1, 2))), ("spare",), 1)
+    spare = Stack(np.ones((1, 2)), ("spare",), 1)
     net, plan = {
         # the comb plan for N=2 on N=1, which has no interior teeth
         "missing": (build_comb(params(M=3, N=1), seed=0), comb_plan(comb)),
@@ -443,6 +443,18 @@ def test_execute_refuses_a_mismatched_network_before_any_step(case, monkeypatch)
         execute(net, plan)
     assert str(raised.value) == MISMATCHES[case]
     assert calls == []
+
+
+@pytest.mark.parametrize("build", [build_mps, build_comb])
+def test_a_complex_stack_is_refused_not_cast(build):
+    # a stack made by hand holds the array it is given, so complex data
+    # stays complex through every step; the scalar is refused rather than
+    # cut to its real part
+    net = build(params(M=3, N=2), seed=0)
+    data = net.stacks["data"]
+    net = replace(net, stacks={**net.stacks, "data": replace(data, array=data.array + 1j)})
+    with pytest.raises(TypeError, match="complex"):
+        execute(net, plan_for(net))
 
 
 # sha256 over every executed scalar's float.hex and every phase subtotal of
@@ -523,9 +535,8 @@ def test_consumed_intermediates_are_released(build, monkeypatch):
     def tracked(a, b, pairing):
         alive.append(sum(ref() is not None for ref in owners))
         out, cost = contract_pair(a, b, pairing)
-        arr = out.array
-        if arr.shape:
-            owners.append(weakref.ref(arr if arr.base is None else arr.base))
+        if out.shape:
+            owners.append(weakref.ref(out if out.base is None else out.base))
         return out, cost
 
     monkeypatch.setattr(engine, "contract_pair", tracked)
@@ -745,10 +756,9 @@ class TestValueOracle:
         p = params(D=1, d=1, x=1, M=2, N=1)
         net = build_mps(p, seed=0)
         net = replace(net, stacks={
-            group: replace(stack, tensor=Tensor(np.ones(stack.tensor.shape)))
+            group: replace(stack, array=np.ones(stack.array.shape))
             for group, stack in net.stacks.items()})
-        assert all(node.tensor == Tensor(np.ones(node.tensor.shape))
-                   for node in net.nodes.values())
+        assert all((node.tensor.array == 1.0).all() for node in net.nodes.values())
         assert naive_value_oracle(net) == 1.0
         scalar, _ = execute(net, plan_for(net))
         assert scalar == 1.0
@@ -822,24 +832,35 @@ class TestValueOracle:
         with pytest.raises(OracleGuardError, match="guard of 1"):
             naive_value_oracle(net)
 
-    @pytest.mark.parametrize("shapes, edges, message", [
-        ({"a": (2,), "b": (2,)}, [("a", 0, "c", 0)], "bond 0 end b: no node 'c'"),
+    @pytest.mark.parametrize("shapes, edges, message, warm", [
+        ({"a": (2,), "b": (2,)}, [("a", 0, "c", 0)], "bond 0 end b: no node 'c'", False),
         ({"a": (2,), "b": (2,)}, [("a", 0, "b", 1)],
-         r"bond 0 end b: node 'b' has no axis 1 \(rank 1\)"),
+         r"bond 0 end b: node 'b' has no axis 1 \(rank 1\)", False),
         ({"a": (2,), "b": (2,)}, [("a", -1, "b", 0)],
-         r"bond 0 end a: node 'a' has no axis -1 \(rank 1\)"),
+         r"bond 0 end a: node 'a' has no axis -1 \(rank 1\)", False),
         ({"a": (2, 2), "b": (2,), "c": (2,)}, [("a", 0, "b", 0), ("a", 0, "c", 0)],
-         "bond 1 end a: axis 0 of node 'a' is already bonded by bond 0"),
+         "bond 1 end a: axis 0 of node 'a' is already bonded by bond 0", False),
         ({"a": (2,), "b": (2,)}, [("a", 0.0, "b", 0)],
-         "bond 0 end a: axis 0.0 of node 'a' is not an integer"),
+         "bond 0 end a: axis 0.0 of node 'a' is not an integer", False),
         ({"a": (2,), "b": (2,)}, [("a", 0, "b", "0")],
-         "bond 0 end b: axis '0' of node 'b' is not an integer"),
+         "bond 0 end b: axis '0' of node 'b' is not an integer", False),
+        ({"a": (2,), "b": (2,)}, [("a", 0.0, "b", 0)],
+         "bond 0 end a: axis 0.0 of node 'a' is not an integer", True),
+        ({"a": (2,), "b": (2,)}, [("a", 0, "b", np.int64(0))],
+         r"bond 0 end b: axis np\.int64\(0\) of node 'b' is not an integer", False),
+        ({"a": (2,), "b": (2,)}, [("a", 0, "b", np.int64(0))],
+         r"bond 0 end b: axis np\.int64\(0\) of node 'b' is not an integer", True),
     ], ids=["unknown-node", "axis-past-rank", "negative-axis", "axis-bonded-twice",
-            "float-axis", "str-axis"])
-    def test_malformed_bond_end_rejected(self, shapes, edges, message):
-        # a bond with axis 0.0 equals one with axis 0, so a memo holding
-        # that graph's schedule would answer for it: start from an empty memo
+            "float-axis", "str-axis", "float-axis-warm-memo", "int64-axis",
+            "int64-axis-warm-memo"])
+    def test_malformed_bond_end_rejected(self, shapes, edges, message, warm):
+        # a bond with axis 0.0 or np.int64(0) equals one with axis 0; from
+        # an empty memo, or one holding the integer graph's schedule
+        # (warm), the answer is the same refusal
         engine._walk_bond_graph.cache_clear()
+        if warm:
+            ints = _graph(shapes, [(a, int(i), b, int(j)) for a, i, b, j in edges])
+            assert naive_value_oracle(ints) == 2.0
         with pytest.raises(ValueError, match=f"^{message}$"):
             naive_value_oracle(_graph(shapes, edges))
 
@@ -941,7 +962,7 @@ class TestOracleSchedules:
                 # the schedule the oracle just replayed, read back as a hit
                 walked = walks()
                 ranks = tuple(a.ndim for a in _node_arrays(net).values())
-                schedule = memo(net.order, net.bonds, ranks)
+                schedule = memo(net.order, net.bonds, ranks, ((int, int),) * len(net.bonds))
                 assert walks() == walked
                 leaves = held(schedule)
                 assert {type(leaf) for leaf in leaves} <= {int, str, type(None)}

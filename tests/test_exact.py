@@ -6,7 +6,6 @@ import pytest
 
 from combtn.engine import execute, naive_value_oracle, plan_for
 from combtn.network import Bond, NetworkParams, Stack, TensorNetwork, build_comb, build_mps
-from combtn.tensor import Tensor
 from combtn.verification import grid_params
 
 from exact import exact_value
@@ -15,7 +14,7 @@ from exact import exact_value
 def _net(tensors: dict[str, np.ndarray], bonds) -> TensorNetwork:
     # a hand-made network, one one-member stack per node
     p = NetworkParams(dim_raw=1, dim_comp=1, bond_dim=1, teeth=2, tooth_len=1)
-    stacks = {name: Stack(Tensor(arr[None]), (name,), 1) for name, arr in tensors.items()}
+    stacks = {name: Stack(arr[None], (name,), 1) for name, arr in tensors.items()}
     return TensorNetwork(p, "mps", tuple(Bond(*b) for b in bonds), stacks,
                          tuple(tensors))
 

@@ -16,6 +16,7 @@ import pytest
 
 import combtn
 import combtn.cli  # noqa: F401  (spans resolves names on every module)
+from combtn import engine, network
 from combtn.engine import execute, plan_for
 from combtn.network import NetworkParams, attach_data, build_comb, build_mps
 
@@ -59,3 +60,39 @@ def test_reference_and_count_checks_pass_on_the_program(build, with_data):
     assert abs(math.log(abs(scalar)) - log_abs) <= checks.VALUE_LOG_TOL
     dims = (SMALL.teeth, SMALL.tooth_len, SMALL.dim_raw, SMALL.dim_comp, SMALL.bond_dim)
     assert checks.check_count(net.kind, dims, report) is None
+
+
+@pytest.mark.parametrize("build", ["build_mps", "build_comb"])
+def test_traced_work_reads_the_arrays(build, monkeypatch):
+    # spans.Tracer on a build, an attach_data and an execute with and
+    # without data, each called on its module as the tracer patched it:
+    # the per-layer work it reads off plain arrays is the counts and sizes
+    # summed here by hand
+    tracer = spans.Tracer()
+    tracer.install(combtn)
+    steps = []
+    try:
+        with monkeypatch.context() as patch:
+            traced = engine.contract_pair
+
+            def recorded(a, b, pairing):
+                out, cost = traced(a, b, pairing)
+                steps.append(8 * (a.size + b.size + out.size))
+                return out, cost
+
+            patch.setattr(engine, "contract_pair", recorded)
+            tracer.active = True
+            net = getattr(network, build)(SMALL, seed=7)
+            data = np.random.default_rng(8).standard_normal((SMALL.sites, SMALL.dim_raw))
+            reports = [engine.execute(n, engine.plan_for(n))[1]
+                       for n in (net, network.attach_data(net, data))]
+            tracer.active = False
+    finally:
+        tracer.uninstall()
+    totals = tracer.layer_totals(rounds=1)
+    assert totals["tensor.contract_pair.calls"] == totals["engine.steps"] == len(steps)
+    assert totals["tensor.contract_pair.work_a"] == sum(r.total for r in reports)
+    assert totals["tensor.contract_pair.work_b"] == sum(steps)
+    assert totals["network.build.calls"] == totals["network.attach_data.calls"] == 1
+    assert totals["network.build.work_a"] == \
+        8 * sum(stack.array.size for stack in net.stacks.values())

@@ -17,18 +17,20 @@ from combtn.tensor import (
     INT64_MAX,
     AxisPairing,
     CountOverflowError,
-    StepCost,
-    Tensor,
     _chain,
     _kernel,
-    _owned,
     _transposed,
     contract_pair,
     random_tensor,
 )
 
 
-def loop_contract(a: Tensor, b: Tensor, pairs) -> np.ndarray:
+def _drawn(shape, seed) -> np.ndarray:
+    """A read-only Gaussian array, as ``random_tensor`` draws it."""
+    return random_tensor(shape, seed).array
+
+
+def loop_contract(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     """Reference contraction by explicit summation; independent of numpy's
     tensordot path."""
     a_axes = [ia for ia, _ in pairs]
@@ -50,20 +52,19 @@ def loop_contract(a: Tensor, b: Tensor, pairs) -> np.ndarray:
             for (axis_a, axis_b), value in zip(pairs, summed):
                 ia[axis_a] = value
                 ib[axis_b] = value
-            total += a.array[tuple(ia)] * b.array[tuple(ib)]
+            total += a[tuple(ia)] * b[tuple(ib)]
         result[out_idx] = total
     return result
 
 
-def _strided(t: Tensor) -> list[Tensor]:
-    """``t`` as laid out, then as a Fortran-ordered copy and as a sliced view.
-
-    Tensors made through the constructor are C-contiguous; these are wrapped
-    without a copy, so ``contract_pair`` must also read other layouts right.
+def _strided(arr: np.ndarray) -> list[np.ndarray]:
+    """``arr`` as laid out, then as a Fortran-ordered copy and as a sliced
+    view, both writeable: ``contract_pair`` takes any caller's arrays as
+    they are, so it must read other layouts right and return read-only
+    results from writeable operands too.
     """
-    arr = t.array
     wide = np.repeat(arr, 2, axis=-1)[..., ::2]
-    return [t, _owned(np.asfortranarray(arr)), _owned(wide)]
+    return [arr, np.asfortranarray(arr), wide]
 
 
 def convention_cost(a_shape, b_shape, pairs) -> int:
@@ -78,53 +79,53 @@ def convention_cost(a_shape, b_shape, pairs) -> int:
 
 class TestContractPair:
     def test_vector_matrix(self):
-        v = random_tensor((3,), seed=1)
-        m = random_tensor((3, 3), seed=2)
+        v = _drawn((3,), seed=1)
+        m = _drawn((3, 3), seed=2)
         out, cost = contract_pair(v, m, AxisPairing([(0, 0)]))
         assert out.shape == (3,)
         assert cost.multiplications == 9
 
     def test_rank3_vector(self):
-        t = random_tensor((2, 3, 2), seed=3)
-        v = random_tensor((3,), seed=4)
+        t = _drawn((2, 3, 2), seed=3)
+        v = _drawn((3,), seed=4)
         out, cost = contract_pair(t, v, AxisPairing([(1, 0)]))
         assert out.shape == (2, 2)
         assert cost.multiplications == 12
 
     def test_scalar_outer_product(self):
-        s = Tensor(np.array(2.5))
-        v = Tensor(np.arange(5.0))
+        s = np.array(2.5)
+        v = np.arange(5.0)
         out, cost = contract_pair(s, v, AxisPairing())
         assert out.shape == (5,)
         assert cost.multiplications == 5
-        assert np.allclose(out.array, 2.5 * np.arange(5.0))
+        assert np.allclose(out, 2.5 * np.arange(5.0))
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             ndim_a = int(rng.integers(1, 4))
             ndim_b = int(rng.integers(1, 4))
-            a = random_tensor(tuple(rng.integers(1, 5, ndim_a)), seed=int(rng.integers(1 << 30)))
+            a = _drawn(tuple(rng.integers(1, 5, ndim_a)), seed=int(rng.integers(1 << 30)))
             b_shape = list(rng.integers(1, 5, ndim_b))
             n_pairs = int(rng.integers(0, min(ndim_a, ndim_b) + 1))
             a_axes = list(rng.choice(ndim_a, n_pairs, replace=False))
             b_axes = list(rng.choice(ndim_b, n_pairs, replace=False))
             for ia, ib in zip(a_axes, b_axes):
                 b_shape[ib] = a.shape[ia]
-            b = random_tensor(tuple(b_shape), seed=int(rng.integers(1 << 30)))
+            b = _drawn(tuple(b_shape), seed=int(rng.integers(1 << 30)))
             pairs = list(zip(a_axes, b_axes))
             out, cost = contract_pair(a, b, AxisPairing(pairs))
             reference = loop_contract(a, b, pairs)
             assert out.shape == reference.shape
-            assert np.allclose(out.array, reference, rtol=1e-12, atol=1e-14)
+            assert np.allclose(out, reference, rtol=1e-12, atol=1e-14)
             assert cost.multiplications == convention_cost(a.shape, b.shape, pairs)
 
     def test_identity_leaves_values_unchanged(self):
-        t = random_tensor((2, 3, 4), seed=11)
-        eye = Tensor(np.eye(3))
+        t = _drawn((2, 3, 4), seed=11)
+        eye = np.eye(3)
         out, _ = contract_pair(t, eye, AxisPairing([(1, 0)]))
         # identity lands the contracted axis last
-        assert np.allclose(out.array, np.moveaxis(t.array, 1, 2))
+        assert np.allclose(out, np.moveaxis(t, 1, 2))
 
     @pytest.mark.parametrize("rank_a", range(4))
     @pytest.mark.parametrize("rank_b", range(4))
@@ -138,50 +139,48 @@ class TestContractPair:
                     for ia, ib in zip(a_axes, b_axes):
                         b_shape[ib] = a_shape[ia]
                     pairs = list(zip(a_axes, b_axes))
-                    a = random_tensor(a_shape, seed=rank_a)
-                    b = random_tensor(b_shape, seed=rank_b + 10)
+                    a = _drawn(a_shape, seed=rank_a)
+                    b = _drawn(b_shape, seed=rank_b + 10)
                     out, cost = contract_pair(a, b, AxisPairing(pairs))
                     reference = loop_contract(a, b, pairs)
                     assert out.shape == reference.shape, pairs
-                    assert np.allclose(out.array, reference, rtol=1e-12, atol=1e-14), pairs
+                    assert np.allclose(out, reference, rtol=1e-12, atol=1e-14), pairs
                     assert cost.multiplications == convention_cost(a.shape, b.shape, pairs)
 
     def test_non_contiguous_inputs(self):
         base = np.arange(120.0).reshape(4, 5, 6)
-        vec = Tensor(np.linspace(-1.0, 1.0, 5))
-        for view in (base[:, :, ::-2], np.asfortranarray(base),
-                     base.transpose(1, 0, 2)[:, ::2]):
-            a = Tensor(view)
-            assert np.array_equal(a.array, view)
-            pairs = [(view.shape.index(5), 0)]
+        vec = np.linspace(-1.0, 1.0, 5)
+        for a in (base[:, :, ::-2], np.asfortranarray(base),
+                  base.transpose(1, 0, 2)[:, ::2]):
+            pairs = [(a.shape.index(5), 0)]
             out, _ = contract_pair(a, vec, AxisPairing(pairs))
-            assert np.allclose(out.array, loop_contract(a, vec, pairs), rtol=1e-12)
+            assert np.allclose(out, loop_contract(a, vec, pairs), rtol=1e-12)
 
     def test_outputs_read_only(self):
-        a = random_tensor((2, 3), seed=1)
-        b = random_tensor((3,), seed=2)
+        a = _drawn((2, 3), seed=1)
+        b = _drawn((3,), seed=2)
         for pairs in ([(1, 0)], []):
             out, _ = contract_pair(a, b, AxisPairing(pairs))
-            assert not out.array.flags.writeable
+            assert not out.flags.writeable
             with pytest.raises(ValueError):
-                out.array[...] = 0.0
-        assert not a.array.flags.writeable
+                out[...] = 0.0
+        assert not a.flags.writeable
 
     def test_extent_mismatch(self):
-        a = random_tensor((2, 3), seed=1)
-        b = random_tensor((4,), seed=2)
+        a = _drawn((2, 3), seed=1)
+        b = _drawn((4,), seed=2)
         with pytest.raises(ValueError, match="paired extents differ"):
             contract_pair(a, b, AxisPairing([(1, 0)]))
 
     def test_duplicate_axis(self):
-        a = random_tensor((2, 2), seed=1)
-        b = random_tensor((2, 2), seed=2)
+        a = _drawn((2, 2), seed=1)
+        b = _drawn((2, 2), seed=2)
         with pytest.raises(ValueError, match="reuses an axis"):
             contract_pair(a, b, AxisPairing([(0, 0), (0, 1)]))
 
     def test_axis_out_of_range(self):
-        a = random_tensor((2,), seed=1)
-        b = random_tensor((2,), seed=2)
+        a = _drawn((2,), seed=1)
+        b = _drawn((2,), seed=2)
         with pytest.raises(ValueError, match="out of range"):
             contract_pair(a, b, AxisPairing([(1, 0)]))
 
@@ -192,10 +191,10 @@ class TestContractPair:
         for a_shape, b_shape in [((3,), (2, 3)), ((3,), (2, 3, 4)),
                                  ((3, 2), (4, 3)), ((3, 2, 4), (5, 3, 2)),
                                  ((3,), (2, 3))]:
-            a = random_tensor(a_shape, seed=len(a_shape))
-            b = random_tensor(b_shape, seed=len(b_shape) + 10)
+            a = _drawn(a_shape, seed=len(a_shape))
+            b = _drawn(b_shape, seed=len(b_shape) + 10)
             out, cost = contract_pair(a, b, pairing)
-            assert np.allclose(out.array, loop_contract(a, b, pairing.pairs),
+            assert np.allclose(out, loop_contract(a, b, pairing.pairs),
                                rtol=1e-12, atol=1e-14), (a_shape, b_shape)
             assert cost.multiplications == convention_cost(a_shape, b_shape,
                                                            pairing.pairs)
@@ -216,17 +215,17 @@ class TestContractPair:
                         for ia, ib in zip(a_axes, b_axes):
                             a_shape[ia] = b_shape[ib]
                         pairs = list(zip(a_axes, b_axes))
-                        a = random_tensor(a_shape, seed=rank_a)
-                        b = random_tensor(b_shape, seed=rank_b + 10)
+                        a = _drawn(a_shape, seed=rank_a)
+                        b = _drawn(b_shape, seed=rank_b + 10)
                         reference = loop_contract(a, b, pairs)
                         for a_op, b_op in zip(_strided(a), _strided(b)):
                             out, cost = contract_pair(a_op, b_op, AxisPairing(pairs))
                             assert out.shape == reference.shape, pairs
-                            assert np.allclose(out.array, reference,
+                            assert np.allclose(out, reference,
                                                rtol=1e-12, atol=1e-14), pairs
                             assert cost.multiplications == \
                                 convention_cost(a_shape, b_shape, pairs)
-                            assert not out.array.flags.writeable
+                            assert not out.flags.writeable
 
     def test_absorb_reads_the_site_in_place(self):
         self.test_stacked_absorb_reads_the_sites_in_place(())
@@ -235,8 +234,8 @@ class TestContractPair:
     def test_stacked_absorb_reads_the_sites_in_place(self, lead):
         # data vectors against the leading axis of [d, x, x] sites, the
         # order an interior site is stored in
-        w = random_tensor(lead + (30,), seed=1)
-        site = random_tensor(lead + (30, 64, 64), seed=2)
+        w = _drawn(lead + (30,), seed=1)
+        site = _drawn(lead + (30, 64, 64), seed=2)
         pairing = AxisPairing([(len(lead), len(lead))], batch=len(lead))
         contract_pair(w, site, pairing)
         tracemalloc.start()
@@ -245,8 +244,8 @@ class TestContractPair:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.array.nbytes == math.prod(lead) * 64 * 64 * 8
-        assert peak < site.array.nbytes / 10
+        assert out.nbytes == math.prod(lead) * 64 * 64 * 8
+        assert peak < site.nbytes / 10
 
     @pytest.mark.parametrize("pairs, good, bad, words", [
         ([(0, 0)], ((2,), (2,)), ((2,), (3,)), "paired extents differ"),
@@ -265,9 +264,9 @@ class TestContractPair:
         pairing = AxisPairing(pairs)
         if good is not None:
             # a valid call first, so the pairing's layout is already worked out
-            contract_pair(random_tensor(good[0], seed=1),
-                          random_tensor(good[1], seed=2), pairing)
-        a, b = random_tensor(bad[0], seed=3), random_tensor(bad[1], seed=4)
+            contract_pair(_drawn(good[0], seed=1),
+                          _drawn(good[1], seed=2), pairing)
+        a, b = _drawn(bad[0], seed=3), _drawn(bad[1], seed=4)
         with pytest.raises(ValueError, match=words) as raised:
             contract_pair(a, b, pairing)
         with pytest.raises(ValueError) as expected:
@@ -300,15 +299,15 @@ def test_chain_is_the_per_site_sweep_bit_for_bit(k):
     # frozen stacks as a build makes them, a Fortran-ordered copy and a
     # strided view; the chain counts x**2 per row
     for x in [*range(1, 20), 30, 64]:
-        v = random_tensor((x,), seed=x)
-        stack = random_tensor((k, x, x), seed=100 + x)
+        v = _drawn((x,), seed=x)
+        stack = _drawn((k, x, x), seed=100 + x)
         for v_op, stack_op in zip(_strided(v), _strided(stack)):
             out, cost = contract_pair(v_op, stack_op, CHAIN)
-            expected = per_site_sweep(v_op.array, stack_op.array)
+            expected = per_site_sweep(v_op, stack_op)
             assert out.shape == (x,)
-            assert out.array.tobytes() == expected.tobytes(), (k, x)
+            assert out.tobytes() == expected.tobytes(), (k, x)
             assert cost.multiplications == k * x * x == stack.size
-            assert not out.array.flags.writeable
+            assert not out.flags.writeable
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
@@ -320,13 +319,27 @@ def test_chain_is_the_per_site_sweep_bit_for_bit(k):
     ((3, 3), (2, 3, 3)),        # not a vector
 ])
 def test_chain_refuses_a_stack_that_does_not_fit(a_shape, b_shape):
-    a, b = random_tensor(a_shape, seed=1), random_tensor(b_shape, seed=2)
+    a, b = _drawn(a_shape, seed=1), _drawn(b_shape, seed=2)
     with pytest.raises(ValueError) as raised:
         contract_pair(a, b, CHAIN)
     assert str(a_shape) in str(raised.value) and str(b_shape) in str(raised.value)
     with pytest.raises(ValueError) as expected:
         CHAIN.validate(a_shape, b_shape)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("pairing, a_shape, b_shape, out_shape", [
+    (AxisPairing([(1, 0)]), (2, 0), (0, 3), (2, 3)),
+    (AxisPairing([(0, 0)]), (0,), (0,), ()),
+    (AxisPairing([(1, 1)], 1), (2, 0, 3), (2, 0, 4), (2, 3, 4)),
+    (AxisPairing([(1, 1)]), (2, 3), (0, 3), (2, 0)),
+])
+def test_an_empty_sum_is_zero(pairing, a_shape, b_shape, out_shape):
+    # arrays come as callers make them, zero extents included: a sum over
+    # none of its terms is zero and costs nothing
+    out, cost = contract_pair(np.ones(a_shape), np.ones(b_shape), pairing)
+    assert out.shape == out_shape and not out.any()
+    assert cost.multiplications == 0 and not out.flags.writeable
 
 
 def test_a_chain_takes_no_pairs_and_no_batch():
@@ -358,7 +371,7 @@ def test_plan_steps_run_on_their_kernels_bit_for_bit(monkeypatch):
 
     def recorded(a, b, pairing):
         out, cost = contract_pair(a, b, pairing)
-        steps.append((a.array, b.array, pairing, out.array))
+        steps.append((a, b, pairing, out))
         return out, cost
 
     monkeypatch.setattr(engine, "contract_pair", recorded)
@@ -406,9 +419,9 @@ def test_final_dot_is_a_read_only_scalar_with_the_bits_of_np_dot():
     for n in [*range(1, 70), 100, 128, 257]:
         for _ in range(10):
             a, b = rng.standard_normal(n), rng.standard_normal(n)
-            out, cost = contract_pair(Tensor(a), Tensor(b), AxisPairing([(0, 0)]))
-            assert out.shape == () and not out.array.flags.writeable
-            assert float(out.array).hex() == float(np.dot(a, b)).hex(), n
+            out, cost = contract_pair(a, b, AxisPairing([(0, 0)]))
+            assert out.shape == () and not out.flags.writeable
+            assert float(out).hex() == float(np.dot(a, b)).hex(), n
             assert cost.multiplications == n
 
 
@@ -427,23 +440,22 @@ def test_batched_pairing_matches_the_loop_reference_per_item(batch, rank_a, rank
                 b_item = [5, 1, 2, 6][:rank_b]
                 for ia, ib in zip(a_axes, b_axes):
                     b_item[ib] = a_item[ia]
-                a = random_tensor(lead + a_item, seed=rank_a)
-                b = random_tensor(lead + tuple(b_item), seed=rank_b + 10)
+                a = _drawn(lead + a_item, seed=rank_a)
+                b = _drawn(lead + tuple(b_item), seed=rank_b + 10)
                 pairs = [(ia + batch, ib + batch) for ia, ib in zip(a_axes, b_axes)]
                 item_pairs = list(zip(a_axes, b_axes))
                 for a_op, b_op in zip(_strided(a), _strided(b)):
                     out, cost = contract_pair(a_op, b_op, AxisPairing(pairs, batch))
                     for item in np.ndindex(lead):
-                        reference = loop_contract(Tensor(a.array[item]),
-                                                  Tensor(b.array[item]), item_pairs)
-                        assert np.allclose(out.array[item], reference,
+                        reference = loop_contract(a[item], b[item], item_pairs)
+                        assert np.allclose(out[item], reference,
                                            rtol=1e-12, atol=1e-14), (pairs, item)
                     assert out.shape[:batch] == lead
                     assert cost.multiplications == math.prod(lead) * convention_cost(
                         a_item, tuple(b_item), item_pairs)
                     # a view is frozen with the array that owns its memory
-                    owner = out.array if out.array.base is None else out.array.base
-                    assert not out.array.flags.writeable
+                    owner = out if out.base is None else out.base
+                    assert not out.flags.writeable
                     assert not owner.flags.writeable
 
 
@@ -456,7 +468,7 @@ def test_batched_pairing_matches_the_loop_reference_per_item(batch, rank_a, rank
     (AxisPairing([(1, 1)], batch=1), (3, 2), (3, 4), "paired extents differ"),
 ])
 def test_batch_errors_match_validate(pairing, a_shape, b_shape, words):
-    a, b = random_tensor(a_shape, seed=3), random_tensor(b_shape, seed=4)
+    a, b = _drawn(a_shape, seed=3), _drawn(b_shape, seed=4)
     with pytest.raises(ValueError, match=words) as raised:
         contract_pair(a, b, pairing)
     with pytest.raises(ValueError) as expected:
@@ -482,22 +494,24 @@ def contraction_cases(draw):
 @given(contraction_cases(), st.integers(0, 2**31))
 def test_cost_convention_property(case, seed):
     a_shape, b_shape, pairs = case
-    a = random_tensor(a_shape, seed=seed)
-    b = random_tensor(b_shape, seed=seed + 1)
+    a = _drawn(a_shape, seed=seed)
+    b = _drawn(b_shape, seed=seed + 1)
     out, cost = contract_pair(a, b, AxisPairing(pairs))
     assert cost.multiplications == convention_cost(a_shape, b_shape, pairs)
     out_a = [e for i, e in enumerate(a_shape) if i not in {ia for ia, _ in pairs}]
     out_b = [e for i, e in enumerate(b_shape) if i not in {ib for _, ib in pairs}]
     assert out.shape == tuple(out_a) + tuple(out_b)
-    assert np.allclose(out.array, loop_contract(a, b, pairs), rtol=1e-12, atol=1e-14)
+    assert np.allclose(out, loop_contract(a, b, pairs), rtol=1e-12, atol=1e-14)
 
 
 class TestRandomTensor:
     def test_deterministic(self):
-        assert random_tensor((4, 2), seed=123) == random_tensor((4, 2), seed=123)
+        assert np.array_equal(random_tensor((4, 2), seed=123).array,
+                              random_tensor((4, 2), seed=123).array)
 
     def test_seed_sensitive(self):
-        assert random_tensor((4,), seed=1) != random_tensor((4,), seed=2)
+        assert not np.array_equal(random_tensor((4,), seed=1).array,
+                                  random_tensor((4,), seed=2).array)
 
     def test_sample_mean_near_zero(self):
         values = [random_tensor((1,), seed=s).array[0] for s in range(100_000)]
@@ -507,10 +521,10 @@ class TestRandomTensor:
         rng = np.random.default_rng(5)
         first = random_tensor((3, 2), rng)
         second = random_tensor((3, 2), rng)
-        assert first != second
         expected = np.random.default_rng(5).normal(0.0, 1.0, size=(2, 3, 2))
         assert np.array_equal(first.array, expected[0])
         assert np.array_equal(second.array, expected[1])
+        assert (first.shape, first.size) == ((3, 2), 6)
 
     def test_zero_extent_rejected(self):
         with pytest.raises(ValueError, match="extent"):
@@ -523,29 +537,13 @@ class TestRandomTensor:
 
 
 class TestTensorInvariants:
-    def test_zero_extent_rejected(self):
-        with pytest.raises(ValueError, match="extent"):
-            Tensor(np.zeros((2, 0)))
-
-    def test_complex_rejected(self):
-        with pytest.raises(ValueError, match="^tensor values must be real"):
-            Tensor(np.array([1.0, 2.0j]))
-
-    def test_caller_array_is_copied(self):
-        source = np.arange(6.0).reshape(2, 3)
-        t = Tensor(source)
-        source[0, 0] = 99.0
-        assert t.array[0, 0] == 0.0
-        assert source.flags.writeable
-        assert not t.array.flags.writeable
-
     def test_immutable(self):
         t = random_tensor((3,), seed=1)
         with pytest.raises(ValueError):
             t.array[0] = 1.0
 
     def test_contract_pair_checks_each_count(self, monkeypatch):
-        a, b = random_tensor((3,), seed=1), random_tensor((3, 4), seed=2)
+        a, b = _drawn((3,), seed=1), _drawn((3, 4), seed=2)
         pairing = AxisPairing([(0, 0)])
         monkeypatch.setattr(tensor, "INT64_MAX", 12)
         assert contract_pair(a, b, pairing)[1].multiplications == 12
@@ -553,9 +551,24 @@ class TestTensorInvariants:
         with pytest.raises(CountOverflowError, match="12 exceeds"):
             contract_pair(a, b, pairing)
 
-    def test_step_cost_bounds(self):
+    @pytest.mark.parametrize("pairing, a_shape, b_shape", [
+        (CHAIN, (3,), (2, 3, 3)),
+        (CHAIN, (3,), (0, 3, 3)),               # no rows: a view of the vector
+        (AxisPairing([(0, 0)]), (3,), (3,)),    # the final dot
+        (AxisPairing([(1, 1)], 1), (2, 3), (2, 3, 4)),
+        (AxisPairing(), (2,), (3,)),
+    ])
+    def test_operand_flags_are_left_alone(self, pairing, a_shape, b_shape):
+        # caller arrays, writeable, go in as they are and stay writeable;
+        # the result is read-only, and so is the vector a zero-row chain
+        # hands back, as a view, while the caller's own stays writeable
+        a = np.arange(math.prod(a_shape), dtype=float).reshape(a_shape)
+        b = np.ones(b_shape)
+        out, _ = contract_pair(a, b, pairing)
+        assert a.flags.writeable and b.flags.writeable
+        assert not out.flags.writeable
         with pytest.raises(ValueError):
-            StepCost(-1)
-        with pytest.raises(CountOverflowError):
-            StepCost(INT64_MAX + 1)
-        assert StepCost(INT64_MAX).multiplications == INT64_MAX
+            out[...] = 0.0
+        if not len(b):
+            assert out is not a and np.shares_memory(out, a)
+            assert np.array_equal(out, a)
