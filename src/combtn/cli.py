@@ -88,7 +88,8 @@ def _root_str(value: Optional[float], places: int) -> str:
 def load_data_matrix(path: str, sites: int, dim_raw: int) -> np.ndarray:
     """Read a headerless CSV of ``sites`` rows with ``dim_raw`` finite floats each."""
     rows = []
-    with open(path, newline="") as handle:
+    # utf-8-sig: spreadsheets save "CSV UTF-8" with a byte-order mark
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for r, row in enumerate(csv.reader(handle), start=1):
             if len(row) != dim_raw:
                 raise DataFormatError(

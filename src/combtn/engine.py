@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costmodel
-from .network import TensorNetwork, _node_arrays
+from .network import _MEMO, TensorNetwork, _node_arrays
 from .tensor import CHAIN, AxisPairing, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
@@ -137,11 +137,6 @@ _DOT = AxisPairing(((0, 0),))
 def _stacked(batch: int, ib: int) -> AxisPairing:
     return AxisPairing(((batch, ib),), batch)
 
-# A plan depends only on the kind and (M, N). The grid visits every tuple of
-# one (M, N) in a row, so a few entries hit almost always, and a bound keeps
-# the memo from holding every plan a long run has seen.
-_PLAN_MEMO = 4
-
 
 def _sweep(steps: list, first: str, interior: str | None, last: str) -> None:
     # the running vector through every interior matrix in one chain step,
@@ -167,7 +162,7 @@ def mps_plan(net: TensorNetwork) -> ContractionPlan:
     return _mps_plan(net.params.sites)
 
 
-@functools.lru_cache(maxsize=_PLAN_MEMO)
+@functools.lru_cache(maxsize=_MEMO)
 def _mps_plan(length: int) -> ContractionPlan:
     last = length - 1
     interior = length > 2
@@ -210,7 +205,7 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
     return _comb_plan(net.params.teeth, net.params.tooth_len)
 
 
-@functools.lru_cache(maxsize=_PLAN_MEMO)
+@functools.lru_cache(maxsize=_MEMO)
 def _comb_plan(m_count: int, n_count: int) -> ContractionPlan:
     teeth, inner, spines = slice(None), range(n_count - 1), m_count > 2
     w_parts = [("w-end", (teeth, n_count - 1))]
@@ -329,11 +324,8 @@ class _OracleSchedule:
 # bonds, each node's rank and the types of each bond's axes. Builds of one
 # kind and (M, N) share the layout memo's tuples, so a hit hashes every
 # name and bond, in C since a bond is a named tuple, and then finds the
-# same tuples by identity; a bound keeps the memo as small as the plan memo.
-_ORACLE_MEMO = 4
-
-
-@functools.lru_cache(maxsize=_ORACLE_MEMO)
+# same tuples by identity.
+@functools.lru_cache(maxsize=_MEMO)
 def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
                      axis_types: tuple[tuple[type, type], ...]) -> _OracleSchedule:
     """Label every leg, check the graph is a closed tree, and record one

@@ -33,9 +33,10 @@ Names, bonds and node order depend only on the kind and (M, N), so each
 build reads them from a small bounded memo and only draws, stack by stack in
 the order each stack is stored. A stack of at most ``_CHUNK`` elements is
 one call on the build's generator; a larger one is cut into runs of
-``_CHUNK`` elements, each drawn from its own child stream and filled on
-every CPU at once. The values depend only on the seed and ``_CHUNK``, never
-on how many CPUs fill them.
+``_CHUNK`` elements, each drawn from its own child stream, and the runs
+are filled on a ``concurrent.futures`` thread pool of one worker per CPU.
+The values depend only on the seed and ``_CHUNK``, never on how many
+workers fill them.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -199,9 +200,11 @@ class _Recorder:
         return _Layout(names, tuple(self._bonds), tuple(self._order))
 
 
-# A layout depends only on the kind and (M, N); the grid visits every tuple
-# of one (M, N) in a row, so a few entries hit almost always, as for plans.
-_LAYOUT_MEMO = 4
+# The bound of every memo keyed by a network's kind and (M, N): the layouts
+# here, and the plans and oracle schedules in ``engine``. The grid visits
+# every tuple of one (M, N) in a row, so a few entries hit almost always,
+# and the bound keeps a memo from holding all a long run has seen.
+_MEMO = 4
 
 
 # A stack of more elements than this is drawn in runs of this many, in C
@@ -267,34 +270,13 @@ def _cpus() -> int:
 
 
 def _fill_all(runs: list) -> None:
-    """``_fill`` every (generator, run, scale), shared out over one share
-    per CPU: the calling thread fills the first share, and one more thread
-    each of the others; numpy releases the GIL while it draws and scales.
-    With one CPU no thread starts. Every thread is joined before this
-    returns, and the first exception a fill raised is raised here, so no
-    unfilled run becomes parameters."""
-    workers = min(_cpus(), len(runs))
-    errors = []
-
-    def fill_share(share: list) -> None:
-        try:
-            for run in share:
-                _fill(*run)
-        except Exception as exc:  # raised again once every share is done
-            errors.append(exc)
-
-    threads = [threading.Thread(target=fill_share, args=(runs[i::workers],))
-               for i in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        fill_share(runs[::workers])
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+    """``_fill`` every (generator, run, scale) on a thread pool of one worker
+    per CPU, at most one per run; numpy releases the GIL while it draws and
+    scales. Leaving the pool joins every worker, and the first run whose
+    fill raised raises its exception here, so no unfilled run becomes
+    parameters."""
+    with ThreadPoolExecutor(min(_cpus(), len(runs))) as pool:
+        list(pool.map(_fill, *zip(*runs)))
 
 
 def _add_physical_column(b: _Recorder, site: str, tag: str, phys_axis: int) -> None:
@@ -305,7 +287,7 @@ def _add_physical_column(b: _Recorder, site: str, tag: str, phys_axis: int) -> N
     b.bond(f"u{tag}", 0, f"data{tag}", 0)
 
 
-@functools.lru_cache(maxsize=_LAYOUT_MEMO)
+@functools.lru_cache(maxsize=_MEMO)
 def _mps_layout(length: int) -> _Layout:
     b = _Recorder()
     for i in range(length):
@@ -342,7 +324,7 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
     ])
 
 
-@functools.lru_cache(maxsize=_LAYOUT_MEMO)
+@functools.lru_cache(maxsize=_MEMO)
 def _comb_layout(m_count: int, n_count: int) -> _Layout:
     b = _Recorder()
     for m in range(m_count):

@@ -2,7 +2,8 @@
 
 Runs every parameter tuple of a grid through both geometries and checks:
 measured MPS count equals the MPS closed form; measured comb count equals
-the printed comb form minus M*x^2 (and the residual equals M*x^2); the
+the printed comb form minus M*x^2 (and the printed form minus the
+measured count, and minus the schedule form, equals M*x^2); the
 executed scalar agrees with the value oracle to a relative 1e-10, with
 neither side zero or non-finite, wherever the oracle's size guard admits;
 Vieta identities on the threshold roots; and independence of the cost gap
@@ -130,10 +131,14 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
             else:
                 count_check.passed += 1
             if net.kind == "comb":
+                # the schedule form too: no other check compares it with
+                # a measured count
+                residual = cost.residual_printed_minus_measured
                 gap = cost.analytic_printed - cost.analytic_schedule
-                if gap != overhead:
-                    _fail(residual_check, f"at {_describe(p)}: printed - schedule = "
-                                          f"{gap}, expected {overhead}")
+                if residual != overhead or gap != overhead:
+                    _fail(residual_check, f"at {_describe(p)}: printed - measured = "
+                                          f"{residual}, printed - schedule = {gap}, "
+                                          f"expected {overhead}")
                 else:
                     residual_check.passed += 1
 

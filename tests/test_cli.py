@@ -337,6 +337,22 @@ class TestContract:
         assert code == 2
         assert "row 2" in err and "column 2" in err
 
+    @pytest.mark.parametrize("kind", ["mps", "comb"])
+    def test_byte_order_mark_is_read_past(self, capsys, tmp_path, kind):
+        # a spreadsheet's "CSV UTF-8" starts with U+FEFF
+        text = "".join(f"{r + 1},{r + 2},{r + 3}\n" for r in range(4))
+        scalars = []
+        for name, prefix in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+            data = tmp_path / name
+            data.write_text(prefix + text, encoding="utf-8")
+            code, out, _ = run(capsys, ["contract", "--kind", kind, "--teeth", "2",
+                                        "--tooth-len", "2", "--dim-raw", "3",
+                                        "--dim-comp", "2", "--bond", "2",
+                                        "--data", str(data), "--json"])
+            assert code == 0
+            scalars.append(json.loads(out)["scalar"])
+        assert scalars[0] == scalars[1]
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_exits_2(self, capsys, tmp_path, cell):
         data = tmp_path / "bad.csv"

@@ -967,5 +967,5 @@ class TestOracleSchedules:
                 leaves = held(schedule)
                 assert {type(leaf) for leaf in leaves} <= {int, str, type(None)}
         assert walks() == 12
-        assert memo.cache_info().maxsize == engine._ORACLE_MEMO
-        assert memo.cache_info().currsize == engine._ORACLE_MEMO
+        assert memo.cache_info().maxsize == engine._MEMO
+        assert memo.cache_info().currsize == engine._MEMO

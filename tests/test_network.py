@@ -296,7 +296,7 @@ def test_chunked_draw_is_pinned(monkeypatch):
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])
 def test_chunked_bytes_do_not_depend_on_the_thread_count(build, monkeypatch):
-    # more threads than this host may have CPUs, each switching often
+    # more workers than this host may have CPUs, each switching often
     monkeypatch.setattr(network, "_CHUNK", 64)
     p = small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5, tooth_len=3)
     threads, fill = [], network._fill
@@ -317,13 +317,33 @@ def test_chunked_bytes_do_not_depend_on_the_thread_count(build, monkeypatch):
             built[cpus] = build(p, seed=3)
             assert threading.active_count() == before
             assert len(threads) >= 3
-            # the calling thread fills the first share, one thread each other
-            assert threading.current_thread() in threads
-            assert len(set(threads)) == cpus
+            # every run is filled on the pool, none on the calling thread
+            assert threading.current_thread() not in threads
     finally:
         sys.setswitchinterval(interval)
     for name, node in built[1].nodes.items():
         assert node.tensor.array.tobytes() == built[3].nodes[name].tensor.array.tobytes()
+
+
+@pytest.mark.parametrize("cpus, chunk", [(1, 64), (3, 64), (3, 256)])
+def test_one_worker_per_cpu_at_most_one_per_run(cpus, chunk, monkeypatch):
+    # at a chunk of 256 only the comb's 480 interior-tooth elements are cut,
+    # into 2 runs, fewer than the CPUs
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    monkeypatch.setattr(network, "_cpus", lambda: cpus)
+    workers, pool = [], network.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(network, "ThreadPoolExecutor", recorded)
+    net = build_comb(small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5,
+                                  tooth_len=3), seed=3)
+    runs = sum(math.ceil(stack.array.size / chunk) for stack in net.stacks.values()
+               if stack.array.size > chunk)
+    assert workers == [min(cpus, runs)]
+    assert runs == {64: 17, 256: 2}[chunk]
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

@@ -96,3 +96,19 @@ def test_traced_work_reads_the_arrays(build, monkeypatch):
     assert totals["network.build.calls"] == totals["network.attach_data.calls"] == 1
     assert totals["network.build.work_a"] == \
         8 * sum(stack.array.size for stack in net.stacks.values())
+
+
+def test_verify_prints_the_check_lines_perfbench_reads(capsys):
+    # checks.check_verify_output reads the full grid's output by these
+    # keys; the small grid prints the same check names
+    assert combtn.cli.main(["verify", "--grid", "small"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    matches = [m.groups() for m in map(checks._CHECK.match, lines) if m]
+    assert len(matches) == checks.FULL_GRID_CHECKS == 6
+    assert all(status == "PASS" for status, *_ in matches)
+    counted = {name: (int(passed), int(skipped or 0))
+               for _, name, passed, skipped in matches}
+    per_tuple = [v for k, v in counted.items() if k.startswith(("mps ", "comb ", "printed "))]
+    assert per_tuple == [(162, 0)] * 3
+    oracle = [v for k, v in counted.items() if "oracle" in k]
+    assert oracle == [(324, 0)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -56,3 +57,22 @@ def test_zero_or_non_finite_value_fails_the_check(monkeypatch, side, bad, words)
     assert not check.ok
     assert f"{side} value" in check.failure
     assert words in check.failure
+
+
+def test_a_wrong_comb_count_fails_both_count_checks(monkeypatch):
+    # the residual is printed form minus measured count, so a measured
+    # count one too high breaks it as well as the count check
+    def one_too_many(net, plan):
+        scalar, report = execute(net, plan)
+        if net.kind == "comb":
+            report = replace(report, total=report.total + 1)
+        return scalar, report
+
+    monkeypatch.setattr(verification, "execute", one_too_many)
+    checks = {c.name: c for c in verification.run_verification("small", seed=42).checks}
+    assert checks["mps measured == closed form"].ok
+    for name in ("comb measured == printed form - M*x^2",
+                 "printed - measured residual == M*x^2"):
+        assert not checks[name].ok, name
+        assert checks[name].failure.startswith("at (M=")
+    assert "printed - measured" in checks["printed - measured residual == M*x^2"].failure
