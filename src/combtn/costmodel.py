@@ -17,6 +17,7 @@ residual is surfaced, never hidden.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -149,12 +150,13 @@ def threshold_roots(comp_dim: float, teeth: int) -> ThresholdResult:
     root first from q = -(b + sign(b)*sqrt(disc))/2, the other via the
     product-of-roots identity x- * x+ = d. ``comp_dim`` may be real-valued;
     network construction requires integers but threshold curves are continuous.
+    ``teeth`` must be an integer: a float raises TypeError, not truncated.
     Raises ValueError where float64 holds no roots: a non-finite ``comp_dim``,
     a ``teeth`` or ``comp_dim`` beyond the float64 range, or a discriminant
     that overflows.
     """
     try:
-        m = int(teeth)
+        m = operator.index(teeth)
         a = float(m - 2)
     except OverflowError:
         raise ValueError(f"teeth={teeth} is beyond the float64 range") from None
@@ -248,9 +250,10 @@ def crosscheck_quadratic(teeth: int, comp_dim: int) -> CrosscheckReport:
     outside; probes within 0.5 of either root are recorded but not
     sign-checked. The gap is evaluated through the closed forms at
     N=1, D=d (it is independent of both), not through the quadratic itself.
+    Both arguments must be integers: a float raises TypeError, not truncated.
     """
-    m = int(teeth)
-    d = int(comp_dim)
+    m = operator.index(teeth)
+    d = operator.index(comp_dim)
     if m < 3:
         raise ValueError(f"crosscheck needs teeth >= 3, got {teeth}")
     result = threshold_roots(d, m)

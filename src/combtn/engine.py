@@ -1,23 +1,24 @@
 """Deterministic contraction schedules and instrumented execution.
 
-Both planners emit fully explicit step lists over named operands, so a plan
-can be audited, costed, and replayed bit-for-bit. A plan reads only the
-network's stacks, and every operand and result is a plain read-only
+Both planners emit fully explicit step lists over named operands, so a
+plan can be audited, costed, and replayed bit-for-bit. A plan reads only
+the network's stacks, and every operand and result is a plain read-only
 ``np.ndarray``: compress, absorb-physical, tooth-sweep and
 tooth-to-backbone each run across every site or tooth at once, and pass
 their results on whole or as named views; the chain sweep (the backbone
 sweep, for a comb) is one ``CHAIN`` step through every interior matrix,
-and the final dot one more step. A plan is walked by name once, when it
-is made, and ``execute`` checks the network's stack names and leading
-extents against it once, then runs its steps by name. A plan depends only
-on the network's kind and its (M, N), so networks that share them share
-one frozen plan object, kept in a small bounded memo. The independent value
-oracle contracts the raw bond graph in bond order, reading each node as a
-plain array view of its stack row, and is used to cross-check the scalar
-produced by plan execution. Its merge schedule depends only on the bond
-graph, so it is walked once per graph, kept in a small ``lru_cache``, and
-replayed for every network on that graph; a replay only transposes,
-reshapes and multiplies.
+and the final dot one more step. A plan is walked by name once, when it is
+made, and ``execute`` checks the network's stack names and leading extents
+against it once, then runs its steps by name and reports the
+multiplications it counted, which ``verification`` and ``cli`` compare
+with ``costmodel``. A plan depends only on the network's kind and its
+(M, N), so networks that share them share one frozen plan object, kept in
+a small bounded memo. The independent value oracle contracts the raw bond
+graph in bond order, reading each node as a plain array view of its stack
+row, and is used to cross-check the scalar produced by plan execution. Its
+merge schedule depends only on the bond graph, so it is walked once per
+graph, kept in a small ``lru_cache``, and replayed for every network on
+that graph; a replay only transposes, reshapes and multiplies.
 """
 
 from __future__ import annotations
@@ -109,21 +110,15 @@ class ContractionPlan:
 
 @dataclass
 class CostReport:
-    """Measured per-phase multiplication counts plus analytic predictions.
+    """Measured per-phase multiplication counts and their checked sum.
 
-    ``total`` always equals the sum of the subtotals; for plans produced
-    here it also equals ``analytic_schedule`` exactly. The residual is
-    printed-form minus measured: zero for MPS, M*x**2 for the comb.
+    ``total`` always equals the sum of the subtotals. ``analytic_printed``
+    is the printed closed form of the network's kind (see ``execute``).
     """
 
     phase_subtotals: dict[str, int]
     total: int
     analytic_printed: int
-    analytic_schedule: int
-
-    @property
-    def residual_printed_minus_measured(self) -> int:
-        return self.analytic_printed - self.total
 
 
 # The final dot sums a vector against a vector; a stacked step sums the
@@ -262,7 +257,10 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     every step. A step's read-only result goes on whole or as the views
     ``result[index]`` of its parts. The scalar is ``float`` of the 0-d
     array left: a complex one, which only a stack made by hand can bring
-    in, raises TypeError rather than losing its imaginary part.
+    in, raises TypeError rather than losing its imaginary part. The
+    report's ``analytic_printed`` is the one closed form evaluated here: no
+    program code reads it, only perfbench does, as ``net.nodes`` is there
+    only for perfbench.
     """
     if plan.kind != net.kind:
         raise ValueError(
@@ -290,19 +288,9 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     if final.shape != ():
         raise ValueError(f"plan result has shape {final.shape}, expected a scalar")
     total = checked_count(sum(subtotals.values()))
-    p = net.params
-    if net.kind == "mps":
-        printed = schedule = costmodel.mps_cost(p)
-    else:
-        printed = costmodel.comb_cost_printed(p)
-        schedule = costmodel.comb_cost_schedule(p)
-    report = CostReport(
-        phase_subtotals=subtotals,
-        total=total,
-        analytic_printed=printed,
-        analytic_schedule=schedule,
-    )
-    return float(final), report
+    printed = (costmodel.mps_cost if net.kind == "mps"
+               else costmodel.comb_cost_printed)(net.params)
+    return float(final), CostReport(subtotals, total, printed)
 
 
 @dataclass(frozen=True, slots=True)

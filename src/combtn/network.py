@@ -34,7 +34,8 @@ build reads them from a small bounded memo and only draws, stack by stack in
 the order each stack is stored. A stack of at most ``_CHUNK`` elements is
 one call on the build's generator; a larger one is cut into runs of
 ``_CHUNK`` elements, each drawn from its own child stream, and the runs
-are filled on a ``concurrent.futures`` thread pool of one worker per CPU.
+are filled on a ``concurrent.futures`` thread pool of one worker per CPU,
+imported only when a build needs it.
 The values depend only on the seed and ``_CHUNK``, never on how many
 workers fill them.
 """
@@ -44,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -275,6 +275,8 @@ def _fill_all(runs: list) -> None:
     scales. Leaving the pool joins every worker, and the first run whose
     fill raised raises its exception here, so no unfilled run becomes
     parameters."""
+    # imported here: only a stack past _CHUNK needs it, and it loads logging
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(min(_cpus(), len(runs))) as pool:
         list(pool.map(_fill, *zip(*runs)))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -63,7 +64,8 @@ class AxisPairing:
 
     Axes are counted from the front of each operand, batch axes included, so
     a pair names axes at or past ``batch``. No pairs and no batch axes is an
-    outer product; batch axes alone multiply element by element.
+    outer product; batch axes alone multiply element by element. An axis or
+    batch that is not an integer raises TypeError rather than being truncated.
 
     A ``chain`` pairing takes neither: it threads a vector [x] through a
     stack [k, x, x], summing the vector against the first axis of each row
@@ -77,9 +79,10 @@ class AxisPairing:
     def __init__(self, pairs: Iterable[Sequence[int]] = (), batch: int = 0,
                  chain: bool = False) -> None:
         object.__setattr__(
-            self, "pairs", tuple((int(i), int(j)) for i, j in pairs)
+            self, "pairs",
+            tuple((operator.index(i), operator.index(j)) for i, j in pairs)
         )
-        object.__setattr__(self, "batch", int(batch))
+        object.__setattr__(self, "batch", operator.index(batch))
         object.__setattr__(self, "chain", bool(chain))
         if self.chain and (self.pairs or self.batch):
             raise ValueError("a chain pairing takes no axis pairs and no batch axes")

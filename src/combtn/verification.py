@@ -7,7 +7,8 @@ measured count, and minus the schedule form, equals M*x^2); the
 executed scalar agrees with the value oracle to a relative 1e-10, with
 neither side zero or non-finite, wherever the oracle's size guard admits;
 Vieta identities on the threshold roots; and independence of the cost gap
-from N and D. The closed forms are the ones ``execute`` puts in its report.
+from N and D. The closed forms come from ``costmodel``, once per tuple;
+only the counts and scalars come from ``execute``.
 """
 
 from __future__ import annotations
@@ -118,23 +119,23 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
 
     for idx, p in enumerate(params_list):
         overhead = p.teeth * p.bond_dim * p.bond_dim
+        printed = costmodel.comb_cost_printed(p)
+        # the printed comb form carries M*x^2 that no schedule step makes
+        expected = {"mps": costmodel.mps_cost(p), "comb": printed - overhead}
         for build in (build_mps, build_comb):
             net = build(p, seed=seed + idx)
             scalar, cost = execute(net, plan_for(net))
-            # the printed comb form carries M*x^2 that no schedule step makes
-            unattributed = overhead if net.kind == "comb" else 0
-            expected = cost.analytic_printed - unattributed
             count_check = count_checks[net.kind]
-            if cost.total != expected:
+            if cost.total != expected[net.kind]:
                 _fail(count_check, f"at {_describe(p)}: measured "
-                                   f"{cost.total}, formula {expected}")
+                                   f"{cost.total}, formula {expected[net.kind]}")
             else:
                 count_check.passed += 1
             if net.kind == "comb":
                 # the schedule form too: no other check compares it with
                 # a measured count
-                residual = cost.residual_printed_minus_measured
-                gap = cost.analytic_printed - cost.analytic_schedule
+                residual = printed - cost.total
+                gap = printed - costmodel.comb_cost_schedule(p)
                 if residual != overhead or gap != overhead:
                     _fail(residual_check, f"at {_describe(p)}: printed - measured = "
                                           f"{residual}, printed - schedule = {gap}, "

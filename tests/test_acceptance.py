@@ -85,7 +85,7 @@ def test_criterion_05_comb_engine_formula_identity(small_grid_runs):
         overhead = p.teeth * p.bond_dim**2
         assert comb_report.total == comb_cost_printed(p) - overhead, p
         assert comb_report.total == comb_cost_schedule(p), p
-        assert comb_report.residual_printed_minus_measured == overhead, p
+        assert comb_cost_printed(p) - comb_report.total == overhead, p
     report(f"5 PASS: measured comb count == printed form - M*x^2 "
            f"(residual M*x^2) on all {len(small_grid_runs)} grid tuples")
 

@@ -11,6 +11,31 @@ from combtn.verification import run_verification
 REFERENCE_FLAGS = ["--teeth", "50", "--tooth-len", "5",
                    "--dim-raw", "100", "--dim-comp", "30"]
 
+# stdout of `verify --grid small --seed 42`
+SMALL_GRID_DIGEST = "be0dcb2fc72dc27add011094fe7bab6635fe9ae399b7a5d9d30e82b5e2e36138"
+
+# `contract` at M=5, N=3, D=6, d=3, x=4, seed 42: the counts, closed forms and
+# residual each kind reports, and the comb's text output
+SMALL_FLAGS = ["--teeth", "5", "--tooth-len", "3", "--dim-raw", "6",
+               "--dim-comp", "3", "--bond", "4"]
+SMALL_PAYLOADS = {
+    "mps": {"kind": "mps", "scalar": -1.2422495032112843e-05,
+            "measured_multiplications": 1130, "analytic_schedule": 1130,
+            "analytic_printed": 1130, "residual_printed_minus_measured": 0},
+    "comb": {"kind": "comb", "scalar": -4.957081461840973e-09,
+             "measured_multiplications": 1246, "analytic_schedule": 1246,
+             "analytic_printed": 1326, "residual_printed_minus_measured": 80},
+}
+SMALL_COMB_TEXT = """\
+kind: comb
+parameters: teeth=5 tooth-len=3 dim-raw=6 dim-comp=3 bond=4 seed=42
+scalar: -4.9570814618409727e-09
+measured multiplications: 1,246
+analytic (schedule basis): 1,246
+analytic (printed basis):  1,326
+residual (printed - measured): 80
+"""
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -241,6 +266,11 @@ class TestVerify:
         assert "all checks passed" in out
         assert out.count("[PASS]") == 6
 
+    def test_small_grid_stdout_is_pinned(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--grid", "small", "--seed", "42"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SMALL_GRID_DIGEST
+
     def test_deterministic_report(self):
         a = run_verification("small", seed=7)
         b = run_verification("small", seed=7)
@@ -290,6 +320,17 @@ class TestContract:
                                     "--data", str(data)])
         assert code == 0
         assert "scalar: 0" in out
+
+    @pytest.mark.parametrize("kind", ["mps", "comb"])
+    def test_small_tuple_json_is_pinned(self, capsys, kind):
+        code, out, _ = run(capsys, ["contract", "--kind", kind, *SMALL_FLAGS, "--json"])
+        assert code == 0
+        assert out == json.dumps(SMALL_PAYLOADS[kind]) + "\n"
+
+    def test_small_tuple_comb_text_is_pinned(self, capsys):
+        code, out, _ = run(capsys, ["contract", "--kind", "comb", *SMALL_FLAGS])
+        assert code == 0
+        assert out == SMALL_COMB_TEXT
 
     def test_reference_comb_count(self, capsys):
         code, out, _ = run(capsys, ["contract", "--kind", "comb",
@@ -352,6 +393,20 @@ class TestContract:
             assert code == 0
             scalars.append(json.loads(out)["scalar"])
         assert scalars[0] == scalars[1]
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_non_utf8_byte_names_file_and_row(self, capsys, tmp_path, mark):
+        # a Latin-1 e-acute in row 3; a text-mode reader would decode the
+        # whole small file before its first row
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(mark + b"0,0,0\n0,0,0\n0,0,\xe9\n0,0,0\n")
+        code, out, err = run(capsys, ["contract", "--kind", "mps", "--teeth", "2",
+                                      "--tooth-len", "2", "--dim-raw", "3",
+                                      "--dim-comp", "2", "--bond", "2",
+                                      "--data", str(data)])
+        assert code == 2
+        assert out == ""
+        assert str(data) in err and "row 3" in err and "UTF-8" in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_exits_2(self, capsys, tmp_path, cell):

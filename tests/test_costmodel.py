@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +106,11 @@ class TestThresholdRoots:
             threshold_roots(5, 1)
         with pytest.raises(ValueError, match="positive"):
             threshold_roots(0, 5)
+
+    def test_rejects_float_teeth(self):
+        with pytest.raises(TypeError):
+            threshold_roots(30, 3.9)
+        assert threshold_roots(30, np.int64(50)).teeth == 50
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_d(self, d):
@@ -243,6 +249,12 @@ class TestCrosscheck:
     def test_requires_three_teeth(self):
         with pytest.raises(ValueError, match="teeth"):
             crosscheck_quadratic(2, 10)
+
+    def test_rejects_float_arguments(self):
+        for teeth, comp_dim in ((3.9, 30), (3, 30.7)):
+            with pytest.raises(TypeError):
+                crosscheck_quadratic(teeth, comp_dim)
+        assert crosscheck_quadratic(np.int64(50), np.int64(30)).consistent
 
     @pytest.mark.parametrize("m", range(3, 9))
     @pytest.mark.parametrize("d", range(2, 11))

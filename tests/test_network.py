@@ -1,9 +1,13 @@
+import concurrent.futures
 import hashlib
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,19 +335,31 @@ def test_one_worker_per_cpu_at_most_one_per_run(cpus, chunk, monkeypatch):
     # into 2 runs, fewer than the CPUs
     monkeypatch.setattr(network, "_CHUNK", chunk)
     monkeypatch.setattr(network, "_cpus", lambda: cpus)
-    workers, pool = [], network.ThreadPoolExecutor
+    workers, pool = [], concurrent.futures.ThreadPoolExecutor
 
     def recorded(max_workers):
         workers.append(max_workers)
         return pool(max_workers)
 
-    monkeypatch.setattr(network, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
     net = build_comb(small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5,
                                   tooth_len=3), seed=3)
     runs = sum(math.ceil(stack.array.size / chunk) for stack in net.stacks.values()
                if stack.array.size > chunk)
     assert workers == [min(cpus, runs)]
     assert runs == {64: 17, 256: 2}[chunk]
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # only a build with a stack past _CHUNK needs the pool, and
+    # concurrent.futures loads logging with it
+    probe = ("import sys, combtn.cli; "
+             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    src = str(Path(network.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

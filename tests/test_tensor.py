@@ -342,6 +342,19 @@ def test_an_empty_sum_is_zero(pairing, a_shape, b_shape, out_shape):
     assert cost.multiplications == 0 and not out.flags.writeable
 
 
+def test_a_float_axis_is_refused_not_truncated():
+    with pytest.raises(TypeError):
+        AxisPairing([(1.9, 0)])
+    pairing = AxisPairing([(np.int64(1), np.int64(0))])
+    assert pairing.pairs == ((1, 0),) and type(pairing.pairs[0][0]) is int
+
+
+def test_a_float_batch_is_refused_not_truncated():
+    with pytest.raises(TypeError):
+        AxisPairing(batch=0.7)
+    assert AxisPairing(batch=np.int64(1)).batch == 1
+
+
 def test_a_chain_takes_no_pairs_and_no_batch():
     for pairs, batch in (([(0, 1)], 0), ([], 1)):
         with pytest.raises(ValueError, match="no axis pairs and no batch"):
