@@ -31,25 +31,24 @@ the node views out as ``Node(Tensor(view))`` named tuples.
 
 Names, bonds and node order depend only on the kind and (M, N), so each
 build reads them from a small bounded memo and only draws, stack by stack in
-the order each stack is stored. A stack of at most ``_CHUNK`` elements is
-one call on the build's generator; a larger one is cut into runs of
-``_CHUNK`` elements, each drawn from its own child stream, and the runs
-are filled on a ``concurrent.futures`` thread pool of one worker per CPU,
-imported only when a build needs it.
-The values depend only on the seed and ``_CHUNK``, never on how many
-workers fill them.
+the order each stack is stored. A stack of at most ``tensor._CHUNK``
+elements is one call on the build's generator; a larger one is cut into
+runs of ``_CHUNK`` elements, each drawn from its own child stream, and the
+runs are filled on every CPU by ``tensor._run_all``, the helper that also
+splits large contraction steps. The values depend only on the seed and
+``_CHUNK``, never on how many workers fill them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import tensor
 from .tensor import Tensor
 
 
@@ -207,14 +206,6 @@ class _Recorder:
 _MEMO = 4
 
 
-# A stack of more elements than this is drawn in runs of this many, in C
-# order, each from its own child stream of the build's generator, so the
-# runs can be filled at once. 2**20 doubles are 8 MiB: a run takes about
-# 20 ms, long against starting a thread. The values a seed gives depend on
-# this constant, so changing it changes every large stack.
-_CHUNK = 2**20
-
-
 def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
           groups) -> TensorNetwork:
     """Draw every stack, in ``groups`` order, from one generator seeded once
@@ -222,34 +213,37 @@ def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
 
     ``groups`` gives each stack's name, leading extents, stored member
     shape, fan-in and ``node_axes`` (None when a member is stored in its
-    node's axis order). A stack of at most ``_CHUNK`` elements is one
+    node's axis order). A stack of at most ``tensor._CHUNK`` elements is one
     ``standard_normal(lead + stored shape)`` call on the generator. A larger
     one is made with ``np.empty`` and cut into runs of ``_CHUNK`` elements
     in C order; run j is filled in place from the j-th of ``spawn(k)``
-    child generators, which advances the generator itself not at all. Every
+    child generators, which advances the generator itself not at all, and
+    the runs are filled by ``tensor._run_all``; a fill that raised fails
+    the build, so no unfilled run becomes parameters. Every
     stack is scaled in place by 1/sqrt(fan_in), so each tensor is Gaussian
     with std 1/sqrt(fan_in), and frozen once every run is filled. A stack
     with no members is left out and draws nothing.
     """
     rng = np.random.default_rng(seed)
+    chunk = tensor._CHUNK
     drawn, runs = [], []
     for group, lead, shape, fan_in, node_axes in groups:
         size = math.prod(lead + shape)
         if not size:
             continue
         scale = 1.0 / math.sqrt(fan_in)
-        if size <= _CHUNK:
+        if size <= chunk:
             arr = rng.standard_normal(lead + shape)
             arr *= scale
         else:
             arr = np.empty(lead + shape)
             flat = arr.reshape(-1)
-            starts = range(0, size, _CHUNK)
-            runs += [(child, flat[start:start + _CHUNK], scale)
+            starts = range(0, size, chunk)
+            runs += [(child, flat[start:start + chunk], scale)
                      for child, start in zip(rng.spawn(len(starts)), starts)]
         drawn.append((group, arr, len(lead), node_axes))
     if runs:
-        _fill_all(runs)
+        tensor._run_all(_fill, runs)
     stacks = {}
     for group, arr, lead, node_axes in drawn:
         arr.setflags(write=False)
@@ -260,25 +254,6 @@ def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
 def _fill(rng: np.random.Generator, run: np.ndarray, scale: float) -> None:
     rng.standard_normal(out=run)
     run *= scale
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fill_all(runs: list) -> None:
-    """``_fill`` every (generator, run, scale) on a thread pool of one worker
-    per CPU, at most one per run; numpy releases the GIL while it draws and
-    scales. Leaving the pool joins every worker, and the first run whose
-    fill raised raises its exception here, so no unfilled run becomes
-    parameters."""
-    # imported here: only a stack past _CHUNK needs it, and it loads logging
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(min(_cpus(), len(runs))) as pool:
-        list(pool.map(_fill, *zip(*runs)))
 
 
 def _add_physical_column(b: _Recorder, site: str, tag: str, phys_axis: int) -> None:

@@ -14,6 +14,16 @@ values are checked where they enter the program (``network.attach_data``);
 that each count fits in 64 bits. ``Tensor`` and ``StepCost`` are named
 tuples that carry an array and a count out to readers that want
 ``.array``, ``.size`` or ``.multiplications``.
+
+Work past ``_CHUNK`` elements runs on every CPU the process may use:
+``_run_all`` calls one function on a list of parts, on the calling thread
+and a ``concurrent.futures`` thread pool, imported only when such work
+first comes, and numpy releases the GIL while it multiplies, draws and
+scales. ``contract_pair`` splits a stacked step that reads more than
+``_CHUNK`` elements into contiguous runs of its first batch axis, one
+``np.matmul`` each into one result, and the network builders fill large
+stacks the same way. Every item is the product it is on one CPU, so no bit
+depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -21,12 +31,59 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 INT64_MAX = 2**63 - 1
+
+# Work on more elements than this goes to every CPU. A stacked step that
+# reads more (its two operands together) is split over its first batch
+# axis; a stack of more is drawn in runs of this many, in C order, each from
+# its own child stream of the build's generator. 2**20 doubles are 8 MiB:
+# multiplying or drawing that many takes milliseconds, long against starting
+# a thread. The values a seed gives depend on this constant, so changing it
+# changes every large stack; the products do not.
+_CHUNK = 2**20
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_all(fn, parts: list) -> None:
+    """Call ``fn(*part)`` for every part, in shares of every n-th part, one
+    share per CPU up to one per part: the calling thread runs the first
+    share and a thread pool the others, each under the caller's numpy error
+    state. With one share no pool opens. Leaving the pool joins every
+    worker, and a share that raised raises its exception here."""
+    shares = min(_cpus(), len(parts))
+    # np.errstate is a context variable, which pool threads do not inherit
+    errors, call = np.geterr(), np.geterrcall()
+
+    def run(share):
+        with np.errstate(call=call, **errors):
+            for part in share:
+                fn(*part)
+
+    if shares == 1:
+        run(parts)
+        return
+    # imported here: only work past _CHUNK on more than one CPU needs it,
+    # and it loads logging
+    from concurrent.futures import ThreadPoolExecutor
+    # the caller runs a share rather than waiting: at x=64 on 2 CPUs, two
+    # pool threads took about 14 ms for the slower half of the MPS interior
+    # absorb, where the caller and one pool thread took about 11
+    with ThreadPoolExecutor(shares - 1) as pool:
+        others = pool.map(run, [parts[k::shares] for k in range(1, shares)])
+        run(parts[::shares])
+        list(others)
 
 
 class CountOverflowError(OverflowError):
@@ -153,8 +210,18 @@ def _transposed(batch: int, a_order, b_order, a_free_count: int,
     free_end = batch + a_free_count
     a_free, b_free = a.shape[batch:free_end], b.shape[batch + a.ndim - free_end:]
     summed = math.prod(a.shape[free_end:])
-    out = np.matmul(a.reshape(*lead, math.prod(a_free), summed),
-                    b.reshape(*lead, summed, math.prod(b_free)))
+    a2 = a.reshape(*lead, math.prod(a_free), summed)
+    b2 = b.reshape(*lead, summed, math.prod(b_free))
+    parts = min(_cpus(), lead[0]) if batch and a.size + b.size > _CHUNK else 1
+    if parts > 1:
+        # contiguous runs of the first batch axis, each one matmul into its
+        # rows of one result (the third argument is matmul's out)
+        out = np.empty(lead + (a2.shape[-2], b2.shape[-1]), np.result_type(a2, b2))
+        ends = [lead[0] * k // parts for k in range(parts + 1)]
+        _run_all(np.matmul, [(a2[run], b2[run], out[run])
+                             for run in map(slice, ends, ends[1:])])
+    else:
+        out = np.matmul(a2, b2)
     out.setflags(write=False)
     return out.reshape(lead + a_free + b_free)
 
@@ -204,7 +271,14 @@ def contract_pair(a: np.ndarray, b: np.ndarray,
     0-d array with the bits of ``np.dot``.
 
     Each item's result has the bits of the same contraction run on that
-    item alone.
+    item alone. A stacked step whose operands hold more than ``_CHUNK``
+    elements together is, when the process may use more than one CPU, split
+    into ``min(_cpus(), lead[0])`` contiguous runs of its first batch axis:
+    each run is one ``np.matmul`` into its rows of one new result, run by
+    ``_run_all`` under the caller's numpy error state, and the result
+    is frozen once every run has finished. The bits are those of the one
+    ``np.matmul``, whatever the CPU count; a run that raises makes the call
+    raise.
 
     ``CHAIN`` threads a vector [x] through a stack [k, x, x] (a chain or
     backbone sweep): one ``np.dot`` per row, in row order, each with the

@@ -1,10 +1,11 @@
+import concurrent.futures
 import hashlib
 import json
 import warnings
 
 import pytest
 
-from combtn import cli, costmodel
+from combtn import cli, costmodel, tensor
 from combtn.cli import main
 from combtn.verification import run_verification
 
@@ -435,6 +436,30 @@ class TestContract:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and f"scalar is {value}" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("kind", ["mps", "comb"])
+    def test_overflowing_scalar_exits_1_when_steps_split(self, capsys, tmp_path,
+                                                         monkeypatch, kind, as_json):
+        # at a chunk of one element every stacked step of two items or more
+        # runs on the pool, the comb's tooth sweep, which overflows, among
+        # them; pool threads must keep the caller's np.errstate, or the
+        # overflow warns from a worker and escapes main as an exception.
+        # Each element is then drawn from its own stream, so the MPS's
+        # scalar is nan, not the inf of the default chunk
+        monkeypatch.setattr(tensor, "_CHUNK", 1)
+        monkeypatch.setattr(tensor, "_cpus", lambda: 3)
+        pools = []
+        pool = concurrent.futures.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
+        self.test_overflowing_scalar_exits_1(capsys, tmp_path, kind, "nan", as_json)
+        assert pools
 
     def test_refused_allocation_is_an_error_line(self, capsys):
         # the first backbone tensors alone would need 2 x 2^44 floats; numpy

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combtn import network
+from combtn import network, tensor
 from combtn.engine import execute, naive_value_oracle, plan_for
 from combtn.network import (
     NetworkParams,
@@ -231,7 +231,7 @@ def _stack_by_definition(rng, lead, shape, fan_in, chunk) -> tuple[np.ndarray, b
 
 def _check_small_grid_by_definition(as_generator: bool) -> int:
     """Rebuild every small-grid stack of both kinds by the definition, byte
-    for byte, at the current ``network._CHUNK``; return how many stacks
+    for byte, at the current ``tensor._CHUNK``; return how many stacks
     were chunked."""
     left_out = chunked = 0
     for idx, p in enumerate(grid_params("small")):
@@ -247,7 +247,7 @@ def _check_small_grid_by_definition(as_generator: bool) -> int:
                     left_out += 1
                     continue
                 expected, was_chunked = _stack_by_definition(rng, lead, shape, fan_in,
-                                                             network._CHUNK)
+                                                             tensor._CHUNK)
                 chunked += was_chunked
                 arr = net.stacks[group].array
                 assert arr.shape == expected.shape, group
@@ -277,7 +277,7 @@ def test_each_stack_is_one_scaled_draw_in_stored_order(as_generator):
 
 @pytest.mark.parametrize("as_generator", [False, True])
 def test_large_stacks_are_drawn_in_chunks(as_generator, monkeypatch):
-    monkeypatch.setattr(network, "_CHUNK", 64)
+    monkeypatch.setattr(tensor, "_CHUNK", 64)
     assert _check_small_grid_by_definition(as_generator) == 132
 
 
@@ -288,7 +288,7 @@ CHUNKED_DRAW_DIGEST = "c9b4153f889b944975ad481b60c2864607a667f64f8d7b1ab07816eef
 
 
 def test_chunked_draw_is_pinned(monkeypatch):
-    monkeypatch.setattr(network, "_CHUNK", 64)
+    monkeypatch.setattr(tensor, "_CHUNK", 64)
     digest = hashlib.sha256()
     for p in grid_params("small"):
         for build in (build_mps, build_comb):
@@ -301,7 +301,7 @@ def test_chunked_draw_is_pinned(monkeypatch):
 @pytest.mark.parametrize("build", [build_mps, build_comb])
 def test_chunked_bytes_do_not_depend_on_the_thread_count(build, monkeypatch):
     # more workers than this host may have CPUs, each switching often
-    monkeypatch.setattr(network, "_CHUNK", 64)
+    monkeypatch.setattr(tensor, "_CHUNK", 64)
     p = small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5, tooth_len=3)
     threads, fill = [], network._fill
 
@@ -315,14 +315,16 @@ def test_chunked_bytes_do_not_depend_on_the_thread_count(build, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 3):
-            monkeypatch.setattr(network, "_cpus", lambda: cpus)
+            monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
             threads.clear()
             before = threading.active_count()
             built[cpus] = build(p, seed=3)
             assert threading.active_count() == before
             assert len(threads) >= 3
-            # every run is filled on the pool, none on the calling thread
-            assert threading.current_thread() not in threads
+            # the calling thread fills its share, every cpus-th run, and
+            # the pool the others
+            share = len(range(0, len(threads), cpus))
+            assert threads.count(threading.current_thread()) == share
     finally:
         sys.setswitchinterval(interval)
     for name, node in built[1].nodes.items():
@@ -331,10 +333,12 @@ def test_chunked_bytes_do_not_depend_on_the_thread_count(build, monkeypatch):
 
 @pytest.mark.parametrize("cpus, chunk", [(1, 64), (3, 64), (3, 256)])
 def test_one_worker_per_cpu_at_most_one_per_run(cpus, chunk, monkeypatch):
-    # at a chunk of 256 only the comb's 480 interior-tooth elements are cut,
-    # into 2 runs, fewer than the CPUs
-    monkeypatch.setattr(network, "_CHUNK", chunk)
-    monkeypatch.setattr(network, "_cpus", lambda: cpus)
+    # one share of the runs per CPU, at most one per run: the calling
+    # thread fills one and a pool worker each other; with one CPU no pool
+    # opens. At a chunk of 256 only the comb's 480 interior-tooth elements
+    # are cut, into 2 runs, fewer than the CPUs
+    monkeypatch.setattr(tensor, "_CHUNK", chunk)
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
     workers, pool = [], concurrent.futures.ThreadPoolExecutor
 
     def recorded(max_workers):
@@ -346,7 +350,7 @@ def test_one_worker_per_cpu_at_most_one_per_run(cpus, chunk, monkeypatch):
                                   tooth_len=3), seed=3)
     runs = sum(math.ceil(stack.array.size / chunk) for stack in net.stacks.values()
                if stack.array.size > chunk)
-    assert workers == [min(cpus, runs)]
+    assert workers == ([min(cpus, runs) - 1] if cpus > 1 else [])
     assert runs == {64: 17, 256: 2}[chunk]
 
 
@@ -364,8 +368,8 @@ def test_importing_the_cli_loads_no_thread_pool():
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_a_failed_fill_fails_the_build(cpus, monkeypatch):
-    monkeypatch.setattr(network, "_CHUNK", 64)
-    monkeypatch.setattr(network, "_cpus", lambda: cpus)
+    monkeypatch.setattr(tensor, "_CHUNK", 64)
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
     calls, fill = itertools.count(), network._fill
 
     def fails_once(rng, run, scale):
