@@ -299,9 +299,10 @@ class _OracleSchedule:
 
     Node i of the graph starts in component slot i. Each op is (bond label,
     slot of the bond's first end, its transpose order or None, slot of the
-    second end, its transpose order or None, slot kept); the first side is
-    transposed to sum its last axis, the second its first, and the merge is
-    kept in the larger component's slot. ``result`` is the slot left.
+    second end, its transpose order or None, slot kept, the larger of the
+    two sides' ranks); the first side is transposed to sum its last axis,
+    the second its first, and the merge is kept in the larger component's
+    slot. ``result`` is the slot left.
     """
 
     ops: tuple[tuple, ...]
@@ -372,7 +373,8 @@ def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
         keep, gone = comp_a, comp_b
         if len(members[keep]) < len(members[gone]):
             keep, gone = gone, keep
-        ops.append((label, comp_a, order_a, comp_b, order_b, keep))
+        ops.append((label, comp_a, order_a, comp_b, order_b, keep,
+                    max(rank_a, rank_b)))
         legs[keep] = legs_a[:axis_a] + legs_a[axis_a + 1:] \
             + legs_b[:axis_b] + legs_b[axis_b + 1:]
         legs[gone] = None
@@ -396,7 +398,9 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     Each merge sums one bond, moving its axis last in the first component
     and first in the second, then multiplies the two as matrices with
     ``np.dot``; that is ``np.tensordot``'s own layout, without its argument
-    handling. Each bond is labelled by its position in ``net.bonds``.
+    handling; a merge of two sides of rank 2 or less hands them to
+    ``np.dot`` as they are, without the reshapes. Each bond is labelled by
+    its position in ``net.bonds``.
 
     The merge schedule (legs, component owners, transpose orders, which
     component is kept) depends only on the bond graph, so it is walked once
@@ -416,7 +420,7 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     bonds = tuple(net.bonds)
     schedule = _walk_bond_graph(tuple(net.order), bonds, tuple([a.ndim for a in arrays]),
                                 tuple([(type(b[1]), type(b[3])) for b in bonds]))
-    for label, slot_a, order_a, slot_b, order_b, keep in schedule.ops:
+    for label, slot_a, order_a, slot_b, order_b, keep, widest in schedule.ops:
         a, b = arrays[slot_a], arrays[slot_b]
         if order_a is not None:
             a = a.transpose(order_a)
@@ -433,7 +437,13 @@ def naive_value_oracle(net: TensorNetwork) -> float:
                 f"the oracle guard of {ORACLE_GUARD}"
             )
         arrays[slot_a] = arrays[slot_b] = None
-        arrays[keep] = np.dot(a.reshape(-1, summed), b.reshape(summed, -1)).reshape(shape)
+        if widest > 2:
+            arrays[keep] = np.dot(a.reshape(-1, summed),
+                                  b.reshape(summed, -1)).reshape(shape)
+        else:
+            # vectors and matrices already have the matrix layout: numpy
+            # picks the same ddot, gemv or gemm as for the reshaped forms
+            arrays[keep] = np.dot(a, b)
 
     result = arrays[schedule.result]
     if result.shape != ():

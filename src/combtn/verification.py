@@ -9,18 +9,26 @@ neither side zero or non-finite, wherever the oracle's size guard admits;
 Vieta identities on the threshold roots; and independence of the cost gap
 from N and D. The closed forms come from ``costmodel``, once per tuple;
 only the counts and scalars come from ``execute``.
+
+The measurements (build, ``execute`` and oracle, per tuple) run on every
+CPU the process may use, in shares of every n-th tuple: the caller runs
+the first and a pool of forked processes the others, since the work is
+Python on tiny arrays and threads would take turns under the GIL. The
+checks read the measurements in tuple order, so the report and every bit
+in it do not depend on the CPU count; only the wall time does.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from . import costmodel
+from . import costmodel, tensor
 from .costmodel import threshold_roots, verify_vieta
 from .engine import OracleGuardError, execute, naive_value_oracle, plan_for
 from .network import NetworkParams, build_comb, build_mps
@@ -107,8 +115,53 @@ def _fail(check: CheckResult, failure: str) -> None:
         check.failure = failure
 
 
+def _measure(grid: str, seed: int, share: int, shares: int) -> list[tuple]:
+    """Measure tuples ``share``, ``share + shares``, ... of the grid: build
+    both kinds at ``seed + idx``, execute each and ask the value oracle.
+    Per network (kind, measured count, scalar, oracle value), the oracle
+    value None where its size guard refused."""
+    params_list = grid_params(grid)
+    measured = []
+    for idx in range(share, len(params_list), shares):
+        for build in (build_mps, build_comb):
+            net = build(params_list[idx], seed=seed + idx)
+            scalar, cost = execute(net, plan_for(net))
+            try:
+                reference = naive_value_oracle(net)
+            except OracleGuardError:
+                reference = None
+            measured.append((net.kind, cost.total, scalar, reference))
+    return measured
+
+
+def _measure_all(grid: str, seed: int) -> list[tuple]:
+    """``_measure`` over every tuple of the grid, in tuple order.
+
+    The tuples go in shares of every n-th one, one share per CPU up to one
+    per tuple: the caller measures the first, and a pool of forked
+    processes the others. Leaving the pool joins every worker, and a share
+    that raised raises its exception here. With one share, or where
+    ``os.fork`` is missing, no pool opens.
+    """
+    tuples = len(grid_params(grid))
+    shares = min(tensor._cpus(), tuples)
+    if shares == 1 or not hasattr(os, "fork"):
+        return _measure(grid, seed, 0, 1)
+    # imported here: `import combtn.cli` loads neither
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(shares - 1,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        others = [pool.submit(_measure, grid, seed, k, shares) for k in range(1, shares)]
+        parts = [_measure(grid, seed, 0, shares), *(other.result() for other in others)]
+    # share k holds the two networks of tuples k, k + shares, ... in turn
+    return [parts[idx % shares][2 * (idx // shares) + side]
+            for idx in range(tuples) for side in (0, 1)]
+
+
 def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
-    """Run every check over the grid; deterministic for a fixed seed."""
+    """Run every check over the grid; deterministic for a fixed seed, and
+    the same report at any CPU count."""
     params_list = grid_params(grid)
     report = VerificationReport(grid=grid, seed=seed, tuples=len(params_list))
 
@@ -117,24 +170,23 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
     residual_check = CheckResult("printed - measured residual == M*x^2")
     oracle_check = CheckResult("executed scalar == value oracle")
 
-    for idx, p in enumerate(params_list):
+    measured = iter(_measure_all(grid, seed))
+    for p in params_list:
         overhead = p.teeth * p.bond_dim * p.bond_dim
         printed = costmodel.comb_cost_printed(p)
         # the printed comb form carries M*x^2 that no schedule step makes
         expected = {"mps": costmodel.mps_cost(p), "comb": printed - overhead}
-        for build in (build_mps, build_comb):
-            net = build(p, seed=seed + idx)
-            scalar, cost = execute(net, plan_for(net))
-            count_check = count_checks[net.kind]
-            if cost.total != expected[net.kind]:
+        for kind, total, scalar, reference in (next(measured), next(measured)):
+            count_check = count_checks[kind]
+            if total != expected[kind]:
                 _fail(count_check, f"at {_describe(p)}: measured "
-                                   f"{cost.total}, formula {expected[net.kind]}")
+                                   f"{total}, formula {expected[kind]}")
             else:
                 count_check.passed += 1
-            if net.kind == "comb":
+            if kind == "comb":
                 # the schedule form too: no other check compares it with
                 # a measured count
-                residual = printed - cost.total
+                residual = printed - total
                 gap = printed - costmodel.comb_cost_schedule(p)
                 if residual != overhead or gap != overhead:
                     _fail(residual_check, f"at {_describe(p)}: printed - measured = "
@@ -143,14 +195,12 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
                 else:
                     residual_check.passed += 1
 
-            try:
-                reference = naive_value_oracle(net)
-            except OracleGuardError:
+            if reference is None:
                 oracle_check.skipped += 1
                 continue
             mismatch = _value_mismatch(scalar, reference)
             if mismatch is not None:
-                _fail(oracle_check, f"at {_describe(p)} [{net.kind}]: executed "
+                _fail(oracle_check, f"at {_describe(p)} [{kind}]: executed "
                                     f"{scalar!r}, oracle {reference!r}: {mismatch}")
             else:
                 oracle_check.passed += 1

@@ -356,9 +356,10 @@ def test_one_worker_per_cpu_at_most_one_per_run(cpus, chunk, monkeypatch):
 
 def test_importing_the_cli_loads_no_thread_pool():
     # only a build with a stack past _CHUNK needs the pool, and
-    # concurrent.futures loads logging with it
-    probe = ("import sys, combtn.cli; "
-             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    # concurrent.futures loads logging with it; nor does the import load
+    # multiprocessing, which only verify's pool of processes needs
+    probe = ("import sys, combtn.cli; print(sorted("
+             "{'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules)))")
     src = str(Path(network.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, timeout=60,

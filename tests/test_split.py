@@ -180,17 +180,27 @@ def test_a_split_step_is_one_contract_pair_call(monkeypatch):
 
 def test_grid_verify_and_reference_contract_open_no_pool():
     # no step of either grid, nor of the reference point at x=10, reads
-    # past _CHUNK, so neither verify nor score-ref's workload opens a pool
-    probe = ("import sys, io, contextlib; from combtn.cli import main\n"
+    # past _CHUNK: with _run_all raising, a split or chunked fill in any
+    # share of verify's measurement, the caller's or a forked worker's (two
+    # CPUs on any host), fails the run; and contract at x=10, score-ref's
+    # workload, loads no concurrent.futures (verify's pool loads it later)
+    probe = ("import sys, io, contextlib\n"
+             "from combtn import tensor\n"
+             "from combtn.cli import main\n"
+             "def no_split(fn, parts):\n"
+             "    raise RuntimeError('a step split')\n"
+             "tensor._run_all = no_split\n"
+             "tensor._cpus = lambda: 2\n"
              "flags = ['--teeth', '50', '--tooth-len', '5', '--dim-raw', '100',"
              " '--dim-comp', '30', '--bond', '10']\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    codes = [main(['verify', '--grid', 'small']),\n"
-             "             *(main(['contract', '--kind', kind, *flags])"
-             " for kind in ('mps', 'comb'))]\n"
-             "print(codes, 'concurrent.futures' in sys.modules)")
+             "    contracted = [main(['contract', '--kind', kind, *flags])"
+             " for kind in ('mps', 'comb')]\n"
+             "    loaded = 'concurrent.futures' in sys.modules\n"
+             "    verified = [main(['verify', '--grid', grid]) for grid in ('small', 'full')]\n"
+             "print(contracted, loaded, verified)")
     src = str(Path(tensor.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout == "[0, 0, 0] False\n"
+    assert done.stdout == "[0, 0] False [0, 0]\n"

@@ -1,10 +1,17 @@
+import concurrent.futures
+import hashlib
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import pytest
 
-from combtn import verification
-from combtn.engine import execute, naive_value_oracle
+from combtn import tensor, verification
+from combtn.cli import main
+from combtn.engine import OracleGuardError, execute, naive_value_oracle, plan_for
+from combtn.network import build_comb, build_mps
 
 ORACLE_CHECK = "executed scalar == value oracle"
 
@@ -76,3 +83,114 @@ def test_a_wrong_comb_count_fails_both_count_checks(monkeypatch):
         assert not checks[name].ok, name
         assert checks[name].failure.startswith("at (M=")
     assert "printed - measured" in checks["printed - measured residual == M*x^2"].failure
+
+
+def _hexed(measured) -> list[tuple]:
+    return [(kind, total, scalar.hex(), None if ref is None else ref.hex())
+            for kind, total, scalar, ref in measured]
+
+
+def _recording_pool(monkeypatch) -> list:
+    """Patch the pool verification opens; return the list of its worker
+    counts."""
+    workers, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def recorded(max_workers, **kwargs):
+        workers.append(max_workers)
+        return pool(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    return workers
+
+
+def _nothing_left_running(threads: int) -> bool:
+    return multiprocessing.active_children() == [] and threading.active_count() == threads
+
+
+def test_measurements_do_not_depend_on_the_cpu_count(monkeypatch):
+    # a plain loop over the grid, on the calling thread alone
+    serial = []
+    for idx, p in enumerate(verification.grid_params("small")):
+        for build in (build_mps, build_comb):
+            net = build(p, seed=42 + idx)
+            scalar, cost = execute(net, plan_for(net))
+            try:
+                reference = naive_value_oracle(net)
+            except OracleGuardError:
+                reference = None
+            serial.append((net.kind, cost.total, scalar, reference))
+    assert len(serial) == 2 * 162
+    workers = _recording_pool(monkeypatch)
+    threads = threading.active_count()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+        measured = verification._measure_all("small", 42)
+        assert _hexed(measured) == _hexed(serial), cpus
+        assert _nothing_left_running(threads)
+    # one CPU opens no pool; n CPUs open n - 1 worker processes
+    assert workers == [1, 2]
+
+
+def test_verify_stdout_does_not_depend_on_the_cpu_count(monkeypatch, capsys):
+    outputs = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+        assert main(["verify", "--grid", "small", "--seed", "42"]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("cpus, faulty", [(2, (3, 6)), (3, (5, 7))])
+def test_the_first_failure_is_the_lowest_tuple_in_any_share(cpus, faulty, monkeypatch):
+    # the lower faulty tuple is in a later share than the higher one, so a
+    # fold in share order would report the higher
+    assert faulty[0] % cpus > faulty[1] % cpus
+    params_list = verification.grid_params("small")
+    bad = {params_list[idx] for idx in faulty}
+
+    def one_too_many_at_two_tuples(net, plan):
+        scalar, report = execute(net, plan)
+        if net.kind == "mps" and net.params in bad:
+            report = replace(report, total=report.total + 1)
+        return scalar, report
+
+    monkeypatch.setattr(verification, "execute", one_too_many_at_two_tuples)
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+    checks = {c.name: c for c in verification.run_verification("small", seed=42).checks}
+    check = checks["mps measured == closed form"]
+    assert check.failure.startswith(
+        f"at {verification._describe(params_list[faulty[0]])}: measured ")
+    assert check.passed == len(params_list) - 2
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_share_that_raises_fails_the_run(where, monkeypatch):
+    caller = os.getpid()
+
+    def boom(net):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise ValueError("boom")
+        return naive_value_oracle(net)
+
+    monkeypatch.setattr(verification, "naive_value_oracle", boom)
+    monkeypatch.setattr(tensor, "_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^boom$"):
+        verification.run_verification("small", seed=42)
+    assert _nothing_left_running(threads)
+
+
+# sha256 over (kind, measured count, float.hex of the executed scalar and of
+# the oracle's value) of both networks of every full-grid tuple at seed 42,
+# in tuple order; with the pinned small-grid digests it guards the fold of
+# the shares back into tuple order
+FULL_GRID_DIGEST = "49a8f4e62431ad52913d980c8ebc6f27a294c825dbc6e7ade510cb5430c2833b"
+
+
+def test_full_grid_measurements_are_pinned():
+    measured = verification._measure_all("full", 42)
+    assert len(measured) == 4032
+    digest = hashlib.sha256()
+    for kind, total, scalar, reference in _hexed(measured):
+        digest.update(f"{kind} {total} {scalar} {reference or 'skipped'};".encode())
+    assert digest.hexdigest() == FULL_GRID_DIGEST
