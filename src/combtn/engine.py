@@ -1,36 +1,35 @@
 """Deterministic contraction schedules and instrumented execution.
 
-Both planners emit fully explicit step lists over named operands, so a
-plan can be audited, costed, and replayed bit-for-bit. A plan reads only
-the network's stacks, and every operand and result is a plain read-only
-``np.ndarray``: compress, absorb-physical, tooth-sweep and
-tooth-to-backbone each run across every site or tooth at once, and pass
-their results on whole or as named views; the chain sweep (the backbone
-sweep, for a comb) is one ``CHAIN`` step through every interior matrix,
-and the final dot one more step. A plan is walked by name once, when it is
-made, and ``execute`` checks the network's stack names and leading extents
-against it once, then runs its steps by name and reports the
-multiplications it counted, which ``verification`` and ``cli`` compare
-with ``costmodel``. A plan depends only on the network's kind and its
-(M, N), so networks that share them share one frozen plan object, kept in
-a small bounded memo. The independent value oracle contracts the raw bond
-graph in bond order, reading each node as a plain array view of its stack
-row, and is used to cross-check the scalar produced by plan execution. Its
-merge schedule depends only on the bond graph, so it is walked once per
-graph, kept in a small ``lru_cache``, and replayed for every network on
-that graph; a replay only transposes, reshapes and multiplies.
+One planner derives either geometry's steps from its description in
+``network``, leaf to root: nodes that are ready together are contracted
+into their parents in one stacked step over plain read-only arrays, whose
+result goes on whole or as named views, and the backbone ends as one
+``CHAIN`` step and the final dot. A plan depends only on the kind and
+(M, N), so networks that share them share one frozen plan from a small
+bounded memo; it is walked by name once, when it is made. ``execute``
+checks the network's stack names and leading extents against it once,
+runs its steps by name and reports the multiplications it counted, which
+``verification`` and ``cli`` compare with ``costmodel``. The independent
+value oracle contracts the raw bond graph in bond order, reading each node
+as a plain array view of its stack row, and is used to cross-check the
+scalar produced by plan execution. Its merge schedule depends only on the
+bond graph, so it is walked once per graph, kept in a small ``lru_cache``,
+and replayed for every network on that graph; a replay only transposes,
+reshapes and multiplies.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import costmodel
-from .network import _MEMO, TensorNetwork, _node_arrays
+from .network import _MEMO, TensorNetwork, _geometry, _node_arrays
 from .tensor import CHAIN, AxisPairing, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
@@ -121,124 +120,136 @@ class CostReport:
     analytic_printed: int
 
 
-# The final dot sums a vector against a vector; a stacked step sums the
-# first axis past its batch axes of the first operand against axis ``ib``
-# of the second. The interior sites, teeth and spines are stored with that
-# axis first past their leading axes, so the absorbs and the spine entry
-# that read them pair ``ib`` = batch.
+# A stacked step sums a child's one axis left, first past the batch axes,
+# against axis ``ib`` of the parent; the final dot sums two vectors.
 _DOT = AxisPairing(((0, 0),))
 
 
+@functools.lru_cache(maxsize=32)
 def _stacked(batch: int, ib: int) -> AxisPairing:
     return AxisPairing(((batch, ib),), batch)
 
 
-def _sweep(steps: list, first: str, interior: str | None, last: str) -> None:
-    # the running vector through every interior matrix in one chain step,
-    # when there are any, then a dot with the last vector
-    if interior is not None:
-        steps.append(PlanStep(first, interior, CHAIN, "chain-sweep", "swept"))
-        first = "swept"
-    steps.append(PlanStep(first, last, _DOT, "final-dot", "result"))
+def _index(lead: tuple[int, ...], rows: list, batch: int | None = None):
+    """The basic index reading ``rows`` of an array with leading extents
+    ``lead``, in C order, as ``batch`` leading axes (by default those the
+    rows differ on), and the extents it keeps; None for the whole array.
+    Raises ValueError where no basic index reads these rows in this order.
+    """
+    # each axis's run, from the last axis on: its step is how far it moves
+    # over as many rows as the later axes' runs span
+    first, last, runs, span = rows[0], rows[-1], [], 1
+    for axis in reversed(range(len(lead))):
+        step = rows[min(span, len(rows) - 1)][axis] - first[axis] or 1
+        runs.insert(0, range(first[axis], last[axis] + 1, step))
+        span *= len(runs[0])
+    spare = 0 if batch is None else batch - sum(map(operator.ne, first, last))
+    index = []     # an int where the rows agree, save the first the batch needs
+    for run in runs:
+        keep = len(run) > 1 or spare > 0
+        spare -= keep and len(run) == 1
+        index.append(slice(run.start, run.stop, run.step) if keep else run.start)
+    extents = tuple(len(run) for run, at in zip(runs, index) if isinstance(at, slice))
+    if batch not in (None, len(extents)) or list(itertools.product(*runs)) != rows:
+        raise ValueError(f"no basic index reads rows {rows} as {batch} leading axes")
+    return (None if extents == lead else tuple(index)), extents
+
+
+@functools.lru_cache(maxsize=_MEMO)
+def _plan(kind: str, m_count: int, n_count: int) -> ContractionPlan:
+    """The plan of ``network._geometry(kind, m_count, n_count)``, leaf to
+    root: a node off the backbone is contracted into its parent in the
+    round after its children's last. The nodes of a round whose values sit
+    in one array, as their parents' do, share one stacked step that sums a
+    child's one axis left against the parent's axis holding their bond; its
+    result holds the parents' values in row order. A stack is read whole, a
+    result through ``_index``: the parents keep all of a stack's leading
+    axes, or those their rows differ on, and the children as many. Rounds 0
+    and 1 are "compress" and "absorb-physical", later ones
+    "tooth-to-backbone" into the backbone, else "tooth-sweep". The backbone
+    ends as one ``CHAIN`` step through its interior, if any, and the dot
+    into "result". A view is named by the step and side reading it ("a3").
+    """
+    geometry = _geometry(kind, m_count, n_count)
+    parents, stored, backbone = geometry.parents, geometry.stored, set(geometry.backbone)
+    # per array (a stack by name, step k's result by k): leading extents,
+    # stored axes not yet summed, and the nodes it holds in row order
+    lead = {name: extents for name, extents, *_ in geometry.draws}
+    left = {name: tuple(range(len(axes))) for name, _, axes, *_ in geometry.draws}
+    members = dict(geometry.members)
+    at, rows = list(geometry.stacks), {}     # each node's array; rows by node
+    reads, steps = {}, []       # step k -> (name, index) of each view of its result
+
+    def read(side: str, array, nodes: list, batch: int | None = None):
+        # the operand holding the values of ``nodes``, and its leading extents
+        if isinstance(array, str):
+            if tuple(nodes) != members[array] or batch not in (None, len(lead[array])):
+                raise ValueError(f"stack {array!r} is not read whole, in row order")
+            return array, lead[array]
+        if array not in rows:
+            rows[array] = dict(zip(members[array], itertools.product(*map(range, lead[array]))))
+        index, extents = _index(lead[array], list(map(rows[array].__getitem__, nodes)), batch)
+        reads.setdefault(array, []).append((f"{side}{len(steps)}", index))
+        return f"{side}{len(steps)}", extents
+
+    rounds, by_round = [0] * len(at), {}
+    for node in reversed(range(len(at))):    # a child comes after its parent
+        if node not in backbone:
+            by_round.setdefault(rounds[node], []).append(node)
+            up = parents[node]
+            if rounds[up] <= rounds[node]:
+                rounds[up] = rounds[node] + 1
+    for r in sorted(by_round):
+        groups: dict[tuple, list[int]] = {}
+        for node in reversed(by_round[r]):
+            groups.setdefault((at[node], at[parents[node]], stored[node]), []).append(node)
+        for (child, parent, axis), nodes in groups.items():
+            ups = [parents[node] for node in nodes]
+            b, extents = read("b", parent, ups)
+            a, _ = read("a", child, nodes, len(extents))
+            summed = left[parent].index(axis)
+            phase = ("compress", "absorb-physical")[r] if r < 2 else \
+                "tooth-to-backbone" if ups[0] in backbone else "tooth-sweep"
+            steps.append((a, b, _stacked(len(extents), len(extents) + summed), phase))
+            k = len(steps) - 1
+            lead[k], left[k] = extents, left[parent][:summed] + left[parent][summed + 1:]
+            members[k] = ups
+            for up in ups:
+                at[up] = k
+
+    first, *inner, last = geometry.backbone
+    a, _ = read("a", at[first], [first], 0)
+    if inner:
+        steps.append((a, read("b", at[inner[0]], inner, 1)[0], CHAIN, "chain-sweep"))
+        a = f"a{len(steps)}"
+        reads[len(steps) - 1] = [(a, None)]
+    steps.append((a, read("b", at[last], [last], 0)[0], _DOT, "final-dot"))
+    outs = {k: parts[0][0] if parts[0][1] is None else tuple(parts)
+            for k, parts in reads.items()}
+    return ContractionPlan(kind, tuple(
+        PlanStep(*step, outs.get(k, "result")) for k, step in enumerate(steps)), tuple(
+        (name, extents) for name, extents, *_ in geometry.draws if math.prod(extents)))
 
 
 def mps_plan(net: TensorNetwork) -> ContractionPlan:
-    """Schedule: compress all data, absorb into sites, sweep left to right, dot.
-
-    Phase costs per site: compress D*d; absorption x*d at the two boundaries
-    and x^2*d at interiors; each sweep step x^2; the final dot x. Compress
-    is one step over the compression stack, absorption one step per site
-    stack, the sweep one chain step through the absorbed interior sites,
-    and the dot one step: 4 + 2*[L > 2] steps in all. Networks of one
-    chain length share one plan object.
-    """
+    """The MPS's plan: compress every data vector (D*d each), absorb them
+    into the sites (x*d at the ends, x^2*d inside), one ``CHAIN`` step
+    through the interior sites (x^2 each) and the dot (x): 4 + 2*[L > 2]
+    steps, shared per chain length."""
     if net.kind != "mps":
         raise ValueError(f"mps_plan requires an MPS network, got {net.kind}")
-    return _mps_plan(net.params.sites)
-
-
-@functools.lru_cache(maxsize=_MEMO)
-def _mps_plan(length: int) -> ContractionPlan:
-    last = length - 1
-    interior = length > 2
-    w_parts = [("w0", slice(0, 1)), (f"w{last}", slice(last, length))]
-    if interior:
-        w_parts.insert(1, ("w-interior", slice(1, last)))
-    steps = [
-        PlanStep("data", "compressions", _stacked(1, 1), "compress", tuple(w_parts)),
-        PlanStep("w0", "first-site", _stacked(1, 1), "absorb-physical", (("m0", 0),)),
-    ]
-    stacks = [("data", (length,)), ("compressions", (length,)),
-              ("first-site", (1,)), ("last-site", (1,))]
-    if interior:
-        steps.append(PlanStep("w-interior", "interior-sites", _stacked(1, 1),
-                              "absorb-physical", "m-interior"))
-        stacks.append(("interior-sites", (length - 2,)))
-    steps.append(PlanStep(f"w{last}", "last-site", _stacked(1, 2),
-                          "absorb-physical", ((f"m{last}", 0),)))
-    _sweep(steps, "m0", "m-interior" if interior else None, f"m{last}")
-    return ContractionPlan("mps", tuple(steps), tuple(stacks))
+    return _plan("mps", net.params.sites, 1)
 
 
 def comb_plan(net: TensorNetwork) -> ContractionPlan:
-    """Schedule: collapse each tooth to a bond vector, then sweep the backbone.
-
-    Per tooth: compress the N data vectors, absorb them into the tooth
-    tensors (x*d at the free end, x^2*d elsewhere), then sweep from the free
-    end toward the backbone (N-1 steps of x^2). Tooth vectors enter the
-    backbone at x^2 per boundary and x^3 per interior; the backbone sweep
-    costs (M-2) x^2 and the final dot x. Every step before the backbone
-    sweep runs across all M teeth at once: compress is one step, absorb
-    one per tooth-tensor stack, the tooth sweep one per tooth position and
-    the entry into the backbone one per spine stack. The backbone sweep is
-    one chain step through the entered interior spines, and the dot one
-    step: N + 3 + [N > 1] + 2*[M > 2] steps in all. Networks of one
-    (M, N) share one plan object.
-    """
+    """The comb's plan: compress every data vector (D*d each), absorb them
+    into the teeth (x*d at the ends, x^2*d inside), sweep all teeth toward
+    the backbone (x^2 per tooth and step), enter the spines (x^2 at the
+    ends, x^3 inside), one ``CHAIN`` step through the interior spines and
+    the dot: N + 3 + [N > 1] + 2*[M > 2] steps, shared per (M, N)."""
     if net.kind != "comb":
         raise ValueError(f"comb_plan requires a comb network, got {net.kind}")
-    return _comb_plan(net.params.teeth, net.params.tooth_len)
-
-
-@functools.lru_cache(maxsize=_MEMO)
-def _comb_plan(m_count: int, n_count: int) -> ContractionPlan:
-    teeth, inner, spines = slice(None), range(n_count - 1), m_count > 2
-    w_parts = [("w-end", (teeth, n_count - 1))]
-    stacks = [("data", (m_count, n_count)), ("compressions", (m_count, n_count)),
-              ("tooth-ends", (m_count,)), ("boundary-spines", (2,))]
-    if inner:
-        w_parts.insert(0, ("w-interior", (teeth, slice(0, n_count - 1))))
-        stacks.append(("interior-teeth", (m_count, n_count - 1)))
-    if spines:
-        stacks.append(("interior-spines", (m_count - 2,)))
-    # the tooth vectors at the backbone: rows 0 and M-1 enter the boundary
-    # spines, the rows between them the interior spines
-    at_backbone = [("v-boundary", slice(0, m_count, m_count - 1))]
-    if spines:
-        at_backbone.append(("v-interior", slice(1, m_count - 1)))
-    at_backbone = tuple(at_backbone)
-
-    steps = [PlanStep("data", "compressions", _stacked(2, 2), "compress",
-                      tuple(w_parts))]
-    if inner:
-        steps.append(PlanStep("w-interior", "interior-teeth", _stacked(2, 2),
-                              "absorb-physical",
-                              tuple((f"t{n}", (teeth, n)) for n in inner)))
-    # the running vectors of all teeth: ts{n} has swept positions n to N-1
-    steps.append(PlanStep("w-end", "tooth-ends", _stacked(1, 2), "absorb-physical",
-                          f"ts{n_count - 1}" if inner else at_backbone))
-    for n in reversed(inner):
-        # pair the running vectors with the interiors' downward axis
-        steps.append(PlanStep(f"ts{n + 1}", f"t{n}", _stacked(1, 2), "tooth-sweep",
-                              f"ts{n}" if n else at_backbone))
-    steps.append(PlanStep("v-boundary", "boundary-spines", _stacked(1, 2),
-                          "tooth-to-backbone",
-                          (("b0", 0), (f"b{m_count - 1}", 1))))
-    if spines:
-        steps.append(PlanStep("v-interior", "interior-spines", _stacked(1, 1),
-                              "tooth-to-backbone", "b-interior"))
-    _sweep(steps, "b0", "b-interior" if spines else None, f"b{m_count - 1}")
-    return ContractionPlan("comb", tuple(steps), tuple(stacks))
+    return _plan("comb", net.params.teeth, net.params.tooth_len)
 
 
 def plan_for(net: TensorNetwork) -> ContractionPlan:

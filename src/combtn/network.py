@@ -29,9 +29,11 @@ A stack with no members is left out. Every stack this module makes holds a
 plain read-only ``np.ndarray`` that it made; ``TensorNetwork.nodes`` hands
 the node views out as ``Node(Tensor(view))`` named tuples.
 
-Names, bonds and node order depend only on the kind and (M, N), so each
-build reads them from a small bounded memo and only draws, stack by stack in
-the order each stack is stored. A stack of at most ``tensor._CHUNK``
+Each geometry is described once per kind and (M, N), in a small bounded
+memo (``_geometry``): every node with its stack and the bond to the node it
+hangs from, the backbone, and every stack's draw. Names, bonds, node order
+and ``engine``'s plan are read off it, and a build only draws, stack by
+stack in the order each stack is stored. A stack of at most ``tensor._CHUNK``
 elements is one call on the build's generator; a larger one is cut into
 runs of ``_CHUNK`` elements, each drawn from its own child stream, and the
 runs are filled on every CPU by ``tensor._run_all``, the helper that also
@@ -168,52 +170,104 @@ def _node_arrays(net: TensorNetwork) -> dict[str, np.ndarray]:
     return {name: views[name] for name in net.order}
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """What every build of one kind and (M, N) shares, whatever its extents
-    and seed: each stack's member names, the bonds and the node order."""
+class _Geometry(NamedTuple):
+    """One geometry at one (M, N), whatever its extents and seed. Its nodes,
+    in build order, are (name, stack, position of the node each hangs from
+    or -1, axis of that node's stored member holding their bond), by field
+    in ``order``, ``stacks``, ``parents`` and ``stored``; ``bonds`` holds
+    each node's bond to its parent. ``members`` and ``names`` list each
+    stack's nodes in node order, the C order of its rows. ``backbone`` is
+    the chain the others hang from. ``draws`` gives every stack, in draw
+    order, as (name, leading extents, stored member axes as letters of "D",
+    "d" and "x", the letters whose product is its fan-in, ``node_axes``).
+    """
 
-    names: dict[str, tuple[str, ...]]
-    bonds: tuple[Bond, ...]
     order: tuple[str, ...]
+    stacks: tuple[str, ...]
+    parents: tuple[int, ...]
+    stored: tuple[int, ...]
+    bonds: tuple[Bond, ...]
+    members: dict[str, tuple[int, ...]]
+    names: dict[str, tuple[str, ...]]
+    backbone: tuple[int, ...]
+    draws: tuple[tuple, ...]
 
 
-class _Recorder:
-    """Records a layout: one ``add`` per tensor, in node order, each the
-    next member of its stack, and one ``bond`` per edge."""
-
-    def __init__(self) -> None:
-        self._names: dict[str, list[str]] = {}
-        self._order: list[str] = []
-        self._bonds: list[Bond] = []
-
-    def add(self, name: str, group: str) -> None:
-        self._names.setdefault(group, []).append(name)
-        self._order.append(name)
-
-    def bond(self, node_a: str, axis_a: int, node_b: str, axis_b: int) -> None:
-        self._bonds.append(Bond(node_a, axis_a, node_b, axis_b))
-
-    def layout(self) -> _Layout:
-        names = {group: tuple(members) for group, members in self._names.items()}
-        return _Layout(names, tuple(self._bonds), tuple(self._order))
-
-
-# The bound of every memo keyed by a network's kind and (M, N): the layouts
-# here, and the plans and oracle schedules in ``engine``. The grid visits
-# every tuple of one (M, N) in a row, so a few entries hit almost always,
-# and the bound keeps a memo from holding all a long run has seen.
+# The bound of every memo keyed by a network's kind and (M, N): the
+# geometries here, and the plans and oracle schedules in ``engine``. The
+# grid visits every tuple of one (M, N) in a row, so a few entries hit
+# almost always, and a long run is not all held.
 _MEMO = 4
 
 
-def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
-          groups) -> TensorNetwork:
-    """Draw every stack, in ``groups`` order, from one generator seeded once
-    per build.
+@functools.lru_cache(maxsize=_MEMO)
+def _geometry(kind: str, m_count: int, n_count: int) -> _Geometry:
+    """The geometry of ``kind`` at (M, N); an MPS depends only on its
+    length, so ``build_mps`` and ``engine`` ask for (M*N, 1)."""
+    if kind == "mps":
+        length = m_count * n_count
+        draws = (("first-site", (1,), "dx", "x", None),
+                 ("compressions", (length,), "Dd", "D", None),
+                 ("data", (length,), "D", "", None),
+                 ("interior-sites", (length - 2,), "dxx", "xx", (1, 0, 2)),
+                 ("last-site", (1,), "xd", "x", None))
+    else:
+        draws = (("boundary-spines", (2,), "xx", "xx", None),
+                 ("interior-teeth", (m_count, n_count - 1), "dxx", "xx", (1, 0, 2)),
+                 ("tooth-ends", (m_count,), "xd", "x", None),
+                 ("compressions", (m_count, n_count), "Dd", "D", None),
+                 ("data", (m_count, n_count), "D", "", None),
+                 ("interior-spines", (m_count - 2,), "xxx", "xxx", (1, 2, 0)))
+    node_axes = {name: axes for name, *_, axes in draws}
+    members: dict[str, list[int]] = {name: [] for name, *_ in draws}
+    nodes, bonds, backbone = [], [], []
 
-    ``groups`` gives each stack's name, leading extents, stored member
-    shape, fan-in and ``node_axes`` (None when a member is stored in its
-    node's axis order). A stack of at most ``tensor._CHUNK`` elements is one
+    def add(name: str, stack: str, parent: int, parent_axis: int, axis: int = 0) -> int:
+        # the first node hangs from none: its parent axis is never read
+        if parent >= 0:
+            bonds.append(Bond(nodes[parent][0], parent_axis, name, axis))
+            permuted = node_axes[nodes[parent][1]]
+            parent_axis = parent_axis if permuted is None else permuted[parent_axis]
+        members[stack].append(len(nodes))
+        nodes.append((name, stack, parent, parent_axis))
+        return len(nodes) - 1
+
+    def physical(site: int, tag: str, axis: int) -> None:
+        # one compression matrix and one data vector per physical site
+        add(f"data{tag}", "data", add(f"u{tag}", "compressions", site, axis, 1), 0)
+
+    if kind == "mps":
+        for i in range(length):
+            stack, axis = (("first-site", 0) if i == 0 else
+                           ("last-site", 1) if i == length - 1 else ("interior-sites", 1))
+            backbone.append(add(f"site{i}", stack, backbone[-1] if i else -1,
+                                1 if i == 1 else 2))
+            physical(backbone[-1], str(i), axis)
+    else:
+        for m in range(m_count):
+            end = m in (0, m_count - 1)
+            backbone.append(add(f"spine{m}", "boundary-spines" if end else "interior-spines",
+                                backbone[-1] if m else -1, 0 if m == 1 else 1))
+            parent, axis = backbone[-1], 1 if end else 2
+            for n in range(n_count):
+                tag = f"{m}.{n}"
+                stack = "tooth-ends" if n == n_count - 1 else "interior-teeth"
+                parent, axis = add(f"tooth{tag}", stack, parent, axis), 2
+                physical(parent, tag, 1)
+    order, stacks, parents, stored = map(tuple, zip(*nodes))
+    return _Geometry(order, stacks, parents, stored,
+                     tuple(bonds), {stack: tuple(ids) for stack, ids in members.items()},
+                     {stack: tuple(map(order.__getitem__, ids))
+                      for stack, ids in members.items() if ids},
+                     tuple(backbone), draws)
+
+
+def _draw(params: NetworkParams, kind: str, seed, geometry: _Geometry) -> TensorNetwork:
+    """Draw every stack of ``geometry``, in its ``draws`` order, from one
+    generator seeded once per build.
+
+    A stack's member shape and fan-in are its letters read as D, d and x.
+    A stack of at most ``tensor._CHUNK`` elements is one
     ``standard_normal(lead + stored shape)`` call on the generator. A larger
     one is made with ``np.empty`` and cut into runs of ``_CHUNK`` elements
     in C order; run j is filled in place from the j-th of ``spawn(k)``
@@ -224,14 +278,16 @@ def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
     with std 1/sqrt(fan_in), and frozen once every run is filled. A stack
     with no members is left out and draws nothing.
     """
+    dims = {"D": params.dim_raw, "d": params.dim_comp, "x": params.bond_dim}
     rng = np.random.default_rng(seed)
     chunk = tensor._CHUNK
     drawn, runs = [], []
-    for group, lead, shape, fan_in, node_axes in groups:
+    for group, lead, axes, fan_in, node_axes in geometry.draws:
+        shape = tuple(map(dims.__getitem__, axes))
         size = math.prod(lead + shape)
         if not size:
             continue
-        scale = 1.0 / math.sqrt(fan_in)
+        scale = 1.0 / math.sqrt(math.prod(map(dims.__getitem__, fan_in)))
         if size <= chunk:
             arr = rng.standard_normal(lead + shape)
             arr *= scale
@@ -247,39 +303,13 @@ def _draw(params: NetworkParams, kind: str, seed, layout: _Layout,
     stacks = {}
     for group, arr, lead, node_axes in drawn:
         arr.setflags(write=False)
-        stacks[group] = Stack(arr, layout.names[group], lead, node_axes)
-    return TensorNetwork(params, kind, layout.bonds, stacks, layout.order)
+        stacks[group] = Stack(arr, geometry.names[group], lead, node_axes)
+    return TensorNetwork(params, kind, geometry.bonds, stacks, geometry.order)
 
 
 def _fill(rng: np.random.Generator, run: np.ndarray, scale: float) -> None:
     rng.standard_normal(out=run)
     run *= scale
-
-
-def _add_physical_column(b: _Recorder, site: str, tag: str, phys_axis: int) -> None:
-    # one compression matrix and one data vector per physical site
-    b.add(f"u{tag}", "compressions")
-    b.bond(site, phys_axis, f"u{tag}", 1)
-    b.add(f"data{tag}", "data")
-    b.bond(f"u{tag}", 0, f"data{tag}", 0)
-
-
-@functools.lru_cache(maxsize=_MEMO)
-def _mps_layout(length: int) -> _Layout:
-    b = _Recorder()
-    for i in range(length):
-        if i == 0:
-            group, phys_axis = "first-site", 0
-        elif i == length - 1:
-            group, phys_axis = "last-site", 1
-        else:
-            group, phys_axis = "interior-sites", 1
-        b.add(f"site{i}", group)
-        if i > 0:
-            prev_right = 1 if i == 1 else 2
-            b.bond(f"site{i - 1}", prev_right, f"site{i}", 0)
-        _add_physical_column(b, f"site{i}", str(i), phys_axis)
-    return b.layout()
 
 
 def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -288,43 +318,9 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
     All tensors are Gaussian with std 1/sqrt(fan-in), where fan-in is the
     product of the non-physical extents; values never affect cost counts.
     """
-    length = params.sites
-    if length < 2:
-        raise ValueError(f"an MPS needs at least 2 sites, got {length}")
-    big_d, d, x = params.dim_raw, params.dim_comp, params.bond_dim
-    return _draw(params, "mps", seed, _mps_layout(length), [
-        ("first-site", (1,), (d, x), x, None),
-        ("compressions", (length,), (big_d, d), big_d, None),
-        ("data", (length,), (big_d,), 1, None),
-        ("interior-sites", (length - 2,), (d, x, x), x * x, (1, 0, 2)),
-        ("last-site", (1,), (x, d), x, None),
-    ])
-
-
-@functools.lru_cache(maxsize=_MEMO)
-def _comb_layout(m_count: int, n_count: int) -> _Layout:
-    b = _Recorder()
-    for m in range(m_count):
-        if m in (0, m_count - 1):
-            group, down_axis = "boundary-spines", 1
-        else:
-            group, down_axis = "interior-spines", 2
-        b.add(f"spine{m}", group)
-        if m > 0:
-            prev_right = 0 if m == 1 else 1
-            b.bond(f"spine{m - 1}", prev_right, f"spine{m}", 0)
-        for n in range(n_count):
-            tag = f"{m}.{n}"
-            if n == n_count - 1:
-                b.add(f"tooth{tag}", "tooth-ends")
-            else:
-                b.add(f"tooth{tag}", "interior-teeth")
-            if n == 0:
-                b.bond(f"spine{m}", down_axis, f"tooth{tag}", 0)
-            else:
-                b.bond(f"tooth{m}.{n - 1}", 2, f"tooth{tag}", 0)
-            _add_physical_column(b, f"tooth{tag}", tag, 1)
-    return b.layout()
+    if params.sites < 2:
+        raise ValueError(f"an MPS needs at least 2 sites, got {params.sites}")
+    return _draw(params, "mps", seed, _geometry("mps", params.sites, 1))
 
 
 def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -334,16 +330,8 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
     end with shape [x, d]. Rejects M < 2: the boundary/interior split of the
     cost model presupposes two backbone ends.
     """
-    m_count, n_count = params.teeth, params.tooth_len
-    big_d, d, x = params.dim_raw, params.dim_comp, params.bond_dim
-    return _draw(params, "comb", seed, _comb_layout(m_count, n_count), [
-        ("boundary-spines", (2,), (x, x), x * x, None),
-        ("interior-teeth", (m_count, n_count - 1), (d, x, x), x * x, (1, 0, 2)),
-        ("tooth-ends", (m_count,), (x, d), x, None),
-        ("compressions", (m_count, n_count), (big_d, d), big_d, None),
-        ("data", (m_count, n_count), (big_d,), 1, None),
-        ("interior-spines", (m_count - 2,), (x, x, x), x ** 3, (1, 2, 0)),
-    ])
+    return _draw(params, "comb", seed,
+                 _geometry("comb", params.teeth, params.tooth_len))
 
 
 def attach_data(net: TensorNetwork, data) -> TensorNetwork:

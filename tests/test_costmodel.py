@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combtn import costmodel
 from combtn.costmodel import (
     Regime,
     comb_cost_printed,
@@ -160,6 +162,18 @@ def test_vieta_identities(m, d):
     assert math.isclose(xm + xp, d - 2.0 / (m - 2), rel_tol=1e-12)
 
 
+def test_vieta_refuses_roots_whose_sum_is_off():
+    # the product of these roots is d to rounding; their sum is one part in
+    # a billion off d - 2/(M-2)
+    result = threshold_roots(30, 50)
+    total = (30 - 2 / 48) * (1 + 1e-9)
+    root = math.sqrt(total * total / 4 - 30)
+    shifted = dataclasses.replace(result, roots=(total / 2 - root, total / 2 + root))
+    assert verify_vieta(result)
+    assert math.isclose(shifted.roots[0] * shifted.roots[1], 30, rel_tol=1e-12)
+    assert not verify_vieta(shifted)
+
+
 class TestSweep:
     def test_rows_without_roots(self):
         rows = list(threshold_sweep(50, 1, 4))
@@ -255,6 +269,19 @@ class TestCrosscheck:
             with pytest.raises(TypeError):
                 crosscheck_quadratic(teeth, comp_dim)
         assert crosscheck_quadratic(np.int64(50), np.int64(30)).consistent
+
+    def test_a_wrong_sign_one_step_past_a_root_is_inconsistent(self, monkeypatch):
+        # the first probe past the upper root's 0.5 guard: a wider guard
+        # would leave it unchecked
+        xp = threshold_roots(30, 50).x_plus
+        past = math.floor(xp + 0.5) + 1
+        assert 0.5 < past - xp <= 1.5
+        true_delta = costmodel.cost_delta
+        monkeypatch.setattr(costmodel, "cost_delta", lambda p, basis="schedule": (
+            -true_delta(p, basis) if p.bond_dim == past else true_delta(p, basis)))
+        report = crosscheck_quadratic(50, 30)
+        assert not report.consistent
+        assert [p.x for p in report.probes if not p.consistent] == [past]
 
     @pytest.mark.parametrize("m", range(3, 9))
     @pytest.mark.parametrize("d", range(2, 11))

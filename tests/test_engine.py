@@ -95,11 +95,15 @@ class TestMpsPlan:
 
     @pytest.mark.parametrize("M,N", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 3)])
     def test_chain_sweep_step_count(self, M, N):
-        # one chain step through all L - 2 absorbed interior sites
+        # one chain step through all L - 2 absorbed interior sites: the whole
+        # result of the step that absorbs into the interior-site stack
         net = build_mps(params(M=M, N=N), seed=0)
         plan = mps_plan(net)
-        sweeps = [(s.b, s.pairing) for s in plan.steps if s.phase == "chain-sweep"]
-        assert sweeps == [("m-interior", CHAIN)] * (M * N > 2)
+        whole = {s.out: s.b for s in plan.steps if isinstance(s.out, str)}
+        sweeps = [(whole.get(s.b), s.pairing) for s in plan.steps if s.phase == "chain-sweep"]
+        assert sweeps == [("interior-sites", CHAIN)] * (M * N > 2)
+        assert dict(plan.stacks).get("interior-sites") == \
+            ((M * N - 2,) if M * N > 2 else None)
 
     def test_phase_subtotals_match_terms(self):
         p = params(D=4, d=3, x=2, M=3, N=2)
@@ -197,9 +201,8 @@ class TestPlanSharing:
             comb_plan(mps)
 
     def test_memo_is_bounded(self):
-        for memo in (engine._mps_plan, engine._comb_plan):
-            assert memo.cache_info().maxsize is not None
-            assert memo.cache_info().maxsize <= 8
+        assert engine._plan.cache_info().maxsize is not None
+        assert engine._plan.cache_info().maxsize <= 8
 
 
 class TestExecute:
@@ -522,6 +525,64 @@ def test_counts_are_pinned():
                 digest.update(f" {phase}={count}".encode())
             digest.update(f" total={report.total};".encode())
     assert digest.hexdigest() == COUNT_DIGEST
+
+
+# sha256 over every step both kinds run at every (M, N) of the full grid
+# (D=3, d=2, x=3, build seed 1): each step's phase, pairing, operand shapes,
+# result shape and result bytes, in step order; a schedule change that
+# moves one step, pairing or view, or one bit of one intermediate, changes it
+STEP_DIGEST = "3043df2c2d6f4ccfc718a86983d5b5a018cba47ffb0b4c1e6468dd1f796343eb"
+
+
+def test_schedules_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    steps = []
+
+    def recorded(a, b, pairing):
+        out, cost = contract_pair(a, b, pairing)
+        digest.update(f"{steps.pop(0).phase} {pairing.pairs} {pairing.batch} "
+                      f"{pairing.chain} {a.shape} {b.shape} {out.shape};".encode())
+        digest.update(out.tobytes())
+        return out, cost
+
+    monkeypatch.setattr(engine, "contract_pair", recorded)
+    runs = 0
+    for m, n in sorted({(p.teeth, p.tooth_len) for p in grid_params("full")}):
+        for build in (build_mps, build_comb):
+            net = build(params(D=3, d=2, x=3, M=m, N=n), seed=1)
+            plan = plan_for(net)
+            steps[:] = plan.steps
+            execute(net, plan)
+            assert not steps
+            runs += len(plan.steps)
+    assert runs == 899
+    assert digest.hexdigest() == STEP_DIGEST
+
+
+@pytest.mark.parametrize("lead, rows, batch, extents", [
+    ((5,), [(1,), (2,), (3,)], None, (3,)),
+    ((5,), [(0,), (4,)], None, (2,)),
+    ((3, 2), [(0, 1), (1, 1), (2, 1)], None, (3,)),
+    ((3, 2), [(0, 1), (1, 1), (2, 1)], 2, (3, 1)),
+    ((3,), [(0,), (1,), (2,)], 1, (3,)),
+    ((3, 2), [(2, 0)], 0, ()),
+])
+def test_a_view_reads_exactly_its_rows(lead, rows, batch, extents):
+    index, kept = engine._index(lead, rows, batch)
+    cells = np.arange(math.prod(lead)).reshape(lead)
+    view = cells if index is None else cells[index]
+    assert kept == extents == view.shape
+    assert view.ravel().tolist() == [cells[row] for row in rows]
+
+
+@pytest.mark.parametrize("rows, batch", [
+    ([(0,), (2,), (3,)], None),     # not one run
+    ([(3,), (1,)], 1),              # not in row order
+    ([(0,), (1,)], 0),              # more rows than the batch holds
+])
+def test_rows_no_basic_index_reads_are_refused(rows, batch):
+    with pytest.raises(ValueError, match="no basic index"):
+        engine._index((4,), rows, batch)
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])

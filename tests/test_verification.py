@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from combtn import tensor, verification
+from combtn import costmodel, tensor, verification
 from combtn.cli import main
 from combtn.engine import OracleGuardError, execute, naive_value_oracle, plan_for
 from combtn.network import build_comb, build_mps
@@ -83,6 +83,30 @@ def test_a_wrong_comb_count_fails_both_count_checks(monkeypatch):
         assert not checks[name].ok, name
         assert checks[name].failure.startswith("at (M=")
     assert "printed - measured" in checks["printed - measured residual == M*x^2"].failure
+
+
+def test_an_oracle_value_off_by_one_part_in_a_billion_fails_the_check(monkeypatch):
+    # the worst grid scalar sits about 1e-11 from its oracle value, so a
+    # tolerance loosened to 1e-9 or more would pass this shift
+    monkeypatch.setattr(verification, "naive_value_oracle",
+                        lambda net: naive_value_oracle(net) * (1 + 1e-9))
+    check = _oracle_check(verification.run_verification("small", seed=42))
+    assert not check.ok
+    assert check.failure.endswith("relative difference above 1e-10")
+
+
+def test_a_printed_gap_that_grows_with_n_fails_the_gap_check(monkeypatch):
+    # only the printed basis is wrong, so a check of the schedule gap alone
+    # would pass; the comb count check reads comb_cost_printed, not this
+    true_delta = costmodel.cost_delta
+
+    def printed_grows(p, basis="schedule"):
+        return true_delta(p, basis) + (p.tooth_len if basis == "printed" else 0)
+
+    monkeypatch.setattr(costmodel, "cost_delta", printed_grows)
+    checks = {c.name: c for c in verification.run_verification("small", seed=42).checks}
+    assert not checks["cost gap independent of N and D"].ok
+    assert checks["comb measured == printed form - M*x^2"].ok
 
 
 def _hexed(measured) -> list[tuple]:
