@@ -2,13 +2,15 @@
 
 One planner derives either geometry's steps from its description in
 ``network``, leaf to root: nodes that are ready together are contracted
-into their parents in one stacked step over plain read-only arrays, whose
-result goes on whole or as named views, and the backbone ends as one
-``CHAIN`` step and the final dot. A plan depends only on the kind and
-(M, N), so networks that share them share one frozen plan from a small
-bounded memo; it is walked by name once, when it is made. ``execute``
-checks the network's stack names and leading extents against it once,
-runs its steps by name and reports the multiplications it counted, which
+into their parents in one stacked step over plain read-only arrays, and
+the backbone ends as one ``CHAIN`` step and the final dot. A step reads
+each operand by source, a stack's name or an earlier step's number, and
+row index, so a result may be read whole, in parts, or more than once. A
+plan depends only on the kind and (M, N), so networks that share them
+share one frozen plan from a small bounded memo; it is checked once, when
+it is made. ``execute`` checks the network's stack names and leading
+extents against it once, runs its steps, freeing each result after its
+last read, and reports the multiplications it counted, which
 ``verification`` and ``cli`` compare with ``costmodel``. The independent
 value oracle contracts the raw bond graph in bond order, reading each node
 as a plain array view of its stack row, and is used to cross-check the
@@ -24,7 +26,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,70 +43,61 @@ class OracleGuardError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class PlanStep:
-    """Contract ``a`` with ``b`` and add the count to ``phase``.
+    """Contract operand ``a`` with operand ``b`` and add the count to ``phase``.
 
-    ``out`` names the result, or is a tuple of (name, index) parts: the
-    result goes on as the views ``result[index]``, one per name, and is
-    not kept whole. An index is an int (one row), a slice (a run of rows)
-    or a tuple of these, one per leading axis.
+    An operand is (source, index): the source is a stack's name or the
+    number of an earlier step, whose result it reads, and the index is None
+    for the whole array, else a basic index (an int for one row, a slice
+    for a run of rows, or a tuple of these, one per leading axis).
     """
 
-    a: str
-    b: str
+    a: tuple
+    b: tuple
     pairing: AxisPairing
     phase: str
-    out: str | tuple
-
-
-def _made(step: PlanStep) -> list[str]:
-    """The names a step makes: its result, or its parts."""
-    return [step.out] if isinstance(step.out, str) else [name for name, _ in step.out]
 
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """Named steps over a network's stacks.
+    """Steps over a network's stacks, each result kept under its number.
 
     ``stacks`` names each stack the plan reads with its leading extents,
     and a network fits the plan when it holds exactly these stacks at these
-    extents. The steps are walked by name once, when the plan is made.
+    extents. The last step's result is the scalar. ``drops[k]`` holds the
+    sources step k reads for the last time, so ``execute`` frees each
+    array after its last read.
 
-    Raises ValueError for a fault that no network could mend: an operand
-    read after it was consumed or named twice in one step, an output name
-    that is live or one of its step's own operands, anything but one tensor
-    left at the end (a plan with no steps leaves none), or ``stacks`` that
-    are not the names it reads before a step makes them. A plan with
+    Raises ValueError for a fault that no network could mend: a source that
+    is neither a string nor the ``int`` number of an earlier step, a result
+    other than the last that no step reads (a plan with no steps leaves no
+    tensor), or ``stacks`` that are not the names it reads. A plan with
     several faults is refused for the first of these.
     """
 
     kind: str
     steps: tuple[PlanStep, ...]
     stacks: tuple[tuple[str, tuple[int, ...]], ...]
+    drops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        read, live, gone = [], set(), set()
-        for step in self.steps:
-            for name in (step.a, step.b):
-                if name in gone:
-                    raise ValueError(
-                        f"plan does not match network: operand {name!r} is not available"
-                    )
-                if name not in live:
-                    read.append(name)
-                live.discard(name)
-                gone.add(name)
-            for name in _made(step):
-                if name in live or name in (step.a, step.b):
-                    raise ValueError(f"plan output name {name!r} already in use")
-                live.add(name)
-                gone.discard(name)
-        if len(live) != 1:
-            raise ValueError(
-                f"plan leaves {len(live)} tensors instead of a single scalar"
-            )
-        if sorted(name for name, _ in self.stacks) != sorted(read):
+        last = {}       # source -> the last step that reads it
+        for k, step in enumerate(self.steps):
+            for source, _ in (step.a, step.b):
+                if not (isinstance(source, str) or type(source) is int and 0 <= source < k):
+                    raise ValueError(f"plan step {k} reads {source!r}, neither "
+                                     f"a stack nor an earlier step")
+                last[source] = k
+        left = [k for k in range(len(self.steps)) if k not in last]
+        if left != [len(self.steps) - 1]:
+            raise ValueError(f"plan leaves {len(left)} tensors instead of a single scalar")
+        read = sorted(source for source in last if isinstance(source, str))
+        if sorted(name for name, _ in self.stacks) != read:
             raise ValueError(f"plan stacks {[name for name, _ in self.stacks]} "
-                             f"are not the stacks it reads, {sorted(read)}")
+                             f"are not the stacks it reads, {read}")
+        drops = [()] * len(self.steps)
+        for source, k in last.items():
+            drops[k] += (source,)
+        object.__setattr__(self, "drops", tuple(drops))
 
 
 @dataclass
@@ -120,14 +113,8 @@ class CostReport:
     analytic_printed: int
 
 
-# A stacked step sums a child's one axis left, first past the batch axes,
-# against axis ``ib`` of the parent; the final dot sums two vectors.
+# The final dot sums two vectors.
 _DOT = AxisPairing(((0, 0),))
-
-
-@functools.lru_cache(maxsize=32)
-def _stacked(batch: int, ib: int) -> AxisPairing:
-    return AxisPairing(((batch, ib),), batch)
 
 
 def _index(lead: tuple[int, ...], rows: list, batch: int | None = None):
@@ -162,35 +149,30 @@ def _plan(kind: str, m_count: int, n_count: int) -> ContractionPlan:
     round after its children's last. The nodes of a round whose values sit
     in one array, as their parents' do, share one stacked step that sums a
     child's one axis left against the parent's axis holding their bond; its
-    result holds the parents' values in row order. A stack is read whole, a
-    result through ``_index``: the parents keep all of a stack's leading
-    axes, or those their rows differ on, and the children as many. Rounds 0
-    and 1 are "compress" and "absorb-physical", later ones
-    "tooth-to-backbone" into the backbone, else "tooth-sweep". The backbone
-    ends as one ``CHAIN`` step through its interior, if any, and the dot
-    into "result". A view is named by the step and side reading it ("a3").
+    result holds the parents' values in row order. Each operand reads its
+    nodes' rows of a stack or of an earlier result through ``_index``: the
+    parents keep all of a stack's leading axes, or those their rows of a
+    result differ on, and the children as many. Rounds 0 and 1 are
+    "compress" and "absorb-physical", later ones "tooth-to-backbone" into
+    the backbone, else "tooth-sweep". The backbone ends as one ``CHAIN``
+    step through its interior, if any, and the dot.
     """
     geometry = _geometry(kind, m_count, n_count)
     parents, stored, backbone = geometry.parents, geometry.stored, set(geometry.backbone)
     # per array (a stack by name, step k's result by k): leading extents,
-    # stored axes not yet summed, and the nodes it holds in row order
+    # stored axes not yet summed, and each node's row
     lead = {name: extents for name, extents, *_ in geometry.draws}
     left = {name: tuple(range(len(axes))) for name, _, axes, *_ in geometry.draws}
-    members = dict(geometry.members)
-    at, rows = list(geometry.stacks), {}     # each node's array; rows by node
-    reads, steps = {}, []       # step k -> (name, index) of each view of its result
+    rows = {name: dict(zip(nodes, itertools.product(*map(range, lead[name]))))
+            for name, nodes in geometry.members.items()}
+    at, steps = list(geometry.stacks), []       # each node's array
 
-    def read(side: str, array, nodes: list, batch: int | None = None):
+    def read(array, nodes: list, batch: int | None = None):
         # the operand holding the values of ``nodes``, and its leading extents
-        if isinstance(array, str):
-            if tuple(nodes) != members[array] or batch not in (None, len(lead[array])):
-                raise ValueError(f"stack {array!r} is not read whole, in row order")
-            return array, lead[array]
-        if array not in rows:
-            rows[array] = dict(zip(members[array], itertools.product(*map(range, lead[array]))))
+        if batch is None and isinstance(array, str):
+            batch = len(lead[array])        # a stack keeps all its leading axes
         index, extents = _index(lead[array], list(map(rows[array].__getitem__, nodes)), batch)
-        reads.setdefault(array, []).append((f"{side}{len(steps)}", index))
-        return f"{side}{len(steps)}", extents
+        return (array, index), extents
 
     rounds, by_round = [0] * len(at), {}
     for node in reversed(range(len(at))):    # a child comes after its parent
@@ -205,29 +187,26 @@ def _plan(kind: str, m_count: int, n_count: int) -> ContractionPlan:
             groups.setdefault((at[node], at[parents[node]], stored[node]), []).append(node)
         for (child, parent, axis), nodes in groups.items():
             ups = [parents[node] for node in nodes]
-            b, extents = read("b", parent, ups)
-            a, _ = read("a", child, nodes, len(extents))
+            b, extents = read(parent, ups)
+            batch = len(extents)
+            a, _ = read(child, nodes, batch)
             summed = left[parent].index(axis)
             phase = ("compress", "absorb-physical")[r] if r < 2 else \
                 "tooth-to-backbone" if ups[0] in backbone else "tooth-sweep"
-            steps.append((a, b, _stacked(len(extents), len(extents) + summed), phase))
-            k = len(steps) - 1
+            k = len(steps)
+            steps.append(PlanStep(a, b, AxisPairing(((batch, batch + summed),), batch), phase))
             lead[k], left[k] = extents, left[parent][:summed] + left[parent][summed + 1:]
-            members[k] = ups
+            rows[k] = dict(zip(ups, itertools.product(*map(range, extents))))
             for up in ups:
                 at[up] = k
 
     first, *inner, last = geometry.backbone
-    a, _ = read("a", at[first], [first], 0)
+    a, _ = read(at[first], [first], 0)
     if inner:
-        steps.append((a, read("b", at[inner[0]], inner, 1)[0], CHAIN, "chain-sweep"))
-        a = f"a{len(steps)}"
-        reads[len(steps) - 1] = [(a, None)]
-    steps.append((a, read("b", at[last], [last], 0)[0], _DOT, "final-dot"))
-    outs = {k: parts[0][0] if parts[0][1] is None else tuple(parts)
-            for k, parts in reads.items()}
-    return ContractionPlan(kind, tuple(
-        PlanStep(*step, outs.get(k, "result")) for k, step in enumerate(steps)), tuple(
+        steps.append(PlanStep(a, read(at[inner[0]], inner, 1)[0], CHAIN, "chain-sweep"))
+        a = (len(steps) - 1, None)
+    steps.append(PlanStep(a, read(at[last], [last], 0)[0], _DOT, "final-dot"))
+    return ContractionPlan(kind, tuple(steps), tuple(
         (name, extents) for name, extents, *_ in geometry.draws if math.prod(extents)))
 
 
@@ -262,13 +241,14 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     Raises ValueError when the plan does not match the network and
     CountOverflowError if any count leaves the 64-bit range. Before any
     step runs, the network's stack names and leading extents are checked
-    against ``plan.stacks`` in one comparison. Each step pops its operands,
-    so an intermediate is freed once consumed, and is one ``contract_pair``
+    against ``plan.stacks`` in one comparison. Each step reads its operands
+    as ``array`` or ``array[index]``, keeps its read-only result under its
+    number and drops every array it read for the last time, so an
+    intermediate is freed after its last read. It is one ``contract_pair``
     call, looked up on this module, so whatever replaces that name sees
-    every step. A step's read-only result goes on whole or as the views
-    ``result[index]`` of its parts. The scalar is ``float`` of the 0-d
-    array left: a complex one, which only a stack made by hand can bring
-    in, raises TypeError rather than losing its imaginary part. The
+    every step. The scalar is ``float`` of the last step's 0-d result: a
+    complex one, which only a stack made by hand can bring in, raises
+    TypeError rather than losing its imaginary part. The
     report's ``analytic_printed`` is the one closed form evaluated here: no
     program code reads it, only perfbench does, as ``net.nodes`` is there
     only for perfbench.
@@ -286,22 +266,21 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
                          f"network holds {sorted(holds - reads)}")
     arrays = {name: stack.array for name, stack in net.stacks.items()}
     subtotals: dict[str, int] = {}
-    for step in plan.steps:
-        made, cost = contract_pair(arrays.pop(step.a), arrays.pop(step.b),
+    for k, (step, drops) in enumerate(zip(plan.steps, plan.drops)):
+        (a, ia), (b, ib) = step.a, step.b
+        made, cost = contract_pair(arrays[a] if ia is None else arrays[a][ia],
+                                   arrays[b] if ib is None else arrays[b][ib],
                                    step.pairing)
-        if isinstance(step.out, str):
-            arrays[step.out] = made
-        else:
-            for name, index in step.out:
-                arrays[name] = made[index]
+        arrays[k] = made
+        for source in drops:
+            del arrays[source]
         subtotals[step.phase] = subtotals.get(step.phase, 0) + cost.multiplications
-    (final,) = arrays.values()
-    if final.shape != ():
-        raise ValueError(f"plan result has shape {final.shape}, expected a scalar")
+    if made.shape != ():
+        raise ValueError(f"plan result has shape {made.shape}, expected a scalar")
     total = checked_count(sum(subtotals.values()))
     printed = (costmodel.mps_cost if net.kind == "mps"
                else costmodel.comb_cost_printed)(net.params)
-    return float(final), CostReport(subtotals, total, printed)
+    return float(made), CostReport(subtotals, total, printed)
 
 
 @dataclass(frozen=True, slots=True)

@@ -96,12 +96,12 @@ class TestMpsPlan:
     @pytest.mark.parametrize("M,N", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 3)])
     def test_chain_sweep_step_count(self, M, N):
         # one chain step through all L - 2 absorbed interior sites: the whole
-        # result of the step that absorbs into the interior-site stack
+        # result of the step that absorbs into the whole interior-site stack
         net = build_mps(params(M=M, N=N), seed=0)
         plan = mps_plan(net)
-        whole = {s.out: s.b for s in plan.steps if isinstance(s.out, str)}
-        sweeps = [(whole.get(s.b), s.pairing) for s in plan.steps if s.phase == "chain-sweep"]
-        assert sweeps == [("interior-sites", CHAIN)] * (M * N > 2)
+        sweeps = [(s.b[1], plan.steps[s.b[0]].b, s.pairing)
+                  for s in plan.steps if s.phase == "chain-sweep"]
+        assert sweeps == [(None, ("interior-sites", None), CHAIN)] * (M * N > 2)
         assert dict(plan.stacks).get("interior-sites") == \
             ((M * N - 2,) if M * N > 2 else None)
 
@@ -248,14 +248,18 @@ class TestExecute:
         for net in (build_mps(params(M=3, N=2), seed=0),
                     build_comb(params(M=3, N=2), seed=0)):
             plan = plan_for(net)
-            produced = [name for s in plan.steps for name in _made(s)]
-            assert len(produced) == len(set(produced))
-            consumed = [name for s in plan.steps for name in (s.a, s.b)]
-            for out in produced:
-                uses = consumed.count(out)
-                assert uses == (0 if out == "result" else 1)
-            # and every stack is read once, by name
-            assert sorted(set(consumed) - set(produced)) == sorted(net.stacks)
+            # each read from an existing source: a stack of the network or
+            # an earlier step's result
+            reads = [(k, source) for k, s in enumerate(plan.steps) for source, _ in (s.a, s.b)]
+            assert all(source in net.stacks if isinstance(source, str) else 0 <= source < k
+                       for k, source in reads)
+            # every stack and every result but the last is read, and dropped
+            # exactly once, after its last read
+            last = {source: k for k, source in reads}
+            assert sorted(last, key=str) == \
+                sorted([*net.stacks, *range(len(plan.steps) - 1)], key=str)
+            dropped = [(source, k) for k, drops in enumerate(plan.drops) for source in drops]
+            assert sorted(dropped, key=str) == sorted(last.items(), key=str)
 
     @pytest.mark.parametrize("build", [build_mps, build_comb])
     def test_no_step_copies_an_operand(self, build, monkeypatch):
@@ -284,25 +288,24 @@ class TestExecute:
         assert not over
 
 
-def _made(step: PlanStep) -> list[str]:
-    """The names a step makes: its result, or its parts."""
-    return [step.out] if isinstance(step.out, str) else [name for name, _ in step.out]
+def _operand(operand) -> tuple:
+    """A source read whole, or a (source, index) pair as it is."""
+    return operand if isinstance(operand, tuple) else (operand, None)
 
 
 def _steps(*steps) -> tuple[PlanStep, ...]:
-    """Plan steps from (a, b, out, axis of b) tuples, all in one phase, over
-    one-row stacks: each pairs the operands' first axes past the row."""
-    return tuple(PlanStep(a, b, AxisPairing([(1, ib + 1)], 1), "compress", out)
-                 for a, b, out, ib in steps)
+    """Plan steps from (a, b, axis of b) tuples, all in one phase, over
+    one-row stacks: each pairs the operands' first axes past the row. An
+    operand is a source, read whole, or a (source, index) pair."""
+    return tuple(PlanStep(_operand(a), _operand(b), AxisPairing([(1, ib + 1)], 1),
+                          "compress") for a, b, ib in steps)
 
 
 def _plan(*steps) -> ContractionPlan:
-    """An MPS plan of ``_steps`` that reads, as one-row stacks, every name a
-    step reads before a step makes it."""
-    made, reads = set(), []
-    for a, b, out, _ in steps:
-        reads += [name for name in (a, b) if name not in made | set(reads)]
-        made.add(out)
+    """An MPS plan of ``_steps`` that lists, as one-row stacks, every
+    stack name a step reads."""
+    names = [_operand(operand)[0] for a, b, _ in steps for operand in (a, b)]
+    reads = dict.fromkeys(name for name in names if isinstance(name, str))
     return ContractionPlan("mps", _steps(*steps), tuple((name, (1,)) for name in reads))
 
 
@@ -315,8 +318,8 @@ SMALLEST = {"site0": (2, 2), "u0": (3, 2), "data0": (3,),
 class TestExecuteRefusals:
     """Hand-built stack plans that do not fit their network, one per refusal."""
 
-    COMPRESS = (("data0", "u0", "w0", 0), ("data1", "u1", "w1", 0))
-    ABSORB = (("w0", "site0", "m0", 0), ("w1", "site1", "m1", 1))
+    COMPRESS = (("data0", "u0", 0), ("data1", "u1", 0))
+    ABSORB = ((0, "site0", 0), (1, "site1", 1))
 
     def refusal(self, *steps, net=None) -> str:
         with pytest.raises(ValueError) as raised:
@@ -324,33 +327,10 @@ class TestExecuteRefusals:
         return str(raised.value)
 
     def test_missing_operand(self):
-        assert self.refusal(("data0", "ghost", "w0", 0)) == (
+        assert self.refusal(("data0", "ghost", 0)) == (
             "plan does not match network: where they differ, the plan reads "
             "stacks [('ghost', (1,))] and the network holds [('data1', (1,)), "
             "('site0', (1,)), ('site1', (1,)), ('u0', (1,)), ('u1', (1,))]")
-
-    def test_operand_used_twice(self):
-        # the first use consumes it, so the second finds nothing
-        assert self.refusal(*self.COMPRESS, ("w0", "site0", "m0", 0),
-                            ("w0", "site1", "m1", 1)) == \
-            "plan does not match network: operand 'w0' is not available"
-
-    def test_one_step_names_an_operand_twice(self):
-        assert self.refusal(("data0", "data0", "w0", 0)) == \
-            "plan does not match network: operand 'data0' is not available"
-
-    def test_output_name_in_use(self):
-        # a stack the plan does not read, so the network holds one it does
-        # not read; a live intermediate; an operand
-        assert self.refusal(("data0", "u0", "site1", 0)) == (
-            "plan does not match network: where they differ, the plan reads "
-            "stacks [] and the network holds [('data1', (1,)), ('site0', (1,)), "
-            "('site1', (1,)), ('u1', (1,))]")
-        assert self.refusal(*self.COMPRESS, ("w0", "site0", "w1", 0),
-                            ("w1", "site1", "m1", 1)) == \
-            "plan output name 'w1' already in use"
-        assert self.refusal(*self.COMPRESS, *self.ABSORB, ("m0", "m1", "m0", 0)) == \
-            "plan output name 'm0' already in use"
 
     def test_tensors_left_over(self):
         assert self.refusal(*self.COMPRESS, *self.ABSORB) == \
@@ -369,7 +349,7 @@ class TestExecuteRefusals:
 
     def test_non_scalar_result(self):
         net = _graph({"a": (2,), "b": (2, 3)}, [])
-        assert self.refusal(("a", "b", "ab", 0), net=net) == \
+        assert self.refusal(("a", "b", 0), net=net) == \
             "plan result has shape (1, 3), expected a scalar"
 
 
@@ -381,16 +361,18 @@ class TestPlanRefusals:
     ABSORB = TestExecuteRefusals.ABSORB
 
     @pytest.mark.parametrize("steps, message", [
-        ((*COMPRESS, ("w0", "site0", "m0", 0), ("w0", "site1", "m1", 1)),
-         "plan does not match network: operand 'w0' is not available"),
-        ((("data0", "data0", "w0", 0),),
-         "plan does not match network: operand 'data0' is not available"),
-        ((*COMPRESS, ("w0", "site0", "w1", 0), ("w1", "site1", "m1", 1)),
-         "plan output name 'w1' already in use"),
-        ((*COMPRESS, *ABSORB, ("m0", "m1", "m0", 0)),
-         "plan output name 'm0' already in use"),
+        ((*COMPRESS, (0.0, "site0", 0)),
+         "plan step 2 reads 0.0, neither a stack nor an earlier step"),
+        ((*COMPRESS, (True, "site0", 0)),
+         "plan step 2 reads True, neither a stack nor an earlier step"),
+        (((1, "site0", 0), ("data0", "u0", 0)),
+         "plan step 0 reads 1, neither a stack nor an earlier step"),
+        ((*COMPRESS, (2, "site0", 0)),
+         "plan step 2 reads 2, neither a stack nor an earlier step"),
         ((*COMPRESS, *ABSORB), "plan leaves 2 tensors instead of a single scalar"),
         ((), "plan leaves 0 tensors instead of a single scalar"),
+        ((*COMPRESS, (-1, "site0", 0)),
+         "plan step 2 reads -1, neither a stack nor an earlier step"),
     ])
     def test_refused_without_a_network(self, steps, message):
         with pytest.raises(ValueError) as raised:
@@ -398,9 +380,9 @@ class TestPlanRefusals:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("steps", [
-        (("data0", "ghost", "w0", 0),),     # a stack the network lacks
-        (("data0", "u0", "site1", 0),),     # an output named like a stack
-        (*COMPRESS, ("w0", "w1", "result", 0)),    # no step reads a site
+        (("data0", "ghost", 0),),           # a stack the network lacks
+        (("data0", "u0", 0),),              # stacks the plan does not read
+        (*COMPRESS, (0, 1, 0)),             # no step reads a site
     ])
     def test_network_faults_are_refused_by_execute(self, steps):
         plan = _plan(*steps)
@@ -590,7 +572,7 @@ def test_consumed_intermediates_are_released(build, monkeypatch):
     net = build(params(M=3, N=2), seed=0)
     plan = plan_for(net)
     # a weak reference to the memory of every result but the scalar, in
-    # step order: a step's parts are views of it and keep it alive
+    # step order: the views its readers take keep it alive
     owners = []
     alive = []      # results alive as each step starts
 
@@ -603,13 +585,47 @@ def test_consumed_intermediates_are_released(build, monkeypatch):
 
     monkeypatch.setattr(engine, "contract_pair", tracked)
     execute(net, plan)
-    live, expected = {}, []     # live name -> the step that made it
-    for k, step in enumerate(plan.steps):
-        expected.append(len(set(live.values())))   # this step's operands included
-        live.pop(step.a, None)
-        live.pop(step.b, None)
-        live.update((name, k) for name in _made(step))
-    assert alive == expected
+    # a result lives from its step to its last read, this step's operands
+    # included
+    last = {source: k for k, step in enumerate(plan.steps) for source, _ in (step.a, step.b)}
+    expected = [sum(last.get(j, -1) >= k for j in range(k)) for k in range(len(plan.steps))]
+    assert alive == expected == {"mps": [0, 1, 2, 3, 3, 2],
+                                 "comb": [0, 1, 2, 2, 1, 2, 2, 2]}[net.kind]
+
+
+def test_a_plan_may_read_a_result_twice_and_a_stack_in_part(monkeypatch):
+    # the MPS of three sites, by hand: the data and compression stacks in
+    # two parts, the first result read by two sites, the absorbed sites
+    # joined by plain pairings rather than a chain
+    net = build_mps(params(D=3, d=2, x=2, M=3, N=1), seed=4)
+    dot, stacked = AxisPairing([(0, 0)]), AxisPairing([(1, 1)], 1)
+    steps = (
+        PlanStep(("data", (slice(0, 2),)), ("compressions", (slice(0, 2),)), stacked,
+                 "compress"),
+        PlanStep(("data", (2,)), ("compressions", (2,)), dot, "compress"),
+        PlanStep((0, (0,)), ("first-site", (0,)), dot, "absorb-physical"),
+        PlanStep((0, (slice(1, 2),)), ("interior-sites", None), stacked, "absorb-physical"),
+        PlanStep((1, None), ("last-site", (0,)), AxisPairing([(0, 1)]), "absorb-physical"),
+        PlanStep((2, None), (3, (0,)), dot, "chain-sweep"),
+        PlanStep((5, None), (4, None), dot, "final-dot"),
+    )
+    plan = ContractionPlan("mps", steps, tuple(
+        (name, stack.array.shape[:stack.lead]) for name, stack in net.stacks.items()))
+    owners, alive = [], []      # as in test_consumed_intermediates_are_released
+
+    def tracked(a, b, pairing):
+        alive.append({j for j, ref in enumerate(owners) if ref() is not None})
+        out, cost = contract_pair(a, b, pairing)
+        owners.append(weakref.ref(out if out.base is None else out.base))
+        return out, cost
+
+    monkeypatch.setattr(engine, "contract_pair", tracked)
+    scalar, report = execute(net, plan)
+    assert math.isclose(scalar, naive_value_oracle(net), rel_tol=1e-10)
+    assert report.total == mps_cost(net.params)
+    # each result is freed after its last read, the scalar once returned
+    assert alive == [set(), {0}, {0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {4, 5}]
+    assert [ref() for ref in owners] == [None] * len(steps)
 
 
 def expected_calls(kind: str, m: int, n: int) -> int:
@@ -661,11 +677,11 @@ def test_sequential_products_are_the_longest_dependency_path(monkeypatch):
             plan = plan_for(net)
             rows.clear()
             execute(net, plan)
-            depth: dict[str, int] = {}
+            depth = []      # by step number; a stack is ready at the start
             for step, products in zip(plan.steps, rows):
-                made = max(depth.get(step.a, 0), depth.get(step.b, 0)) + products
-                depth.update((name, made) for name in _made(step))
-            assert depth["result"] == sequential_products(net.kind, p), (net.kind, p)
+                depth.append(max(0 if isinstance(source, str) else depth[source]
+                                 for source, _ in (step.a, step.b)) + products)
+            assert depth[-1] == sequential_products(net.kind, p), (net.kind, p)
     reference = params(D=100, d=30, x=10, M=50, N=5)
     assert sequential_products("mps", reference) == 251
     assert sequential_products("comb", reference) == 56
@@ -789,9 +805,18 @@ def test_stacked_plan_on_other_extents_is_refused():
 
 
 def test_plan_stacks_must_be_the_stacks_it_reads():
-    steps = _steps(("data", "u0", "w0", 0), ("w0", "site0", "result", 0))
-    with pytest.raises(ValueError, match="are not the stacks it reads"):
-        ContractionPlan("mps", steps, (("data", (2,)), ("site0", (1,))))
+    steps = _steps(("data", "u0", 0), (0, "site0", 0))
+    # a name it reads is not listed; a listed stack is not read
+    for stacks, message in [
+            ((("data", (2,)), ("site0", (1,))),
+             "plan stacks ['data', 'site0'] are not the stacks it reads, "
+             "['data', 'site0', 'u0']"),
+            ((("data", (2,)), ("u0", (1,)), ("site0", (1,)), ("site1", (1,))),
+             "plan stacks ['data', 'u0', 'site0', 'site1'] are not the stacks it "
+             "reads, ['data', 'site0', 'u0']")]:
+        with pytest.raises(ValueError) as raised:
+            ContractionPlan("mps", steps, stacks)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])

@@ -63,7 +63,7 @@ def _execute_all(nets, monkeypatch):
             out, cost = contract_pair(a, b, pairing)
             results.append(out.tobytes())
             if len(workers) > opened:
-                split.add((net.kind, step.b))
+                split.add((net.kind, step.b[0]))
             return out, cost
 
         monkeypatch.setattr(engine, "contract_pair", recorded)
