@@ -36,8 +36,8 @@ and ``engine``'s plan are read off it, and a build only draws, stack by
 stack in the order each stack is stored. A stack of at most ``tensor._CHUNK``
 elements is one call on the build's generator; a larger one is cut into
 runs of ``_CHUNK`` elements, each drawn from its own child stream, and the
-runs are filled on every CPU by ``tensor._run_all``, the helper that also
-splits large contraction steps. The values depend only on the seed and
+runs are filled on threads by ``tensor._run_all``, the one helper that
+shares work over the CPUs. The values depend only on the seed and
 ``_CHUNK``, never on how many workers fill them.
 """
 
@@ -299,7 +299,7 @@ def _draw(params: NetworkParams, kind: str, seed, geometry: _Geometry) -> Tensor
                      for child, start in zip(rng.spawn(len(starts)), starts)]
         drawn.append((group, arr, len(lead), node_axes))
     if runs:
-        tensor._run_all(_fill, runs)
+        tensor._run_all(_fill, runs, fork=False)
     stacks = {}
     for group, arr, lead, node_axes in drawn:
         arr.setflags(write=False)

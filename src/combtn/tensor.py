@@ -15,15 +15,16 @@ that each count fits in 64 bits. ``Tensor`` and ``StepCost`` are named
 tuples that carry an array and a count out to readers that want
 ``.array``, ``.size`` or ``.multiplications``.
 
-Work past ``_CHUNK`` elements runs on every CPU the process may use:
-``_run_all`` calls one function on a list of parts, on the calling thread
-and a ``concurrent.futures`` thread pool, imported only when such work
-first comes, and numpy releases the GIL while it multiplies, draws and
-scales. ``contract_pair`` splits a stacked step that reads more than
-``_CHUNK`` elements into contiguous runs of its first batch axis, one
-``np.matmul`` each into one result, and the network builders fill large
-stacks the same way. Every item is the product it is on one CPU, so no bit
-depends on the CPU count.
+``_run_all`` is the one place that shares work over every CPU the process
+may use: it calls one function on a list of parts, on the calling thread
+and a ``concurrent.futures`` pool, imported only when one first opens.
+Its callers pick the pool. ``contract_pair`` splits a stacked step that
+reads more than ``_CHUNK`` elements into contiguous runs of its first
+batch axis, one ``np.matmul`` each into one result, and the network
+builders fill large stacks in runs; both go to threads, since numpy
+releases the GIL while it multiplies, draws and scales. ``verify``'s grid
+is Python work on tiny arrays, so its tuples go to forked processes. Every
+part gives what it gives on one CPU, so no bit depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -56,34 +57,46 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_all(fn, parts: list) -> None:
-    """Call ``fn(*part)`` for every part, in shares of every n-th part, one
+def _share(fn, share: list) -> list:
+    # at module level, so that a forked pool can pickle it by name
+    return [fn(*part) for part in share]
+
+
+def _run_all(fn, parts: list, *, fork: bool) -> list:
+    """``[fn(*part) for part in parts]``, in shares of every n-th part, one
     share per CPU up to one per part: the calling thread runs the first
-    share and a thread pool the others, each under the caller's numpy error
-    state. With one share no pool opens. Leaving the pool joins every
+    share and a pool the others, threads or, with ``fork``, forked
+    processes (one share where ``os.fork`` is missing). Thread shares run
+    under the caller's numpy error state, and forked ones inherit it, so
+    only ``fn``, the parts and the results cross to a process and must
+    pickle. With one share no pool opens. Leaving the pool joins every
     worker, and a share that raised raises its exception here."""
     shares = min(_cpus(), len(parts))
-    # np.errstate is a context variable, which pool threads do not inherit
-    errors, call = np.geterr(), np.geterrcall()
+    if shares <= 1 or fork and not hasattr(os, "fork"):
+        return _share(fn, parts)
+    # imported here: only work on more than one CPU needs them, and
+    # concurrent.futures loads logging
+    import concurrent.futures
+    if fork:
+        import multiprocessing
+        pool = concurrent.futures.ProcessPoolExecutor(
+            shares - 1, mp_context=multiprocessing.get_context("fork"))
+        run = _share
+    else:
+        pool = concurrent.futures.ThreadPoolExecutor(shares - 1)
+        # np.errstate is a context variable, which pool threads do not inherit
+        errors, call = np.geterr(), np.geterrcall()
 
-    def run(share):
-        with np.errstate(call=call, **errors):
-            for part in share:
-                fn(*part)
-
-    if shares == 1:
-        run(parts)
-        return
-    # imported here: only work past _CHUNK on more than one CPU needs it,
-    # and it loads logging
-    from concurrent.futures import ThreadPoolExecutor
+        def run(fn, share):
+            with np.errstate(call=call, **errors):
+                return _share(fn, share)
     # the caller runs a share rather than waiting: at x=64 on 2 CPUs, two
     # pool threads took about 14 ms for the slower half of the MPS interior
     # absorb, where the caller and one pool thread took about 11
-    with ThreadPoolExecutor(shares - 1) as pool:
-        others = pool.map(run, [parts[k::shares] for k in range(1, shares)])
-        run(parts[::shares])
-        list(others)
+    with pool:
+        others = [pool.submit(run, fn, parts[k::shares]) for k in range(1, shares)]
+        done = [run(fn, parts[::shares]), *(other.result() for other in others)]
+    return [done[k % shares][k // shares] for k in range(len(parts))]
 
 
 class CountOverflowError(OverflowError):
@@ -219,7 +232,7 @@ def _transposed(batch: int, a_order, b_order, a_free_count: int,
         out = np.empty(lead + (a2.shape[-2], b2.shape[-1]), np.result_type(a2, b2))
         ends = [lead[0] * k // parts for k in range(parts + 1)]
         _run_all(np.matmul, [(a2[run], b2[run], out[run])
-                             for run in map(slice, ends, ends[1:])])
+                             for run in map(slice, ends, ends[1:])], fork=False)
     else:
         out = np.matmul(a2, b2)
     out.setflags(write=False)

@@ -11,17 +11,15 @@ from N and D. The closed forms come from ``costmodel``, once per tuple;
 only the counts and scalars come from ``execute``.
 
 The measurements (build, ``execute`` and oracle, per tuple) run on every
-CPU the process may use, in shares of every n-th tuple: the caller runs
-the first and a pool of forked processes the others, since the work is
-Python on tiny arrays and threads would take turns under the GIL. The
-checks read the measurements in tuple order, so the report and every bit
-in it do not depend on the CPU count; only the wall time does.
+CPU the process may use, through ``tensor._run_all`` on forked processes,
+since the work is Python on tiny arrays and threads would take turns under
+the GIL. The checks read the measurements in tuple order, so the report and
+every bit in it do not depend on the CPU count; only the wall time does.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
@@ -115,48 +113,20 @@ def _fail(check: CheckResult, failure: str) -> None:
         check.failure = failure
 
 
-def _measure(grid: str, seed: int, share: int, shares: int) -> list[tuple]:
-    """Measure tuples ``share``, ``share + shares``, ... of the grid: build
-    both kinds at ``seed + idx``, execute each and ask the value oracle.
-    Per network (kind, measured count, scalar, oracle value), the oracle
-    value None where its size guard refused."""
-    params_list = grid_params(grid)
+def _measure(p: NetworkParams, seed: int) -> list[tuple]:
+    """Build both kinds at ``p`` and ``seed``, execute each and ask the
+    value oracle. Per network (kind, measured count, scalar, oracle value),
+    the oracle value None where its size guard refused."""
     measured = []
-    for idx in range(share, len(params_list), shares):
-        for build in (build_mps, build_comb):
-            net = build(params_list[idx], seed=seed + idx)
-            scalar, cost = execute(net, plan_for(net))
-            try:
-                reference = naive_value_oracle(net)
-            except OracleGuardError:
-                reference = None
-            measured.append((net.kind, cost.total, scalar, reference))
+    for build in (build_mps, build_comb):
+        net = build(p, seed=seed)
+        scalar, cost = execute(net, plan_for(net))
+        try:
+            reference = naive_value_oracle(net)
+        except OracleGuardError:
+            reference = None
+        measured.append((net.kind, cost.total, scalar, reference))
     return measured
-
-
-def _measure_all(grid: str, seed: int) -> list[tuple]:
-    """``_measure`` over every tuple of the grid, in tuple order.
-
-    The tuples go in shares of every n-th one, one share per CPU up to one
-    per tuple: the caller measures the first, and a pool of forked
-    processes the others. Leaving the pool joins every worker, and a share
-    that raised raises its exception here. With one share, or where
-    ``os.fork`` is missing, no pool opens.
-    """
-    tuples = len(grid_params(grid))
-    shares = min(tensor._cpus(), tuples)
-    if shares == 1 or not hasattr(os, "fork"):
-        return _measure(grid, seed, 0, 1)
-    # imported here: `import combtn.cli` loads neither
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(shares - 1,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        others = [pool.submit(_measure, grid, seed, k, shares) for k in range(1, shares)]
-        parts = [_measure(grid, seed, 0, shares), *(other.result() for other in others)]
-    # share k holds the two networks of tuples k, k + shares, ... in turn
-    return [parts[idx % shares][2 * (idx // shares) + side]
-            for idx in range(tuples) for side in (0, 1)]
 
 
 def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
@@ -170,13 +140,14 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
     residual_check = CheckResult("printed - measured residual == M*x^2")
     oracle_check = CheckResult("executed scalar == value oracle")
 
-    measured = iter(_measure_all(grid, seed))
-    for p in params_list:
+    measured = tensor._run_all(
+        _measure, [(p, seed + idx) for idx, p in enumerate(params_list)], fork=True)
+    for p, networks in zip(params_list, measured):
         overhead = p.teeth * p.bond_dim * p.bond_dim
         printed = costmodel.comb_cost_printed(p)
         # the printed comb form carries M*x^2 that no schedule step makes
         expected = {"mps": costmodel.mps_cost(p), "comb": printed - overhead}
-        for kind, total, scalar, reference in (next(measured), next(measured)):
+        for kind, total, scalar, reference in networks:
             count_check = count_checks[kind]
             if total != expected[kind]:
                 _fail(count_check, f"at {_describe(p)}: measured "

@@ -1,8 +1,10 @@
-"""Stacked steps past ``tensor._CHUNK`` elements, split over the CPUs: the
-same bits at any CPU count, one pool per split step, a failed run fails
-the call, and nothing is left running."""
+"""``tensor._run_all``, the one helper that shares work over the CPUs, and
+the stacked steps past ``tensor._CHUNK`` elements that it splits: results
+in part order, the same bits at any CPU count, one pool per split step, a
+failed run fails the call, and nothing is left running."""
 
 import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from combtn import engine, tensor
+from combtn.cli import main
 from combtn.engine import execute, plan_for
 from combtn.network import NetworkParams, attach_data, build_comb, build_mps
 from combtn.tensor import contract_pair
@@ -38,16 +41,90 @@ def _grid_networks() -> list:
     return nets
 
 
-def _recording_pool(monkeypatch) -> list:
-    """Patch the pool the split opens; return the list of its worker counts."""
-    workers, pool = [], concurrent.futures.ThreadPoolExecutor
+def _recording_pool(monkeypatch, fork: bool = False) -> list:
+    """Patch the pool ``_run_all`` opens, threads or forked processes;
+    return the list of its worker counts."""
+    name = "ProcessPoolExecutor" if fork else "ThreadPoolExecutor"
+    workers, pool = [], getattr(concurrent.futures, name)
 
-    def recorded(max_workers):
+    def recorded(max_workers, **kwargs):
         workers.append(max_workers)
-        return pool(max_workers)
+        return pool(max_workers, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(concurrent.futures, name, recorded)
     return workers
+
+
+def _running() -> tuple:
+    return threading.active_count(), multiprocessing.active_children()
+
+
+# parts for _run_all, at module level so that a forked pool can pickle them
+
+def _where(k: int) -> tuple:
+    return k, os.getpid(), threading.get_ident()
+
+
+def _fails_at(k: int, failing: int) -> int:
+    if k == failing:
+        raise ValueError(f"part {k} failed")
+    return k
+
+
+def _over() -> str:
+    return np.geterr()["over"]
+
+
+@pytest.mark.parametrize("fork", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_all_returns_every_result_in_part_order(cpus, fork, monkeypatch):
+    # the caller runs parts 0, cpus, 2 * cpus, ... and a pool worker, a
+    # thread or another process, each other share
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+    workers = _recording_pool(monkeypatch, fork)
+    running = _running()
+    done = tensor._run_all(_where, [(k,) for k in range(7)], fork=fork)
+    assert [k for k, _, _ in done] == list(range(7))
+    here = (os.getpid(), threading.get_ident())
+    assert [k for k, *where in done if tuple(where) == here] == list(range(0, 7, cpus))
+    assert workers == ([cpus - 1] if cpus > 1 else [])
+    assert _running() == running
+
+
+@pytest.mark.parametrize("fork", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_all_of_no_parts_opens_no_pool(cpus, fork, monkeypatch):
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+    workers = _recording_pool(monkeypatch, fork)
+    assert tensor._run_all(_where, [], fork=fork) == []
+    assert workers == []
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+@pytest.mark.parametrize("fork", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_share_that_raises_raises_its_own_exception(cpus, fork, failing, monkeypatch):
+    # part 0 is the caller's; part 1 is a worker's from two CPUs on
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+    running = _running()
+    with pytest.raises(ValueError, match=f"^part {failing} failed$"):
+        tensor._run_all(_fails_at, [(k, failing) for k in range(7)], fork=fork)
+    assert _running() == running
+
+
+def test_shares_keep_the_callers_numpy_error_state(monkeypatch, capsys):
+    # a thread share runs under the caller's state and a forked share
+    # inherits it, so the error call, a lambda that cannot pickle, never
+    # goes to a process
+    monkeypatch.setattr(tensor, "_cpus", lambda: 2)
+    assert main(["verify", "--grid", "small"]) == 0
+    plain = capsys.readouterr().out
+    with np.errstate(over="raise"):
+        np.seterrcall(lambda *a: None)
+        assert main(["verify", "--grid", "small"]) == 0
+        assert capsys.readouterr().out == plain
+        for fork in (False, True):
+            assert tensor._run_all(_over, [(), ()], fork=fork) == ["raise", "raise"]
 
 
 def _execute_all(nets, monkeypatch):
@@ -139,12 +216,12 @@ def test_a_failed_run_fails_the_step(build, failing, monkeypatch):
     monkeypatch.setattr(tensor, "_cpus", lambda: 3)
     run_all = tensor._run_all
 
-    def one_run_fails(fn, parts):
+    def one_run_fails(fn, parts, *, fork):
         def run(*part):
             if part[0] is parts[failing][0]:
                 raise RuntimeError(f"run {failing} failed")
-            fn(*part)
-        run_all(run, parts)
+            return fn(*part)
+        return run_all(run, parts, fork=fork)
 
     monkeypatch.setattr(tensor, "_run_all", one_run_fails)
     before = threading.active_count()
@@ -180,15 +257,19 @@ def test_a_split_step_is_one_contract_pair_call(monkeypatch):
 
 def test_grid_verify_and_reference_contract_open_no_pool():
     # no step of either grid, nor of the reference point at x=10, reads
-    # past _CHUNK: with _run_all raising, a split or chunked fill in any
-    # share of verify's measurement, the caller's or a forked worker's (two
-    # CPUs on any host), fails the run; and contract at x=10, score-ref's
-    # workload, loads no concurrent.futures (verify's pool loads it later)
+    # past _CHUNK: with _run_all raising on every call but the grid's, a
+    # split or chunked fill in any share of verify's measurement, the
+    # caller's or a forked worker's (two CPUs on any host), fails the run;
+    # and contract at x=10, score-ref's workload, loads no
+    # concurrent.futures (verify's pool loads it later)
     probe = ("import sys, io, contextlib\n"
-             "from combtn import tensor\n"
+             "from combtn import tensor, verification\n"
              "from combtn.cli import main\n"
-             "def no_split(fn, parts):\n"
-             "    raise RuntimeError('a step split')\n"
+             "run_all = tensor._run_all\n"
+             "def no_split(fn, parts, *, fork):\n"
+             "    if fn is not verification._measure:\n"
+             "        raise RuntimeError('a step split')\n"
+             "    return run_all(fn, parts, fork=fork)\n"
              "tensor._run_all = no_split\n"
              "tensor._cpus = lambda: 2\n"
              "flags = ['--teeth', '50', '--tooth-len', '5', '--dim-raw', '100',"

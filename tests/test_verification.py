@@ -109,6 +109,14 @@ def test_a_printed_gap_that_grows_with_n_fails_the_gap_check(monkeypatch):
     assert checks["comb measured == printed form - M*x^2"].ok
 
 
+def _measure_grid(grid: str, seed: int) -> list[tuple]:
+    """The grid's measurements as ``run_verification`` maps them over the
+    CPUs, one entry per network in tuple order."""
+    parts = [(p, seed + idx) for idx, p in enumerate(verification.grid_params(grid))]
+    return [net for networks in tensor._run_all(verification._measure, parts, fork=True)
+            for net in networks]
+
+
 def _hexed(measured) -> list[tuple]:
     return [(kind, total, scalar.hex(), None if ref is None else ref.hex())
             for kind, total, scalar, ref in measured]
@@ -148,7 +156,7 @@ def test_measurements_do_not_depend_on_the_cpu_count(monkeypatch):
     threads = threading.active_count()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
-        measured = verification._measure_all("small", 42)
+        measured = _measure_grid("small", 42)
         assert _hexed(measured) == _hexed(serial), cpus
         assert _nothing_left_running(threads)
     # one CPU opens no pool; n CPUs open n - 1 worker processes
@@ -212,7 +220,7 @@ FULL_GRID_DIGEST = "49a8f4e62431ad52913d980c8ebc6f27a294c825dbc6e7ade510cb5430c2
 
 
 def test_full_grid_measurements_are_pinned():
-    measured = verification._measure_all("full", 42)
+    measured = _measure_grid("full", 42)
     assert len(measured) == 4032
     digest = hashlib.sha256()
     for kind, total, scalar, reference in _hexed(measured):
