@@ -129,6 +129,13 @@ def _measure(p: NetworkParams, seed: int) -> list[tuple]:
     return measured
 
 
+def _measure_grid(grid: str, seed: int) -> list[list[tuple]]:
+    """``_measure`` of every tuple of the grid at ``seed`` plus its index,
+    in tuple order, on every CPU through forked processes."""
+    parts = [(p, seed + idx) for idx, p in enumerate(grid_params(grid))]
+    return tensor._run_all(_measure, parts, fork=True)
+
+
 def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
     """Run every check over the grid; deterministic for a fixed seed, and
     the same report at any CPU count."""
@@ -140,9 +147,7 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
     residual_check = CheckResult("printed - measured residual == M*x^2")
     oracle_check = CheckResult("executed scalar == value oracle")
 
-    measured = tensor._run_all(
-        _measure, [(p, seed + idx) for idx, p in enumerate(params_list)], fork=True)
-    for p, networks in zip(params_list, measured):
+    for p, networks in zip(params_list, _measure_grid(grid, seed)):
         overhead = p.teeth * p.bond_dim * p.bond_dim
         printed = costmodel.comb_cost_printed(p)
         # the printed comb form carries M*x^2 that no schedule step makes

@@ -109,12 +109,20 @@ def test_a_printed_gap_that_grows_with_n_fails_the_gap_check(monkeypatch):
     assert checks["comb measured == printed form - M*x^2"].ok
 
 
-def _measure_grid(grid: str, seed: int) -> list[tuple]:
-    """The grid's measurements as ``run_verification`` maps them over the
-    CPUs, one entry per network in tuple order."""
-    parts = [(p, seed + idx) for idx, p in enumerate(verification.grid_params(grid))]
-    return [net for networks in tensor._run_all(verification._measure, parts, fork=True)
-            for net in networks]
+def _measured(grid: str, seed: int, monkeypatch) -> list[tuple]:
+    """The measurements ``run_verification(grid, seed)`` reads, one entry
+    per network in tuple order."""
+    measure_grid, seen = verification._measure_grid, []
+
+    def recorded(*args):
+        seen.append(measure_grid(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(verification, "_measure_grid", recorded)
+    assert verification.run_verification(grid, seed).ok
+    monkeypatch.setattr(verification, "_measure_grid", measure_grid)
+    [measured] = seen
+    return [net for networks in measured for net in networks]
 
 
 def _hexed(measured) -> list[tuple]:
@@ -156,7 +164,7 @@ def test_measurements_do_not_depend_on_the_cpu_count(monkeypatch):
     threads = threading.active_count()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
-        measured = _measure_grid("small", 42)
+        measured = _measured("small", 42, monkeypatch)
         assert _hexed(measured) == _hexed(serial), cpus
         assert _nothing_left_running(threads)
     # one CPU opens no pool; n CPUs open n - 1 worker processes
@@ -219,8 +227,8 @@ def test_a_share_that_raises_fails_the_run(where, monkeypatch):
 FULL_GRID_DIGEST = "49a8f4e62431ad52913d980c8ebc6f27a294c825dbc6e7ade510cb5430c2833b"
 
 
-def test_full_grid_measurements_are_pinned():
-    measured = _measure_grid("full", 42)
+def test_full_grid_measurements_are_pinned(monkeypatch):
+    measured = _measured("full", 42, monkeypatch)
     assert len(measured) == 4032
     digest = hashlib.sha256()
     for kind, total, scalar, reference in _hexed(measured):
