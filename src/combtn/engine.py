@@ -14,10 +14,10 @@ last read, and reports the multiplications it counted, which
 ``verification`` and ``cli`` compare with ``costmodel``. The independent
 value oracle contracts the raw bond graph in bond order, reading each node
 as a plain array view of its stack row, and is used to cross-check the
-scalar produced by plan execution. Its merge schedule depends only on the
-bond graph, so it is walked once per graph, kept in a small ``lru_cache``,
-and replayed for every network on that graph; a replay only transposes,
-reshapes and multiplies.
+scalar produced by plan execution. Its merge schedule, each merge kept in
+the first end's slot, depends only on the bond graph, so it is walked once
+per graph, kept in a small ``lru_cache``, and replayed for every network
+on that graph; a replay only transposes, reshapes and multiplies.
 """
 
 from __future__ import annotations
@@ -283,22 +283,6 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     return float(made), CostReport(subtotals, total, printed)
 
 
-@dataclass(frozen=True, slots=True)
-class _OracleSchedule:
-    """The value oracle's merges of one bond graph, in bond order.
-
-    Node i of the graph starts in component slot i. Each op is (bond label,
-    slot of the bond's first end, its transpose order or None, slot of the
-    second end, its transpose order or None, slot kept, the larger of the
-    two sides' ranks); the first side is transposed to sum its last axis,
-    the second its first, and the merge is kept in the larger component's
-    slot. ``result`` is the slot left.
-    """
-
-    ops: tuple[tuple, ...]
-    result: int
-
-
 # An oracle schedule depends only on the bond graph: the node order, the
 # bonds, each node's rank and the types of each bond's axes. Builds of one
 # kind and (M, N) share the layout memo's tuples, so a hit hashes every
@@ -306,7 +290,7 @@ class _OracleSchedule:
 # same tuples by identity.
 @functools.lru_cache(maxsize=_MEMO)
 def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
-                     axis_types: tuple[tuple[type, type], ...]) -> _OracleSchedule:
+                     axis_types: tuple[tuple[type, type], ...]) -> tuple[tuple, int]:
     """Label every leg, check the graph is a closed tree, and record one
     merge per bond; reads no extent, so any network on this graph replays it.
 
@@ -317,9 +301,16 @@ def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
     walk of its own refuses it.
 
     A bond end that names no node, an axis that is not an int or is outside
-    its node's rank, or a leg already labelled is refused, naming the bond's position and end.
-    Each component keeps its member list, and a merge relabels the smaller
-    one, so relabelling costs O(nodes log nodes) over a whole walk.
+    its node's rank, or a leg already labelled is refused, naming the bond's
+    position and end.
+
+    Node i starts in slot i. Returns ``(ops, result)``: one op per bond,
+    ``(label, slot_a, order_a, slot_b, order_b, widest)``, merges the
+    components in the slots of the bond's two ends, transposing the first by
+    ``order_a`` to sum its last axis and the second by ``order_b`` to sum its
+    first (None where the axis is already there); ``widest`` is the larger
+    of the two sides' ranks. Each merge is kept in the first end's slot, so
+    ``result`` is the slot left holding the whole graph.
     """
     slot_of = {name: i for i, name in enumerate(order)}
     legs = [[-1] * rank for rank in ranks]
@@ -344,39 +335,34 @@ def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
         if -1 in axes:
             raise ValueError(f"network is not closed: node {name!r} has a free axis")
 
-    owner = list(range(len(order)))
-    members = [[slot] for slot in owner]
+    root = list(range(len(order)))      # a merged slot points at the slot it joined
+
+    def find(slot: int) -> int:
+        while root[slot] != slot:
+            root[slot] = slot = root[root[slot]]    # path halving
+        return slot
+
     ops = []
     for label, bond in enumerate(bonds):
-        comp_a = owner[slot_of[bond.node_a]]
-        comp_b = owner[slot_of[bond.node_b]]
-        if comp_a == comp_b:
+        slot_a, slot_b = find(slot_of[bond.node_a]), find(slot_of[bond.node_b])
+        if slot_a == slot_b:
             raise ValueError("cycle in bond graph; oracle supports trees only")
-        legs_a, legs_b = legs[comp_a], legs[comp_b]
-        axis_a = legs_a.index(label)
-        axis_b = legs_b.index(label)
+        legs_a, legs_b = legs[slot_a], legs[slot_b]
+        axis_a, axis_b = legs_a.index(label), legs_b.index(label)
         rank_a, rank_b = len(legs_a), len(legs_b)
         order_a = None if axis_a == rank_a - 1 else \
             (*range(axis_a), *range(axis_a + 1, rank_a), axis_a)
         order_b = None if axis_b == 0 else \
             (axis_b, *range(axis_b), *range(axis_b + 1, rank_b))
-        keep, gone = comp_a, comp_b
-        if len(members[keep]) < len(members[gone]):
-            keep, gone = gone, keep
-        ops.append((label, comp_a, order_a, comp_b, order_b, keep,
-                    max(rank_a, rank_b)))
-        legs[keep] = legs_a[:axis_a] + legs_a[axis_a + 1:] \
+        ops.append((label, slot_a, order_a, slot_b, order_b, max(rank_a, rank_b)))
+        legs[slot_a] = legs_a[:axis_a] + legs_a[axis_a + 1:] \
             + legs_b[:axis_b] + legs_b[axis_b + 1:]
-        legs[gone] = None
-        for slot in members[gone]:
-            owner[slot] = keep
-        members[keep] += members[gone]
-        members[gone] = None
+        root[slot_b] = slot_a
 
-    left = [slot for slot, comp in enumerate(members) if comp is not None]
-    if len(left) != 1:
+    # every merge joins two components, so n nodes and k merges leave n - k
+    if len(order) - len(ops) != 1:
         raise ValueError("network is disconnected; oracle needs one component")
-    return _OracleSchedule(tuple(ops), left[0])
+    return tuple(ops), find(0)
 
 
 def naive_value_oracle(net: TensorNetwork) -> float:
@@ -392,15 +378,16 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     ``np.dot`` as they are, without the reshapes. Each bond is labelled by
     its position in ``net.bonds``.
 
-    The merge schedule (legs, component owners, transpose orders, which
-    component is kept) depends only on the bond graph, so it is walked once
-    per graph, kept in an ``lru_cache`` keyed on the node order, the bonds,
-    each node's rank and each bond's axis types, and replayed for every
-    network on that graph, so a memo hit answers as a fresh walk would; a
-    replay only transposes, reshapes and multiplies. A graph with a bond
-    end that names no node, a non-int axis, no axis or an axis bonded twice,
-    or that is not closed, has a cycle or is disconnected, raises ValueError
-    before any merge. Raises ValueError if a bond joins two extents that differ, and
+    The merge schedule (the two component slots of each bond and their
+    transpose orders, each merge kept in the first end's slot) depends only
+    on the bond graph, so it is walked once per graph, kept in an
+    ``lru_cache`` keyed on the node order, the bonds, each node's rank and
+    each bond's axis types, and replayed for every network on that graph,
+    so a memo hit answers as a fresh walk would; a replay only transposes,
+    reshapes and multiplies. A graph with a bond end that names no node, a
+    non-int axis, no axis or an axis bonded twice, or that is not closed,
+    has a cycle or is disconnected, raises ValueError before any merge.
+    Raises ValueError if a bond joins two extents that differ, and
     OracleGuardError if any intermediate would hold more than
     ``ORACLE_GUARD`` scalars.
     """
@@ -408,9 +395,9 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     # tuple() returns a tuple as it is, so a hit compares the layout's own
     # tuples by identity, and makes a network built with lists hashable
     bonds = tuple(net.bonds)
-    schedule = _walk_bond_graph(tuple(net.order), bonds, tuple([a.ndim for a in arrays]),
-                                tuple([(type(b[1]), type(b[3])) for b in bonds]))
-    for label, slot_a, order_a, slot_b, order_b, keep, widest in schedule.ops:
+    ops, result = _walk_bond_graph(tuple(net.order), bonds, tuple([a.ndim for a in arrays]),
+                                   tuple([(type(b[1]), type(b[3])) for b in bonds]))
+    for label, slot_a, order_a, slot_b, order_b, widest in ops:
         a, b = arrays[slot_a], arrays[slot_b]
         if order_a is not None:
             a = a.transpose(order_a)
@@ -426,16 +413,12 @@ def naive_value_oracle(net: TensorNetwork) -> float:
                 f"intermediate with {size} elements exceeds "
                 f"the oracle guard of {ORACLE_GUARD}"
             )
-        arrays[slot_a] = arrays[slot_b] = None
+        arrays[slot_b] = None
         if widest > 2:
-            arrays[keep] = np.dot(a.reshape(-1, summed),
-                                  b.reshape(summed, -1)).reshape(shape)
+            arrays[slot_a] = np.dot(a.reshape(-1, summed),
+                                    b.reshape(summed, -1)).reshape(shape)
         else:
             # vectors and matrices already have the matrix layout: numpy
             # picks the same ddot, gemv or gemm as for the reshaped forms
-            arrays[keep] = np.dot(a, b)
-
-    result = arrays[schedule.result]
-    if result.shape != ():
-        raise ValueError(f"oracle result has shape {result.shape}, expected scalar")
-    return float(result)
+            arrays[slot_a] = np.dot(a, b)
+    return float(arrays[result])

@@ -897,11 +897,29 @@ class TestValueOracle:
         with pytest.raises(ValueError, match="cycle"):
             naive_value_oracle(net)
 
+    def test_cycle_closed_through_a_merged_second_end_rejected(self):
+        # the last bond's second end, c, was merged into a's component
+        net = _graph({"a": (2, 2), "b": (2, 2), "c": (2, 2)},
+                     [("a", 0, "b", 0), ("b", 1, "c", 0), ("a", 1, "c", 1)])
+        with pytest.raises(ValueError, match="cycle"):
+            naive_value_oracle(net)
+
+    def test_merges_reach_components_through_either_end(self):
+        # b's component is kept in c's slot, then d's, then reached through
+        # b as the first end, so the whole graph ends in d's slot, not a's
+        net = _graph({"a": (2,), "b": (2, 3, 4), "c": (3,), "d": (4,)},
+                     [("c", 0, "b", 1), ("d", 0, "b", 2), ("b", 0, "a", 0)])
+        assert naive_value_oracle(net) == 2 * 3 * 4
+
     def test_disconnected_rejected(self):
         net = _graph({"a": (2,), "b": (2,), "c": (3,), "d": (3,)},
                      [("a", 0, "b", 0), ("c", 0, "d", 0)])
         with pytest.raises(ValueError, match="disconnected"):
             naive_value_oracle(net)
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValueError, match="disconnected"):
+            naive_value_oracle(_graph({}, []))
 
     def test_free_axis_rejected(self):
         net = _graph({"a": (2, 3), "b": (2,)}, [("a", 0, "b", 0)])
@@ -913,10 +931,27 @@ class TestValueOracle:
         with pytest.raises(ValueError, match="joins extents 2 and 4"):
             naive_value_oracle(net)
 
+    def test_wider_first_extent_rejected(self):
+        net = _graph({"a": (4,), "b": (2,)}, [("a", 0, "b", 0)])
+        with pytest.raises(ValueError, match="^bond 0 joins extents 4 and 2$"):
+            naive_value_oracle(net)
+
     def test_guard_raises(self, monkeypatch):
         net = build_mps(params(M=3, N=2), seed=0)
         monkeypatch.setattr(engine, "ORACLE_GUARD", 1)
         with pytest.raises(OracleGuardError, match="guard of 1"):
+            naive_value_oracle(net)
+
+    def test_guard_admits_an_intermediate_of_its_size(self, monkeypatch):
+        # in bond order a and b merge into (2, 5), the largest intermediate,
+        # then c and d sum it down to (2,) and ()
+        net = _graph({"a": (2, 3), "b": (3, 5), "c": (5,), "d": (2,)},
+                     [("a", 1, "b", 0), ("b", 1, "c", 0), ("a", 0, "d", 0)])
+        monkeypatch.setattr(engine, "ORACLE_GUARD", 10)
+        assert naive_value_oracle(net) == 2 * 3 * 5
+        monkeypatch.setattr(engine, "ORACLE_GUARD", 9)
+        with pytest.raises(OracleGuardError, match="^intermediate with 10 elements "
+                                                   "exceeds the oracle guard of 9$"):
             naive_value_oracle(net)
 
     @pytest.mark.parametrize("shapes, edges, message, warm", [
@@ -1036,8 +1071,6 @@ class TestOracleSchedules:
         def held(item):
             if isinstance(item, (tuple, list)):
                 return [leaf for part in item for leaf in held(part)]
-            if isinstance(item, engine._OracleSchedule):
-                return held((item.ops, item.result))
             return [item]
 
         memo = engine._walk_bond_graph
