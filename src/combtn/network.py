@@ -318,8 +318,6 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
     All tensors are Gaussian with std 1/sqrt(fan-in), where fan-in is the
     product of the non-physical extents; values never affect cost counts.
     """
-    if params.sites < 2:
-        raise ValueError(f"an MPS needs at least 2 sites, got {params.sites}")
     return _draw(params, "mps", seed, _geometry("mps", params.sites, 1))
 
 

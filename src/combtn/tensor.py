@@ -23,12 +23,14 @@ reads more than ``_CHUNK`` elements into contiguous runs of its first
 batch axis, one ``np.matmul`` each into one result, and the network
 builders fill large stacks in runs; both go to threads, since numpy
 releases the GIL while it multiplies, draws and scales. ``verify``'s grid
-is Python work on tiny arrays, so its tuples go to forked processes. Every
-part gives what it gives on one CPU, so no bit depends on the CPU count.
+is Python work on tiny arrays, so its tuples go to forked processes. Pool
+threads run in a copy of the caller's context, and every part gives what
+it gives on one CPU, so no bit depends on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import operator
@@ -66,11 +68,12 @@ def _run_all(fn, parts: list, *, fork: bool) -> list:
     """``[fn(*part) for part in parts]``, in shares of every n-th part, one
     share per CPU up to one per part: the calling thread runs the first
     share and a pool the others, threads or, with ``fork``, forked
-    processes (one share where ``os.fork`` is missing). Thread shares run
-    under the caller's numpy error state, and forked ones inherit it, so
-    only ``fn``, the parts and the results cross to a process and must
-    pickle. With one share no pool opens. Leaving the pool joins every
-    worker, and a share that raised raises its exception here."""
+    processes (one share where ``os.fork`` is missing). A thread share runs
+    in its own copy of the caller's context and a forked one inherits it,
+    so every share sees the caller's context variables (numpy's error state
+    among them); only ``fn``, the parts and the results must pickle. With
+    one share no pool opens. Leaving the pool joins every worker, and a
+    share that raised raises its exception here."""
     shares = min(_cpus(), len(parts))
     if shares <= 1 or fork and not hasattr(os, "fork"):
         return _share(fn, parts)
@@ -81,21 +84,17 @@ def _run_all(fn, parts: list, *, fork: bool) -> list:
         import multiprocessing
         pool = concurrent.futures.ProcessPoolExecutor(
             shares - 1, mp_context=multiprocessing.get_context("fork"))
-        run = _share
     else:
         pool = concurrent.futures.ThreadPoolExecutor(shares - 1)
-        # np.errstate is a context variable, which pool threads do not inherit
-        errors, call = np.geterr(), np.geterrcall()
-
-        def run(fn, share):
-            with np.errstate(call=call, **errors):
-                return _share(fn, share)
     # the caller runs a share rather than waiting: at x=64 on 2 CPUs, two
     # pool threads took about 14 ms for the slower half of the MPS interior
-    # absorb, where the caller and one pool thread took about 11
+    # absorb, where the caller and one pool thread took about 11; a context
+    # admits one thread at a time, so each thread share gets its own copy
     with pool:
-        others = [pool.submit(run, fn, parts[k::shares]) for k in range(1, shares)]
-        done = [run(fn, parts[::shares]), *(other.result() for other in others)]
+        others = [pool.submit(_share, fn, parts[k::shares]) if fork else
+                  pool.submit(contextvars.copy_context().run, _share, fn, parts[k::shares])
+                  for k in range(1, shares)]
+        done = [_share(fn, parts[::shares]), *(other.result() for other in others)]
     return [done[k % shares][k // shares] for k in range(len(parts))]
 
 
@@ -288,8 +287,8 @@ def contract_pair(a: np.ndarray, b: np.ndarray,
     elements together is, when the process may use more than one CPU, split
     into ``min(_cpus(), lead[0])`` contiguous runs of its first batch axis:
     each run is one ``np.matmul`` into its rows of one new result, run by
-    ``_run_all`` under the caller's numpy error state, and the result
-    is frozen once every run has finished. The bits are those of the one
+    ``_run_all`` in a copy of the caller's context, and the result is
+    frozen once every run has finished. The bits are those of the one
     ``np.matmul``, whatever the CPU count; a run that raises makes the call
     raise.
 

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from combtn import cli, costmodel, tensor
+from combtn import cli, costmodel, tensor, verification
 from combtn.cli import main
 from combtn.verification import run_verification
 
@@ -118,6 +118,22 @@ class TestThreshold:
         assert payload["regime"] == "comb-window"
         assert payload["discriminant"] == 1791364.0
 
+    def test_a_double_root_is_degenerate(self, capsys):
+        # d = 4 + 2*sqrt(3) puts the discriminant at M = 3 at exactly 0
+        argv = ["threshold", "--teeth", "3", "--dim-comp", "7.464101615137754"]
+        code, out, _ = run(capsys, argv + ["--json"])
+        assert code == 0
+        assert out == ('{"x_minus": 2.732051, "x_plus": 2.732051, '
+                       '"regime": "degenerate", "discriminant": 0.0}\n')
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "quadratic: 1*x^2 + -5.4641*x + 7.4641 = 0  (discriminant 0)",
+            "x- = 2.73",
+            "x+ = 2.73",
+            "regime: degenerate",
+        ]
+
     def test_json_without_roots(self, capsys):
         code, out, _ = run(capsys, ["threshold", "--teeth", "50",
                                     "--dim-comp", "2", "--json"])
@@ -172,6 +188,17 @@ class TestSweep:
         assert 'viewBox="0 0 800 600"' in content
         assert ">x-</text>" in content and ">x+</text>" in content
         assert ">d</text>" in content
+
+    def test_svg_chart_without_roots(self, capsys, tmp_path):
+        # no d in the range gives M = 3 real roots: axes and legend, no lines
+        svg = tmp_path / "chart.svg"
+        code, _, _ = run(capsys, ["sweep", "--teeth", "3", "--d-min", "1", "--d-max", "3",
+                                  "--out", str(tmp_path / "s.csv"), "--svg", str(svg)])
+        assert code == 0
+        content = svg.read_text()
+        assert "<polyline" not in content
+        assert ">x-</text>" in content and ">x+</text>" in content
+        assert content.rstrip().endswith("</svg>")
 
     def test_range_without_float64_roots_exits_2(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"
@@ -309,6 +336,21 @@ class TestVerify:
         assert comb.passed == report.tuples
         assert "M=3" in residual.failure and "x=2" in residual.failure
         assert "printed - schedule" in residual.failure
+
+
+    def test_a_vieta_failure_prints_its_detail_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(verification, "verify_vieta", lambda result: False)
+        code, out, _ = run(capsys, ["verify", "--grid", "small", "--seed", "42"])
+        failure = ("at (M=4, d=68.16083137624305): roots (1.0307077568543817, "
+                   "66.13012361938867) break Vieta")
+        lines = out.splitlines()
+        assert code == 1
+        assert out.count("[PASS]") == 5
+        assert lines[5:7] == [
+            "  [FAIL] vieta identities on threshold roots (0 checked, 6 skipped)",
+            f"         {failure}",
+        ]
+        assert lines[-1] == f"FAILED: vieta identities on threshold roots: {failure}"
 
 
 class TestContract:

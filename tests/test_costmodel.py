@@ -174,6 +174,12 @@ def test_vieta_refuses_roots_whose_sum_is_off():
     assert not verify_vieta(shifted)
 
 
+def test_vieta_holds_without_roots():
+    result = threshold_roots(2, 50)
+    assert result.roots is None
+    assert verify_vieta(result)
+
+
 class TestSweep:
     def test_rows_without_roots(self):
         rows = list(threshold_sweep(50, 1, 4))

@@ -1,9 +1,12 @@
 """``tensor._run_all``, the one helper that shares work over the CPUs, and
 the stacked steps past ``tensor._CHUNK`` elements that it splits: results
-in part order, the same bits at any CPU count, one pool per split step, a
-failed run fails the call, and nothing is left running."""
+in part order, every share in the caller's context, the same bits at any
+CPU count, one pool per split step, a failed run fails the call, and
+nothing is left running."""
 
 import concurrent.futures
+import contextvars
+import decimal
 import multiprocessing
 import os
 import subprocess
@@ -75,6 +78,18 @@ def _over() -> str:
     return np.geterr()["over"]
 
 
+_CALLER = contextvars.ContextVar("_CALLER", default="unset")
+
+
+def _context() -> tuple:
+    return _CALLER.get(), decimal.getcontext().prec
+
+
+def _context_once_all_meet(barrier: threading.Barrier) -> tuple:
+    barrier.wait()
+    return _context()
+
+
 @pytest.mark.parametrize("fork", [False, True])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_run_all_returns_every_result_in_part_order(cpus, fork, monkeypatch):
@@ -125,6 +140,39 @@ def test_shares_keep_the_callers_numpy_error_state(monkeypatch, capsys):
         assert capsys.readouterr().out == plain
         for fork in (False, True):
             assert tensor._run_all(_over, [(), ()], fork=fork) == ["raise", "raise"]
+
+
+def _in_callers_context(fn, parts: list, fork: bool) -> list:
+    """``_run_all`` with ``_CALLER`` set and a decimal precision of 7."""
+    token = _CALLER.set("caller")
+    try:
+        with decimal.localcontext() as local:
+            local.prec = 7
+            return tensor._run_all(fn, parts, fork=fork)
+    finally:
+        _CALLER.reset(token)
+
+
+@pytest.mark.parametrize("fork", [False, True])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_every_share_sees_the_callers_context_variables(cpus, fork, monkeypatch):
+    # a thread share runs in a copy of the caller's context, and a forked
+    # one inherits the context of the thread that forked it
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+    done = _in_callers_context(_context, [()] * 7, fork)
+    assert done == [("caller", 7)] * 7
+    assert _context() == ("unset", decimal.DefaultContext.prec)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_thread_shares_that_overlap_each_see_the_callers_context(cpus, monkeypatch):
+    # every share, the caller's too, waits at one barrier, so all of them
+    # are running at once; one context can be entered by one thread at a
+    # time, so each pool thread needs its own copy
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+    barrier = threading.Barrier(cpus, timeout=10)
+    done = _in_callers_context(_context_once_all_meet, [(barrier,)] * cpus, False)
+    assert done == [("caller", 7)] * cpus
 
 
 def _execute_all(nets, monkeypatch):

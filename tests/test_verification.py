@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from combtn import costmodel, tensor, verification
+from combtn import costmodel, engine, tensor, verification
 from combtn.cli import main
 from combtn.engine import OracleGuardError, execute, naive_value_oracle, plan_for
 from combtn.network import build_comb, build_mps
@@ -25,6 +25,24 @@ def test_small_grid_oracle_check_passes():
     check = _oracle_check(verification.run_verification("small", seed=42))
     assert check.ok
     assert check.passed > 0
+
+
+def test_oracle_guard_refusals_count_as_skipped(monkeypatch):
+    # patched before the fork, so every share's oracle refuses the six
+    # networks whose largest merge holds more than 30 scalars; perfbench
+    # reads the oracle check's passed plus skipped
+    monkeypatch.setattr(engine, "ORACLE_GUARD", 30)
+    report = verification.run_verification("small", 42)
+    check = _oracle_check(report)
+    assert report.ok
+    assert (check.passed, check.skipped) == (318, 6)
+    assert check.passed + check.skipped == 2 * report.tuples == 2 * 162
+
+
+def test_an_unknown_grid_is_refused():
+    with pytest.raises(ValueError,
+                       match=r"^grid must be one of \('small', 'full'\), got 'medium'$"):
+        verification.grid_params("medium")
 
 
 def test_oracle_error_on_tiny_values_fails_the_check(monkeypatch):
