@@ -70,10 +70,10 @@ def _run_all(fn, parts: list, *, fork: bool) -> list:
     share and a pool the others, threads or, with ``fork``, forked
     processes (one share where ``os.fork`` is missing). A thread share runs
     in its own copy of the caller's context and a forked one inherits it,
-    so every share sees the caller's context variables (numpy's error state
-    among them); only ``fn``, the parts and the results must pickle. With
-    one share no pool opens. Leaving the pool joins every worker, and a
-    share that raised raises its exception here."""
+    so every share sees the caller's context variables (numpy's error
+    state among them, one since numpy 2.0); only ``fn``, the parts and the
+    results must pickle. With one share no pool opens. Leaving the pool
+    joins every worker, and a share that raised raises its exception here."""
     shares = min(_cpus(), len(parts))
     if shares <= 1 or fork and not hasattr(os, "fork"):
         return _share(fn, parts)

@@ -337,7 +337,6 @@ class TestVerify:
         assert "M=3" in residual.failure and "x=2" in residual.failure
         assert "printed - schedule" in residual.failure
 
-
     def test_a_vieta_failure_prints_its_detail_line(self, monkeypatch, capsys):
         monkeypatch.setattr(verification, "verify_vieta", lambda result: False)
         code, out, _ = run(capsys, ["verify", "--grid", "small", "--seed", "42"])
