@@ -258,6 +258,8 @@ def sweep_svg(rows: Sequence[SweepRow], teeth: int) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        raise ValueError(f"--out and --svg name one file, {args.out}")
     rows = threshold_sweep(args.teeth, args.d_min, args.d_max, args.step)
     if args.svg:
         rows = list(rows)   # the chart needs every row; the CSV needs none kept

@@ -28,10 +28,9 @@ from .tensor import checked_count
 BASES = ("schedule", "printed")
 
 
-def _check_basis(basis: str) -> str:
+def _check_basis(basis: str) -> None:
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    return basis
 
 
 def mps_cost_terms(params: NetworkParams) -> dict[str, int]:
@@ -86,10 +85,10 @@ def comb_cost_printed(params: NetworkParams) -> int:
 
 
 def cost_delta(params: NetworkParams, basis: str = "schedule") -> int:
-    """mps_cost minus the chosen comb cost; positive means comb is cheaper."""
-    _check_basis(basis)
-    comb = comb_cost_schedule(params) if basis == "schedule" else comb_cost_printed(params)
-    return mps_cost(params) - comb
+    """mps_cost minus the comb cost on ``basis``, the sum of
+    ``comb_cost_terms``, which refuses an unknown basis; positive means
+    comb is cheaper."""
+    return mps_cost(params) - checked_count(sum(comb_cost_terms(params, basis).values()))
 
 
 def sequential_products(kind: str, params: NetworkParams) -> int:
@@ -151,9 +150,10 @@ def threshold_roots(comp_dim: float, teeth: int) -> ThresholdResult:
     product-of-roots identity x- * x+ = d. ``comp_dim`` may be real-valued;
     network construction requires integers but threshold curves are continuous.
     ``teeth`` must be an integer: a float raises TypeError, not truncated.
-    Raises ValueError where float64 holds no roots: a non-finite ``comp_dim``,
-    a ``teeth`` or ``comp_dim`` beyond the float64 range, or a discriminant
-    that overflows.
+    M = 2 and a negative discriminant give one verdict: no roots, and the
+    MPS always cheaper. Raises ValueError where float64 holds no roots: a
+    non-finite ``comp_dim``, a ``teeth`` or ``comp_dim`` beyond the float64
+    range, or a discriminant that overflows.
     """
     try:
         m = operator.index(teeth)
@@ -176,10 +176,9 @@ def threshold_roots(comp_dim: float, teeth: int) -> ThresholdResult:
     if not math.isfinite(disc):
         raise ValueError(f"the discriminant at teeth={m}, comp_dim={d:g} is "
                          f"beyond the float64 range")
-    if m == 2:
-        # degenerate quadratic 2x = 0; the schedule-basis gap is -2x^2 < 0
-        return ThresholdResult(m, d, a, b, c, disc, None, Regime.MPS_ALWAYS_CHEAPER)
-    if disc < 0.0:
+    if m == 2 or disc < 0.0:
+        # no real roots; at M = 2 the quadratic degenerates to 2x = 0, and
+        # the schedule-basis gap is -2x^2 < 0
         return ThresholdResult(m, d, a, b, c, disc, None, Regime.MPS_ALWAYS_CHEAPER)
     if disc == 0.0:
         x0 = -b / (2.0 * a)

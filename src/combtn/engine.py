@@ -63,9 +63,10 @@ class ContractionPlan:
 
     ``stacks`` names each stack the plan reads with its leading extents,
     and a network fits the plan when it holds exactly these stacks at these
-    extents. The last step's result is the scalar. ``drops[k]`` holds the
-    sources step k reads for the last time, so ``execute`` frees each
-    array after its last read.
+    extents; that is the one fit check, and it refuses a plan of the other
+    kind too, since the two kinds name their stacks apart. The last step's
+    result is the scalar. ``drops[k]`` holds the sources step k reads for
+    the last time, so ``execute`` frees each array after its last read.
 
     Raises ValueError for a fault that no network could mend: a source that
     is neither a string nor the ``int`` number of an earlier step, a result
@@ -74,7 +75,6 @@ class ContractionPlan:
     several faults is refused for the first of these.
     """
 
-    kind: str
     steps: tuple[PlanStep, ...]
     stacks: tuple[tuple[str, tuple[int, ...]], ...]
     drops: tuple = field(init=False, repr=False, compare=False)
@@ -206,7 +206,7 @@ def _plan(kind: str, m_count: int, n_count: int) -> ContractionPlan:
         steps.append(PlanStep(a, read(at[inner[0]], inner, 1)[0], CHAIN, "chain-sweep"))
         a = (len(steps) - 1, None)
     steps.append(PlanStep(a, read(at[last], [last], 0)[0], _DOT, "final-dot"))
-    return ContractionPlan(kind, tuple(steps), tuple(
+    return ContractionPlan(tuple(steps), tuple(
         (name, extents) for name, extents, *_ in geometry.draws if math.prod(extents)))
 
 
@@ -238,25 +238,22 @@ def plan_for(net: TensorNetwork) -> ContractionPlan:
 def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostReport]:
     """Run the plan over the network's stacks, counting every multiplication.
 
-    Raises ValueError when the plan does not match the network and
+    Raises ValueError when the plan does not fit the network and
     CountOverflowError if any count leaves the 64-bit range. Before any
     step runs, the network's stack names and leading extents are checked
-    against ``plan.stacks`` in one comparison. Each step reads its operands
-    as ``array`` or ``array[index]``, keeps its read-only result under its
-    number and drops every array it read for the last time, so an
-    intermediate is freed after its last read. It is one ``contract_pair``
-    call, looked up on this module, so whatever replaces that name sees
-    every step. The scalar is ``float`` of the last step's 0-d result: a
-    complex one, which only a stack made by hand can bring in, raises
-    TypeError rather than losing its imaginary part. The
-    report's ``analytic_printed`` is the one closed form evaluated here: no
-    program code reads it, only perfbench does, as ``net.nodes`` is there
-    only for perfbench.
+    against ``plan.stacks`` in one comparison, the one fit check: a plan of
+    the other kind fails it too, since no MPS holds ``boundary-spines`` and
+    no comb ``first-site``. Each step reads its operands as ``array`` or
+    ``array[index]``, keeps its read-only result under its number and drops
+    every array it read for the last time, so an intermediate is freed
+    after its last read. It is one ``contract_pair`` call, looked up on
+    this module, so whatever replaces that name sees every step. The scalar
+    is ``float`` of the last step's 0-d result: a complex one, which only a
+    stack made by hand can bring in, raises TypeError rather than losing
+    its imaginary part. The report's ``analytic_printed`` is the one closed
+    form evaluated here: no program code reads it, only perfbench does, as
+    ``net.nodes`` is there only for perfbench.
     """
-    if plan.kind != net.kind:
-        raise ValueError(
-            f"plan kind {plan.kind!r} does not match network kind {net.kind!r}"
-        )
     reads = set(plan.stacks)
     holds = {(name, stack.array.shape[:stack.lead])
              for name, stack in net.stacks.items()}

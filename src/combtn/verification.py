@@ -51,6 +51,9 @@ def grid_params(grid: str = "small") -> list[NetworkParams]:
 
 @dataclass
 class CheckResult:
+    """One check's tally over the grid: cases passed, cases skipped (the
+    caller counts these itself) and the first failure, if any."""
+
     name: str
     passed: int = 0
     skipped: int = 0
@@ -59,6 +62,14 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.failure is None
+
+    def record(self, failure: Optional[str]) -> None:
+        """Count one case: a pass where ``failure`` is None, else keep the
+        failure if it is the check's first."""
+        if failure is None:
+            self.passed += 1
+        elif self.failure is None:
+            self.failure = failure
 
 
 @dataclass
@@ -107,12 +118,6 @@ def _value_mismatch(scalar: float, reference: float) -> Optional[str]:
     return None
 
 
-def _fail(check: CheckResult, failure: str) -> None:
-    """Keep the first failure a check meets."""
-    if check.failure is None:
-        check.failure = failure
-
-
 def _measure(p: NetworkParams, seed: int) -> list[tuple]:
     """Build both kinds at ``p`` and ``seed``, execute each and ask the
     value oracle. Per network (kind, measured count, scalar, oracle value),
@@ -129,10 +134,10 @@ def _measure(p: NetworkParams, seed: int) -> list[tuple]:
     return measured
 
 
-def _measure_grid(grid: str, seed: int) -> list[list[tuple]]:
-    """``_measure`` of every tuple of the grid at ``seed`` plus its index,
-    in tuple order, on every CPU through forked processes."""
-    parts = [(p, seed + idx) for idx, p in enumerate(grid_params(grid))]
+def _measure_grid(params_list: list[NetworkParams], seed: int) -> list[list[tuple]]:
+    """``_measure`` of every tuple at ``seed`` plus its index, in tuple
+    order, on every CPU through forked processes."""
+    parts = [(p, seed + idx) for idx, p in enumerate(params_list)]
     return tensor._run_all(_measure, parts, fork=True)
 
 
@@ -147,39 +152,32 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
     residual_check = CheckResult("printed - measured residual == M*x^2")
     oracle_check = CheckResult("executed scalar == value oracle")
 
-    for p, networks in zip(params_list, _measure_grid(grid, seed)):
+    for p, networks in zip(params_list, _measure_grid(params_list, seed)):
         overhead = p.teeth * p.bond_dim * p.bond_dim
         printed = costmodel.comb_cost_printed(p)
         # the printed comb form carries M*x^2 that no schedule step makes
         expected = {"mps": costmodel.mps_cost(p), "comb": printed - overhead}
         for kind, total, scalar, reference in networks:
-            count_check = count_checks[kind]
-            if total != expected[kind]:
-                _fail(count_check, f"at {_describe(p)}: measured "
-                                   f"{total}, formula {expected[kind]}")
-            else:
-                count_check.passed += 1
+            count_checks[kind].record(None if total == expected[kind] else
+                                      f"at {_describe(p)}: measured "
+                                      f"{total}, formula {expected[kind]}")
             if kind == "comb":
                 # the schedule form too: no other check compares it with
                 # a measured count
                 residual = printed - total
                 gap = printed - costmodel.comb_cost_schedule(p)
-                if residual != overhead or gap != overhead:
-                    _fail(residual_check, f"at {_describe(p)}: printed - measured = "
-                                          f"{residual}, printed - schedule = {gap}, "
-                                          f"expected {overhead}")
-                else:
-                    residual_check.passed += 1
+                residual_check.record(None if residual == gap == overhead else
+                                      f"at {_describe(p)}: printed - measured = "
+                                      f"{residual}, printed - schedule = {gap}, "
+                                      f"expected {overhead}")
 
             if reference is None:
                 oracle_check.skipped += 1
                 continue
             mismatch = _value_mismatch(scalar, reference)
-            if mismatch is not None:
-                _fail(oracle_check, f"at {_describe(p)} [{kind}]: executed "
-                                    f"{scalar!r}, oracle {reference!r}: {mismatch}")
-            else:
-                oracle_check.passed += 1
+            oracle_check.record(None if mismatch is None else
+                                f"at {_describe(p)} [{kind}]: executed "
+                                f"{scalar!r}, oracle {reference!r}: {mismatch}")
 
     vieta_check = CheckResult("vieta identities on threshold roots")
     pairs = {(p.teeth, float(p.dim_comp)) for p in params_list if p.teeth >= 3}
@@ -191,10 +189,9 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
         result = threshold_roots(d, m)
         if result.roots is None:
             vieta_check.skipped += 1
-        elif verify_vieta(result):
-            vieta_check.passed += 1
         else:
-            _fail(vieta_check, f"at (M={m}, d={d}): roots {result.roots} break Vieta")
+            vieta_check.record(None if verify_vieta(result) else
+                               f"at (M={m}, d={d}): roots {result.roots} break Vieta")
 
     delta_check = CheckResult("cost gap independent of N and D")
     groups: dict[tuple[int, int, int], tuple[int, int, NetworkParams]] = {}
@@ -205,11 +202,9 @@ def run_verification(grid: str = "small", seed: int = 42) -> VerificationReport:
             groups[key] = (*deltas, p)
             continue
         ref_sched, ref_printed, ref_p = groups[key]
-        if deltas != (ref_sched, ref_printed):
-            _fail(delta_check, f"{_describe(p)} and {_describe(ref_p)} disagree: "
-                               f"{deltas} vs {(ref_sched, ref_printed)}")
-        else:
-            delta_check.passed += 1
+        delta_check.record(None if deltas == (ref_sched, ref_printed) else
+                           f"{_describe(p)} and {_describe(ref_p)} disagree: "
+                           f"{deltas} vs {(ref_sched, ref_printed)}")
 
     report.checks = [count_checks["mps"], count_checks["comb"], residual_check,
                      oracle_check, vieta_check, delta_check]

@@ -286,6 +286,23 @@ class TestSweep:
         assert run(capsys, argv)[0] == 0
         assert (out_csv.read_bytes(), svg.read_bytes()) == first
 
+    @pytest.mark.parametrize("svg", ["same.csv", "./same.csv"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_one_file_for_csv_and_chart_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                   svg, existing):
+        monkeypatch.chdir(tmp_path)
+        same = tmp_path / "same.csv"
+        if existing:
+            same.write_text("before\n")
+        code, out, err = run(capsys, ["sweep", "--teeth", "50", "--d-min", "5",
+                                      "--d-max", "7", "--out", "same.csv", "--svg", svg])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --out and --svg name one file, same.csv\n"
+        # an existing file is untouched, and a missing one is not created
+        assert list(tmp_path.iterdir()) == ([same] if existing else [])
+        assert not existing or same.read_text() == "before\n"
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):

@@ -57,6 +57,14 @@ class TestClosedForms:
         with pytest.raises(CountOverflowError):
             mps_cost(huge)
 
+    @pytest.mark.parametrize("basis", ["schedule", "printed"])
+    def test_delta_overflow_detected_in_the_comb_count_alone(self, basis):
+        # the comb's (M-2)x^3 spine entry is 2**66 here, the MPS about 2**45
+        wide = params(D=1, d=1, x=2**22, M=3, N=1)
+        assert mps_cost(wide) < 2**63
+        with pytest.raises(CountOverflowError):
+            cost_delta(wide, basis)
+
 
 valid_params = st.builds(
     lambda d, extra, x, m, n: params(D=d + extra, d=d, x=x, M=m, N=n),

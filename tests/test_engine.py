@@ -241,7 +241,7 @@ class TestExecute:
     def test_kind_mismatch(self):
         mps = build_mps(params(), seed=0)
         comb = build_comb(params(N=2), seed=0)
-        with pytest.raises(ValueError, match="kind"):
+        with pytest.raises(ValueError, match=r"reads stacks \[\('boundary-spines'.*'first-site'"):
             execute(mps, comb_plan(comb))
 
     def test_intermediates_consumed_exactly_once(self):
@@ -306,7 +306,7 @@ def _plan(*steps) -> ContractionPlan:
     stack name a step reads."""
     names = [_operand(operand)[0] for a, b, _ in steps for operand in (a, b)]
     reads = dict.fromkeys(name for name in names if isinstance(name, str))
-    return ContractionPlan("mps", _steps(*steps), tuple((name, (1,)) for name in reads))
+    return ContractionPlan(_steps(*steps), tuple((name, (1,)) for name in reads))
 
 
 # the smallest MPS as one-row stacks: site0 [d, x], site1 [x, d], u0/u1
@@ -401,7 +401,12 @@ MISMATCHES = {
                "stacks [('compressions', (4,)), ('data', (4,)), "
                "('interior-sites', (2,))] and the network holds "
                "[('compressions', (3,)), ('data', (3,)), ('interior-sites', (1,))]",
-    "kind": "plan kind 'comb' does not match network kind 'mps'",
+    "kind": "plan does not match network: where they differ, the plan reads "
+            "stacks [('boundary-spines', (2,)), ('compressions', (3, 2)), "
+            "('data', (3, 2)), ('interior-spines', (1,)), ('interior-teeth', (3, 1)), "
+            "('tooth-ends', (3,))] and the network holds [('compressions', (3,)), "
+            "('data', (3,)), ('first-site', (1,)), ('interior-sites', (1,)), "
+            "('last-site', (1,))]",
 }
 
 
@@ -609,7 +614,7 @@ def test_a_plan_may_read_a_result_twice_and_a_stack_in_part(monkeypatch):
         PlanStep((2, None), (3, (0,)), dot, "chain-sweep"),
         PlanStep((5, None), (4, None), dot, "final-dot"),
     )
-    plan = ContractionPlan("mps", steps, tuple(
+    plan = ContractionPlan(steps, tuple(
         (name, stack.array.shape[:stack.lead]) for name, stack in net.stacks.items()))
     owners, alive = [], []      # as in test_consumed_intermediates_are_released
 
@@ -815,7 +820,7 @@ def test_plan_stacks_must_be_the_stacks_it_reads():
              "plan stacks ['data', 'u0', 'site0', 'site1'] are not the stacks it "
              "reads, ['data', 'site0', 'u0']")]:
         with pytest.raises(ValueError) as raised:
-            ContractionPlan("mps", steps, stacks)
+            ContractionPlan(steps, stacks)
         assert str(raised.value) == message
 
 

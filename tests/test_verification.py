@@ -21,6 +21,18 @@ def _oracle_check(report):
     return check
 
 
+def test_record_counts_passes_and_keeps_the_first_failure():
+    check = verification.CheckResult("check")
+    check.record(None)
+    check.record(None)
+    assert (check.passed, check.skipped, check.failure, check.ok) == (2, 0, None, True)
+    check.record("first")
+    # neither a later pass nor a later failure replaces the first failure
+    check.record(None)
+    check.record("second")
+    assert (check.passed, check.skipped, check.failure, check.ok) == (3, 0, "first", False)
+
+
 def test_small_grid_oracle_check_passes():
     check = _oracle_check(verification.run_verification("small", seed=42))
     assert check.ok
