@@ -30,7 +30,7 @@ from .engine import execute, plan_for
 from .network import NetworkParams, attach_data, build_comb, build_mps, \
     set_orthonormal_compressions
 from .tensor import CountOverflowError
-from .verification import run_verification
+from .verification import GRIDS, run_verification
 
 QUOTED_UPPER_ROOT = 28.83  # commonly quoted threshold that the formula does not reproduce
 
@@ -258,20 +258,22 @@ def sweep_svg(rows: Sequence[SweepRow], teeth: int) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
-        raise ValueError(f"--out and --svg name one file, {args.out}")
     rows = threshold_sweep(args.teeth, args.d_min, args.d_max, args.step)
     if args.svg:
         rows = list(rows)   # the chart needs every row; the CSV needs none kept
     # every output is opened before the first row, and without truncating,
-    # so an unwritable path costs no rows, no "wrote" line and no file: a
-    # file the other open made is removed, one that was there is untouched
-    made = [path for path in (args.svg, args.out) if path and not os.path.exists(path)]
+    # so an unwritable path, or two that open one file, cost no rows, no
+    # "wrote" line and no file: a file an open made is removed (through a
+    # dangling symlink, its target), one that was there is untouched
+    made = [os.path.realpath(path) for path in (args.svg, args.out)
+            if path and not os.path.exists(path)]
     with contextlib.ExitStack() as outputs:
         try:
             chart = outputs.enter_context(open(args.svg, "a")) if args.svg else None
             handle = outputs.enter_context(open(args.out, "a", newline=""))
-        except OSError:
+            if chart and os.path.samestat(*(os.fstat(f.fileno()) for f in (chart, handle))):
+                raise ValueError(f"--out and --svg name one file, {args.out}")
+        except (OSError, ValueError):
             outputs.close()
             for path in made:
                 with contextlib.suppress(FileNotFoundError):
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=cmd_sweep)
 
     verify = subparsers.add_parser("verify", help="formula-vs-engine verification grid")
-    verify.add_argument("--grid", choices=("small", "full"), default="small")
+    verify.add_argument("--grid", choices=GRIDS, default="small")
     verify.add_argument("--seed", type=_seed, default=42)
     verify.set_defaults(handler=cmd_verify)
 

@@ -207,7 +207,7 @@ def _plan(kind: str, m_count: int, n_count: int) -> ContractionPlan:
         a = (len(steps) - 1, None)
     steps.append(PlanStep(a, read(at[last], [last], 0)[0], _DOT, "final-dot"))
     return ContractionPlan(tuple(steps), tuple(
-        (name, extents) for name, extents, *_ in geometry.draws if math.prod(extents)))
+        (name, extents) for name, extents, *_ in geometry.draws))
 
 
 def mps_plan(net: TensorNetwork) -> ContractionPlan:

@@ -25,9 +25,13 @@ member, in the node's axis order, made only when something reads the nodes
          compressions [L], data [L]  (L = M*N sites, left to right)
   comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
          tooth-ends [M], compressions [M, N], data [M, N]
-A stack with no members is left out. Every stack this module makes holds a
-plain read-only ``np.ndarray`` that it made; ``TensorNetwork.nodes`` hands
-the node views out as ``Node(Tensor(view))`` named tuples.
+A stack with no members (the interior sites at L=2, the interior teeth at
+N=1, the interior spines at M=2) is left out of the geometry, once, so no
+build draws it and no plan reads it. ``_draw`` makes every stack, and
+``attach_data`` and ``set_orthonormal_compressions`` replace one stack's
+array; each holds a plain read-only ``np.ndarray`` that this module made.
+``TensorNetwork.nodes`` hands the node views out as ``Node(Tensor(view))``
+named tuples.
 
 Each geometry is described once per kind and (M, N), in a small bounded
 memo (``_geometry``): every node with its stack and the bond to the node it
@@ -103,10 +107,11 @@ class Stack:
     permuted: the node is the member transposed by ``node_axes``, or the
     member itself when that is None.
 
-    Every stack the builders, ``attach_data`` and
-    ``set_orthonormal_compressions`` make holds a read-only array they
-    made. A stack made by hand holds the array it is given, as numpy
-    containers do: no copy, no check and no change to its flags."""
+    The builders make every stack of a network, each holding a read-only
+    array they made; ``attach_data`` and ``set_orthonormal_compressions``
+    replace one stack's array by ``dataclasses.replace``. A stack made by
+    hand holds the array it is given, as numpy containers do: no copy, no
+    check and no change to its flags."""
 
     array: np.ndarray
     names: tuple[str, ...]
@@ -180,6 +185,8 @@ class _Geometry(NamedTuple):
     the chain the others hang from. ``draws`` gives every stack, in draw
     order, as (name, leading extents, stored member axes as letters of "D",
     "d" and "x", the letters whose product is its fan-in, ``node_axes``).
+    A stack with no members is in none of ``members``, ``names`` and
+    ``draws``.
     """
 
     order: tuple[str, ...]
@@ -255,11 +262,11 @@ def _geometry(kind: str, m_count: int, n_count: int) -> _Geometry:
                 parent, axis = add(f"tooth{tag}", stack, parent, axis), 2
                 physical(parent, tag, 1)
     order, stacks, parents, stored = map(tuple, zip(*nodes))
-    return _Geometry(order, stacks, parents, stored,
-                     tuple(bonds), {stack: tuple(ids) for stack, ids in members.items()},
-                     {stack: tuple(map(order.__getitem__, ids))
-                      for stack, ids in members.items() if ids},
-                     tuple(backbone), draws)
+    # the one place a stack with no members is left out
+    kept = {stack: tuple(ids) for stack, ids in members.items() if ids}
+    names = {stack: tuple(map(order.__getitem__, ids)) for stack, ids in kept.items()}
+    return _Geometry(order, stacks, parents, stored, tuple(bonds), kept, names,
+                     tuple(backbone), tuple(draw for draw in draws if draw[0] in kept))
 
 
 def _draw(params: NetworkParams, kind: str, seed, geometry: _Geometry) -> TensorNetwork:
@@ -275,35 +282,31 @@ def _draw(params: NetworkParams, kind: str, seed, geometry: _Geometry) -> Tensor
     the runs are filled by ``tensor._run_all``; a fill that raised fails
     the build, so no unfilled run becomes parameters. Every
     stack is scaled in place by 1/sqrt(fan_in), so each tensor is Gaussian
-    with std 1/sqrt(fan_in), and frozen once every run is filled. A stack
-    with no members is left out and draws nothing.
+    with std 1/sqrt(fan_in), made a ``Stack`` as it is drawn, and frozen
+    once every run is filled.
     """
     dims = {"D": params.dim_raw, "d": params.dim_comp, "x": params.bond_dim}
     rng = np.random.default_rng(seed)
     chunk = tensor._CHUNK
-    drawn, runs = [], []
+    stacks, runs = {}, []
     for group, lead, axes, fan_in, node_axes in geometry.draws:
-        shape = tuple(map(dims.__getitem__, axes))
-        size = math.prod(lead + shape)
-        if not size:
-            continue
+        shape = lead + tuple(map(dims.__getitem__, axes))
+        size = math.prod(shape)
         scale = 1.0 / math.sqrt(math.prod(map(dims.__getitem__, fan_in)))
         if size <= chunk:
-            arr = rng.standard_normal(lead + shape)
+            arr = rng.standard_normal(shape)
             arr *= scale
         else:
-            arr = np.empty(lead + shape)
+            arr = np.empty(shape)
             flat = arr.reshape(-1)
             starts = range(0, size, chunk)
             runs += [(child, flat[start:start + chunk], scale)
                      for child, start in zip(rng.spawn(len(starts)), starts)]
-        drawn.append((group, arr, len(lead), node_axes))
+        stacks[group] = Stack(arr, geometry.names[group], len(lead), node_axes)
     if runs:
         tensor._run_all(_fill, runs, fork=False)
-    stacks = {}
-    for group, arr, lead, node_axes in drawn:
-        arr.setflags(write=False)
-        stacks[group] = Stack(arr, geometry.names[group], lead, node_axes)
+    for stack in stacks.values():
+        stack.array.setflags(write=False)
     return TensorNetwork(params, kind, geometry.bonds, stacks, geometry.order)
 
 
@@ -356,34 +359,24 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
         raise ValueError(
             f"data matrix row {row}, column {col} is not finite: {matrix[row, col]}"
         )
-    matrix.flags.writeable = False
+    matrix.setflags(write=False)
     stack = net.stacks["data"]
-    stacks = dict(net.stacks)
-    stacks["data"] = Stack(matrix.reshape(stack.array.shape),
-                           stack.names, stack.lead)
-    return replace(net, stacks=stacks)
-
-
-def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    # QR of a Gaussian draw; the sign fix makes diag(r) positive, so the
-    # columns are the Gram-Schmidt ones of the same draw
-    q, r = np.linalg.qr(rng.normal(size=(rows, cols)))
-    return q * np.sign(np.diag(r))
+    data_stack = replace(stack, array=matrix.reshape(stack.array.shape))
+    return replace(net, stacks={**net.stacks, "data": data_stack})
 
 
 def set_orthonormal_compressions(net: TensorNetwork, seed=0) -> TensorNetwork:
     """Replace every compression matrix with one having orthonormal columns.
 
     Stand-in for trained compressions; cost counting never depends on values.
-    One draw per row of the compression stack, in row order, fills a new
-    stack; only the compression stack changes.
+    One ``normal`` draw of the whole compression stack, in row order, and
+    one batched QR make the new stack: each matrix is the Q of its row's
+    draw with every column's sign set so that R's diagonal is positive,
+    which are the Gram-Schmidt columns of that draw. Only the compression
+    stack changes.
     """
-    rng = np.random.default_rng(seed)
-    d_raw, d_comp = net.params.dim_raw, net.params.dim_comp
     stack = net.stacks["compressions"]
-    arr = np.empty(stack.array.shape)
-    for row in arr.reshape(-1, d_raw, d_comp):
-        row[...] = _orthonormal_columns(rng, d_raw, d_comp)
-    arr.setflags(write=False)
-    compressions = Stack(arr, stack.names, stack.lead)
-    return replace(net, stacks={**net.stacks, "compressions": compressions})
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=stack.array.shape))
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q.setflags(write=False)
+    return replace(net, stacks={**net.stacks, "compressions": replace(stack, array=q)})

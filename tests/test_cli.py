@@ -303,6 +303,29 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == ([same] if existing else [])
         assert not existing or same.read_text() == "before\n"
 
+    @pytest.mark.parametrize("link", ["hard", "symbolic", "dangling"])
+    def test_linked_files_for_csv_and_chart_are_refused(self, capsys, tmp_path, monkeypatch,
+                                                        link):
+        # the opened files are compared, so a link to --out names its file
+        monkeypatch.chdir(tmp_path)
+        same, linked = tmp_path / "same.csv", tmp_path / "linked.csv"
+        if link != "dangling":
+            same.write_text("before\n")
+        if link == "hard":
+            linked.hardlink_to(same)
+        else:
+            linked.symlink_to("same.csv")
+        code, out, err = run(capsys, ["sweep", "--teeth", "50", "--d-min", "5",
+                                      "--d-max", "7", "--out", "same.csv", "--svg", "linked.csv"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --out and --svg name one file, same.csv\n"
+        # what was there is untouched: the link too, and a file the opens
+        # made through a dangling link is removed
+        assert sorted(tmp_path.iterdir()) == ([linked] if link == "dangling" else [linked, same])
+        assert linked.is_symlink() == (link != "hard")
+        assert link == "dangling" or same.read_text() == "before\n"
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):

@@ -666,6 +666,20 @@ def test_call_count_is_the_closed_form(monkeypatch):
     assert expected_calls("mps", 50, 5) + expected_calls("comb", 50, 5) == 17
 
 
+def test_the_count_is_the_parameters_plus_one_chain():
+    # every parameter is read in exactly one multiplication; beyond them
+    # the contraction pays one x^2 per interior link of an L-site chain
+    # and x for the dot, in both kinds
+    for p in grid_params("small"):
+        for build in (build_mps, build_comb):
+            net = build(p, seed=0)
+            _, cost = execute(net, plan_for(net))
+            parameters = sum(stack.array.size for name, stack in net.stacks.items()
+                             if name != "data")
+            assert cost.total - parameters == \
+                (p.sites - 2) * p.bond_dim ** 2 + p.bond_dim, (net.kind, p)
+
+
 def test_sequential_products_are_the_longest_dependency_path(monkeypatch):
     # a step waits for the steps that made its operands; a stacked step is
     # one product whatever its batch, and a chain step is one per row

@@ -12,6 +12,7 @@ from combtn import costmodel, engine, tensor, verification
 from combtn.cli import main
 from combtn.engine import OracleGuardError, execute, naive_value_oracle, plan_for
 from combtn.network import build_comb, build_mps
+from combtn.network import _geometry
 
 ORACLE_CHECK = "executed scalar == value oracle"
 
@@ -37,6 +38,20 @@ def test_small_grid_oracle_check_passes():
     check = _oracle_check(verification.run_verification("small", seed=42))
     assert check.ok
     assert check.passed > 0
+
+
+def test_small_grid_misses_each_memo_once_per_distinct_key(monkeypatch):
+    # on one CPU every tuple is measured in this process; the grid visits
+    # each (M, N) in a row, so no key is asked for again once evicted
+    monkeypatch.setattr(tensor, "_cpus", lambda: 1)
+    memos = (_geometry, engine._plan, engine._walk_bond_graph)
+    for memo in memos:
+        memo.cache_clear()
+    verification.run_verification("small", 42)
+    keys = {key for p in verification.grid_params("small")
+            for key in (("mps", p.sites), ("comb", p.teeth, p.tooth_len))}
+    assert len(keys) == 17
+    assert [memo.cache_info().misses for memo in memos] == [len(keys)] * 3
 
 
 def test_oracle_guard_refusals_count_as_skipped(monkeypatch):
