@@ -5,7 +5,6 @@ and the bond-dimension threshold analysis between the two geometries."""
 from .costmodel import (
     CrosscheckReport,
     Regime,
-    SweepRow,
     ThresholdResult,
     comb_cost_printed,
     comb_cost_schedule,

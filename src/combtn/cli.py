@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import costmodel
-from .costmodel import SweepRow, threshold_roots, threshold_sweep
+from .costmodel import ThresholdResult, threshold_roots, threshold_sweep
 from .engine import execute, plan_for
 from .network import NetworkParams, attach_data, build_comb, build_mps, \
     set_orthonormal_compressions
@@ -185,7 +185,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-def sweep_csv_lines(rows: Iterable[SweepRow]) -> Iterator[str]:
+def sweep_csv_lines(rows: Iterable[ThresholdResult]) -> Iterator[str]:
     """The header, then one line per row, each as its row arrives."""
     yield "d,x_minus,x_plus,regime"
     for row in rows:
@@ -193,7 +193,7 @@ def sweep_csv_lines(rows: Iterable[SweepRow]) -> Iterator[str]:
                f"{_root_str(row.x_plus, 6)},{row.regime.value}")
 
 
-def sweep_svg(rows: Sequence[SweepRow], teeth: int) -> str:
+def sweep_svg(rows: Sequence[ThresholdResult], teeth: int) -> str:
     """Two-polyline chart of the threshold roots, emitted as a standalone SVG."""
     width, height, margin = 800, 600, 70
     plot_w, plot_h = width - 2 * margin, height - 2 * margin

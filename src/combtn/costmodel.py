@@ -121,7 +121,8 @@ class ThresholdResult:
     ``roots`` is None when the discriminant is negative (and for M == 2,
     where the quadratic degenerates and the MPS always wins). DEGENERATE
     marks a zero discriminant: the window collapses to the single point
-    where both costs tie.
+    where both costs tie. ``comp_dim`` is d as the caller passed it, so
+    an integer d stays exact past 2**53; the coefficients use its float.
     """
 
     teeth: int
@@ -179,30 +180,22 @@ def threshold_roots(comp_dim: float, teeth: int) -> ThresholdResult:
     if m == 2 or disc < 0.0:
         # no real roots; at M = 2 the quadratic degenerates to 2x = 0, and
         # the schedule-basis gap is -2x^2 < 0
-        return ThresholdResult(m, d, a, b, c, disc, None, Regime.MPS_ALWAYS_CHEAPER)
+        return ThresholdResult(m, comp_dim, a, b, c, disc, None, Regime.MPS_ALWAYS_CHEAPER)
     if disc == 0.0:
         x0 = -b / (2.0 * a)
-        return ThresholdResult(m, d, a, b, c, disc, (x0, x0), Regime.DEGENERATE)
+        return ThresholdResult(m, comp_dim, a, b, c, disc, (x0, x0), Regime.DEGENERATE)
     q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
     large = q / a
     other = c / q
     x_minus, x_plus = sorted((large, other))
     regime = Regime.COMB_WINDOW if x_minus > 0.0 else Regime.MPS_ALWAYS_CHEAPER
-    return ThresholdResult(m, d, a, b, c, disc, (x_minus, x_plus), regime)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    comp_dim: int
-    x_minus: Optional[float]
-    x_plus: Optional[float]
-    regime: Regime
+    return ThresholdResult(m, comp_dim, a, b, c, disc, (x_minus, x_plus), regime)
 
 
 def threshold_sweep(teeth: int, d_min: int, d_max: int,
-                    step: int = 1) -> Iterator[SweepRow]:
-    """One SweepRow per d in [d_min, d_max] at the given step, yielded in
-    order of d, each as soon as it is solved.
+                    step: int = 1) -> Iterator[ThresholdResult]:
+    """``threshold_roots(d, teeth)`` for each d in [d_min, d_max] at the
+    given step, yielded in order of d, each as soon as it is solved.
 
     The whole range is checked before the first row: a bad range, or a d
     where float64 holds no roots, raises ValueError here. For one ``teeth``,
@@ -217,12 +210,7 @@ def threshold_sweep(teeth: int, d_min: int, d_max: int,
     dims = range(d_min, d_max + 1, step)
     threshold_roots(dims[0], teeth)
     threshold_roots(dims[-1], teeth)
-    return (_sweep_row(d, teeth) for d in dims)
-
-
-def _sweep_row(d: int, teeth: int) -> SweepRow:
-    res = threshold_roots(d, teeth)
-    return SweepRow(d, res.x_minus, res.x_plus, res.regime)
+    return (threshold_roots(d, teeth) for d in dims)
 
 
 @dataclass(frozen=True)

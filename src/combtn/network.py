@@ -31,7 +31,7 @@ build draws it and no plan reads it. ``_draw`` makes every stack, and
 ``attach_data`` and ``set_orthonormal_compressions`` replace one stack's
 array; each holds a plain read-only ``np.ndarray`` that this module made.
 ``TensorNetwork.nodes`` hands the node views out as ``Node(Tensor(view))``
-named tuples.
+named tuples, made anew on every read; a network keeps no view.
 
 Each geometry is described once per kind and (M, N), in a small bounded
 memo (``_geometry``): every node with its stack and the bond to the node it
@@ -152,11 +152,11 @@ class TensorNetwork:
         """The data nodes in row order of ``attach_data``'s matrix."""
         return self.stacks["data"].names
 
-    @functools.cached_property
+    @property
     def nodes(self) -> dict[str, Node]:
         """Each node's view from ``_node_arrays`` as ``Node(Tensor(view))``,
-        made when first read and kept. Nothing in
-        combtn reads it: the value oracle reads ``_node_arrays``, and the
+        made anew on every read; the network keeps none. Nothing in combtn
+        reads it: the value oracle reads ``_node_arrays``, and the
         benchmark in ``perfbench/`` reads this."""
         return {name: Node(Tensor(arr)) for name, arr in _node_arrays(self).items()}
 

@@ -172,6 +172,15 @@ class TestSweep:
         lines = out_csv.read_text().splitlines()[1:]
         assert lines == [f"{d},,,mps-always-cheaper" for d in range(1, 5)]
 
+    def test_exact_integer_d_past_2_to_the_53(self, capsys, tmp_path):
+        # float64 holds neither 2**53 + 1 nor 2**53 + 3; the CSV prints each d
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, ["sweep", "--teeth", "200", "--d-min", "9007199254740990",
+                                  "--d-max", "9007199254741000", "--out", str(out_csv)])
+        assert code == 0
+        first = [line.split(",")[0] for line in out_csv.read_text().splitlines()[1:]]
+        assert first == [str(d) for d in range(9007199254740990, 9007199254741001)]
+
     def test_byte_identical_rerun(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--teeth", "50", "--d-min", "5", "--d-max", "60", "--out"]

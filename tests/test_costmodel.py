@@ -196,11 +196,18 @@ class TestSweep:
         assert all(r.x_minus is None and r.x_plus is None for r in rows)
 
     def test_row_matches_threshold_roots(self):
-        row = [r for r in threshold_sweep(50, 5, 60) if r.comp_dim == 30][0]
-        direct = threshold_roots(30, 50)
-        assert row.x_minus == direct.x_minus
-        assert row.x_plus == direct.x_plus
-        assert row.regime is direct.regime
+        # every row is threshold_roots of its d, field by field, and holds d
+        # as passed: an int, exact past 2**53
+        for teeth, d_min, d_max, step in ((2, 1, 30, 1), (3, 2, 400, 7), (50, 1, 120, 1),
+                                          (200, 2**53 - 2, 2**53 + 8, 1)):
+            dims = range(d_min, d_max + 1, step)
+            rows = list(threshold_sweep(teeth, d_min, d_max, step))
+            assert len(rows) == len(dims)
+            for d, row in zip(dims, rows):
+                direct = threshold_roots(d, teeth)
+                for field in dataclasses.fields(row):
+                    assert getattr(row, field.name) == getattr(direct, field.name)
+                assert type(row.comp_dim) is int and row.comp_dim == d
 
     def test_monotone_roots(self):
         rows = list(threshold_sweep(50, 5, 60))

@@ -505,24 +505,31 @@ def test_every_node_is_a_read_only_view_of_a_read_only_stack(build, mutate):
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])
-def test_node_views_are_made_on_first_read(build):
+def test_node_views_are_made_on_first_read(build, monkeypatch):
     p = small_params(teeth=3, tooth_len=2)
     net = build(p, seed=4)
     data = np.arange(p.sites * p.dim_raw, dtype=float).reshape(p.sites, p.dim_raw)
     scored = attach_data(net, data)
+    reads = []
+    node_arrays = network._node_arrays
+    monkeypatch.setattr(network, "_node_arrays",
+                        lambda n: reads.append(n) or node_arrays(n))
     execute(scored, plan_for(scored))
-    # scoring reads the stacks alone, so neither network holds a view yet
-    assert "nodes" not in vars(net) and "nodes" not in vars(scored)
-    nodes = scored.nodes
-    assert scored.nodes is nodes and "nodes" not in vars(net)
+    # scoring reads the stacks alone, so it makes no view
+    assert reads == []
+    first, second = scored.nodes, scored.nodes
+    # each read makes the views anew, and the network keeps none
+    assert reads == [scored, scored] and first is not second
+    assert "nodes" not in vars(scored) and "nodes" not in vars(net)
     # in node order, each a read-only row of its stack in its node's axes
-    assert list(nodes) == list(net.nodes)
+    assert list(first) == list(second) == list(net.order)
     for stack in scored.stacks.values():
         for name, row in zip(stack.names, _rows(stack)):
-            view = nodes[name].tensor.array
-            assert not view.flags.writeable and np.shares_memory(view, row)
-            assert np.array_equal(view, _as_node(stack, row))
-    assert [nodes[name].tensor.array.tolist() for name in net.data_sites] == \
+            for nodes in (first, second):
+                view = nodes[name].tensor.array
+                assert not view.flags.writeable and np.shares_memory(view, row)
+                assert np.array_equal(view, _as_node(stack, row))
+    assert [first[name].tensor.array.tolist() for name in net.data_sites] == \
         data.tolist()
 
 
