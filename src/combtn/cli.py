@@ -193,13 +193,15 @@ def sweep_csv_lines(rows: Iterable[ThresholdResult]) -> Iterator[str]:
                f"{_root_str(row.x_plus, 6)},{row.regime.value}")
 
 
-def sweep_svg(rows: Sequence[ThresholdResult], teeth: int) -> str:
-    """Two-polyline chart of the threshold roots, emitted as a standalone SVG."""
+def sweep_svg(points: Sequence[tuple[float, Optional[float], Optional[float]]],
+              teeth: int) -> str:
+    """Two-polyline chart of the threshold roots, emitted as a standalone SVG,
+    from each row's (d, x-, x+) in order of d."""
     width, height, margin = 800, 600, 70
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    d_lo, d_hi = rows[0].comp_dim, rows[-1].comp_dim
+    d_lo, d_hi = points[0][0], points[-1][0]
     d_span = max(d_hi - d_lo, 1)
-    y_max = max((r.x_plus for r in rows if r.x_plus is not None), default=1.0) * 1.05
+    y_max = max((x for _, _, x in points if x is not None), default=1.0) * 1.05
 
     def sx(d: float) -> float:
         return margin + (d - d_lo) / d_span * plot_w
@@ -207,15 +209,14 @@ def sweep_svg(rows: Sequence[ThresholdResult], teeth: int) -> str:
     def sy(x: float) -> float:
         return height - margin - x / y_max * plot_h
 
-    def polyline(points: list[tuple[float, float]], color: str) -> str:
-        if not points:
+    def polyline(root: int, color: str) -> str:
+        # the point of each row with that root, x- (1) or x+ (2)
+        coords = " ".join(f"{sx(point[0]):.2f},{sy(point[root]):.2f}"
+                          for point in points if point[root] is not None)
+        if not coords:
             return ""
-        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in points)
         return (f'<polyline fill="none" stroke="{color}" stroke-width="2" '
                 f'points="{coords}"/>')
-
-    lower = [(sx(r.comp_dim), sy(r.x_minus)) for r in rows if r.x_minus is not None]
-    upper = [(sx(r.comp_dim), sy(r.x_plus)) for r in rows if r.x_plus is not None]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
@@ -244,8 +245,8 @@ def sweep_svg(rows: Sequence[ThresholdResult], teeth: int) -> str:
                  f'text-anchor="middle" transform="rotate(-90 22 {height / 2:.0f})">x</text>')
     parts.append(f'<text x="{width / 2:.0f}" y="{margin - 30}" font-size="16" '
                  f'text-anchor="middle">threshold roots vs d (teeth={teeth})</text>')
-    parts.append(polyline(lower, "#1f77b4"))
-    parts.append(polyline(upper, "#d62728"))
+    parts.append(polyline(1, "#1f77b4"))
+    parts.append(polyline(2, "#d62728"))
     legend_x = width - margin - 120
     parts.append(f'<line x1="{legend_x}" y1="{margin + 10}" x2="{legend_x + 30}" '
                  f'y2="{margin + 10}" stroke="#1f77b4" stroke-width="2"/>')
@@ -259,8 +260,12 @@ def sweep_svg(rows: Sequence[ThresholdResult], teeth: int) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = threshold_sweep(args.teeth, args.d_min, args.d_max, args.step)
+    # the CSV keeps no row; the chart reads each row's d and roots, noted
+    # as the row streams to the CSV
+    points = []
     if args.svg:
-        rows = list(rows)   # the chart needs every row; the CSV needs none kept
+        rows = (points.append((row.comp_dim, row.x_minus, row.x_plus)) or row
+                for row in rows)
     # every output is opened before the first row, and without truncating,
     # so an unwritable path, or two that open one file, cost no rows, no
     # "wrote" line and no file: a file an open made is removed (through a
@@ -285,7 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for count, line in enumerate(sweep_csv_lines(rows)):
             handle.write(line + "\n")
         if chart:
-            chart.write(sweep_svg(rows, args.teeth))
+            chart.write(sweep_svg(points, args.teeth))
     print(f"wrote {count} rows to {args.out}")
     if args.svg:
         print(f"wrote chart to {args.svg}")

@@ -28,8 +28,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import costmodel
 from .network import _MEMO, TensorNetwork, _geometry, _node_arrays
 from .tensor import CHAIN, AxisPairing, checked_count, contract_pair
@@ -411,11 +409,12 @@ def naive_value_oracle(net: TensorNetwork) -> float:
                 f"the oracle guard of {ORACLE_GUARD}"
             )
         arrays[slot_b] = None
+        # ndarray.dot is np.dot without its dispatch layer
         if widest > 2:
-            arrays[slot_a] = np.dot(a.reshape(-1, summed),
-                                    b.reshape(summed, -1)).reshape(shape)
+            arrays[slot_a] = a.reshape(-1, summed).dot(
+                b.reshape(summed, -1)).reshape(shape)
         else:
             # vectors and matrices already have the matrix layout: numpy
             # picks the same ddot, gemv or gemm as for the reshaped forms
-            arrays[slot_a] = np.dot(a, b)
+            arrays[slot_a] = a.dot(b)
     return float(arrays[result])

@@ -17,15 +17,18 @@ tuples that carry an array and a count out to readers that want
 
 ``_run_all`` is the one place that shares work over every CPU the process
 may use: it calls one function on a list of parts, on the calling thread
-and a ``concurrent.futures`` pool, imported only when one first opens.
-Its callers pick the pool. ``contract_pair`` splits a stacked step that
+and ``concurrent.futures`` workers, imported only when first needed. Its
+callers pick the workers. ``contract_pair`` splits a stacked step that
 reads more than ``_CHUNK`` elements into contiguous runs of its first
 batch axis, one ``np.matmul`` each into one result, and the network
-builders fill large stacks in runs; both go to threads, since numpy
-releases the GIL while it multiplies, draws and scales. ``verify``'s grid
-is Python work on tiny arrays, so its tuples go to forked processes. Pool
-threads run in a copy of the caller's context, and every part gives what
-it gives on one CPU, so no bit depends on the CPU count.
+builders fill large stacks in runs; both go to the process's one thread
+pool, since numpy releases the GIL while it multiplies, draws and scales.
+The pool is made on first use and kept, so a split step starts no thread;
+its threads are joined before any fork, so a forked child starts with
+one. ``verify``'s grid is Python work on tiny arrays, so its tuples go to
+processes forked for the call. Pool threads run in a copy of the caller's
+context, and every part gives what it gives on one CPU, so no bit depends
+on the CPU count.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -64,37 +68,85 @@ def _share(fn, share: list) -> list:
     return [fn(*part) for part in share]
 
 
+# The process's one thread pool, (CPU count, ThreadPoolExecutor of one
+# worker fewer), made by ``_run_all`` on the first thread share, and only
+# under the lock; its threads' names start with _POOL_NAME
+_POOL_NAME = "combtn-pool"
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _close_pool() -> None:
+    """Join the pool's threads once their work is done; the next thread
+    share makes a new pool."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+def _before_fork() -> None:
+    # a child starts with the forking thread alone, so it must not inherit
+    # a pool whose threads it lacks; the lock, held until the fork is done,
+    # keeps another thread from making one meanwhile
+    _pool_lock.acquire()
+    _close_pool()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_before_fork, after_in_parent=_pool_lock.release,
+                        after_in_child=_pool_lock.release)
+
+
 def _run_all(fn, parts: list, *, fork: bool) -> list:
     """``[fn(*part) for part in parts]``, in shares of every n-th part, one
     share per CPU up to one per part: the calling thread runs the first
-    share and a pool the others, threads or, with ``fork``, forked
-    processes (one share where ``os.fork`` is missing). A thread share runs
-    in its own copy of the caller's context and a forked one inherits it,
-    so every share sees the caller's context variables (numpy's error
-    state among them, one since numpy 2.0); only ``fn``, the parts and the
-    results must pickle. With one share no pool opens. Leaving the pool
-    joins every worker, and a share that raised raises its exception here."""
-    shares = min(_cpus(), len(parts))
+    share and workers the others, threads of the process's one pool or,
+    with ``fork``, processes forked for this call (one share where
+    ``os.fork`` is missing). A thread share runs in its own copy of the
+    caller's context and a forked one inherits it, so every share sees the
+    caller's context variables (numpy's error state among them, one since
+    numpy 2.0); only ``fn``, the parts and the results must pickle.
+
+    With one share no worker is used. The thread pool has ``_cpus() - 1``
+    workers, is kept for every later call and made again when ``_cpus()``
+    changes; before a fork its threads are joined, so a forked child
+    starts with one thread. A thread share must not call ``_run_all``
+    itself. The call returns or raises only once every share has
+    finished, and a share that raised raises its exception here, the
+    caller's first, then the others in share order; a forked call's pool
+    is joined before it returns."""
+    global _pool
+    cpus = _cpus()
+    shares = min(cpus, len(parts))
     if shares <= 1 or fork and not hasattr(os, "fork"):
         return _share(fn, parts)
     # imported here: only work on more than one CPU needs them, and
     # concurrent.futures loads logging
     import concurrent.futures
-    if fork:
-        import multiprocessing
-        pool = concurrent.futures.ProcessPoolExecutor(
-            shares - 1, mp_context=multiprocessing.get_context("fork"))
-    else:
-        pool = concurrent.futures.ThreadPoolExecutor(shares - 1)
     # the caller runs a share rather than waiting: at x=64 on 2 CPUs, two
     # pool threads took about 14 ms for the slower half of the MPS interior
-    # absorb, where the caller and one pool thread took about 11; a context
-    # admits one thread at a time, so each thread share gets its own copy
-    with pool:
-        others = [pool.submit(_share, fn, parts[k::shares]) if fork else
-                  pool.submit(contextvars.copy_context().run, _share, fn, parts[k::shares])
-                  for k in range(1, shares)]
-        done = [_share(fn, parts[::shares]), *(other.result() for other in others)]
+    # absorb, where the caller and one pool thread took about 11
+    if fork:
+        import multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(
+                shares - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            others = [pool.submit(_share, fn, parts[k::shares]) for k in range(1, shares)]
+            done = [_share(fn, parts[::shares]), *(other.result() for other in others)]
+    else:
+        # a context admits one thread at a time, so each share gets a copy
+        with _pool_lock:
+            if _pool is None or _pool[0] != cpus:
+                _close_pool()
+                _pool = cpus, concurrent.futures.ThreadPoolExecutor(
+                    cpus - 1, thread_name_prefix=_POOL_NAME)
+            others = [_pool[1].submit(contextvars.copy_context().run, _share, fn,
+                                      parts[k::shares]) for k in range(1, shares)]
+        try:
+            mine = _share(fn, parts[::shares])
+        finally:
+            concurrent.futures.wait(others)
+        done = [mine, *(other.result() for other in others)]
     return [done[k % shares][k // shares] for k in range(len(parts))]
 
 
@@ -201,11 +253,12 @@ class StepCost(NamedTuple):
 
 def _chain(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
     # one np.dot per row, in order: the product a step of one site makes,
-    # so each row leaves the bits that step left; a stack of no rows
-    # leaves a view of v, so freezing the result leaves v as it was
+    # so each row leaves the bits that step left (ndarray.dot is np.dot
+    # without its dispatch layer); a stack of no rows leaves a view of v,
+    # so freezing the result leaves v as it was
     v = v.view()
     for matrix in stack:
-        v = np.dot(v, matrix)
+        v = v.dot(matrix)
     v.setflags(write=False)
     return v
 

@@ -1,6 +1,6 @@
-import concurrent.futures
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from combtn import cli, costmodel, tensor, verification
 from combtn.cli import main
 from combtn.verification import run_verification
+from pools import recording_shares
 
 REFERENCE_FLAGS = ["--teeth", "50", "--tooth-len", "5",
                    "--dim-raw", "100", "--dim-comp", "30"]
@@ -197,6 +198,33 @@ class TestSweep:
         assert 'viewBox="0 0 800 600"' in content
         assert ">x-</text>" in content and ">x+</text>" in content
         assert ">d</text>" in content
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--teeth", "50", "--d-min", "5", "--d-max", "60"],
+         "e60a7beeba8f498b87988c68d37008120a55e0fb1e63bc7b132973f8e4c0e5ae"),
+        (["--teeth", "7", "--d-min", "1", "--d-max", "1000", "--step", "37"],
+         "62bd33db19b1e4119f1c66101968de6d9820a98815ed77d275af4d3d0ddbf99e"),
+    ])
+    def test_svg_chart_bytes_are_pinned(self, capsys, tmp_path, argv, digest):
+        svg = tmp_path / "chart.svg"
+        run(capsys, ["sweep", *argv, "--out", str(tmp_path / "s.csv"), "--svg", str(svg)])
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
+
+    def test_svg_sweep_keeps_only_what_the_chart_reads(self, capsys, tmp_path):
+        # each row's (d, x-, x+), about 150 bytes, and the chart's own
+        # strings: about 260 bytes a row at peak, where keeping every
+        # ThresholdResult took about 710
+        rows = 50_000
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, ["sweep", "--teeth", "50", "--d-min", "1",
+                                      "--d-max", str(rows), "--out", str(tmp_path / "s.csv"),
+                                      "--svg", str(tmp_path / "chart.svg")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 350 * rows
 
     def test_svg_chart_without_roots(self, capsys, tmp_path):
         # no d in the range gives M = 3 real roots: axes and legend, no lines
@@ -533,23 +561,16 @@ class TestContract:
     def test_overflowing_scalar_exits_1_when_steps_split(self, capsys, tmp_path,
                                                          monkeypatch, kind, as_json):
         # at a chunk of one element every stacked step of two items or more
-        # runs on the pool, the comb's tooth sweep, which overflows, among
-        # them; pool threads must keep the caller's np.errstate, or the
-        # overflow warns from a worker and escapes main as an exception.
+        # is split over the pool, the comb's tooth sweep, which overflows,
+        # among them; pool threads must keep the caller's np.errstate, or
+        # the overflow warns from a worker and escapes main as an exception.
         # Each element is then drawn from its own stream, so the MPS's
         # scalar is nan, not the inf of the default chunk
         monkeypatch.setattr(tensor, "_CHUNK", 1)
         monkeypatch.setattr(tensor, "_cpus", lambda: 3)
-        pools = []
-        pool = concurrent.futures.ThreadPoolExecutor
-
-        def recorded(max_workers):
-            pools.append(max_workers)
-            return pool(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
+        shares = recording_shares(monkeypatch)
         self.test_overflowing_scalar_exits_1(capsys, tmp_path, kind, "nan", as_json)
-        assert pools
+        assert max(shares) > 1
 
     def test_refused_allocation_is_an_error_line(self, capsys):
         # the first backbone tensors alone would need 2 x 2^44 floats; numpy

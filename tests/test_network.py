@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -22,6 +21,7 @@ from combtn.network import (
     set_orthonormal_compressions,
 )
 from combtn.verification import grid_params
+from pools import nothing_left_but_the_pool, recording_shares, running
 
 
 def small_params(**overrides) -> NetworkParams:
@@ -317,9 +317,9 @@ def test_chunked_bytes_do_not_depend_on_the_thread_count(build, monkeypatch):
         for cpus in (1, 3):
             monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
             threads.clear()
-            before = threading.active_count()
+            before = running()
             built[cpus] = build(p, seed=3)
-            assert threading.active_count() == before
+            assert nothing_left_but_the_pool(before)
             assert len(threads) >= 3
             # the calling thread fills its share, every cpus-th run, and
             # the pool the others
@@ -334,23 +334,17 @@ def test_chunked_bytes_do_not_depend_on_the_thread_count(build, monkeypatch):
 @pytest.mark.parametrize("cpus, chunk", [(1, 64), (3, 64), (3, 256)])
 def test_one_worker_per_cpu_at_most_one_per_run(cpus, chunk, monkeypatch):
     # one share of the runs per CPU, at most one per run: the calling
-    # thread fills one and a pool worker each other; with one CPU no pool
-    # opens. At a chunk of 256 only the comb's 480 interior-tooth elements
-    # are cut, into 2 runs, fewer than the CPUs
+    # thread fills one and a thread of the pool each other; with one CPU
+    # the caller fills them all. At a chunk of 256 only the comb's 480
+    # interior-tooth elements are cut, into 2 runs, fewer than the CPUs
     monkeypatch.setattr(tensor, "_CHUNK", chunk)
     monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
-    workers, pool = [], concurrent.futures.ThreadPoolExecutor
-
-    def recorded(max_workers):
-        workers.append(max_workers)
-        return pool(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
+    shares = recording_shares(monkeypatch)
     net = build_comb(small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5,
                                   tooth_len=3), seed=3)
     runs = sum(math.ceil(stack.array.size / chunk) for stack in net.stacks.values()
                if stack.array.size > chunk)
-    assert workers == ([min(cpus, runs) - 1] if cpus > 1 else [])
+    assert shares == [min(cpus, runs)]
     assert runs == {64: 17, 256: 2}[chunk]
 
 
@@ -379,12 +373,12 @@ def test_a_failed_fill_fails_the_build(cpus, monkeypatch):
         fill(rng, run, scale)
 
     monkeypatch.setattr(network, "_fill", fails_once)
-    before = threading.active_count()
+    before = running()
     with pytest.raises(RuntimeError, match="fill 2 failed"):
         build_comb(small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5,
                                 tooth_len=3), seed=3)
     assert next(calls) >= 3
-    assert threading.active_count() == before
+    assert nothing_left_but_the_pool(before)
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])

@@ -1,9 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
-import multiprocessing
 import os
-import threading
 from dataclasses import replace
 
 import pytest
@@ -13,6 +11,7 @@ from combtn.cli import main
 from combtn.engine import OracleGuardError, execute, naive_value_oracle, plan_for
 from combtn.network import build_comb, build_mps
 from combtn.network import _geometry
+from pools import nothing_left_but_the_pool, running
 
 ORACLE_CHECK = "executed scalar == value oracle"
 
@@ -188,10 +187,6 @@ def _recording_pool(monkeypatch) -> list:
     return workers
 
 
-def _nothing_left_running(threads: int) -> bool:
-    return multiprocessing.active_children() == [] and threading.active_count() == threads
-
-
 def test_measurements_do_not_depend_on_the_cpu_count(monkeypatch):
     # a plain loop over the grid, on the calling thread alone
     serial = []
@@ -206,12 +201,12 @@ def test_measurements_do_not_depend_on_the_cpu_count(monkeypatch):
             serial.append((net.kind, cost.total, scalar, reference))
     assert len(serial) == 2 * 162
     workers = _recording_pool(monkeypatch)
-    threads = threading.active_count()
+    before = running()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
         measured = _measured("small", 42, monkeypatch)
         assert _hexed(measured) == _hexed(serial), cpus
-        assert _nothing_left_running(threads)
+        assert nothing_left_but_the_pool(before)
     # one CPU opens no pool; n CPUs open n - 1 worker processes
     assert workers == [1, 2]
 
@@ -259,10 +254,10 @@ def test_a_share_that_raises_fails_the_run(where, monkeypatch):
 
     monkeypatch.setattr(verification, "naive_value_oracle", boom)
     monkeypatch.setattr(tensor, "_cpus", lambda: 2)
-    threads = threading.active_count()
+    before = running()
     with pytest.raises(ValueError, match="^boom$"):
         verification.run_verification("small", seed=42)
-    assert _nothing_left_running(threads)
+    assert nothing_left_but_the_pool(before)
 
 
 # sha256 over (kind, measured count, float.hex of the executed scalar and of
