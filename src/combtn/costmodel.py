@@ -28,11 +28,6 @@ from .tensor import checked_count
 BASES = ("schedule", "printed")
 
 
-def _check_basis(basis: str) -> None:
-    if basis not in BASES:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-
-
 def mps_cost_terms(params: NetworkParams) -> dict[str, int]:
     """Per-phase multiplication counts of the MPS schedule, in phase order."""
     p = params
@@ -55,7 +50,8 @@ def mps_cost(params: NetworkParams) -> int:
 def comb_cost_terms(params: NetworkParams, basis: str = "schedule") -> dict[str, int]:
     """Per-phase counts of the comb schedule; ``printed`` adds the
     unattributed per-tooth x**2 term."""
-    _check_basis(basis)
+    if basis not in BASES:
+        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     p = params
     m, n = p.teeth, p.tooth_len
     d, x, d_raw = p.dim_comp, p.bond_dim, p.dim_raw

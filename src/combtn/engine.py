@@ -13,11 +13,12 @@ extents against it once, runs its steps, freeing each result after its
 last read, and reports the multiplications it counted, which
 ``verification`` and ``cli`` compare with ``costmodel``. The independent
 value oracle contracts the raw bond graph in bond order, reading each node
-as a plain array view of its stack row, and is used to cross-check the
-scalar produced by plan execution. Its merge schedule, each merge kept in
-the first end's slot, depends only on the bond graph, so it is walked once
-per graph, kept in a small ``lru_cache``, and replayed for every network
-on that graph; a replay only transposes, reshapes and multiplies.
+as a plain array view of its stack row, numbered stack by stack, and is
+used to cross-check the scalar produced by plan execution. Its merge
+schedule, each merge kept in the first end's slot, depends only on the
+bond graph, so it is walked once per graph, kept in a small
+``lru_cache``, and replayed for every network on that graph; a replay only
+transposes, reshapes and multiplies.
 """
 
 from __future__ import annotations
@@ -278,13 +279,13 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     return float(made), CostReport(subtotals, total, printed)
 
 
-# An oracle schedule depends only on the bond graph: the node order, the
-# bonds, each node's rank and the types of each bond's axes. Builds of one
-# kind and (M, N) share the layout memo's tuples, so a hit hashes every
-# name and bond, in C since a bond is a named tuple, and then finds the
-# same tuples by identity.
+# An oracle schedule depends only on the bond graph: the node names in
+# stack order, the bonds, each node's rank and the types of each bond's
+# axes. Builds of one kind and (M, N) share the layout memo's tuples, so a
+# hit hashes every name and bond, in C since a bond is a named tuple, and
+# then finds the same bonds, and the same name strings, by identity.
 @functools.lru_cache(maxsize=_MEMO)
-def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
+def _walk_bond_graph(names: tuple[str, ...], bonds, ranks: tuple[int, ...],
                      axis_types: tuple[tuple[type, type], ...]) -> tuple[tuple, int]:
     """Label every leg, check the graph is a closed tree, and record one
     merge per bond; reads no extent, so any network on this graph replays it.
@@ -295,19 +296,21 @@ def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
     graph would be answered from the schedule of the integer one, where a
     walk of its own refuses it.
 
-    A bond end that names no node, an axis that is not an int or is outside
-    its node's rank, or a leg already labelled is refused, naming the bond's
-    position and end.
+    A bond end that names no node of ``names``, an axis that is not an int
+    or is outside its node's rank, or a leg already labelled is refused,
+    naming the bond's position and end.
 
-    Node i starts in slot i. Returns ``(ops, result)``: one op per bond,
-    ``(label, slot_a, order_a, slot_b, order_b, widest)``, merges the
-    components in the slots of the bond's two ends, transposing the first by
-    ``order_a`` to sum its last axis and the second by ``order_b`` to sum its
-    first (None where the axis is already there); ``widest`` is the larger
-    of the two sides' ranks. Each merge is kept in the first end's slot, so
-    ``result`` is the slot left holding the whole graph.
+    Node ``names[i]``, of rank ``ranks[i]``, starts in slot i; the slot
+    numbers never enter a product, since each merge is fixed by its bond's
+    two ends. Returns ``(ops, result)``: one op per bond, ``(label, slot_a,
+    order_a, slot_b, order_b, widest)``, merges the components in the slots
+    of the bond's two ends, transposing the first by ``order_a`` to sum its
+    last axis and the second by ``order_b`` to sum its first (None where the
+    axis is already there); ``widest`` is the larger of the two sides'
+    ranks. Each merge is kept in the first end's slot, so ``result`` is the
+    slot left holding the whole graph.
     """
-    slot_of = {name: i for i, name in enumerate(order)}
+    slot_of = {name: i for i, name in enumerate(names)}
     legs = [[-1] * rank for rank in ranks]
     for label, bond in enumerate(bonds):
         for end, name, axis in (("a", bond.node_a, bond.axis_a),
@@ -326,11 +329,11 @@ def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
                 raise ValueError(f"{where}: axis {axis} of node {name!r} is "
                                  f"already bonded by bond {node_legs[axis]}")
             node_legs[axis] = label
-    for name, axes in zip(order, legs):
+    for name, axes in zip(names, legs):
         if -1 in axes:
             raise ValueError(f"network is not closed: node {name!r} has a free axis")
 
-    root = list(range(len(order)))      # a merged slot points at the slot it joined
+    root = list(range(len(names)))      # a merged slot points at the slot it joined
 
     def find(slot: int) -> int:
         while root[slot] != slot:
@@ -355,7 +358,7 @@ def _walk_bond_graph(order: tuple[str, ...], bonds, ranks: tuple[int, ...],
         root[slot_b] = slot_a
 
     # every merge joins two components, so n nodes and k merges leave n - k
-    if len(order) - len(ops) != 1:
+    if len(names) - len(ops) != 1:
         raise ValueError("network is disconnected; oracle needs one component")
     return tuple(ops), find(0)
 
@@ -365,32 +368,34 @@ def naive_value_oracle(net: TensorNetwork) -> float:
 
     Independent of the planners and of ``contract_pair``: works directly off
     the node arrays (each stack row in its node's axis order, the views
-    ``net.nodes`` hands out) and the bonds, with generic component merging.
-    Each merge sums one bond, moving its axis last in the first component
-    and first in the second, then multiplies the two as matrices with
-    ``np.dot``; that is ``np.tensordot``'s own layout, without its argument
-    handling; a merge of two sides of rank 2 or less hands them to
-    ``np.dot`` as they are, without the reshapes. Each bond is labelled by
-    its position in ``net.bonds``.
+    ``net.nodes`` hands out, numbered into slots stack by stack) and the
+    bonds, with generic component merging. Each merge sums one bond, moving
+    its axis last in the first component and first in the second, then
+    multiplies the two as matrices with ``np.dot``; that is
+    ``np.tensordot``'s own layout, without its argument handling; a merge of
+    two sides of rank 2 or less hands them to ``np.dot`` as they are,
+    without the reshapes. Each bond is labelled by its position in
+    ``net.bonds``.
 
     The merge schedule (the two component slots of each bond and their
     transpose orders, each merge kept in the first end's slot) depends only
     on the bond graph, so it is walked once per graph, kept in an
-    ``lru_cache`` keyed on the node order, the bonds, each node's rank and
-    each bond's axis types, and replayed for every network on that graph,
-    so a memo hit answers as a fresh walk would; a replay only transposes,
-    reshapes and multiplies. A graph with a bond end that names no node, a
-    non-int axis, no axis or an axis bonded twice, or that is not closed,
-    has a cycle or is disconnected, raises ValueError before any merge.
-    Raises ValueError if a bond joins two extents that differ, and
-    OracleGuardError if any intermediate would hold more than
+    ``lru_cache`` keyed on the node names in slot order, the bonds, each
+    node's rank and each bond's axis types, and replayed for every network
+    on that graph, so a memo hit answers as a fresh walk would; a replay
+    only transposes, reshapes and multiplies. A graph with a bond end that
+    names no stack row, a non-int axis, no axis or an axis bonded twice, or
+    that is not closed, has a cycle or is disconnected, raises ValueError
+    before any merge. Raises ValueError if a bond joins two extents that
+    differ, and OracleGuardError if any intermediate would hold more than
     ``ORACLE_GUARD`` scalars.
     """
-    arrays = list(_node_arrays(net).values())
+    views = _node_arrays(net)
+    arrays = list(views.values())
     # tuple() returns a tuple as it is, so a hit compares the layout's own
     # tuples by identity, and makes a network built with lists hashable
     bonds = tuple(net.bonds)
-    ops, result = _walk_bond_graph(tuple(net.order), bonds, tuple([a.ndim for a in arrays]),
+    ops, result = _walk_bond_graph(tuple(views), bonds, tuple([a.ndim for a in arrays]),
                                    tuple([(type(b[1]), type(b[3])) for b in bonds]))
     for label, slot_a, order_a, slot_b, order_b, widest in ops:
         a, b = arrays[slot_a], arrays[slot_b]

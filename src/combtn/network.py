@@ -18,9 +18,11 @@ sums first leads, so that step reads each member in place as one matrix.
   compression:      [D, d];  data: [D]
 
 Tensors of one shape and role are held in one stack, an array whose leading
-axes run over its members; a node's array is a read-only view of one
-member, in the node's axis order, made only when something reads the nodes
-(the value oracle does). Stacks and their leading axes:
+axes run over its members. A network's nodes are its stacks' rows, stack by
+stack in C order, and nothing else names them; a node's array is a
+read-only view of one member, in the node's axis order, made only when
+something reads the nodes (the value oracle does). Stacks and their leading
+axes:
   MPS:   first-site [1], interior-sites [L-2], last-site [1],
          compressions [L], data [L]  (L = M*N sites, left to right)
   comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
@@ -35,13 +37,13 @@ named tuples, made anew on every read; a network keeps no view.
 
 Each geometry is described once per kind and (M, N), in a small bounded
 memo (``_geometry``): every node with its stack and the bond to the node it
-hangs from, the backbone, and every stack's draw. Names, bonds, node order
-and ``engine``'s plan are read off it, and a build only draws, stack by
-stack in the order each stack is stored. A stack of at most ``tensor._CHUNK``
-elements is one call on the build's generator; a larger one is cut into
-runs of ``_CHUNK`` elements, each drawn from its own child stream, and the
-runs are filled on threads by ``tensor._run_all``, the one helper that
-shares work over the CPUs. The values depend only on the seed and
+hangs from, the backbone, and every stack's draw. Its build order names the
+rows and the bonds, ``engine``'s plan is read off it, and a build only
+draws, stack by stack in the order each stack is stored. A stack of at most
+``tensor._CHUNK`` elements is one call on the build's generator; a larger
+one is cut into runs of ``_CHUNK`` elements, each drawn from its own child
+stream, and the runs are filled on threads by ``tensor._run_all``, the one
+helper that shares work over the CPUs. The values depend only on the seed and
 ``_CHUNK``, never on how many workers fill them.
 """
 
@@ -78,7 +80,8 @@ class NetworkParams:
     def __post_init__(self) -> None:
         for name in ("dim_raw", "dim_comp", "bond_dim", "teeth", "tooth_len"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            # type(True) is bool, so a bool is refused as 1.0 is
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.dim_comp > self.dim_raw:
             raise ValueError(
@@ -137,15 +140,14 @@ class Bond(NamedTuple):
 @dataclass(frozen=True)
 class TensorNetwork:
     """A closed network of named nodes; ``kind`` is "mps" or "comb", and its
-    dimensions are all in ``params``. Every node's tensor is a row of one
-    of ``stacks``, and ``order`` names the nodes in the order the builder
-    made them; a plan reads the stacks."""
+    dimensions are all in ``params``. Its nodes are its stacks' rows, stack
+    by stack and in C order within each, so a bond can name only a node
+    some stack holds; a plan reads the stacks."""
 
     params: NetworkParams
     kind: str
     bonds: tuple[Bond, ...]
     stacks: dict[str, Stack]
-    order: tuple[str, ...]
 
     @property
     def data_sites(self) -> tuple[str, ...]:
@@ -163,8 +165,9 @@ class TensorNetwork:
 
 def _node_arrays(net: TensorNetwork) -> dict[str, np.ndarray]:
     """Each stack row as a view in its node's axis order, read-only when
-    its stack is, by name in ``net.order``; scoring, which reads only the
-    stacks, makes none."""
+    its stack is, by name, stack by stack in C order: the network's node
+    set, the one ``net.nodes`` and the value oracle read. Scoring, which
+    reads only the stacks, makes none."""
     views = {}
     for stack in net.stacks.values():
         arr = stack.array
@@ -172,7 +175,7 @@ def _node_arrays(net: TensorNetwork) -> dict[str, np.ndarray]:
         if stack.node_axes is not None:
             rows = rows.transpose(0, *(axis + 1 for axis in stack.node_axes))
         views.update(zip(stack.names, rows))
-    return {name: views[name] for name in net.order}
+    return views
 
 
 class _Geometry(NamedTuple):
@@ -307,7 +310,7 @@ def _draw(params: NetworkParams, kind: str, seed, geometry: _Geometry) -> Tensor
         tensor._run_all(_fill, runs, fork=False)
     for stack in stacks.values():
         stack.array.setflags(write=False)
-    return TensorNetwork(params, kind, geometry.bonds, stacks, geometry.order)
+    return TensorNetwork(params, kind, geometry.bonds, stacks)
 
 
 def _fill(rng: np.random.Generator, run: np.ndarray, scale: float) -> None:

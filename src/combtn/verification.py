@@ -84,10 +84,6 @@ class VerificationReport:
         return all(c.ok for c in self.checks)
 
     @property
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
-
-    @property
     def first_failure(self) -> Optional[str]:
         for check in self.checks:
             if check.failure:

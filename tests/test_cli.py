@@ -391,7 +391,6 @@ class TestVerify:
     def test_corrupted_formula_fails_naming_tuple(self, monkeypatch):
         self._corrupt(monkeypatch, "mps_cost")
         report = run_verification("small", seed=42)
-        assert report.exit_code == 1
         assert not report.ok
         assert report.first_failure.startswith("mps measured == closed form")
         assert "M=3" in report.first_failure

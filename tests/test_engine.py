@@ -53,7 +53,7 @@ def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
     stacks = {name: Stack(np.ones((1, *shape)), (name,), 1)
               for name, shape in shapes.items()}
     bonds = tuple(Bond(*edge) for edge in edges)
-    return TensorNetwork(params(), "mps", bonds, stacks, tuple(shapes))
+    return TensorNetwork(params(), "mps", bonds, stacks)
 
 
 def _tensordot_oracle(net: TensorNetwork) -> float:
@@ -1005,6 +1005,29 @@ class TestValueOracle:
         with pytest.raises(ValueError, match=f"^{message}$"):
             naive_value_oracle(_graph(shapes, edges))
 
+    def _two_stacks(self, *edges) -> TensorNetwork:
+        # rows a and c of one stack, row b of another
+        stacks = {"ends": Stack(np.array([[1.0, 2.0], [3.0, 4.0]]), ("a", "c"), 1),
+                  "mid": Stack(np.eye(2)[None], ("b",), 1)}
+        return TensorNetwork(params(), "mps", tuple(Bond(*e) for e in edges), stacks)
+
+    def test_a_hand_network_has_exactly_its_stacks_rows(self, monkeypatch):
+        net = self._two_stacks(("a", 0, "b", 0), ("b", 1, "c", 0))
+        # the nodes are the stacks' rows, stack by stack in row order
+        assert list(net.nodes) == ["a", "c", "b"]
+        walked, walk = [], engine._walk_bond_graph
+        monkeypatch.setattr(engine, "_walk_bond_graph",
+                            lambda names, *rest: walked.append(names) or walk(names, *rest))
+        # the oracle walks the graph on those names: a . c
+        assert naive_value_oracle(net) == 1.0 * 3.0 + 2.0 * 4.0
+        assert walked == [("a", "c", "b")]
+
+    def test_a_bond_to_a_node_no_stack_holds_is_refused(self):
+        net = self._two_stacks(("a", 0, "b", 0), ("b", 1, "d", 0))
+        assert "d" not in net.nodes
+        with pytest.raises(ValueError, match="^bond 1 end b: no node 'd'$"):
+            naive_value_oracle(net)
+
     def test_makes_no_node_wrappers(self):
         net = build_comb(params(M=3, N=2), seed=0)
         naive_value_oracle(net)
@@ -1068,8 +1091,8 @@ class TestOracleSchedules:
     def test_extent_mismatch_on_a_cached_schedule(self, walks):
         two = _graph({"a": (2,), "b": (2,)}, [("a", 0, "b", 0)])
         assert naive_value_oracle(two) == 2.0
-        # the same graph with its bonds and order in lists
-        listed = replace(two, bonds=list(two.bonds), order=list(two.order))
+        # the same graph with its bonds in a list
+        listed = replace(two, bonds=list(two.bonds))
         assert naive_value_oracle(listed) == 2.0
         net = _graph({"a": (2,), "b": (4,)}, [("a", 0, "b", 0)])
         with pytest.raises(ValueError, match="^bond 0 joins extents 2 and 4$"):
@@ -1100,8 +1123,10 @@ class TestOracleSchedules:
                 assert memo.cache_info().currsize <= memo.cache_info().maxsize
                 # the schedule the oracle just replayed, read back as a hit
                 walked = walks()
-                ranks = tuple(a.ndim for a in _node_arrays(net).values())
-                schedule = memo(net.order, net.bonds, ranks, ((int, int),) * len(net.bonds))
+                views = _node_arrays(net)
+                ranks = tuple(a.ndim for a in views.values())
+                schedule = memo(tuple(views), net.bonds, ranks,
+                                ((int, int),) * len(net.bonds))
                 assert walks() == walked
                 leaves = held(schedule)
                 assert {type(leaf) for leaf in leaves} <= {int, str, type(None)}

@@ -15,8 +15,7 @@ def _net(tensors: dict[str, np.ndarray], bonds) -> TensorNetwork:
     # a hand-made network, one one-member stack per node
     p = NetworkParams(dim_raw=1, dim_comp=1, bond_dim=1, teeth=2, tooth_len=1)
     stacks = {name: Stack(arr[None], (name,), 1) for name, arr in tensors.items()}
-    return TensorNetwork(p, "mps", tuple(Bond(*b) for b in bonds), stacks,
-                         tuple(tensors))
+    return TensorNetwork(p, "mps", tuple(Bond(*b) for b in bonds), stacks)
 
 
 def test_exact_value_of_a_hand_network():

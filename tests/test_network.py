@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -43,6 +44,13 @@ def audit_bonds(net) -> None:
     assert sorted(joined) == sorted(axes)
 
 
+def build_order(net) -> list[str]:
+    """A built network's nodes in the order its build added them: the
+    first bond's ``node_a``, then every bond's ``node_b``, since each bond
+    of a build adds the node at its ``node_b`` end."""
+    return [net.bonds[0].node_a, *(bond.node_b for bond in net.bonds)]
+
+
 class TestParams:
     def test_rejects_compressed_larger_than_raw(self):
         with pytest.raises(ValueError, match="must not exceed raw"):
@@ -57,13 +65,23 @@ class TestParams:
         with pytest.raises(ValueError, match=field):
             small_params(**{field: 0})
 
+    @pytest.mark.parametrize("value", [True, False, 2.0, np.int64(2)], ids=repr)
+    @pytest.mark.parametrize("field", ["dim_raw", "dim_comp", "bond_dim", "teeth",
+                                       "tooth_len"])
+    def test_rejects_an_extent_that_is_not_an_int(self, field, value):
+        # a bool is an int subclass, yet bond_dim=True is no extent
+        message = f"{field} must be a positive integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_params(**{field: value})
+
 
 class TestBuildMps:
     def test_smallest_chain(self):
         net = build_mps(small_params(tooth_len=1), seed=0)
         assert net.nodes["site0"].tensor.shape == (2, 2)
         assert net.nodes["site1"].tensor.shape == (2, 2)
-        assert list(net.nodes) == ["site0", "u0", "data0", "site1", "u1", "data1"]
+        assert set(net.nodes) == {"site0", "u0", "data0", "site1", "u1", "data1"}
+        assert build_order(net) == ["site0", "u0", "data0", "site1", "u1", "data1"]
         assert all(net.nodes[f"u{i}"].tensor.shape == (3, 2) for i in range(2))
         assert all(net.nodes[f"data{i}"].tensor.shape == (3,) for i in range(2))
 
@@ -171,7 +189,7 @@ def test_tensors_of_one_build_are_distinct(build):
             assert not np.array_equal(first, second)
 
 
-# sha256 over every node's name and tensor bytes, in node order, of the
+# sha256 over every node's name and tensor bytes, in build order, of the
 # networks in ``test_draw_policy_is_pinned``; a change here changes every
 # scalar a seed gives, so it must be deliberate and noted in the README
 DRAW_DIGEST = "c72c00b65a9c497e50d18346665390603fcb2a5fe76c9b3d9d5ddd150846eba6"
@@ -186,7 +204,9 @@ def test_draw_policy_is_pinned():
     digest = hashlib.sha256()
     tensors = elements = 0
     for net in nets:
-        for name, node in net.nodes.items():
+        nodes = net.nodes
+        for name in build_order(net):
+            node = nodes[name]
             digest.update(name.encode())
             digest.update(node.tensor.array.tobytes())
             tensors += 1
@@ -281,7 +301,7 @@ def test_large_stacks_are_drawn_in_chunks(as_generator, monkeypatch):
     assert _check_small_grid_by_definition(as_generator) == 132
 
 
-# sha256 over every node's name and tensor bytes, in node order, of every
+# sha256 over every node's name and tensor bytes, in build order, of every
 # small-grid network of both kinds (build seed 42) drawn with a chunk of 64
 # elements, so most of them hold chunked stacks
 CHUNKED_DRAW_DIGEST = "c9b4153f889b944975ad481b60c2864607a667f64f8d7b1ab07816eef3b664b5"
@@ -292,9 +312,11 @@ def test_chunked_draw_is_pinned(monkeypatch):
     digest = hashlib.sha256()
     for p in grid_params("small"):
         for build in (build_mps, build_comb):
-            for name, node in build(p, seed=42).nodes.items():
+            net = build(p, seed=42)
+            nodes = net.nodes
+            for name in build_order(net):
                 digest.update(name.encode())
-                digest.update(node.tensor.array.tobytes())
+                digest.update(nodes[name].tensor.array.tobytes())
     assert digest.hexdigest() == CHUNKED_DRAW_DIGEST
 
 
@@ -395,7 +417,7 @@ def test_each_stack_has_std_one_over_root_fan_in(build):
         assert float(np.std(arr)) * math.sqrt(fan_in) == pytest.approx(1.0, abs=0.05), group
 
 
-# sha256 over every node's name and shape, in node order, and every bond,
+# sha256 over every node's name and shape, in build order, and every bond,
 # of each small-grid network of both kinds: the graph a build gives, which
 # does not depend on the draws or on how a stack lays out its members
 GRAPH_DIGEST = "60d20e49f6ad5edb12842eb9ebb4f579cc96e45c434acc0026d84f6eda5198d2"
@@ -407,12 +429,23 @@ def test_graph_is_pinned():
         for build in (build_mps, build_comb):
             net = build(p, seed=0)
             digest.update(f"{net.kind} {p}".encode())
-            for name, node in net.nodes.items():
-                digest.update(f" {name}{node.tensor.shape}".encode())
+            nodes = net.nodes
+            for name in build_order(net):
+                digest.update(f" {name}{nodes[name].tensor.shape}".encode())
             for bond in net.bonds:
                 digest.update(f" {bond.node_a}.{bond.axis_a}-"
                               f"{bond.node_b}.{bond.axis_b}".encode())
     assert digest.hexdigest() == GRAPH_DIGEST
+
+
+def test_bonds_list_the_nodes_in_build_order():
+    # the structural digests above hash the nodes in this order
+    for p in grid_params("small"):
+        for build in (build_mps, build_comb):
+            net = build(p, seed=0)
+            m, n = (p.sites, 1) if net.kind == "mps" else (p.teeth, p.tooth_len)
+            assert build_order(net) == list(network._geometry(net.kind, m, n).order)
+            assert sorted(build_order(net)) == sorted(net.nodes)
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])
@@ -515,8 +548,10 @@ def test_node_views_are_made_on_first_read(build, monkeypatch):
     # each read makes the views anew, and the network keeps none
     assert reads == [scored, scored] and first is not second
     assert "nodes" not in vars(scored) and "nodes" not in vars(net)
-    # in node order, each a read-only row of its stack in its node's axes
-    assert list(first) == list(second) == list(net.order)
+    # stack by stack in row order, each a read-only row of its stack in
+    # its node's axes
+    assert list(first) == list(second) == \
+        [name for stack in net.stacks.values() for name in stack.names]
     for stack in scored.stacks.values():
         for name, row in zip(stack.names, _rows(stack)):
             for nodes in (first, second):
