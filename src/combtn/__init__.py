@@ -33,11 +33,11 @@ from .network import (
     Bond,
     NetworkParams,
     Node,
-    Stack,
     TensorNetwork,
     attach_data,
     build_comb,
     build_mps,
+    make_geometry,
     set_orthonormal_compressions,
 )
 from .tensor import (

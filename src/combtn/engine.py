@@ -1,24 +1,23 @@
 """Deterministic contraction schedules and instrumented execution.
 
-One planner derives either geometry's steps from its description in
+One planner derives the steps of any tree from its geometry, made in
 ``network``, leaf to root: nodes that are ready together are contracted
 into their parents in one stacked step over plain read-only arrays, and
 the backbone ends as one ``CHAIN`` step and the final dot. A step reads
 each operand by source, a stack's name or an earlier step's number, and
 row index, so a result may be read whole, in parts, or more than once. A
-plan depends only on the kind and (M, N), so networks that share them
-share one frozen plan from a small bounded memo; it is checked once, when
-it is made. ``execute`` checks the network's stack names and leading
-extents against it once, runs its steps, freeing each result after its
-last read, and reports the multiplications it counted, which
-``verification`` and ``cli`` compare with ``costmodel``. The independent
-value oracle contracts the raw bond graph in bond order, reading each node
-as a plain array view of its stack row, numbered stack by stack, and is
-used to cross-check the scalar produced by plan execution. Its merge
-schedule, each merge kept in the first end's slot, depends only on the
-bond graph, so it is walked once per graph, kept in a small
-``lru_cache``, and replayed for every network on that graph; a replay only
-transposes, reshapes and multiplies.
+plan depends only on the geometry, so networks that share one share one
+frozen plan from a small bounded memo; it is checked once, when it is
+made. ``execute`` checks the network's stack names and leading extents
+against it once, runs its steps, freeing each result after its last read,
+and reports the multiplications it counted, which ``verification`` and
+``cli`` compare with ``costmodel``. The independent value oracle contracts
+the bond graph in bond order, reading each node as a plain array view of
+its stack row, and is used to cross-check the scalar produced by plan
+execution. Its schedule, each node absorbed into the root's tensor,
+depends only on the geometry, so it is walked once per geometry, kept in a
+small ``lru_cache``, and replayed for every network on that geometry; a
+replay only transposes, reshapes and multiplies.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import costmodel
-from .network import _MEMO, TensorNetwork, _geometry, _node_arrays
+from .network import _MEMO, Geometry, TensorNetwork, _node_arrays
 from .tensor import CHAIN, AxisPairing, checked_count, contract_pair
 
 ORACLE_GUARD = 10_000_000
@@ -61,10 +60,10 @@ class ContractionPlan:
     """Steps over a network's stacks, each result kept under its number.
 
     ``stacks`` names each stack the plan reads with its leading extents,
-    and a network fits the plan when it holds exactly these stacks at these
-    extents; that is the one fit check, and it refuses a plan of the other
-    kind too, since the two kinds name their stacks apart. The last step's
-    result is the scalar. ``drops[k]`` holds the sources step k reads for
+    and a network fits the plan when its arrays are exactly these stacks at
+    these extents; that is the one fit check, and it refuses a plan of the
+    other kind too, since the two kinds name their stacks apart. The last
+    step's result is the scalar. ``drops[k]`` holds the sources step k reads for
     the last time, so ``execute`` frees each array after its last read.
 
     Raises ValueError for a fault that no network could mend: a source that
@@ -142,28 +141,31 @@ def _index(lead: tuple[int, ...], rows: list, batch: int | None = None):
 
 
 @functools.lru_cache(maxsize=_MEMO)
-def _plan(kind: str, m_count: int, n_count: int) -> ContractionPlan:
-    """The plan of ``network._geometry(kind, m_count, n_count)``, leaf to
-    root: a node off the backbone is contracted into its parent in the
-    round after its children's last. The nodes of a round whose values sit
-    in one array, as their parents' do, share one stacked step that sums a
-    child's one axis left against the parent's axis holding their bond; its
-    result holds the parents' values in row order. Each operand reads its
-    nodes' rows of a stack or of an earlier result through ``_index``: the
-    parents keep all of a stack's leading axes, or those their rows of a
-    result differ on, and the children as many. Rounds 0 and 1 are
-    "compress" and "absorb-physical", later ones "tooth-to-backbone" into
-    the backbone, else "tooth-sweep". The backbone ends as one ``CHAIN``
-    step through its interior, if any, and the dot.
+def _plan(geometry: Geometry) -> ContractionPlan:
+    """The plan of ``geometry``, leaf to root: a node off the backbone is
+    contracted into its parent in the round after its children's last. The
+    nodes of a round whose values sit in one array, as their parents' do,
+    share one stacked step that sums a child's one axis left against the
+    parent's axis holding their bond; its result holds the parents' values
+    in row order. Each operand reads its nodes' rows of a stack or of an
+    earlier result through ``_index``: the parents keep all of a stack's
+    leading axes, or those their rows of a result differ on, and the
+    children as many. Rounds 0 and 1 are "compress" and "absorb-physical",
+    later ones "tooth-to-backbone" into the backbone, else "tooth-sweep".
+    The backbone ends as one ``CHAIN`` step through its interior, if any,
+    and the dot.
+
+    Raises ValueError where one node takes two children in one round
+    (naming it), and where the backbone's interior is not one array of
+    matrices read (previous, next) or its rows are not one basic index.
     """
-    geometry = _geometry(kind, m_count, n_count)
     parents, stored, backbone = geometry.parents, geometry.stored, set(geometry.backbone)
     # per array (a stack by name, step k's result by k): leading extents,
     # stored axes not yet summed, and each node's row
     lead = {name: extents for name, extents, *_ in geometry.draws}
     left = {name: tuple(range(len(axes))) for name, _, axes, *_ in geometry.draws}
-    rows = {name: dict(zip(nodes, itertools.product(*map(range, lead[name]))))
-            for name, nodes in geometry.members.items()}
+    rows = {name: dict(zip(geometry.rows(name), itertools.product(*map(range, lead[name]))))
+            for name in lead}
     at, steps = list(geometry.stacks), []       # each node's array
 
     def read(array, nodes: list, batch: int | None = None):
@@ -181,8 +183,11 @@ def _plan(kind: str, m_count: int, n_count: int) -> ContractionPlan:
             if rounds[up] <= rounds[node]:
                 rounds[up] = rounds[node] + 1
     for r in sorted(by_round):
-        groups: dict[tuple, list[int]] = {}
+        groups, taken = {}, {}
         for node in reversed(by_round[r]):
+            if taken.setdefault(parents[node], node) != node:
+                raise ValueError(f"node {geometry.names[parents[node]]!r} takes two "
+                                 f"children in round {r}; a round gives each node one")
             groups.setdefault((at[node], at[parents[node]], stored[node]), []).append(node)
         for (child, parent, axis), nodes in groups.items():
             ups = [parents[node] for node in nodes]
@@ -202,7 +207,12 @@ def _plan(kind: str, m_count: int, n_count: int) -> ContractionPlan:
     first, *inner, last = geometry.backbone
     a, _ = read(at[first], [first], 0)
     if inner:
-        steps.append(PlanStep(a, read(at[inner[0]], inner, 1)[0], CHAIN, "chain-sweep"))
+        chain = at[inner[0]]
+        if {at[node] for node in inner} != {chain} or \
+                {stored[node] for node in geometry.backbone[2:]} != {left[chain][-1]}:
+            raise ValueError("the backbone's interior is not one array of "
+                             "matrices read (previous, next)")
+        steps.append(PlanStep(a, read(chain, inner, 1)[0], CHAIN, "chain-sweep"))
         a = (len(steps) - 1, None)
     steps.append(PlanStep(a, read(at[last], [last], 0)[0], _DOT, "final-dot"))
     return ContractionPlan(tuple(steps), tuple(
@@ -216,7 +226,7 @@ def mps_plan(net: TensorNetwork) -> ContractionPlan:
     steps, shared per chain length."""
     if net.kind != "mps":
         raise ValueError(f"mps_plan requires an MPS network, got {net.kind}")
-    return _plan("mps", net.params.sites, 1)
+    return _plan(net.geometry)
 
 
 def comb_plan(net: TensorNetwork) -> ContractionPlan:
@@ -227,7 +237,7 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
     the dot: N + 3 + [N > 1] + 2*[M > 2] steps, shared per (M, N)."""
     if net.kind != "comb":
         raise ValueError(f"comb_plan requires a comb network, got {net.kind}")
-    return _plan("comb", net.params.teeth, net.params.tooth_len)
+    return _plan(net.geometry)
 
 
 def plan_for(net: TensorNetwork) -> ContractionPlan:
@@ -235,32 +245,33 @@ def plan_for(net: TensorNetwork) -> ContractionPlan:
 
 
 def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostReport]:
-    """Run the plan over the network's stacks, counting every multiplication.
+    """Run the plan over the network's arrays, counting every multiplication.
 
     Raises ValueError when the plan does not fit the network and
     CountOverflowError if any count leaves the 64-bit range. Before any
-    step runs, the network's stack names and leading extents are checked
-    against ``plan.stacks`` in one comparison, the one fit check: a plan of
+    step runs, the network's stack names and its arrays' leading extents,
+    as many as its geometry gives each stack, are checked against
+    ``plan.stacks`` in one comparison, the one fit check: a plan of
     the other kind fails it too, since no MPS holds ``boundary-spines`` and
     no comb ``first-site``. Each step reads its operands as ``array`` or
     ``array[index]``, keeps its read-only result under its number and drops
     every array it read for the last time, so an intermediate is freed
     after its last read. It is one ``contract_pair`` call, looked up on
     this module, so whatever replaces that name sees every step. The scalar
-    is ``float`` of the last step's 0-d result: a complex one, which only a
-    stack made by hand can bring in, raises TypeError rather than losing
+    is ``float`` of the last step's 0-d result: a complex one, which only an
+    array put in by hand can bring in, raises TypeError rather than losing
     its imaginary part. The report's ``analytic_printed`` is the one closed
     form evaluated here: no program code reads it, only perfbench does, as
     ``net.nodes`` is there only for perfbench.
     """
     reads = set(plan.stacks)
-    holds = {(name, stack.array.shape[:stack.lead])
-             for name, stack in net.stacks.items()}
+    holds = {(name, net.arrays[name].shape[:len(lead)])
+             for name, lead, *_ in net.geometry.draws}
     if holds != reads:
         raise ValueError(f"plan does not match network: where they differ, the "
                          f"plan reads stacks {sorted(reads - holds)} and the "
                          f"network holds {sorted(holds - reads)}")
-    arrays = {name: stack.array for name, stack in net.stacks.items()}
+    arrays = dict(net.arrays)
     subtotals: dict[str, int] = {}
     for k, (step, drops) in enumerate(zip(plan.steps, plan.drops)):
         (a, ia), (b, ib) = step.a, step.b
@@ -279,88 +290,43 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
     return float(made), CostReport(subtotals, total, printed)
 
 
-# An oracle schedule depends only on the bond graph: the node names in
-# stack order, the bonds, each node's rank and the types of each bond's
-# axes. Builds of one kind and (M, N) share the layout memo's tuples, so a
-# hit hashes every name and bond, in C since a bond is a named tuple, and
-# then finds the same bonds, and the same name strings, by identity.
 @functools.lru_cache(maxsize=_MEMO)
-def _walk_bond_graph(names: tuple[str, ...], bonds, ranks: tuple[int, ...],
-                     axis_types: tuple[tuple[type, type], ...]) -> tuple[tuple, int]:
-    """Label every leg, check the graph is a closed tree, and record one
-    merge per bond; reads no extent, so any network on this graph replays it.
+def _walk_bond_graph(geometry: Geometry) -> tuple[tuple, int]:
+    """Label every leg and record one merge per bond; reads no extent, so
+    every network on ``geometry`` replays it.
 
-    ``axis_types``, the types of each bond's two axes, is read only as part
-    of the memo's key: a bond hashes and compares as a tuple, and an axis
-    ``0.0`` or ``np.int64(0)`` equals ``0``, so without the types such a
-    graph would be answered from the schedule of the integer one, where a
-    walk of its own refuses it.
+    ``network.make_geometry`` has refused every graph that is not one
+    closed tree, and lists each node after its parent. So in bond order
+    each bond joins a node alone, its second end, to the growing tensor of
+    the root, its first end's component.
 
-    A bond end that names no node of ``names``, an axis that is not an int
-    or is outside its node's rank, or a leg already labelled is refused,
-    naming the bond's position and end.
-
-    Node ``names[i]``, of rank ``ranks[i]``, starts in slot i; the slot
-    numbers never enter a product, since each merge is fixed by its bond's
-    two ends. Returns ``(ops, result)``: one op per bond, ``(label, slot_a,
-    order_a, slot_b, order_b, widest)``, merges the components in the slots
-    of the bond's two ends, transposing the first by ``order_a`` to sum its
-    last axis and the second by ``order_b`` to sum its first (None where the
-    axis is already there); ``widest`` is the larger of the two sides'
-    ranks. Each merge is kept in the first end's slot, so ``result`` is the
-    slot left holding the whole graph.
+    Node slots run stack by stack in row order, as ``_node_arrays`` lists
+    the views; the slot numbers never enter a product, since each merge is
+    fixed by its bond's two ends. Returns ``(ops, root)``: op k, ``(order_a,
+    slot_b, order_b, widest)``, merges bond k's second end, node ``slot_b``,
+    into the root's tensor, transposing that tensor by ``order_a`` to sum
+    its last axis and the node by ``order_b`` to sum its first (None where
+    the axis is already there); ``widest`` is the larger of the two sides'
+    ranks. ``root`` is the root's slot.
     """
-    slot_of = {name: i for i, name in enumerate(names)}
-    legs = [[-1] * rank for rank in ranks]
-    for label, bond in enumerate(bonds):
-        for end, name, axis in (("a", bond.node_a, bond.axis_a),
-                                ("b", bond.node_b, bond.axis_b)):
-            where = f"bond {label} end {end}"
-            if name not in slot_of:
-                raise ValueError(f"{where}: no node {name!r}")
-            node_legs = legs[slot_of[name]]
-            if not isinstance(axis, int):
-                raise ValueError(f"{where}: axis {axis!r} of node {name!r} "
-                                 f"is not an integer")
-            if not 0 <= axis < len(node_legs):
-                raise ValueError(f"{where}: node {name!r} has no axis {axis} "
-                                 f"(rank {len(node_legs)})")
-            if node_legs[axis] != -1:
-                raise ValueError(f"{where}: axis {axis} of node {name!r} is "
-                                 f"already bonded by bond {node_legs[axis]}")
-            node_legs[axis] = label
-    for name, axes in zip(names, legs):
-        if -1 in axes:
-            raise ValueError(f"network is not closed: node {name!r} has a free axis")
-
-    root = list(range(len(names)))      # a merged slot points at the slot it joined
-
-    def find(slot: int) -> int:
-        while root[slot] != slot:
-            root[slot] = slot = root[root[slot]]    # path halving
-        return slot
-
-    ops = []
-    for label, bond in enumerate(bonds):
-        slot_a, slot_b = find(slot_of[bond.node_a]), find(slot_of[bond.node_b])
-        if slot_a == slot_b:
-            raise ValueError("cycle in bond graph; oracle supports trees only")
-        legs_a, legs_b = legs[slot_a], legs[slot_b]
-        axis_a, axis_b = legs_a.index(label), legs_b.index(label)
+    slot = {node: at for at, node in enumerate(
+        node for name, *_ in geometry.draws for node in geometry.rows(name))}
+    rank = {name: len(axes) for name, _, axes, *_ in geometry.draws}
+    legs = [[-1] * rank[stack] for stack in geometry.stacks]
+    # node i hangs by bond i - 1, the one that absorbs it
+    for node, bond in enumerate(geometry.bonds, 1):
+        legs[geometry.parents[node]][bond.axis_a] = legs[node][bond.axis_b] = node - 1
+    legs_a, ops = legs[0], []
+    for node, legs_b in enumerate(legs[1:], 1):
+        axis_a, axis_b = legs_a.index(node - 1), legs_b.index(node - 1)
         rank_a, rank_b = len(legs_a), len(legs_b)
         order_a = None if axis_a == rank_a - 1 else \
             (*range(axis_a), *range(axis_a + 1, rank_a), axis_a)
         order_b = None if axis_b == 0 else \
             (axis_b, *range(axis_b), *range(axis_b + 1, rank_b))
-        ops.append((label, slot_a, order_a, slot_b, order_b, max(rank_a, rank_b)))
-        legs[slot_a] = legs_a[:axis_a] + legs_a[axis_a + 1:] \
-            + legs_b[:axis_b] + legs_b[axis_b + 1:]
-        root[slot_b] = slot_a
-
-    # every merge joins two components, so n nodes and k merges leave n - k
-    if len(names) - len(ops) != 1:
-        raise ValueError("network is disconnected; oracle needs one component")
-    return tuple(ops), find(0)
+        ops.append((order_a, slot[node], order_b, max(rank_a, rank_b)))
+        legs_a = legs_a[:axis_a] + legs_a[axis_a + 1:] + legs_b[:axis_b] + legs_b[axis_b + 1:]
+    return tuple(ops), slot[0]
 
 
 def naive_value_oracle(net: TensorNetwork) -> float:
@@ -369,36 +335,27 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     Independent of the planners and of ``contract_pair``: works directly off
     the node arrays (each stack row in its node's axis order, the views
     ``net.nodes`` hands out, numbered into slots stack by stack) and the
-    bonds, with generic component merging. Each merge sums one bond, moving
-    its axis last in the first component and first in the second, then
-    multiplies the two as matrices with ``np.dot``; that is
-    ``np.tensordot``'s own layout, without its argument handling; a merge of
-    two sides of rank 2 or less hands them to ``np.dot`` as they are,
-    without the reshapes. Each bond is labelled by its position in
+    bonds. In bond order each bond absorbs one node into the root's
+    tensor: it sums the bond, moving its axis last in the root's tensor and
+    first in the node, then multiplies the two as matrices with ``np.dot``;
+    that is ``np.tensordot``'s own layout, without its argument handling; a
+    merge of two sides of rank 2 or less hands them to ``np.dot`` as they
+    are, without the reshapes. Each bond is labelled by its position in
     ``net.bonds``.
 
-    The merge schedule (the two component slots of each bond and their
-    transpose orders, each merge kept in the first end's slot) depends only
-    on the bond graph, so it is walked once per graph, kept in an
-    ``lru_cache`` keyed on the node names in slot order, the bonds, each
-    node's rank and each bond's axis types, and replayed for every network
-    on that graph, so a memo hit answers as a fresh walk would; a replay
-    only transposes, reshapes and multiplies. A graph with a bond end that
-    names no stack row, a non-int axis, no axis or an axis bonded twice, or
-    that is not closed, has a cycle or is disconnected, raises ValueError
-    before any merge. Raises ValueError if a bond joins two extents that
-    differ, and OracleGuardError if any intermediate would hold more than
-    ``ORACLE_GUARD`` scalars.
+    The schedule (each bond's node slot and the two transpose orders)
+    depends only on the geometry, which ``network.make_geometry`` has
+    checked, so it is walked once per geometry, kept in an ``lru_cache``
+    keyed on it, and replayed for every network on that geometry; a replay
+    only transposes, reshapes and multiplies. Raises ValueError if a bond
+    joins two extents that differ, and OracleGuardError if any intermediate
+    would hold more than ``ORACLE_GUARD`` scalars.
     """
-    views = _node_arrays(net)
-    arrays = list(views.values())
-    # tuple() returns a tuple as it is, so a hit compares the layout's own
-    # tuples by identity, and makes a network built with lists hashable
-    bonds = tuple(net.bonds)
-    ops, result = _walk_bond_graph(tuple(views), bonds, tuple([a.ndim for a in arrays]),
-                                   tuple([(type(b[1]), type(b[3])) for b in bonds]))
-    for label, slot_a, order_a, slot_b, order_b, widest in ops:
-        a, b = arrays[slot_a], arrays[slot_b]
+    arrays = _node_arrays(net)
+    ops, root = _walk_bond_graph(net.geometry)
+    a = arrays[root]
+    for label, (order_a, slot_b, order_b, widest) in enumerate(ops):
+        b = arrays[slot_b]
         if order_a is not None:
             a = a.transpose(order_a)
         if order_b is not None:
@@ -413,13 +370,11 @@ def naive_value_oracle(net: TensorNetwork) -> float:
                 f"intermediate with {size} elements exceeds "
                 f"the oracle guard of {ORACLE_GUARD}"
             )
-        arrays[slot_b] = None
         # ndarray.dot is np.dot without its dispatch layer
         if widest > 2:
-            arrays[slot_a] = a.reshape(-1, summed).dot(
-                b.reshape(summed, -1)).reshape(shape)
+            a = a.reshape(-1, summed).dot(b.reshape(summed, -1)).reshape(shape)
         else:
             # vectors and matrices already have the matrix layout: numpy
             # picks the same ddot, gemv or gemm as for the reshaped forms
-            arrays[slot_a] = a.dot(b)
-    return float(arrays[result])
+            a = a.dot(b)
+    return float(a)

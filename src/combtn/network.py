@@ -1,4 +1,9 @@
-"""Builders for the two supported network geometries.
+"""Networks as trees: a geometry and one array per stack.
+
+A network is its dimensions, its geometry and its arrays. ``make_geometry``
+makes a geometry from a node list and the draws of its stacks, and refuses
+anything that is not one closed tree; ``_geometry`` describes the two trees
+the lab compares through it, and so does every network made by hand.
 
 An MPS network is a single chain of M*N site tensors. A comb network is a
 backbone chain of M tensors, each carrying a vertical tooth of N tensors;
@@ -18,27 +23,24 @@ sums first leads, so that step reads each member in place as one matrix.
   compression:      [D, d];  data: [D]
 
 Tensors of one shape and role are held in one stack, an array whose leading
-axes run over its members. A network's nodes are its stacks' rows, stack by
-stack in C order, and nothing else names them; a node's array is a
-read-only view of one member, in the node's axis order, made only when
-something reads the nodes (the value oracle does). Stacks and their leading
-axes:
+axes run over its members. A node is one row of its stack, in C order, and
+nothing else holds it; its array is a read-only view of that row, in the
+node's axis order, made only when something reads the nodes (the value
+oracle does). Stacks and their leading axes:
   MPS:   first-site [1], interior-sites [L-2], last-site [1],
          compressions [L], data [L]  (L = M*N sites, left to right)
   comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
          tooth-ends [M], compressions [M, N], data [M, N]
 A stack with no members (the interior sites at L=2, the interior teeth at
 N=1, the interior spines at M=2) is left out of the geometry, once, so no
-build draws it and no plan reads it. ``_draw`` makes every stack, and
-``attach_data`` and ``set_orthonormal_compressions`` replace one stack's
-array; each holds a plain read-only ``np.ndarray`` that this module made.
+build draws it and no plan reads it. ``_draw`` makes every array, and
+``attach_data`` and ``set_orthonormal_compressions`` each replace one; each
+is a plain read-only ``np.ndarray`` that this module made.
 ``TensorNetwork.nodes`` hands the node views out as ``Node(Tensor(view))``
 named tuples, made anew on every read; a network keeps no view.
 
-Each geometry is described once per kind and (M, N), in a small bounded
-memo (``_geometry``): every node with its stack and the bond to the node it
-hangs from, the backbone, and every stack's draw. Its build order names the
-rows and the bonds, ``engine``'s plan is read off it, and a build only
+Each built geometry is made once per kind and (M, N), in a small bounded
+memo (``_geometry``); ``engine``'s plan is read off it, and a build only
 draws, stack by stack in the order each stack is stored. A stack of at most
 ``tensor._CHUNK`` elements is one call on the build's generator; a larger
 one is cut into runs of ``_CHUNK`` elements, each drawn from its own child
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -102,33 +105,11 @@ class Node(NamedTuple):
     tensor: Tensor
 
 
-@dataclass(frozen=True, eq=False)
-class Stack:
-    """Tensors of one shape held in one array, ``array``: its first
-    ``lead`` axes run over the members, and the member named ``names[i]``
-    is row i of them, in C order. A member is stored with its node's axes
-    permuted: the node is the member transposed by ``node_axes``, or the
-    member itself when that is None.
-
-    The builders make every stack of a network, each holding a read-only
-    array they made; ``attach_data`` and ``set_orthonormal_compressions``
-    replace one stack's array by ``dataclasses.replace``. A stack made by
-    hand holds the array it is given, as numpy containers do: no copy, no
-    check and no change to its flags."""
-
-    array: np.ndarray
-    names: tuple[str, ...]
-    lead: int
-    node_axes: tuple[int, ...] | None = None
-
-
 class Bond(NamedTuple):
     """Edge joining axis ``axis_a`` of ``node_a`` to axis ``axis_b`` of ``node_b``.
 
     A bond's extent is read off either end's shape; its position in
-    ``TensorNetwork.bonds`` is the value oracle's contraction order. A
-    named tuple, so hashing a network's bonds, as the oracle's memo does on
-    every call, runs in C.
+    ``TensorNetwork.bonds`` is the value oracle's contraction order.
     """
 
     node_a: str
@@ -137,22 +118,122 @@ class Bond(NamedTuple):
     axis_b: int
 
 
+class Geometry(NamedTuple):
+    """A closed tree of nodes, whatever its extents and seed, as
+    ``make_geometry`` makes it. ``kind`` names it ("mps" and "comb" for a
+    build). Its nodes, in list order, are (name, stack, position of the
+    node each hangs from or -1, axis of that node's stored member holding
+    their bond), by field in ``names``, ``stacks``, ``parents`` and
+    ``stored``; ``bonds`` holds each node's bond to its parent, parent
+    first, in list order. ``draws`` gives every stack with members, in
+    draw order, as (name, leading extents, stored member axes as letters of
+    "D", "d" and "x", the letters whose product is its fan-in,
+    ``node_axes``); a stack's members are its nodes in list order, one a
+    row. ``backbone`` is the chain a plan ends on. All of it is tuples, so
+    a geometry hashes and compares by value, and ``engine`` keys its memos
+    on it.
+    """
+
+    kind: str
+    names: tuple[str, ...]
+    stacks: tuple[str, ...]
+    parents: tuple[int, ...]
+    stored: tuple[int, ...]
+    bonds: tuple[Bond, ...]
+    draws: tuple[tuple, ...]
+    backbone: tuple[int, ...]
+
+    def rows(self, stack: str) -> list[int]:
+        """The positions of ``stack``'s members, in row order."""
+        return [node for node, at in enumerate(self.stacks) if at == stack]
+
+
+def make_geometry(kind: str, nodes, draws) -> Geometry:
+    """The geometry of the tree ``nodes``, whose stacks ``draws`` describe.
+
+    A node is (name, stack, parent, parent axis, axis). The first node is
+    the root and hangs from None, its axes unread; every other node hangs
+    from a node listed before it, by a bond from axis ``parent axis`` of
+    the parent to its own axis ``axis``, both in node axis order. A draw is
+    (name, leading extents, member axes as letters, fan-in letters,
+    ``node_axes``): a member has one axis per letter, the stack stores it
+    transposed by ``node_axes`` (None: as it is), and its members fill the
+    rows of its leading extents in C order, in list order. A stack with no
+    members is left out.
+
+    The backbone starts at the root, and each next node is the last listed
+    child of the last; it ends at a node, other than the root, with fewer
+    than two children. Every other node hangs from it.
+
+    Raises ValueError, naming the node or stack, where a name repeats;
+    where the list is not one tree (the first node hangs from a node, or a
+    later one from None, from no node or from a node listed after it);
+    where a node's bonds do not hold each of its axes once, by an int (so
+    an axis past its rank, an axis bonded twice and a free axis are
+    refused); and where a stack's rows are not its members (a stack that
+    no draw names has none).
+    """
+    names = tuple(name for name, *_ in nodes)
+    stacks = tuple(stack for _, stack, *_ in nodes)
+    index = {name: i for i, name in enumerate(names)}
+    twice = [name for i, name in enumerate(names) if index[name] != i]
+    if twice:
+        raise ValueError(f"node {twice[0]!r} is named twice")
+    if not names:
+        raise ValueError("not one tree: there are no nodes")
+    lead = {name: extents for name, extents, *_ in draws}
+    # a stack no draw names has no rows
+    for name in dict.fromkeys((*lead, *stacks)):
+        if stacks.count(name) != math.prod(lead.get(name, (0,))):
+            raise ValueError(f"stack {name!r} has {lead.get(name)} rows for "
+                             f"{stacks.count(name)} nodes")
+    rank = {name: len(axes) for name, _, axes, *_ in draws}
+    node_axes = {name: axes for name, *_, axes in draws}
+    legs, parents, bonds = [[] for _ in names], [], []
+    for i, (name, _, parent, parent_axis, axis) in enumerate(nodes):
+        up = -1 if parent is None else index.get(parent, i)
+        if (up < 0) != (i == 0) or up >= i:
+            raise ValueError(f"not one tree: node {name!r} hangs from {parent!r}, but the "
+                             f"first node hangs from None, each other from one before it")
+        parents.append(up)
+        if i:       # every node but the root hangs by one bond
+            legs[up].append(parent_axis)
+            legs[i].append(axis)
+            bonds.append(Bond(parent, parent_axis, name, axis))
+    for name, stack, axes in zip(names, stacks, legs):
+        if any(type(at) is not int for at in axes) or sorted(axes) != [*range(rank[stack])]:
+            raise ValueError(f"node {name!r} is bonded on axes {axes}, not on each "
+                             f"int in range({rank[stack]}) once")
+    # the axis of each parent's stored member that holds its bond
+    stored = [-1] + [bond.axis_a if node_axes[stacks[up]] is None else
+                     node_axes[stacks[up]][bond.axis_a]
+                     for up, bond in zip(parents[1:], bonds)]
+    last, backbone = {up: i for i, up in enumerate(parents)}, [0]
+    while parents.count(backbone[-1]) > (len(backbone) > 1):
+        backbone.append(last[backbone[-1]])
+    return Geometry(kind, names, stacks, tuple(parents), tuple(stored), tuple(bonds),
+                    tuple(draw for draw in draws if draw[0] in stacks), tuple(backbone))
+
+
 @dataclass(frozen=True)
 class TensorNetwork:
-    """A closed network of named nodes; ``kind`` is "mps" or "comb", and its
-    dimensions are all in ``params``. Its nodes are its stacks' rows, stack
-    by stack and in C order within each, so a bond can name only a node
-    some stack holds; a plan reads the stacks."""
+    """A closed tree network: its dimensions in ``params``, its structure
+    in ``geometry`` and, in ``arrays``, one array per stack of the geometry
+    by name, its members along the leading axes. A plan reads the arrays;
+    the kind, the bonds, the data sites and the node views are read off the
+    geometry."""
 
     params: NetworkParams
-    kind: str
-    bonds: tuple[Bond, ...]
-    stacks: dict[str, Stack]
+    geometry: Geometry
+    arrays: dict[str, np.ndarray]
+
+    kind = property(operator.attrgetter("geometry.kind"))
+    bonds = property(operator.attrgetter("geometry.bonds"))
 
     @property
     def data_sites(self) -> tuple[str, ...]:
         """The data nodes in row order of ``attach_data``'s matrix."""
-        return self.stacks["data"].names
+        return tuple(map(self.geometry.names.__getitem__, self.geometry.rows("data")))
 
     @property
     def nodes(self) -> dict[str, Node]:
@@ -160,60 +241,37 @@ class TensorNetwork:
         made anew on every read; the network keeps none. Nothing in combtn
         reads it: the value oracle reads ``_node_arrays``, and the
         benchmark in ``perfbench/`` reads this."""
-        return {name: Node(Tensor(arr)) for name, arr in _node_arrays(self).items()}
+        geometry = self.geometry
+        order = [geometry.names[node] for name, *_ in geometry.draws
+                 for node in geometry.rows(name)]
+        return {name: Node(Tensor(arr)) for name, arr in zip(order, _node_arrays(self))}
 
 
-def _node_arrays(net: TensorNetwork) -> dict[str, np.ndarray]:
+def _node_arrays(net: TensorNetwork) -> list[np.ndarray]:
     """Each stack row as a view in its node's axis order, read-only when
-    its stack is, by name, stack by stack in C order: the network's node
-    set, the one ``net.nodes`` and the value oracle read. Scoring, which
-    reads only the stacks, makes none."""
-    views = {}
-    for stack in net.stacks.values():
-        arr = stack.array
-        rows = arr.reshape(len(stack.names), *arr.shape[stack.lead:])
-        if stack.node_axes is not None:
-            rows = rows.transpose(0, *(axis + 1 for axis in stack.node_axes))
-        views.update(zip(stack.names, rows))
+    its array is, stack by stack in C order: the node set ``net.nodes``
+    and the value oracle read. Scoring, which reads only the arrays, makes
+    none."""
+    views = []
+    for name, lead, *_, node_axes in net.geometry.draws:
+        arr = net.arrays[name]
+        rows = arr.reshape(math.prod(lead), *arr.shape[len(lead):])
+        views.extend(rows if node_axes is None else rows.transpose(
+            0, *(axis + 1 for axis in node_axes)))
     return views
 
 
-class _Geometry(NamedTuple):
-    """One geometry at one (M, N), whatever its extents and seed. Its nodes,
-    in build order, are (name, stack, position of the node each hangs from
-    or -1, axis of that node's stored member holding their bond), by field
-    in ``order``, ``stacks``, ``parents`` and ``stored``; ``bonds`` holds
-    each node's bond to its parent. ``members`` and ``names`` list each
-    stack's nodes in node order, the C order of its rows. ``backbone`` is
-    the chain the others hang from. ``draws`` gives every stack, in draw
-    order, as (name, leading extents, stored member axes as letters of "D",
-    "d" and "x", the letters whose product is its fan-in, ``node_axes``).
-    A stack with no members is in none of ``members``, ``names`` and
-    ``draws``.
-    """
-
-    order: tuple[str, ...]
-    stacks: tuple[str, ...]
-    parents: tuple[int, ...]
-    stored: tuple[int, ...]
-    bonds: tuple[Bond, ...]
-    members: dict[str, tuple[int, ...]]
-    names: dict[str, tuple[str, ...]]
-    backbone: tuple[int, ...]
-    draws: tuple[tuple, ...]
-
-
-# The bound of every memo keyed by a network's kind and (M, N): the
-# geometries here, and the plans and oracle schedules in ``engine``. The
-# grid visits every tuple of one (M, N) in a row, so a few entries hit
-# almost always, and a long run is not all held.
+# The bound of every memo keyed by a network's geometry: the geometries
+# here, and the plans and oracle schedules in ``engine``. The grid visits
+# every tuple of one (M, N) in a row, so a few entries hit almost always,
+# and a long run is not all held.
 _MEMO = 4
 
 
 @functools.lru_cache(maxsize=_MEMO)
-def _geometry(kind: str, m_count: int, n_count: int) -> _Geometry:
+def _geometry(kind: str, m_count: int, n_count: int) -> Geometry:
     """The geometry of ``kind`` at (M, N); an MPS depends only on its
-    length, so ``build_mps`` and ``engine`` ask for (M*N, 1)."""
+    length, so ``build_mps`` asks for (M*N, 1)."""
     if kind == "mps":
         length = m_count * n_count
         draws = (("first-site", (1,), "dx", "x", None),
@@ -228,51 +286,38 @@ def _geometry(kind: str, m_count: int, n_count: int) -> _Geometry:
                  ("compressions", (m_count, n_count), "Dd", "D", None),
                  ("data", (m_count, n_count), "D", "", None),
                  ("interior-spines", (m_count - 2,), "xxx", "xxx", (1, 2, 0)))
-    node_axes = {name: axes for name, *_, axes in draws}
-    members: dict[str, list[int]] = {name: [] for name, *_ in draws}
-    nodes, bonds, backbone = [], [], []
+    nodes = []
 
-    def add(name: str, stack: str, parent: int, parent_axis: int, axis: int = 0) -> int:
-        # the first node hangs from none: its parent axis is never read
-        if parent >= 0:
-            bonds.append(Bond(nodes[parent][0], parent_axis, name, axis))
-            permuted = node_axes[nodes[parent][1]]
-            parent_axis = parent_axis if permuted is None else permuted[parent_axis]
-        members[stack].append(len(nodes))
-        nodes.append((name, stack, parent, parent_axis))
-        return len(nodes) - 1
+    def add(name: str, stack: str, parent: str | None, parent_axis: int, axis: int = 0) -> str:
+        nodes.append((name, stack, parent, parent_axis, axis))
+        return name
 
-    def physical(site: int, tag: str, axis: int) -> None:
+    def physical(site: str, tag: str, axis: int) -> None:
         # one compression matrix and one data vector per physical site
         add(f"data{tag}", "data", add(f"u{tag}", "compressions", site, axis, 1), 0)
 
+    site = None
     if kind == "mps":
         for i in range(length):
             stack, axis = (("first-site", 0) if i == 0 else
                            ("last-site", 1) if i == length - 1 else ("interior-sites", 1))
-            backbone.append(add(f"site{i}", stack, backbone[-1] if i else -1,
-                                1 if i == 1 else 2))
-            physical(backbone[-1], str(i), axis)
+            site = add(f"site{i}", stack, site, 1 if i == 1 else 2)
+            physical(site, str(i), axis)
     else:
         for m in range(m_count):
             end = m in (0, m_count - 1)
-            backbone.append(add(f"spine{m}", "boundary-spines" if end else "interior-spines",
-                                backbone[-1] if m else -1, 0 if m == 1 else 1))
-            parent, axis = backbone[-1], 1 if end else 2
+            site = add(f"spine{m}", "boundary-spines" if end else "interior-spines",
+                       site, 0 if m == 1 else 1)
+            parent, axis = site, 1 if end else 2
             for n in range(n_count):
                 tag = f"{m}.{n}"
                 stack = "tooth-ends" if n == n_count - 1 else "interior-teeth"
                 parent, axis = add(f"tooth{tag}", stack, parent, axis), 2
                 physical(parent, tag, 1)
-    order, stacks, parents, stored = map(tuple, zip(*nodes))
-    # the one place a stack with no members is left out
-    kept = {stack: tuple(ids) for stack, ids in members.items() if ids}
-    names = {stack: tuple(map(order.__getitem__, ids)) for stack, ids in kept.items()}
-    return _Geometry(order, stacks, parents, stored, tuple(bonds), kept, names,
-                     tuple(backbone), tuple(draw for draw in draws if draw[0] in kept))
+    return make_geometry(kind, nodes, draws)
 
 
-def _draw(params: NetworkParams, kind: str, seed, geometry: _Geometry) -> TensorNetwork:
+def _draw(params: NetworkParams, seed, geometry: Geometry) -> TensorNetwork:
     """Draw every stack of ``geometry``, in its ``draws`` order, from one
     generator seeded once per build.
 
@@ -285,14 +330,14 @@ def _draw(params: NetworkParams, kind: str, seed, geometry: _Geometry) -> Tensor
     the runs are filled by ``tensor._run_all``; a fill that raised fails
     the build, so no unfilled run becomes parameters. Every
     stack is scaled in place by 1/sqrt(fan_in), so each tensor is Gaussian
-    with std 1/sqrt(fan_in), made a ``Stack`` as it is drawn, and frozen
-    once every run is filled.
+    with std 1/sqrt(fan_in), and every array is frozen once every run is
+    filled.
     """
     dims = {"D": params.dim_raw, "d": params.dim_comp, "x": params.bond_dim}
     rng = np.random.default_rng(seed)
     chunk = tensor._CHUNK
-    stacks, runs = {}, []
-    for group, lead, axes, fan_in, node_axes in geometry.draws:
+    arrays, runs = {}, []
+    for group, lead, axes, fan_in, _ in geometry.draws:
         shape = lead + tuple(map(dims.__getitem__, axes))
         size = math.prod(shape)
         scale = 1.0 / math.sqrt(math.prod(map(dims.__getitem__, fan_in)))
@@ -305,12 +350,12 @@ def _draw(params: NetworkParams, kind: str, seed, geometry: _Geometry) -> Tensor
             starts = range(0, size, chunk)
             runs += [(child, flat[start:start + chunk], scale)
                      for child, start in zip(rng.spawn(len(starts)), starts)]
-        stacks[group] = Stack(arr, geometry.names[group], len(lead), node_axes)
+        arrays[group] = arr
     if runs:
         tensor._run_all(_fill, runs, fork=False)
-    for stack in stacks.values():
-        stack.array.setflags(write=False)
-    return TensorNetwork(params, kind, geometry.bonds, stacks)
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return TensorNetwork(params, geometry, arrays)
 
 
 def _fill(rng: np.random.Generator, run: np.ndarray, scale: float) -> None:
@@ -324,7 +369,7 @@ def build_mps(params: NetworkParams, seed=0) -> TensorNetwork:
     All tensors are Gaussian with std 1/sqrt(fan-in), where fan-in is the
     product of the non-physical extents; values never affect cost counts.
     """
-    return _draw(params, "mps", seed, _geometry("mps", params.sites, 1))
+    return _draw(params, seed, _geometry("mps", params.sites, 1))
 
 
 def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
@@ -334,8 +379,7 @@ def build_comb(params: NetworkParams, seed=0) -> TensorNetwork:
     end with shape [x, d]. Rejects M < 2: the boundary/interior split of the
     cost model presupposes two backbone ends.
     """
-    return _draw(params, "comb", seed,
-                 _geometry("comb", params.teeth, params.tooth_len))
+    return _draw(params, seed, _geometry("comb", params.teeth, params.tooth_len))
 
 
 def attach_data(net: TensorNetwork, data) -> TensorNetwork:
@@ -344,13 +388,14 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
     Rows follow site order: MPS left to right; comb tooth-major, backbone
     left to right and within a tooth from the backbone outward. Every value
     must be real and finite. ``data`` is copied once; that copy, frozen, is
-    the data stack, and the data tensors are its rows. Only the data stack
+    the data array, and the data tensors are its rows. Only the data array
     changes.
     """
     if np.iscomplexobj(data):
         raise ValueError("data matrix must be real, got complex values")
     matrix = np.array(data, dtype=np.float64, order="C", copy=True)
-    expected = (len(net.data_sites), net.params.dim_raw)
+    shape = net.arrays["data"].shape
+    expected = (math.prod(shape[:-1]), net.params.dim_raw)
     if matrix.ndim != 2 or matrix.shape != expected:
         raise ValueError(
             f"data matrix must have shape {expected} "
@@ -363,9 +408,7 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
             f"data matrix row {row}, column {col} is not finite: {matrix[row, col]}"
         )
     matrix.setflags(write=False)
-    stack = net.stacks["data"]
-    data_stack = replace(stack, array=matrix.reshape(stack.array.shape))
-    return replace(net, stacks={**net.stacks, "data": data_stack})
+    return replace(net, arrays={**net.arrays, "data": matrix.reshape(shape)})
 
 
 def set_orthonormal_compressions(net: TensorNetwork, seed=0) -> TensorNetwork:
@@ -376,10 +419,10 @@ def set_orthonormal_compressions(net: TensorNetwork, seed=0) -> TensorNetwork:
     one batched QR make the new stack: each matrix is the Q of its row's
     draw with every column's sign set so that R's diagonal is positive,
     which are the Gram-Schmidt columns of that draw. Only the compression
-    stack changes.
+    array changes.
     """
-    stack = net.stacks["compressions"]
-    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=stack.array.shape))
+    shape = net.arrays["compressions"].shape
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=shape))
     q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     q.setflags(write=False)
-    return replace(net, stacks={**net.stacks, "compressions": replace(stack, array=q)})
+    return replace(net, arrays={**net.arrays, "compressions": q})

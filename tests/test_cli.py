@@ -212,9 +212,9 @@ class TestSweep:
 
     def test_svg_sweep_keeps_only_what_the_chart_reads(self, capsys, tmp_path):
         # each row's (d, x-, x+), about 150 bytes, and the chart's own
-        # strings: about 260 bytes a row at peak, where keeping every
-        # ThresholdResult took about 710
-        rows = 50_000
+        # strings: about 270 bytes a row at peak over 10^4 rows, where
+        # keeping every ThresholdResult took about 700
+        rows = 10_000
         tracemalloc.start()
         try:
             code, _, _ = run(capsys, ["sweep", "--teeth", "50", "--d-min", "1",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -18,7 +19,7 @@ from combtn.costmodel import (
     mps_cost_terms,
     sequential_products,
 )
-from combtn import engine
+from combtn import engine, network
 from combtn.engine import (
     ContractionPlan,
     OracleGuardError,
@@ -30,30 +31,30 @@ from combtn.engine import (
     plan_for,
 )
 from combtn.network import (
-    Bond,
     NetworkParams,
-    Stack,
     TensorNetwork,
-    _node_arrays,
     attach_data,
     build_comb,
     build_mps,
+    make_geometry,
 )
 from combtn.tensor import CHAIN, AxisPairing, contract_pair
 from combtn.verification import grid_params
+from exact import exact_value
 
 
 def params(D=3, d=2, x=2, M=2, N=1) -> NetworkParams:
     return NetworkParams(dim_raw=D, dim_comp=d, bond_dim=x, teeth=M, tooth_len=N)
 
 
-def _graph(shapes: dict[str, tuple[int, ...]], edges) -> TensorNetwork:
-    """Bare bond graph of all-ones tensors, each the one row of a stack
-    named after it, for the oracle's error paths."""
-    stacks = {name: Stack(np.ones((1, *shape)), (name,), 1)
-              for name, shape in shapes.items()}
-    bonds = tuple(Bond(*edge) for edge in edges)
-    return TensorNetwork(params(), "mps", bonds, stacks)
+def _graph(*nodes) -> TensorNetwork:
+    """A hand tree of all-ones tensors, each node (name, shape, parent,
+    parent axis, axis) the one row of a stack named after it."""
+    geometry = make_geometry("tree", [(name, name, *bond) for name, _, *bond in nodes],
+                             [(name, (1,), "x" * len(shape), "", None)
+                              for name, shape, *_ in nodes])
+    return TensorNetwork(params(), geometry,
+                         {name: np.ones((1, *shape)) for name, shape, *_ in nodes})
 
 
 def _tensordot_oracle(net: TensorNetwork) -> float:
@@ -251,13 +252,13 @@ class TestExecute:
             # each read from an existing source: a stack of the network or
             # an earlier step's result
             reads = [(k, source) for k, s in enumerate(plan.steps) for source, _ in (s.a, s.b)]
-            assert all(source in net.stacks if isinstance(source, str) else 0 <= source < k
+            assert all(source in net.arrays if isinstance(source, str) else 0 <= source < k
                        for k, source in reads)
             # every stack and every result but the last is read, and dropped
             # exactly once, after its last read
             last = {source: k for k, source in reads}
             assert sorted(last, key=str) == \
-                sorted([*net.stacks, *range(len(plan.steps) - 1)], key=str)
+                sorted([*net.arrays, *range(len(plan.steps) - 1)], key=str)
             dropped = [(source, k) for k, drops in enumerate(plan.drops) for source in drops]
             assert sorted(dropped, key=str) == sorted(last.items(), key=str)
 
@@ -311,8 +312,9 @@ def _plan(*steps) -> ContractionPlan:
 
 # the smallest MPS as one-row stacks: site0 [d, x], site1 [x, d], u0/u1
 # [D, d], data0/data1 [D]
-SMALLEST = {"site0": (2, 2), "u0": (3, 2), "data0": (3,),
-            "site1": (2, 2), "u1": (3, 2), "data1": (3,)}
+SMALLEST = (("site0", (2, 2), None, None, None), ("u0", (3, 2), "site0", 0, 1),
+            ("data0", (3,), "u0", 0, 0), ("site1", (2, 2), "site0", 1, 0),
+            ("u1", (3, 2), "site1", 1, 1), ("data1", (3,), "u1", 0, 0))
 
 
 class TestExecuteRefusals:
@@ -323,7 +325,7 @@ class TestExecuteRefusals:
 
     def refusal(self, *steps, net=None) -> str:
         with pytest.raises(ValueError) as raised:
-            execute(net or _graph(SMALLEST, []), _plan(*steps))
+            execute(net or _graph(*SMALLEST), _plan(*steps))
         return str(raised.value)
 
     def test_missing_operand(self):
@@ -338,19 +340,18 @@ class TestExecuteRefusals:
         assert self.refusal() == "plan leaves 0 tensors instead of a single scalar"
 
     def test_network_with_an_extra_node(self):
-        net = build_mps(params(M=2, N=1), seed=0)
-        spare = Stack(np.ones((1, 2)), ("spare",), 1)
-        extra = replace(net, stacks={**net.stacks, "spare": spare})
+        # the comb plan for N=1 on N=2, which has interior teeth
+        net = build_comb(params(M=3, N=2), seed=0)
         with pytest.raises(ValueError) as raised:
-            execute(extra, mps_plan(net))
-        assert str(raised.value) == (
-            "plan does not match network: where they differ, the plan reads "
-            "stacks [] and the network holds [('spare', (1,))]")
+            execute(net, comb_plan(build_comb(params(M=3, N=1), seed=0)))
+        assert str(raised.value) == MISMATCHES["extra"]
 
     def test_non_scalar_result(self):
-        net = _graph({"a": (2,), "b": (2, 3)}, [])
-        assert self.refusal(("a", "b", 0), net=net) == \
-            "plan result has shape (1, 3), expected a scalar"
+        # each step keeps the row axis, so the last result is (1,)
+        net = _graph(("a", (2,), None, None, None), ("b", (2, 3), "a", 0, 0),
+                     ("c", (3,), "b", 1, 0))
+        assert self.refusal(("a", "b", 0), (0, "c", 0), net=net) == \
+            "plan result has shape (1,), expected a scalar"
 
 
 class TestPlanRefusals:
@@ -387,7 +388,7 @@ class TestPlanRefusals:
     def test_network_faults_are_refused_by_execute(self, steps):
         plan = _plan(*steps)
         with pytest.raises(ValueError, match="does not match network"):
-            execute(_graph(SMALLEST, []), plan)
+            execute(_graph(*SMALLEST), plan)
 
 
 MISMATCHES = {
@@ -396,7 +397,9 @@ MISMATCHES = {
                "('interior-teeth', (3, 1))] and the network holds "
                "[('compressions', (3, 1)), ('data', (3, 1))]",
     "extra": "plan does not match network: where they differ, the plan reads "
-             "stacks [] and the network holds [('spare', (1,))]",
+             "stacks [('compressions', (3, 1)), ('data', (3, 1))] and the network "
+             "holds [('compressions', (3, 2)), ('data', (3, 2)), "
+             "('interior-teeth', (3, 1))]",
     "extents": "plan does not match network: where they differ, the plan reads "
                "stacks [('compressions', (4,)), ('data', (4,)), "
                "('interior-sites', (2,))] and the network holds "
@@ -414,11 +417,11 @@ MISMATCHES = {
 def test_execute_refuses_a_mismatched_network_before_any_step(case, monkeypatch):
     comb = build_comb(params(M=3, N=2), seed=0)
     mps = build_mps(params(M=3, N=1), seed=0)
-    spare = Stack(np.ones((1, 2)), ("spare",), 1)
     net, plan = {
         # the comb plan for N=2 on N=1, which has no interior teeth
         "missing": (build_comb(params(M=3, N=1), seed=0), comb_plan(comb)),
-        "extra": (replace(mps, stacks={**mps.stacks, "spare": spare}), mps_plan(mps)),
+        # and the one for N=1 on N=2, which has
+        "extra": (comb, comb_plan(build_comb(params(M=3, N=1), seed=0))),
         # the MPS plan for 4 sites on 3
         "extents": (mps, mps_plan(build_mps(params(M=2, N=2), seed=0))),
         "kind": (mps, comb_plan(comb)),
@@ -438,12 +441,11 @@ def test_execute_refuses_a_mismatched_network_before_any_step(case, monkeypatch)
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])
 def test_a_complex_stack_is_refused_not_cast(build):
-    # a stack made by hand holds the array it is given, so complex data
+    # an array put in by hand is held as it is given, so complex data
     # stays complex through every step; the scalar is refused rather than
     # cut to its real part
     net = build(params(M=3, N=2), seed=0)
-    data = net.stacks["data"]
-    net = replace(net, stacks={**net.stacks, "data": replace(data, array=data.array + 1j)})
+    net = replace(net, arrays={**net.arrays, "data": net.arrays["data"] + 1j})
     with pytest.raises(TypeError, match="complex"):
         execute(net, plan_for(net))
 
@@ -615,7 +617,7 @@ def test_a_plan_may_read_a_result_twice_and_a_stack_in_part(monkeypatch):
         PlanStep((5, None), (4, None), dot, "final-dot"),
     )
     plan = ContractionPlan(steps, tuple(
-        (name, stack.array.shape[:stack.lead]) for name, stack in net.stacks.items()))
+        (name, lead) for name, lead, *_ in net.geometry.draws))
     owners, alive = [], []      # as in test_consumed_intermediates_are_released
 
     def tracked(a, b, pairing):
@@ -674,8 +676,7 @@ def test_the_count_is_the_parameters_plus_one_chain():
         for build in (build_mps, build_comb):
             net = build(p, seed=0)
             _, cost = execute(net, plan_for(net))
-            parameters = sum(stack.array.size for name, stack in net.stacks.items()
-                             if name != "data")
+            parameters = sum(arr.size for name, arr in net.arrays.items() if name != "data")
             assert cost.total - parameters == \
                 (p.sites - 2) * p.bond_dim ** 2 + p.bond_dim, (net.kind, p)
 
@@ -861,9 +862,8 @@ class TestValueOracle:
     def test_all_ones_unit_network(self):
         p = params(D=1, d=1, x=1, M=2, N=1)
         net = build_mps(p, seed=0)
-        net = replace(net, stacks={
-            group: replace(stack, array=np.ones(stack.array.shape))
-            for group, stack in net.stacks.items()})
+        net = replace(net, arrays={group: np.ones(arr.shape)
+                                   for group, arr in net.arrays.items()})
         assert all((node.tensor.array == 1.0).all() for node in net.nodes.values())
         assert naive_value_oracle(net) == 1.0
         scalar, _ = execute(net, plan_for(net))
@@ -911,47 +911,47 @@ class TestValueOracle:
             assert math.isclose(scalar, naive_value_oracle(net), rel_tol=1e-10), build
 
     def test_cycle_rejected(self):
-        net = _graph({"a": (2, 2), "b": (2, 2), "c": (2, 2)},
-                     [("a", 1, "b", 0), ("b", 1, "c", 0), ("c", 1, "a", 0)])
-        with pytest.raises(ValueError, match="cycle"):
-            naive_value_oracle(net)
+        # a hangs from c, b from a and c from b: the first node hangs from
+        # a node, so there is no root
+        with pytest.raises(ValueError, match="^not one tree: node 'a' hangs from 'c'"):
+            _graph(("a", (2, 2), "c", 1, 0), ("b", (2, 2), "a", 1, 0),
+                   ("c", (2, 2), "b", 1, 0))
 
-    def test_cycle_closed_through_a_merged_second_end_rejected(self):
-        # the last bond's second end, c, was merged into a's component
-        net = _graph({"a": (2, 2), "b": (2, 2), "c": (2, 2)},
-                     [("a", 0, "b", 0), ("b", 1, "c", 0), ("a", 1, "c", 1)])
-        with pytest.raises(ValueError, match="cycle"):
-            naive_value_oracle(net)
+    def test_cycle_among_later_nodes_rejected(self):
+        # c and d hang from each other, apart from the tree of a and b
+        with pytest.raises(ValueError, match="^not one tree: node 'c' hangs from 'd'"):
+            _graph(("a", (2,), None, None, None), ("b", (2,), "a", 0, 0),
+                   ("c", (3,), "d", 0, 0), ("d", (3,), "c", 0, 0))
 
-    def test_merges_reach_components_through_either_end(self):
-        # b's component is kept in c's slot, then d's, then reached through
-        # b as the first end, so the whole graph ends in d's slot, not a's
-        net = _graph({"a": (2,), "b": (2, 3, 4), "c": (3,), "d": (4,)},
-                     [("c", 0, "b", 1), ("d", 0, "b", 2), ("b", 0, "a", 0)])
+    def test_root_absorbs_nodes_through_any_of_its_axes(self):
+        # the root b gives up its axes 1, 2 and 0, in that order, to the
+        # nodes it absorbs
+        net = _graph(("b", (2, 3, 4), None, None, None), ("c", (3,), "b", 1, 0),
+                     ("d", (4,), "b", 2, 0), ("a", (2,), "b", 0, 0))
         assert naive_value_oracle(net) == 2 * 3 * 4
 
     def test_disconnected_rejected(self):
-        net = _graph({"a": (2,), "b": (2,), "c": (3,), "d": (3,)},
-                     [("a", 0, "b", 0), ("c", 0, "d", 0)])
-        with pytest.raises(ValueError, match="disconnected"):
-            naive_value_oracle(net)
+        # c hangs from None as the root a does: two trees
+        with pytest.raises(ValueError, match="^not one tree: node 'c' hangs from None"):
+            _graph(("a", (2,), None, None, None), ("b", (2,), "a", 0, 0),
+                   ("c", (3,), None, None, None), ("d", (3,), "c", 0, 0))
 
     def test_no_nodes_rejected(self):
-        with pytest.raises(ValueError, match="disconnected"):
-            naive_value_oracle(_graph({}, []))
+        with pytest.raises(ValueError, match="^not one tree: there are no nodes$"):
+            _graph()
 
     def test_free_axis_rejected(self):
-        net = _graph({"a": (2, 3), "b": (2,)}, [("a", 0, "b", 0)])
-        with pytest.raises(ValueError, match="not closed"):
-            naive_value_oracle(net)
+        with pytest.raises(ValueError, match=re.escape(
+                "node 'a' is bonded on axes [0], not on each int in range(2) once")):
+            _graph(("a", (2, 3), None, None, None), ("b", (2,), "a", 0, 0))
 
     def test_bond_extent_mismatch_rejected(self):
-        net = _graph({"a": (2,), "b": (4,)}, [("a", 0, "b", 0)])
+        net = _graph(("a", (2,), None, None, None), ("b", (4,), "a", 0, 0))
         with pytest.raises(ValueError, match="joins extents 2 and 4"):
             naive_value_oracle(net)
 
     def test_wider_first_extent_rejected(self):
-        net = _graph({"a": (4,), "b": (2,)}, [("a", 0, "b", 0)])
+        net = _graph(("a", (4,), None, None, None), ("b", (2,), "a", 0, 0))
         with pytest.raises(ValueError, match="^bond 0 joins extents 4 and 2$"):
             naive_value_oracle(net)
 
@@ -964,8 +964,8 @@ class TestValueOracle:
     def test_guard_admits_an_intermediate_of_its_size(self, monkeypatch):
         # in bond order a and b merge into (2, 5), the largest intermediate,
         # then c and d sum it down to (2,) and ()
-        net = _graph({"a": (2, 3), "b": (3, 5), "c": (5,), "d": (2,)},
-                     [("a", 1, "b", 0), ("b", 1, "c", 0), ("a", 0, "d", 0)])
+        net = _graph(("a", (2, 3), None, None, None), ("b", (3, 5), "a", 1, 0),
+                     ("c", (5,), "b", 1, 0), ("d", (2,), "a", 0, 0))
         monkeypatch.setattr(engine, "ORACLE_GUARD", 10)
         assert naive_value_oracle(net) == 2 * 3 * 5
         monkeypatch.setattr(engine, "ORACLE_GUARD", 9)
@@ -973,60 +973,66 @@ class TestValueOracle:
                                                    "exceeds the oracle guard of 9$"):
             naive_value_oracle(net)
 
-    @pytest.mark.parametrize("shapes, edges, message, warm", [
-        ({"a": (2,), "b": (2,)}, [("a", 0, "c", 0)], "bond 0 end b: no node 'c'", False),
-        ({"a": (2,), "b": (2,)}, [("a", 0, "b", 1)],
-         r"bond 0 end b: node 'b' has no axis 1 \(rank 1\)", False),
-        ({"a": (2,), "b": (2,)}, [("a", -1, "b", 0)],
-         r"bond 0 end a: node 'a' has no axis -1 \(rank 1\)", False),
-        ({"a": (2, 2), "b": (2,), "c": (2,)}, [("a", 0, "b", 0), ("a", 0, "c", 0)],
-         "bond 1 end a: axis 0 of node 'a' is already bonded by bond 0", False),
-        ({"a": (2,), "b": (2,)}, [("a", 0.0, "b", 0)],
-         "bond 0 end a: axis 0.0 of node 'a' is not an integer", False),
-        ({"a": (2,), "b": (2,)}, [("a", 0, "b", "0")],
-         "bond 0 end b: axis '0' of node 'b' is not an integer", False),
-        ({"a": (2,), "b": (2,)}, [("a", 0.0, "b", 0)],
-         "bond 0 end a: axis 0.0 of node 'a' is not an integer", True),
-        ({"a": (2,), "b": (2,)}, [("a", 0, "b", np.int64(0))],
-         r"bond 0 end b: axis np\.int64\(0\) of node 'b' is not an integer", False),
-        ({"a": (2,), "b": (2,)}, [("a", 0, "b", np.int64(0))],
-         r"bond 0 end b: axis np\.int64\(0\) of node 'b' is not an integer", True),
+    @pytest.mark.parametrize("children, message, warm", [
+        ((("b", (2,), "c", 0, 0),), "not one tree: node 'b' hangs from 'c', but the first "
+         "node hangs from None, each other from one before it", False),
+        ((("b", (2,), "a", 0, 1),), "node 'b' is bonded on axes [1], not on each int in "
+         "range(1) once", False),
+        ((("b", (2,), "a", -1, 0),), "node 'a' is bonded on axes [-1], not on each int in "
+         "range(1) once", False),
+        ((("b", (2,), "a", 0, 0), ("c", (2,), "a", 0, 0)), "node 'a' is bonded on axes "
+         "[0, 0], not on each int in range(1) once", False),
+        ((("b", (2,), "a", 0.0, 0),), "node 'a' is bonded on axes [0.0], not on each int "
+         "in range(1) once", False),
+        ((("b", (2,), "a", 0, "0"),), "node 'b' is bonded on axes ['0'], not on each int "
+         "in range(1) once", False),
+        ((("b", (2,), "a", 0.0, 0),), "node 'a' is bonded on axes [0.0], not on each int "
+         "in range(1) once", True),
+        ((("b", (2,), "a", 0, np.int64(0)),), "node 'b' is bonded on axes [np.int64(0)], "
+         "not on each int in range(1) once", False),
+        ((("b", (2,), "a", 0, np.int64(0)),), "node 'b' is bonded on axes [np.int64(0)], "
+         "not on each int in range(1) once", True),
     ], ids=["unknown-node", "axis-past-rank", "negative-axis", "axis-bonded-twice",
             "float-axis", "str-axis", "float-axis-warm-memo", "int64-axis",
             "int64-axis-warm-memo"])
-    def test_malformed_bond_end_rejected(self, shapes, edges, message, warm):
-        # a bond with axis 0.0 or np.int64(0) equals one with axis 0; from
-        # an empty memo, or one holding the integer graph's schedule
-        # (warm), the answer is the same refusal
+    def test_malformed_bond_end_rejected(self, children, message, warm):
+        # each child hangs from the root a; an axis 0.0 or np.int64(0)
+        # equals 0, and from an empty memo, or one holding the integer
+        # graph's schedule (warm), the answer is the same refusal, made
+        # before any walk
+        root = ("a", (2,), None, None, None)
         engine._walk_bond_graph.cache_clear()
         if warm:
-            ints = _graph(shapes, [(a, int(i), b, int(j)) for a, i, b, j in edges])
-            assert naive_value_oracle(ints) == 2.0
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            naive_value_oracle(_graph(shapes, edges))
+            ints = [(name, shape, parent, *map(int, axes))
+                    for name, shape, parent, *axes in children]
+            assert naive_value_oracle(_graph(root, *ints)) == 2.0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _graph(root, *children)
+        assert engine._walk_bond_graph.cache_info().misses == warm
 
-    def _two_stacks(self, *edges) -> TensorNetwork:
-        # rows a and c of one stack, row b of another
-        stacks = {"ends": Stack(np.array([[1.0, 2.0], [3.0, 4.0]]), ("a", "c"), 1),
-                  "mid": Stack(np.eye(2)[None], ("b",), 1)}
-        return TensorNetwork(params(), "mps", tuple(Bond(*e) for e in edges), stacks)
+    def _two_stacks(self, parent: str = "b") -> TensorNetwork:
+        # rows a and c of one stack, row b of another; c hangs from ``parent``
+        geometry = make_geometry("tree", [
+            ("a", "ends", None, None, None), ("b", "mid", "a", 0, 0),
+            ("c", "ends", parent, 1, 0)],
+            [("ends", (2,), "x", "", None), ("mid", (1,), "xx", "", None)])
+        return TensorNetwork(params(), geometry, {"ends": np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                                  "mid": np.eye(2)[None]})
 
     def test_a_hand_network_has_exactly_its_stacks_rows(self, monkeypatch):
-        net = self._two_stacks(("a", 0, "b", 0), ("b", 1, "c", 0))
+        net = self._two_stacks()
         # the nodes are the stacks' rows, stack by stack in row order
         assert list(net.nodes) == ["a", "c", "b"]
         walked, walk = [], engine._walk_bond_graph
         monkeypatch.setattr(engine, "_walk_bond_graph",
-                            lambda names, *rest: walked.append(names) or walk(names, *rest))
-        # the oracle walks the graph on those names: a . c
+                            lambda geometry: walked.append(geometry) or walk(geometry))
+        # the oracle walks the network's geometry: a . c
         assert naive_value_oracle(net) == 1.0 * 3.0 + 2.0 * 4.0
-        assert walked == [("a", "c", "b")]
+        assert walked == [net.geometry]
 
     def test_a_bond_to_a_node_no_stack_holds_is_refused(self):
-        net = self._two_stacks(("a", 0, "b", 0), ("b", 1, "d", 0))
-        assert "d" not in net.nodes
-        with pytest.raises(ValueError, match="^bond 1 end b: no node 'd'$"):
-            naive_value_oracle(net)
+        with pytest.raises(ValueError, match="^not one tree: node 'c' hangs from 'd'"):
+            self._two_stacks("d")
 
     def test_makes_no_node_wrappers(self):
         net = build_comb(params(M=3, N=2), seed=0)
@@ -1056,7 +1062,7 @@ def test_oracle_values_are_pinned():
 
 
 class TestOracleSchedules:
-    """The oracle walks a bond graph once and replays it per network."""
+    """The oracle walks a geometry once and replays it per network."""
 
     @pytest.fixture
     def walks(self):
@@ -1067,34 +1073,37 @@ class TestOracleSchedules:
     def test_another_graph_after_a_build_gets_its_own_schedule(self, walks):
         net = build_mps(params(), seed=5)
         built = naive_value_oracle(net)
-        # the same graph of all-ones tensors replays the build's schedule
-        ones = _graph({name: node.tensor.shape for name, node in net.nodes.items()},
-                      [(b.node_a, b.axis_a, b.node_b, b.axis_b) for b in net.bonds])
+        # the build's geometry with all-ones arrays replays its schedule
+        ones = replace(net, arrays={name: np.ones(arr.shape)
+                                    for name, arr in net.arrays.items()})
         assert naive_value_oracle(ones) == 2 * 2 * 3 * 2 * 3
         assert walks() == 1
-        # the same names, ranks, kind and params, but the sites swap
-        # compression columns: another graph, so another schedule and value
-        swapped = replace(net, bonds=(
-            Bond("site0", 1, "site1", 0), Bond("site0", 0, "u1", 1),
-            Bond("u1", 0, "data0", 0), Bond("site1", 1, "u0", 1),
-            Bond("u0", 0, "data1", 0)))
+        # the same stacks, arrays, kind and params, but each site reads the
+        # other's compression and data rows: another geometry, so another
+        # schedule and value
+        swapped = replace(net, geometry=make_geometry("mps", [
+            ("site0", "first-site", None, None, None), ("site1", "last-site", "site0", 1, 0),
+            ("u1", "compressions", "site1", 1, 1), ("data1", "data", "u1", 0, 0),
+            ("u0", "compressions", "site0", 0, 1), ("data0", "data", "u0", 0, 0)],
+            net.geometry.draws))
         assert naive_value_oracle(swapped) == _tensordot_oracle(swapped) != built
         assert walks() == 2
-        # a `_graph` of the build's kind and params with another error
-        split = _graph({"a": (2,), "b": (2,), "c": (3,), "d": (3,)},
-                       [("a", 0, "b", 0), ("c", 0, "d", 0)])
-        with pytest.raises(ValueError, match="disconnected"):
-            naive_value_oracle(split)
+        # a graph that is not one tree is refused before any walk
+        with pytest.raises(ValueError, match="not one tree"):
+            _graph(("a", (2,), None, None, None), ("b", (2,), "a", 0, 0),
+                   ("c", (3,), None, None, None), ("d", (3,), "c", 0, 0))
         assert naive_value_oracle(net) == built
-        assert walks() == 3
+        assert walks() == 2
 
     def test_extent_mismatch_on_a_cached_schedule(self, walks):
-        two = _graph({"a": (2,), "b": (2,)}, [("a", 0, "b", 0)])
+        pair = (("a", (2,), None, None, None), ("b", (2,), "a", 0, 0))
+        two = _graph(*pair)
         assert naive_value_oracle(two) == 2.0
-        # the same graph with its bonds in a list
-        listed = replace(two, bonds=list(two.bonds))
-        assert naive_value_oracle(listed) == 2.0
-        net = _graph({"a": (2,), "b": (4,)}, [("a", 0, "b", 0)])
+        # the same graph made again: an equal geometry, so the same schedule
+        again = _graph(*pair)
+        assert again.geometry == two.geometry and again.geometry is not two.geometry
+        assert naive_value_oracle(again) == 2.0
+        net = _graph(("a", (2,), None, None, None), ("b", (4,), "a", 0, 0))
         with pytest.raises(ValueError, match="^bond 0 joins extents 2 and 4$"):
             naive_value_oracle(net)
         assert walks() == 1
@@ -1123,13 +1132,75 @@ class TestOracleSchedules:
                 assert memo.cache_info().currsize <= memo.cache_info().maxsize
                 # the schedule the oracle just replayed, read back as a hit
                 walked = walks()
-                views = _node_arrays(net)
-                ranks = tuple(a.ndim for a in views.values())
-                schedule = memo(tuple(views), net.bonds, ranks,
-                                ((int, int),) * len(net.bonds))
+                schedule = memo(net.geometry)
                 assert walks() == walked
                 leaves = held(schedule)
                 assert {type(leaf) for leaf in leaves} <= {int, str, type(None)}
         assert walks() == 12
         assert memo.cache_info().maxsize == engine._MEMO
         assert memo.cache_info().currsize == engine._MEMO
+
+
+# A tree that is neither an MPS nor a comb: the backbone p0-p1-p2-p3, each
+# interior node with a two-node branch q-r, and a leaf l on each end. Every
+# node lists the next backbone node as its last child. Distinct extents, so
+# an axis read in the wrong order cannot agree.
+BRANCHED_NODES = (
+    ("p0", "end0", None, None, None), ("l0", "leaves", "p0", 0, 0),
+    ("p1", "inner", "p0", 1, 0), ("q1", "q", "p1", 1, 0), ("r1", "r", "q1", 1, 0),
+    ("p2", "inner", "p1", 2, 0), ("q2", "q", "p2", 1, 0), ("r2", "r", "q2", 1, 0),
+    ("p3", "end3", "p2", 2, 0), ("l3", "leaves", "p3", 1, 0))
+BRANCHED_DRAWS = (
+    ("end0", (1,), "dx", "x", None), ("leaves", (2,), "d", "", None),
+    ("inner", (2,), "xDx", "xx", None), ("q", (2,), "Dd", "D", None),
+    ("r", (2,), "d", "", None), ("end3", (1,), "xd", "x", None))
+
+
+class TestHandTrees:
+    """The planner takes any tree that ``make_geometry`` accepts, and
+    refuses, by name, a tree whose plan would need more than its steps."""
+
+    def test_a_branched_tree_runs_through_the_planner(self):
+        geometry = make_geometry("tree", BRANCHED_NODES, BRANCHED_DRAWS)
+        assert geometry.backbone == (0, 2, 5, 8)
+        net = network._draw(params(D=5, d=3, x=4), 11, geometry)
+        plan = engine._plan(net.geometry)
+        assert engine._plan(make_geometry("tree", BRANCHED_NODES, BRANCHED_DRAWS)) is plan
+        scalar, report = execute(net, plan)
+        assert report.total == sum(report.phase_subtotals.values())
+        assert [step.phase for step in plan.steps][-2:] == ["chain-sweep", "final-dot"]
+        assert math.isclose(scalar, naive_value_oracle(net), rel_tol=1e-10)
+        sign, _, exact = exact_value(net)
+        assert sign != 0 and abs(scalar - exact) <= 1e-10 * abs(exact)
+
+    def test_two_children_of_one_node_in_one_round_are_refused(self):
+        # the backbone a-b-c, with the leaves e and f both on b
+        geometry = make_geometry("tree", [
+            ("a", "a", None, None, None), ("b", "b", "a", 0, 0), ("e", "e", "b", 1, 0),
+            ("f", "f", "b", 2, 0), ("c", "c", "b", 3, 0)],
+            [("a", (1,), "x", "", None), ("b", (1,), "xddx", "", None),
+             ("e", (1,), "d", "", None), ("f", (1,), "d", "", None),
+             ("c", (1,), "x", "", None)])
+        assert geometry.backbone == (0, 1, 4)
+        with pytest.raises(ValueError, match="^node 'b' takes two children in round 0;"):
+            engine._plan(geometry)
+
+    @pytest.mark.parametrize("case", ["two-arrays", "next-first"])
+    def test_a_backbone_interior_the_chain_cannot_read_is_refused(self, case):
+        nodes, draws = list(BRANCHED_NODES), list(BRANCHED_DRAWS)
+        if case == "two-arrays":
+            # p2 takes a leaf for its branch, so p1 and p2 are ready in
+            # different rounds, in different arrays
+            nodes[6:8] = [("q2", "leaves2", "p2", 1, 0)]
+            draws += [("leaves2", (1,), "D", "", None)]
+            draws[3] = ("q", (1,), "Dd", "D", None)
+            draws[4] = ("r", (1,), "d", "", None)
+        else:
+            # each interior node holds its next node on axis 0 and its
+            # previous on axis 2, so its matrix reads (next, previous)
+            nodes[2] = ("p1", "inner", "p0", 1, 2)
+            nodes[5] = ("p2", "inner", "p1", 0, 2)
+            nodes[8] = ("p3", "end3", "p2", 0, 0)
+        geometry = make_geometry("tree", nodes, draws)
+        with pytest.raises(ValueError, match="^the backbone's interior is not one array"):
+            engine._plan(geometry)

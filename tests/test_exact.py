@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from combtn.engine import execute, naive_value_oracle, plan_for
-from combtn.network import Bond, NetworkParams, Stack, TensorNetwork, build_comb, build_mps
+from combtn.network import NetworkParams, TensorNetwork, build_comb, build_mps, make_geometry
 from combtn.verification import grid_params
 
 from exact import exact_value
 
 
-def _net(tensors: dict[str, np.ndarray], bonds) -> TensorNetwork:
-    # a hand-made network, one one-member stack per node
+def _net(*nodes) -> TensorNetwork:
+    # a hand-made tree, each node (name, array, parent, parent axis, axis)
+    # the one row of a stack named after it
     p = NetworkParams(dim_raw=1, dim_comp=1, bond_dim=1, teeth=2, tooth_len=1)
-    stacks = {name: Stack(arr[None], (name,), 1) for name, arr in tensors.items()}
-    return TensorNetwork(p, "mps", tuple(Bond(*b) for b in bonds), stacks)
+    geometry = make_geometry("tree", [(name, name, *bond) for name, _, *bond in nodes],
+                             [(name, (1,), "x" * arr.ndim, "", None)
+                              for name, arr, *_ in nodes])
+    return TensorNetwork(p, geometry, {name: arr[None] for name, arr, *_ in nodes})
 
 
 def test_exact_value_of_a_hand_network():
@@ -24,7 +27,7 @@ def test_exact_value_of_a_hand_network():
     a = np.array([1.0, -1.0, 1e-20])
     m = np.roll(np.eye(3), 1, axis=1)
     b = np.array([3.0, 1.0, 1.0])
-    net = _net({"a": a, "m": m, "b": b}, [("a", 0, "m", 0), ("m", 1, "b", 0)])
+    net = _net(("a", a, None, None, None), ("m", m, "a", 0, 0), ("b", b, "m", 1, 0))
     assert float(a @ m @ b) == 0.0
     sign, log2_abs, nearest = exact_value(net)
     exact = Fraction(1e-20) * 3
@@ -35,9 +38,11 @@ def test_exact_value_of_a_hand_network():
 def test_exact_value_of_cancelling_and_zero_networks():
     a = np.array([1.0, 1.0])
     b = np.array([2.0 ** -70, -(2.0 ** -70)])
-    assert exact_value(_net({"a": a, "b": b}, [("a", 0, "b", 0)])) == (0, -math.inf, 0.0)
+    pair = ("a", a, None, None, None), ("b", b, "a", 0, 0)
+    assert exact_value(_net(*pair)) == (0, -math.inf, 0.0)
     b = np.array([-(2.0 ** -1074), -(2.0 ** -1074)])
-    assert exact_value(_net({"a": a, "b": b}, [("a", 0, "b", 0)])) == \
+    pair = ("a", a, None, None, None), ("b", b, "a", 0, 0)
+    assert exact_value(_net(*pair)) == \
         (-1, -1073.0, -(2.0 ** -1073))
 
 

@@ -263,17 +263,17 @@ def _check_small_grid_by_definition(as_generator: bool) -> int:
             drawn = []
             for group, lead, shape, fan_in in _stacks_in_draw_order(net.kind, p):
                 if not math.prod(lead):
-                    assert group not in net.stacks
+                    assert group not in net.arrays
                     left_out += 1
                     continue
                 expected, was_chunked = _stack_by_definition(rng, lead, shape, fan_in,
                                                              tensor._CHUNK)
                 chunked += was_chunked
-                arr = net.stacks[group].array
+                arr = net.arrays[group]
                 assert arr.shape == expected.shape, group
                 assert arr.tobytes() == expected.tobytes(), (group, p)
                 drawn.append(group)
-            assert list(net.stacks) == drawn
+            assert list(net.arrays) == drawn
             if as_generator:
                 # the caller's generator is advanced by exactly the serial
                 # draws, and has spawned exactly the chunks' streams
@@ -364,8 +364,7 @@ def test_one_worker_per_cpu_at_most_one_per_run(cpus, chunk, monkeypatch):
     shares = recording_shares(monkeypatch)
     net = build_comb(small_params(dim_raw=5, dim_comp=3, bond_dim=4, teeth=5,
                                   tooth_len=3), seed=3)
-    runs = sum(math.ceil(stack.array.size / chunk) for stack in net.stacks.values()
-               if stack.array.size > chunk)
+    runs = sum(math.ceil(arr.size / chunk) for arr in net.arrays.values() if arr.size > chunk)
     assert shares == [min(cpus, runs)]
     assert runs == {64: 17, 256: 2}[chunk]
 
@@ -410,9 +409,9 @@ def test_each_stack_has_std_one_over_root_fan_in(build):
     p = NetworkParams(dim_raw=400, dim_comp=50, bond_dim=50, teeth=3, tooth_len=2)
     net = build(p, seed=9)
     groups = _stacks_in_draw_order(net.kind, p)
-    assert list(net.stacks) == [group for group, *_ in groups]
+    assert list(net.arrays) == [group for group, *_ in groups]
     for group, lead, shape, fan_in in groups:
-        arr = net.stacks[group].array
+        arr = net.arrays[group]
         assert arr.size >= 2400
         assert float(np.std(arr)) * math.sqrt(fan_in) == pytest.approx(1.0, abs=0.05), group
 
@@ -444,7 +443,7 @@ def test_bonds_list_the_nodes_in_build_order():
         for build in (build_mps, build_comb):
             net = build(p, seed=0)
             m, n = (p.sites, 1) if net.kind == "mps" else (p.teeth, p.tooth_len)
-            assert build_order(net) == list(network._geometry(net.kind, m, n).order)
+            assert build_order(net) == list(network._geometry(net.kind, m, n).names)
             assert sorted(build_order(net)) == sorted(net.nodes)
 
 
@@ -461,15 +460,26 @@ def test_build_tensors_are_read_only_and_separate(build):
             assert not np.shares_memory(first, second)
 
 
-def _rows(stack) -> np.ndarray:
+def _members(net, group: str) -> list[str]:
+    """The names of the stack's members, in row order."""
+    return [net.geometry.names[node] for node in net.geometry.rows(group)]
+
+
+def _draw_of(net, group: str) -> tuple:
+    """The stack's draw: (name, leading extents, letters, fan-in, node_axes)."""
+    return next(draw for draw in net.geometry.draws if draw[0] == group)
+
+
+def _rows(net, group: str) -> np.ndarray:
     """The stack's members, one per row, as stored."""
-    arr = stack.array
-    return arr.reshape(len(stack.names), *arr.shape[stack.lead:])
+    arr, lead = net.arrays[group], _draw_of(net, group)[1]
+    return arr.reshape(len(_members(net, group)), *arr.shape[len(lead):])
 
 
-def _as_node(stack, row: np.ndarray) -> np.ndarray:
+def _as_node(net, group: str, row: np.ndarray) -> np.ndarray:
     """A stored member with its axes permuted back to its node's order."""
-    return row if stack.node_axes is None else row.transpose(stack.node_axes)
+    node_axes = _draw_of(net, group)[4]
+    return row if node_axes is None else row.transpose(node_axes)
 
 
 @pytest.mark.parametrize("group, build", [("interior-sites", build_mps),
@@ -488,13 +498,12 @@ def test_interior_stacks_store_the_summed_axis_first(group, build):
     for bond in net.bonds:
         partners[bond.node_a, bond.axis_a] = bond.node_b
         partners[bond.node_b, bond.axis_b] = bond.node_a
-    stack = net.stacks[group]
-    arr = stack.array
-    shape = net.nodes[stack.names[0]].tensor.shape
-    assert arr.shape[stack.lead:] == \
+    arr, names = net.arrays[group], _members(net, group)
+    shape = net.nodes[names[0]].tensor.shape
+    assert arr.shape[len(_draw_of(net, group)[1]):] == \
         (shape[axis], *(e for i, e in enumerate(shape) if i != axis))
     assert arr.flags.c_contiguous and not arr.flags.writeable
-    for name, row in zip(stack.names, _rows(stack)):
+    for name, row in zip(names, _rows(net, group)):
         node = net.nodes[name].tensor.array
         assert partners[name, axis].startswith(partner)
         assert np.shares_memory(node, row) and not node.flags.writeable
@@ -511,16 +520,17 @@ def test_every_node_is_a_read_only_view_of_a_read_only_stack(build, mutate):
     elif mutate == "orthonormal":
         net = set_orthonormal_compressions(net, seed=5)
     owners = {}
-    for group, stack in net.stacks.items():
-        arr = stack.array
+    for group, arr in net.arrays.items():
         owner = arr if arr.base is None else arr.base
+        names = _members(net, group)
         assert not arr.flags.writeable and not owner.flags.writeable
         assert arr.shape[-1] > 0 and math.prod(arr.shape) == \
-            len(stack.names) * net.nodes[stack.names[0]].tensor.size
-        for name, row in zip(stack.names, _rows(stack)):
+            len(names) * net.nodes[names[0]].tensor.size
+        for name, row in zip(names, _rows(net, group)):
             node = net.nodes[name].tensor.array
             assert node.base is owner and not node.flags.writeable, name
-            assert np.shares_memory(node, row) and np.array_equal(node, _as_node(stack, row))
+            assert np.shares_memory(node, row)
+            assert np.array_equal(node, _as_node(net, group, row))
             owners[name] = group
     # every node is in exactly one stack, and the stacks of a build are
     # the groups of its kind
@@ -528,7 +538,7 @@ def test_every_node_is_a_read_only_view_of_a_read_only_stack(build, mutate):
     groups = {"mps": {"first-site", "interior-sites", "last-site", "compressions", "data"},
               "comb": {"boundary-spines", "interior-spines", "interior-teeth",
                        "tooth-ends", "compressions", "data"}}
-    assert set(net.stacks) == groups[net.kind]
+    assert set(net.arrays) == groups[net.kind]
 
 
 @pytest.mark.parametrize("build", [build_mps, build_comb])
@@ -551,21 +561,25 @@ def test_node_views_are_made_on_first_read(build, monkeypatch):
     # stack by stack in row order, each a read-only row of its stack in
     # its node's axes
     assert list(first) == list(second) == \
-        [name for stack in net.stacks.values() for name in stack.names]
-    for stack in scored.stacks.values():
-        for name, row in zip(stack.names, _rows(stack)):
+        [name for group in net.arrays for name in _members(net, group)]
+    for group in scored.arrays:
+        for name, row in zip(_members(scored, group), _rows(scored, group)):
             for nodes in (first, second):
                 view = nodes[name].tensor.array
                 assert not view.flags.writeable and np.shares_memory(view, row)
-                assert np.array_equal(view, _as_node(stack, row))
+                assert np.array_equal(view, _as_node(scored, group, row))
     assert [first[name].tensor.array.tolist() for name in net.data_sites] == \
         data.tolist()
 
 
 def test_stacks_without_members_are_left_out():
-    assert "interior-sites" not in build_mps(small_params(tooth_len=1), seed=0).stacks
+    mps = build_mps(small_params(tooth_len=1), seed=0)
+    assert "interior-sites" not in mps.arrays
     comb = build_comb(small_params(teeth=2, tooth_len=1), seed=0)
-    assert not {"interior-spines", "interior-teeth"} & set(comb.stacks)
+    assert not {"interior-spines", "interior-teeth"} & set(comb.arrays)
+    # nor in the geometry a plan and the oracle read
+    for net in (mps, comb):
+        assert [name for name, *_ in net.geometry.draws] == list(net.arrays)
 
 
 def test_replacing_a_tensor_restacks_only_its_group():
@@ -573,14 +587,13 @@ def test_replacing_a_tensor_restacks_only_its_group():
     # stack is shared
     net = build_comb(small_params(teeth=3, tooth_len=2), seed=1)
     ortho = set_orthonormal_compressions(net, seed=2)
-    for group, stack in net.stacks.items():
-        assert (ortho.stacks[group] is stack) == (group != "compressions")
-    before, after = net.stacks["compressions"], ortho.stacks["compressions"]
-    assert (after.names, after.lead, after.array.shape) == \
-        (before.names, before.lead, before.array.shape)
-    assert not np.shares_memory(after.array, before.array)
-    assert not after.array.flags.writeable
-    for name in before.names:
+    for group, arr in net.arrays.items():
+        assert (ortho.arrays[group] is arr) == (group != "compressions")
+    before, after = net.arrays["compressions"], ortho.arrays["compressions"]
+    assert ortho.geometry is net.geometry and after.shape == before.shape
+    assert not np.shares_memory(after, before)
+    assert not after.flags.writeable
+    for name in _members(net, "compressions"):
         assert not np.array_equal(ortho.nodes[name].tensor.array, net.nodes[name].tensor.array)
 
 
@@ -602,8 +615,7 @@ class TestAttachData:
         data = np.arange(p.sites * 2, dtype=float).reshape(p.sites, 2) + 1.0
         net = attach_data(net, data)
         eyes = np.stack([np.eye(2)] * p.sites)
-        net = replace(net, stacks={
-            **net.stacks, "compressions": replace(net.stacks["compressions"], array=eyes)})
+        net = replace(net, arrays={**net.arrays, "compressions": eyes})
         expected = float(
             data[0] @ net.nodes["site0"].tensor.array
             @ net.nodes["site1"].tensor.array @ data[1]
@@ -660,11 +672,12 @@ class TestAttachData:
         net = build_comb(p, seed=0)
         data = np.arange(p.sites * p.dim_raw, dtype=float).reshape(p.sites, p.dim_raw)
         attached = attach_data(net, data)
-        stack = attached.stacks["data"].array
+        stack = attached.arrays["data"]
         assert stack.shape == (3, 2, p.dim_raw)
         assert np.array_equal(stack.reshape(data.shape), data)
-        for group in net.stacks:
-            assert (attached.stacks[group] is net.stacks[group]) == (group != "data")
+        assert attached.geometry is net.geometry
+        for group in net.arrays:
+            assert (attached.arrays[group] is net.arrays[group]) == (group != "data")
 
     def test_comb_row_order_is_tooth_major(self):
         net = build_comb(small_params(teeth=3, tooth_len=2), seed=0)
@@ -712,3 +725,42 @@ def test_oracle_agrees_after_mutations():
     net = set_orthonormal_compressions(net, seed=12)
     scalar, _ = execute(net, plan_for(net))
     assert scalar == pytest.approx(naive_value_oracle(net), rel=1e-10)
+
+
+class TestMakeGeometry:
+    """Every network, built or made by hand, is one closed tree."""
+
+    def test_a_repeated_name_is_refused(self):
+        # stack x holds rows a and b, stack y row b, and one bond joins
+        # a.0 and b.0: two stacks would hold one node b
+        with pytest.raises(ValueError, match="^node 'b' is named twice$"):
+            network.make_geometry("tree", [
+                ("a", "x", None, None, None), ("b", "x", "a", 0, 0),
+                ("b", "y", "a", 0, 0)],
+                [("x", (2,), "x", "", None), ("y", (1,), "x", "", None)])
+
+    @pytest.mark.parametrize("lead", [(1,), (3,), None])
+    def test_a_stack_whose_rows_are_not_its_members_is_refused(self, lead):
+        # None: no draw names the stack, so it has no rows
+        draws = [] if lead is None else [("ends", lead, "x", "", None)]
+        with pytest.raises(ValueError, match=re.escape(
+                f"stack 'ends' has {lead} rows for 2 nodes")):
+            network.make_geometry("tree", [
+                ("a", "ends", None, None, None), ("b", "ends", "a", 0, 0)], draws)
+
+    @pytest.mark.parametrize("build", [build_mps, build_comb])
+    def test_the_backbone_of_a_build_is_its_sites_or_spines(self, build):
+        p = small_params(teeth=4, tooth_len=3)
+        geometry = build(p, seed=0).geometry
+        prefix, count = ("site", p.sites) if build is build_mps else ("spine", p.teeth)
+        assert [geometry.names[node] for node in geometry.backbone] == \
+            [f"{prefix}{i}" for i in range(count)]
+
+    def test_a_geometry_is_a_value(self):
+        # equal lists make equal geometries, which hash alike, so the plan
+        # and oracle memos hit on a geometry made again
+        made = network._geometry("comb", 3, 2)
+        network._geometry.cache_clear()
+        again = network._geometry("comb", 3, 2)
+        assert again is not made and again == made and hash(again) == hash(made)
+        assert again != network._geometry("comb", 3, 3)

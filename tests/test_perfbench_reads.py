@@ -95,7 +95,7 @@ def test_traced_work_reads_the_arrays(build, monkeypatch):
     assert totals["tensor.contract_pair.work_b"] == sum(steps)
     assert totals["network.build.calls"] == totals["network.attach_data.calls"] == 1
     assert totals["network.build.work_a"] == \
-        8 * sum(stack.array.size for stack in net.stacks.values())
+        8 * sum(arr.size for arr in net.arrays.values())
 
 
 def test_verify_prints_the_check_lines_perfbench_reads(capsys):
