@@ -2,22 +2,25 @@
 
 One planner derives the steps of any tree from its geometry, made in
 ``network``, leaf to root: nodes that are ready together are contracted
-into their parents in one stacked step over plain read-only arrays, and
-the backbone ends as one ``CHAIN`` step and the final dot. A step reads
-each operand by source, a stack's name or an earlier step's number, and
-row index, so a result may be read whole, in parts, or more than once. A
-plan depends only on the geometry, so networks that share one share one
-frozen plan from a small bounded memo; it is checked once, when it is
-made. ``execute`` checks the network's stack names and leading extents
-against it once, runs its steps, freeing each result after its last read,
-and reports the multiplications it counted, which ``verification`` and
-``cli`` compare with ``costmodel``. The independent value oracle contracts
-the bond graph in bond order, reading each node as a plain array view of
-its stack row, and is used to cross-check the scalar produced by plan
-execution. Its schedule, each node absorbed into the root's tensor,
-depends only on the geometry, so it is walked once per geometry, kept in a
-small ``lru_cache``, and replayed for every network on that geometry; a
-replay only transposes, reshapes and multiplies.
+into their parents in one stacked step over plain read-only arrays, and the
+backbone ends as one ``CHAIN`` step and the final dot. The planner works
+out the backbone (``_backbone``) and the stored axis of each bond itself,
+from the node list, and ``plan_for`` hands it any network's geometry, built
+or made by hand. A step reads each operand by source, a stack's name or an
+earlier step's number, and row index, so a result may be read whole, in
+parts, or more than once. A plan depends only on the geometry, so networks
+that share one share one frozen plan from a small bounded memo; it is
+checked once, when it is made. ``execute`` checks the network's stack names
+and leading extents against it once, runs its steps, freeing each result
+after its last read, and reports the multiplications it counted, which
+``verification`` and ``cli`` compare with ``costmodel``. The independent
+value oracle contracts the bond graph in bond order, reading each node as a
+plain array view of its stack row, and is used to cross-check the scalar
+produced by plan execution. Its schedule, node k + 1 absorbed into node 0's
+tensor by bond k, nodes numbered by their place in the list, depends only
+on the geometry, so it is walked once per geometry, kept in a small
+``lru_cache``, and replayed for every network on that geometry; a replay
+only transposes, reshapes and multiplies.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import costmodel
@@ -140,30 +144,45 @@ def _index(lead: tuple[int, ...], rows: list, batch: int | None = None):
     return (None if extents == lead else tuple(index)), extents
 
 
+def _backbone(parents: tuple[int, ...]) -> list[int]:
+    """The chain a plan ends on: it starts at the root, and each next node
+    is the last listed child of the last; it ends at a node, other than the
+    root, with fewer than two children. Every other node hangs from it."""
+    last, children, backbone = {up: i for i, up in enumerate(parents)}, Counter(parents), [0]
+    while children[backbone[-1]] > (len(backbone) > 1):
+        backbone.append(last[backbone[-1]])
+    return backbone
+
+
 @functools.lru_cache(maxsize=_MEMO)
 def _plan(geometry: Geometry) -> ContractionPlan:
-    """The plan of ``geometry``, leaf to root: a node off the backbone is
-    contracted into its parent in the round after its children's last. The
-    nodes of a round whose values sit in one array, as their parents' do,
-    share one stacked step that sums a child's one axis left against the
-    parent's axis holding their bond; its result holds the parents' values
-    in row order. Each operand reads its nodes' rows of a stack or of an
-    earlier result through ``_index``: the parents keep all of a stack's
-    leading axes, or those their rows of a result differ on, and the
-    children as many. Rounds 0 and 1 are "compress" and "absorb-physical",
-    later ones "tooth-to-backbone" into the backbone, else "tooth-sweep".
-    The backbone ends as one ``CHAIN`` step through its interior, if any,
-    and the dot.
+    """The plan of ``geometry``, leaf to root: a node off the backbone (see
+    ``_backbone``) is contracted into its parent in the round after its
+    children's last. The nodes of a round whose values sit in one array, as
+    their parents' do, share one stacked step that sums a child's one axis
+    left against the parent's axis holding their bond, read in the parent's
+    stored member; its result holds the parents' values in row order. Each
+    operand reads its nodes' rows of a stack or of an earlier result through
+    ``_index``: the parents keep all of a stack's leading axes, or those
+    their rows of a result differ on, and the children as many. Rounds 0 and
+    1 are "compress" and "absorb-physical", later ones "tooth-to-backbone"
+    into the backbone, else "tooth-sweep". The backbone ends as one
+    ``CHAIN`` step through its interior, if any, and the dot.
 
-    Raises ValueError where one node takes two children in one round
-    (naming it), and where the backbone's interior is not one array of
-    matrices read (previous, next) or its rows are not one basic index.
+    Raises ValueError for a tree of one node, where one node takes two
+    children in one round (naming it), and where the backbone's interior is
+    not one array of matrices read (previous, next) or its rows are not one
+    basic index.
     """
-    parents, stored, backbone = geometry.parents, geometry.stored, set(geometry.backbone)
+    parents = geometry.parents
+    if len(parents) == 1:
+        raise ValueError("a tree of one node has no step to plan")
+    backbone, bonds = _backbone(parents), geometry.bonds
     # per array (a stack by name, step k's result by k): leading extents,
-    # stored axes not yet summed, and each node's row
+    # the node axis each stored axis not yet summed holds, and each node's row
     lead = {name: extents for name, extents, *_ in geometry.draws}
-    left = {name: tuple(range(len(axes))) for name, _, axes, *_ in geometry.draws}
+    left = {name: tuple(map((node_axes or range(len(axes))).index, range(len(axes))))
+            for name, _, axes, *_, node_axes in geometry.draws}
     rows = {name: dict(zip(geometry.rows(name), itertools.product(*map(range, lead[name]))))
             for name in lead}
     at, steps = list(geometry.stacks), []       # each node's array
@@ -176,19 +195,20 @@ def _plan(geometry: Geometry) -> ContractionPlan:
         return (array, index), extents
 
     rounds, by_round = [0] * len(at), {}
-    for node in reversed(range(len(at))):    # a child comes after its parent
-        if node not in backbone:
-            by_round.setdefault(rounds[node], []).append(node)
-            up = parents[node]
-            if rounds[up] <= rounds[node]:
-                rounds[up] = rounds[node] + 1
+    # the nodes off the backbone, children before their parents
+    for node in sorted(set(range(len(at))).difference(backbone), reverse=True):
+        by_round.setdefault(rounds[node], []).append(node)
+        up = parents[node]
+        if rounds[up] <= rounds[node]:
+            rounds[up] = rounds[node] + 1
     for r in sorted(by_round):
         groups, taken = {}, {}
         for node in reversed(by_round[r]):
             if taken.setdefault(parents[node], node) != node:
                 raise ValueError(f"node {geometry.names[parents[node]]!r} takes two "
                                  f"children in round {r}; a round gives each node one")
-            groups.setdefault((at[node], at[parents[node]], stored[node]), []).append(node)
+            groups.setdefault((at[node], at[parents[node]], bonds[node - 1].axis_a),
+                              []).append(node)
         for (child, parent, axis), nodes in groups.items():
             ups = [parents[node] for node in nodes]
             b, extents = read(parent, ups)
@@ -204,12 +224,12 @@ def _plan(geometry: Geometry) -> ContractionPlan:
             for up in ups:
                 at[up] = k
 
-    first, *inner, last = geometry.backbone
+    first, *inner, last = backbone
     a, _ = read(at[first], [first], 0)
     if inner:
         chain = at[inner[0]]
         if {at[node] for node in inner} != {chain} or \
-                {stored[node] for node in geometry.backbone[2:]} != {left[chain][-1]}:
+                {bonds[node - 1].axis_a for node in backbone[2:]} != {left[chain][-1]}:
             raise ValueError("the backbone's interior is not one array of "
                              "matrices read (previous, next)")
         steps.append(PlanStep(a, read(chain, inner, 1)[0], CHAIN, "chain-sweep"))
@@ -241,7 +261,9 @@ def comb_plan(net: TensorNetwork) -> ContractionPlan:
 
 
 def plan_for(net: TensorNetwork) -> ContractionPlan:
-    return mps_plan(net) if net.kind == "mps" else comb_plan(net)
+    """The plan of any network's geometry, an MPS, a comb or a tree made by
+    hand; ``_plan`` refuses, by name, a tree it cannot plan."""
+    return _plan(net.geometry)
 
 
 def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostReport]:
@@ -291,26 +313,20 @@ def execute(net: TensorNetwork, plan: ContractionPlan) -> tuple[float, CostRepor
 
 
 @functools.lru_cache(maxsize=_MEMO)
-def _walk_bond_graph(geometry: Geometry) -> tuple[tuple, int]:
+def _walk_bond_graph(geometry: Geometry) -> tuple[tuple, ...]:
     """Label every leg and record one merge per bond; reads no extent, so
     every network on ``geometry`` replays it.
 
     ``network.make_geometry`` has refused every graph that is not one
     closed tree, and lists each node after its parent. So in bond order
     each bond joins a node alone, its second end, to the growing tensor of
-    the root, its first end's component.
-
-    Node slots run stack by stack in row order, as ``_node_arrays`` lists
-    the views; the slot numbers never enter a product, since each merge is
-    fixed by its bond's two ends. Returns ``(ops, root)``: op k, ``(order_a,
-    slot_b, order_b, widest)``, merges bond k's second end, node ``slot_b``,
-    into the root's tensor, transposing that tensor by ``order_a`` to sum
-    its last axis and the node by ``order_b`` to sum its first (None where
-    the axis is already there); ``widest`` is the larger of the two sides'
-    ranks. ``root`` is the root's slot.
+    the root, its first end's component: bond k absorbs node k + 1 into
+    node 0's tensor, nodes numbered by their place in the list, as
+    ``_node_arrays`` lists the views. Op k, ``(order_a, order_b, widest)``,
+    transposes the root's tensor by ``order_a`` to sum its last axis and
+    node k + 1 by ``order_b`` to sum its first (None where the axis is
+    already there); ``widest`` is the larger of the two sides' ranks.
     """
-    slot = {node: at for at, node in enumerate(
-        node for name, *_ in geometry.draws for node in geometry.rows(name))}
     rank = {name: len(axes) for name, _, axes, *_ in geometry.draws}
     legs = [[-1] * rank[stack] for stack in geometry.stacks]
     # node i hangs by bond i - 1, the one that absorbs it
@@ -324,9 +340,9 @@ def _walk_bond_graph(geometry: Geometry) -> tuple[tuple, int]:
             (*range(axis_a), *range(axis_a + 1, rank_a), axis_a)
         order_b = None if axis_b == 0 else \
             (axis_b, *range(axis_b), *range(axis_b + 1, rank_b))
-        ops.append((order_a, slot[node], order_b, max(rank_a, rank_b)))
+        ops.append((order_a, order_b, max(rank_a, rank_b)))
         legs_a = legs_a[:axis_a] + legs_a[axis_a + 1:] + legs_b[:axis_b] + legs_b[axis_b + 1:]
-    return tuple(ops), slot[0]
+    return tuple(ops)
 
 
 def naive_value_oracle(net: TensorNetwork) -> float:
@@ -334,8 +350,8 @@ def naive_value_oracle(net: TensorNetwork) -> float:
 
     Independent of the planners and of ``contract_pair``: works directly off
     the node arrays (each stack row in its node's axis order, the views
-    ``net.nodes`` hands out, numbered into slots stack by stack) and the
-    bonds. In bond order each bond absorbs one node into the root's
+    ``net.nodes`` hands out, numbered by the node's place in the list) and
+    the bonds. In bond order bond k absorbs node k + 1 into the root's
     tensor: it sums the bond, moving its axis last in the root's tensor and
     first in the node, then multiplies the two as matrices with ``np.dot``;
     that is ``np.tensordot``'s own layout, without its argument handling; a
@@ -343,19 +359,17 @@ def naive_value_oracle(net: TensorNetwork) -> float:
     are, without the reshapes. Each bond is labelled by its position in
     ``net.bonds``.
 
-    The schedule (each bond's node slot and the two transpose orders)
-    depends only on the geometry, which ``network.make_geometry`` has
-    checked, so it is walked once per geometry, kept in an ``lru_cache``
-    keyed on it, and replayed for every network on that geometry; a replay
-    only transposes, reshapes and multiplies. Raises ValueError if a bond
-    joins two extents that differ, and OracleGuardError if any intermediate
-    would hold more than ``ORACLE_GUARD`` scalars.
+    The schedule (each bond's two transpose orders) depends only on the
+    geometry, which ``network.make_geometry`` has checked, so it is walked
+    once per geometry, kept in an ``lru_cache`` keyed on it, and replayed
+    for every network on that geometry; a replay only transposes, reshapes
+    and multiplies. Raises ValueError if a bond joins two extents that
+    differ, and OracleGuardError if any intermediate would hold more than
+    ``ORACLE_GUARD`` scalars.
     """
-    arrays = _node_arrays(net)
-    ops, root = _walk_bond_graph(net.geometry)
-    a = arrays[root]
-    for label, (order_a, slot_b, order_b, widest) in enumerate(ops):
-        b = arrays[slot_b]
+    a, *arrays = _node_arrays(net)
+    for label, ((order_a, order_b, widest), b) in enumerate(
+            zip(_walk_bond_graph(net.geometry), arrays)):
         if order_a is not None:
             a = a.transpose(order_a)
         if order_b is not None:

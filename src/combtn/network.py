@@ -26,7 +26,8 @@ Tensors of one shape and role are held in one stack, an array whose leading
 axes run over its members. A node is one row of its stack, in C order, and
 nothing else holds it; its array is a read-only view of that row, in the
 node's axis order, made only when something reads the nodes (the value
-oracle does). Stacks and their leading axes:
+oracle does). Every reader numbers a node by its place in the geometry's
+node list, so node i's view is the i-th. Stacks and their leading axes:
   MPS:   first-site [1], interior-sites [L-2], last-site [1],
          compressions [L], data [L]  (L = M*N sites, left to right)
   comb:  boundary-spines [2], interior-spines [M-2], interior-teeth [M, N-1],
@@ -36,16 +37,20 @@ N=1, the interior spines at M=2) is left out of the geometry, once, so no
 build draws it and no plan reads it. ``_draw`` makes every array, and
 ``attach_data`` and ``set_orthonormal_compressions`` each replace one; each
 is a plain read-only ``np.ndarray`` that this module made.
-``TensorNetwork.nodes`` hands the node views out as ``Node(Tensor(view))``
-named tuples, made anew on every read; a network keeps no view.
+``TensorNetwork.nodes`` hands the node views out by name, in node order, as
+``Node(Tensor(view))`` named tuples, made anew on every read; a network
+keeps no view.
 
-Each built geometry is made once per kind and (M, N), in a small bounded
-memo (``_geometry``); ``engine``'s plan is read off it, and a build only
-draws, stack by stack in the order each stack is stored. A stack of at most
-``tensor._CHUNK`` elements is one call on the build's generator; a larger
-one is cut into runs of ``_CHUNK`` elements, each drawn from its own child
-stream, and the runs are filled on threads by ``tensor._run_all``, the one
-helper that shares work over the CPUs. The values depend only on the seed and
+A geometry is the validated node list and draws, nothing derived: the
+backbone a plan ends on and the stored axis each bond sums are worked out
+by ``engine``'s planner, which alone reads them. Each built geometry is
+made once per kind and (M, N), in a small bounded memo (``_geometry``);
+``engine``'s plan is read off it, and a build only draws, stack by stack in
+the order each stack is stored. A stack of at most ``tensor._CHUNK``
+elements is one call on the build's generator; a larger one is cut into
+runs of ``_CHUNK`` elements, each drawn from its own child stream, and the
+runs are filled on threads by ``tensor._run_all``, the one helper that
+shares work over the CPUs. The values depend only on the seed and
 ``_CHUNK``, never on how many workers fill them.
 """
 
@@ -122,26 +127,23 @@ class Geometry(NamedTuple):
     """A closed tree of nodes, whatever its extents and seed, as
     ``make_geometry`` makes it. ``kind`` names it ("mps" and "comb" for a
     build). Its nodes, in list order, are (name, stack, position of the
-    node each hangs from or -1, axis of that node's stored member holding
-    their bond), by field in ``names``, ``stacks``, ``parents`` and
-    ``stored``; ``bonds`` holds each node's bond to its parent, parent
+    node each hangs from or -1), by field in ``names``, ``stacks`` and
+    ``parents``; ``bonds`` holds each node's bond to its parent, parent
     first, in list order. ``draws`` gives every stack with members, in
     draw order, as (name, leading extents, stored member axes as letters of
     "D", "d" and "x", the letters whose product is its fan-in,
     ``node_axes``); a stack's members are its nodes in list order, one a
-    row. ``backbone`` is the chain a plan ends on. All of it is tuples, so
-    a geometry hashes and compares by value, and ``engine`` keys its memos
-    on it.
+    row. Every reader numbers a node by its place in the list. All of it
+    is tuples, so a geometry hashes and compares by value, and ``engine``
+    keys its memos on it.
     """
 
     kind: str
     names: tuple[str, ...]
     stacks: tuple[str, ...]
     parents: tuple[int, ...]
-    stored: tuple[int, ...]
     bonds: tuple[Bond, ...]
     draws: tuple[tuple, ...]
-    backbone: tuple[int, ...]
 
     def rows(self, stack: str) -> list[int]:
         """The positions of ``stack``'s members, in row order."""
@@ -161,17 +163,13 @@ def make_geometry(kind: str, nodes, draws) -> Geometry:
     rows of its leading extents in C order, in list order. A stack with no
     members is left out.
 
-    The backbone starts at the root, and each next node is the last listed
-    child of the last; it ends at a node, other than the root, with fewer
-    than two children. Every other node hangs from it.
-
-    Raises ValueError, naming the node or stack, where a name repeats;
-    where the list is not one tree (the first node hangs from a node, or a
-    later one from None, from no node or from a node listed after it);
-    where a node's bonds do not hold each of its axes once, by an int (so
-    an axis past its rank, an axis bonded twice and a free axis are
-    refused); and where a stack's rows are not its members (a stack that
-    no draw names has none).
+    Raises ValueError, naming the node or stack, where a node name or a
+    drawn stack repeats; where the list is not one tree (the first node
+    hangs from a node, or a later one from None, from no node or from a
+    node listed after it); where a node's bonds do not hold each of its
+    axes once, by an int (so an axis past its rank, an axis bonded twice
+    and a free axis are refused); and where a stack's rows are not its
+    members (a stack that no draw names has none).
     """
     names = tuple(name for name, *_ in nodes)
     stacks = tuple(stack for _, stack, *_ in nodes)
@@ -181,6 +179,10 @@ def make_geometry(kind: str, nodes, draws) -> Geometry:
         raise ValueError(f"node {twice[0]!r} is named twice")
     if not names:
         raise ValueError("not one tree: there are no nodes")
+    drawn = [name for name, *_ in draws]
+    twice = [name for i, name in enumerate(drawn) if drawn.index(name) != i]
+    if twice:
+        raise ValueError(f"stack {twice[0]!r} is drawn twice")
     lead = {name: extents for name, extents, *_ in draws}
     # a stack no draw names has no rows
     for name in dict.fromkeys((*lead, *stacks)):
@@ -188,7 +190,6 @@ def make_geometry(kind: str, nodes, draws) -> Geometry:
             raise ValueError(f"stack {name!r} has {lead.get(name)} rows for "
                              f"{stacks.count(name)} nodes")
     rank = {name: len(axes) for name, _, axes, *_ in draws}
-    node_axes = {name: axes for name, *_, axes in draws}
     legs, parents, bonds = [[] for _ in names], [], []
     for i, (name, _, parent, parent_axis, axis) in enumerate(nodes):
         up = -1 if parent is None else index.get(parent, i)
@@ -204,15 +205,8 @@ def make_geometry(kind: str, nodes, draws) -> Geometry:
         if any(type(at) is not int for at in axes) or sorted(axes) != [*range(rank[stack])]:
             raise ValueError(f"node {name!r} is bonded on axes {axes}, not on each "
                              f"int in range({rank[stack]}) once")
-    # the axis of each parent's stored member that holds its bond
-    stored = [-1] + [bond.axis_a if node_axes[stacks[up]] is None else
-                     node_axes[stacks[up]][bond.axis_a]
-                     for up, bond in zip(parents[1:], bonds)]
-    last, backbone = {up: i for i, up in enumerate(parents)}, [0]
-    while parents.count(backbone[-1]) > (len(backbone) > 1):
-        backbone.append(last[backbone[-1]])
-    return Geometry(kind, names, stacks, tuple(parents), tuple(stored), tuple(bonds),
-                    tuple(draw for draw in draws if draw[0] in stacks), tuple(backbone))
+    return Geometry(kind, names, stacks, tuple(parents), tuple(bonds),
+                    tuple(draw for draw in draws if draw[0] in stacks))
 
 
 @dataclass(frozen=True)
@@ -238,27 +232,23 @@ class TensorNetwork:
     @property
     def nodes(self) -> dict[str, Node]:
         """Each node's view from ``_node_arrays`` as ``Node(Tensor(view))``,
-        made anew on every read; the network keeps none. Nothing in combtn
-        reads it: the value oracle reads ``_node_arrays``, and the
-        benchmark in ``perfbench/`` reads this."""
-        geometry = self.geometry
-        order = [geometry.names[node] for name, *_ in geometry.draws
-                 for node in geometry.rows(name)]
-        return {name: Node(Tensor(arr)) for name, arr in zip(order, _node_arrays(self))}
+        by name in node order, made anew on every read; the network keeps
+        none. Nothing in combtn reads it: the value oracle reads
+        ``_node_arrays``, and the benchmark in ``perfbench/`` reads this."""
+        return dict(zip(self.geometry.names, map(Node, map(Tensor, _node_arrays(self)))))
 
 
 def _node_arrays(net: TensorNetwork) -> list[np.ndarray]:
-    """Each stack row as a view in its node's axis order, read-only when
-    its array is, stack by stack in C order: the node set ``net.nodes``
-    and the value oracle read. Scoring, which reads only the arrays, makes
-    none."""
-    views = []
+    """Node i's stack row at index i, as a view in its axis order,
+    read-only when its array is: the node set ``net.nodes`` and the value
+    oracle read. Scoring, which reads only the arrays, makes none."""
+    rows = {}
     for name, lead, *_, node_axes in net.geometry.draws:
         arr = net.arrays[name]
-        rows = arr.reshape(math.prod(lead), *arr.shape[len(lead):])
-        views.extend(rows if node_axes is None else rows.transpose(
-            0, *(axis + 1 for axis in node_axes)))
-    return views
+        arr = arr.reshape(math.prod(lead), *arr.shape[len(lead):])
+        rows[name] = iter(arr if node_axes is None else
+                          arr.transpose(0, *(axis + 1 for axis in node_axes)))
+    return [next(rows[stack]) for stack in net.geometry.stacks]
 
 
 # The bound of every memo keyed by a network's geometry: the geometries

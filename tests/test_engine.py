@@ -1021,8 +1021,10 @@ class TestValueOracle:
 
     def test_a_hand_network_has_exactly_its_stacks_rows(self, monkeypatch):
         net = self._two_stacks()
-        # the nodes are the stacks' rows, stack by stack in row order
-        assert list(net.nodes) == ["a", "c", "b"]
+        # the nodes are the stacks' rows, in node order
+        assert list(net.nodes) == ["a", "b", "c"]
+        assert [view.tolist() for view in network._node_arrays(net)] == \
+            [[1.0, 2.0], np.eye(2).tolist(), [3.0, 4.0]]
         walked, walk = [], engine._walk_bond_graph
         monkeypatch.setattr(engine, "_walk_bond_graph",
                             lambda geometry: walked.append(geometry) or walk(geometry))
@@ -1156,16 +1158,54 @@ BRANCHED_DRAWS = (
     ("r", (2,), "d", "", None), ("end3", (1,), "xd", "x", None))
 
 
+# The backbone a-b-c, with the leaves e and f both on b: a tree whose plan
+# would give b two children in one round.
+FORKED_NODES = (
+    ("a", "a", None, None, None), ("b", "b", "a", 0, 0), ("e", "e", "b", 1, 0),
+    ("f", "f", "b", 2, 0), ("c", "c", "b", 3, 0))
+FORKED_DRAWS = (
+    ("a", (1,), "x", "", None), ("b", (1,), "xddx", "", None), ("e", (1,), "d", "", None),
+    ("f", (1,), "d", "", None), ("c", (1,), "x", "", None))
+
+
+def _node_view(net: TensorNetwork, node: int) -> np.ndarray:
+    # the node's row of its stack, by its place among the stack's rows, in
+    # its node's axis order
+    stack = net.geometry.stacks[node]
+    _, lead, *_, node_axes = next(draw for draw in net.geometry.draws if draw[0] == stack)
+    arr = net.arrays[stack]
+    row = arr.reshape(-1, *arr.shape[len(lead):])[net.geometry.rows(stack).index(node)]
+    return row if node_axes is None else row.transpose(node_axes)
+
+
+def test_every_reader_numbers_nodes_by_their_place_in_the_list():
+    nets = [build(p, seed=42 + idx) for idx, p in enumerate(grid_params("small"))
+            for build in (build_mps, build_comb)]
+    nets += [network._draw(params(D=5, d=3, x=4), 11, make_geometry("tree", nodes, draws))
+             for nodes, draws in ((BRANCHED_NODES, BRANCHED_DRAWS),
+                                  (FORKED_NODES, FORKED_DRAWS))]
+    for net in nets:
+        assert list(net.nodes) == list(net.geometry.names)
+        views = network._node_arrays(net)
+        assert len(views) == len(net.geometry.names)
+        for node, view in enumerate(views):
+            made = _node_view(net, node)
+            # the same memory, shape and strides: the same view
+            assert view.__array_interface__ == made.__array_interface__, node
+            assert np.array_equal(net.nodes[net.geometry.names[node]].tensor.array, made)
+
+
 class TestHandTrees:
     """The planner takes any tree that ``make_geometry`` accepts, and
     refuses, by name, a tree whose plan would need more than its steps."""
 
     def test_a_branched_tree_runs_through_the_planner(self):
         geometry = make_geometry("tree", BRANCHED_NODES, BRANCHED_DRAWS)
-        assert geometry.backbone == (0, 2, 5, 8)
+        assert engine._backbone(geometry.parents) == [0, 2, 5, 8]
         net = network._draw(params(D=5, d=3, x=4), 11, geometry)
-        plan = engine._plan(net.geometry)
-        assert engine._plan(make_geometry("tree", BRANCHED_NODES, BRANCHED_DRAWS)) is plan
+        plan = plan_for(net)
+        assert plan_for(replace(net, geometry=make_geometry(
+            "tree", BRANCHED_NODES, BRANCHED_DRAWS))) is plan
         scalar, report = execute(net, plan)
         assert report.total == sum(report.phase_subtotals.values())
         assert [step.phase for step in plan.steps][-2:] == ["chain-sweep", "final-dot"]
@@ -1174,16 +1214,19 @@ class TestHandTrees:
         assert sign != 0 and abs(scalar - exact) <= 1e-10 * abs(exact)
 
     def test_two_children_of_one_node_in_one_round_are_refused(self):
-        # the backbone a-b-c, with the leaves e and f both on b
-        geometry = make_geometry("tree", [
-            ("a", "a", None, None, None), ("b", "b", "a", 0, 0), ("e", "e", "b", 1, 0),
-            ("f", "f", "b", 2, 0), ("c", "c", "b", 3, 0)],
-            [("a", (1,), "x", "", None), ("b", (1,), "xddx", "", None),
-             ("e", (1,), "d", "", None), ("f", (1,), "d", "", None),
-             ("c", (1,), "x", "", None)])
-        assert geometry.backbone == (0, 1, 4)
+        geometry = make_geometry("tree", FORKED_NODES, FORKED_DRAWS)
+        assert engine._backbone(geometry.parents) == [0, 1, 4]
         with pytest.raises(ValueError, match="^node 'b' takes two children in round 0;"):
             engine._plan(geometry)
+
+    def test_a_tree_of_one_node_is_refused_by_name(self):
+        # a rank-0 root alone is one tree, and the oracle reads its value
+        geometry = make_geometry("tree", [("a", "a", None, None, None)],
+                                 [("a", (1,), "", "", None)])
+        net = TensorNetwork(params(), geometry, {"a": np.array([2.5])})
+        assert naive_value_oracle(net) == 2.5
+        with pytest.raises(ValueError, match="^a tree of one node has no step to plan$"):
+            plan_for(net)
 
     @pytest.mark.parametrize("case", ["two-arrays", "next-first"])
     def test_a_backbone_interior_the_chain_cannot_read_is_refused(self, case):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combtn import network, tensor
+from combtn import engine, network, tensor
 from combtn.engine import execute, naive_value_oracle, plan_for
 from combtn.network import (
     NetworkParams,
@@ -558,10 +558,8 @@ def test_node_views_are_made_on_first_read(build, monkeypatch):
     # each read makes the views anew, and the network keeps none
     assert reads == [scored, scored] and first is not second
     assert "nodes" not in vars(scored) and "nodes" not in vars(net)
-    # stack by stack in row order, each a read-only row of its stack in
-    # its node's axes
-    assert list(first) == list(second) == \
-        [name for group in net.arrays for name in _members(net, group)]
+    # in node order, each a read-only row of its stack in its node's axes
+    assert list(first) == list(second) == list(net.geometry.names)
     for group in scored.arrays:
         for name, row in zip(_members(scored, group), _rows(scored, group)):
             for nodes in (first, second):
@@ -739,6 +737,14 @@ class TestMakeGeometry:
                 ("b", "y", "a", 0, 0)],
                 [("x", (2,), "x", "", None), ("y", (1,), "x", "", None)])
 
+    def test_a_stack_drawn_twice_is_refused(self):
+        # one stack s holds rows a and b; a draw list naming it twice
+        # would draw it twice and keep the second array
+        with pytest.raises(ValueError, match="^stack 's' is drawn twice$"):
+            network.make_geometry("tree", [
+                ("a", "s", None, None, None), ("b", "s", "a", 0, 0)],
+                [("s", (2,), "x", "", None), ("s", (2,), "x", "", None)])
+
     @pytest.mark.parametrize("lead", [(1,), (3,), None])
     def test_a_stack_whose_rows_are_not_its_members_is_refused(self, lead):
         # None: no draw names the stack, so it has no rows
@@ -753,7 +759,7 @@ class TestMakeGeometry:
         p = small_params(teeth=4, tooth_len=3)
         geometry = build(p, seed=0).geometry
         prefix, count = ("site", p.sites) if build is build_mps else ("spine", p.teeth)
-        assert [geometry.names[node] for node in geometry.backbone] == \
+        assert [geometry.names[node] for node in engine._backbone(geometry.parents)] == \
             [f"{prefix}{i}" for i in range(count)]
 
     def test_a_geometry_is_a_value(self):
