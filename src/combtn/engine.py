@@ -158,16 +158,20 @@ def _backbone(parents: tuple[int, ...]) -> list[int]:
 def _plan(geometry: Geometry) -> ContractionPlan:
     """The plan of ``geometry``, leaf to root: a node off the backbone (see
     ``_backbone``) is contracted into its parent in the round after its
-    children's last. The nodes of a round whose values sit in one array, as
-    their parents' do, share one stacked step that sums a child's one axis
-    left against the parent's axis holding their bond, read in the parent's
-    stored member; its result holds the parents' values in row order. Each
-    operand reads its nodes' rows of a stack or of an earlier result through
-    ``_index``: the parents keep all of a stack's leading axes, or those
-    their rows of a result differ on, and the children as many. Rounds 0 and
-    1 are "compress" and "absorb-physical", later ones "tooth-to-backbone"
-    into the backbone, else "tooth-sweep". The backbone ends as one
-    ``CHAIN`` step through its interior, if any, and the dot.
+    children's last. Each node has one place, (array, row): one walk of the
+    node list starts it at the next row of its stack, and a step moves each
+    parent it writes to (the step's number, its row of the result), so
+    planning a tree is linear in its nodes. The nodes of a round whose
+    values sit in one array, as their parents' do, share one stacked step
+    that sums a child's one axis left against the parent's axis holding
+    their bond, read in the parent's stored member; its result holds the
+    parents' values in row order. Each operand reads its nodes' places, the
+    array off the first, through ``_index``: the parents keep all of a
+    stack's leading axes, or those their rows of a result differ on, and
+    the children as many. Rounds 0 and 1 are "compress" and
+    "absorb-physical", later ones "tooth-to-backbone" into the backbone,
+    else "tooth-sweep". The backbone ends as one ``CHAIN`` step through its
+    interior, if any, and the dot.
 
     Raises ValueError for a tree of one node, where one node takes two
     children in one round (naming it), and where the backbone's interior is
@@ -178,63 +182,62 @@ def _plan(geometry: Geometry) -> ContractionPlan:
     if len(parents) == 1:
         raise ValueError("a tree of one node has no step to plan")
     backbone, bonds = _backbone(parents), geometry.bonds
-    # per array (a stack by name, step k's result by k): leading extents,
-    # the node axis each stored axis not yet summed holds, and each node's row
+    # per array (a stack by name, step k's result by k): leading extents and
+    # the node axis each stored axis not yet summed holds
     lead = {name: extents for name, extents, *_ in geometry.draws}
     left = {name: tuple(map((node_axes or range(len(axes))).index, range(len(axes))))
             for name, _, axes, *_, node_axes in geometry.draws}
-    rows = {name: dict(zip(geometry.rows(name), itertools.product(*map(range, lead[name]))))
-            for name in lead}
-    at, steps = list(geometry.stacks), []       # each node's array
+    # each node's place, (array, row): node i is the next row of its stack
+    rows = {name: itertools.product(*map(range, extents)) for name, extents in lead.items()}
+    place, steps = [(stack, next(rows[stack])) for stack in geometry.stacks], []
 
-    def read(array, nodes: list, batch: int | None = None):
+    def read(nodes: list, batch: int | None = None):
         # the operand holding the values of ``nodes``, and its leading extents
+        array = place[nodes[0]][0]
         if batch is None and isinstance(array, str):
             batch = len(lead[array])        # a stack keeps all its leading axes
-        index, extents = _index(lead[array], list(map(rows[array].__getitem__, nodes)), batch)
+        index, extents = _index(lead[array], [place[node][1] for node in nodes], batch)
         return (array, index), extents
 
-    rounds, by_round = [0] * len(at), {}
+    rounds, by_round = [0] * len(place), {}
     # the nodes off the backbone, children before their parents
-    for node in sorted(set(range(len(at))).difference(backbone), reverse=True):
+    for node in sorted(set(range(len(place))).difference(backbone), reverse=True):
         by_round.setdefault(rounds[node], []).append(node)
         up = parents[node]
-        if rounds[up] <= rounds[node]:
-            rounds[up] = rounds[node] + 1
+        rounds[up] = max(rounds[up], rounds[node] + 1)
     for r in sorted(by_round):
         groups, taken = {}, {}
         for node in reversed(by_round[r]):
             if taken.setdefault(parents[node], node) != node:
                 raise ValueError(f"node {geometry.names[parents[node]]!r} takes two "
                                  f"children in round {r}; a round gives each node one")
-            groups.setdefault((at[node], at[parents[node]], bonds[node - 1].axis_a),
+            groups.setdefault((place[node][0], place[parents[node]][0], bonds[node - 1].axis_a),
                               []).append(node)
-        for (child, parent, axis), nodes in groups.items():
+        for (_, parent, axis), nodes in groups.items():
             ups = [parents[node] for node in nodes]
-            b, extents = read(parent, ups)
+            b, extents = read(ups)
             batch = len(extents)
-            a, _ = read(child, nodes, batch)
+            a, _ = read(nodes, batch)
             summed = left[parent].index(axis)
             phase = ("compress", "absorb-physical")[r] if r < 2 else \
                 "tooth-to-backbone" if ups[0] in backbone else "tooth-sweep"
             k = len(steps)
             steps.append(PlanStep(a, b, AxisPairing(((batch, batch + summed),), batch), phase))
             lead[k], left[k] = extents, left[parent][:summed] + left[parent][summed + 1:]
-            rows[k] = dict(zip(ups, itertools.product(*map(range, extents))))
-            for up in ups:
-                at[up] = k
+            for up, row in zip(ups, itertools.product(*map(range, extents))):
+                place[up] = k, row
 
     first, *inner, last = backbone
-    a, _ = read(at[first], [first], 0)
+    a, _ = read([first], 0)
     if inner:
-        chain = at[inner[0]]
-        if {at[node] for node in inner} != {chain} or \
+        chain = place[inner[0]][0]
+        if {place[node][0] for node in inner} != {chain} or \
                 {bonds[node - 1].axis_a for node in backbone[2:]} != {left[chain][-1]}:
             raise ValueError("the backbone's interior is not one array of "
                              "matrices read (previous, next)")
-        steps.append(PlanStep(a, read(chain, inner, 1)[0], CHAIN, "chain-sweep"))
+        steps.append(PlanStep(a, read(inner, 1)[0], CHAIN, "chain-sweep"))
         a = (len(steps) - 1, None)
-    steps.append(PlanStep(a, read(at[last], [last], 0)[0], _DOT, "final-dot"))
+    steps.append(PlanStep(a, read([last], 0)[0], _DOT, "final-dot"))
     return ContractionPlan(tuple(steps), tuple(
         (name, extents) for name, extents, *_ in geometry.draws))
 

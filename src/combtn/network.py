@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -133,7 +134,9 @@ class Geometry(NamedTuple):
     draw order, as (name, leading extents, stored member axes as letters of
     "D", "d" and "x", the letters whose product is its fan-in,
     ``node_axes``); a stack's members are its nodes in list order, one a
-    row. Every reader numbers a node by its place in the list. All of it
+    row. It is data only, with no derived accessor: a reader that wants a
+    node's row walks ``stacks`` once, node i taking the next row of its
+    stack. Every reader numbers a node by its place in the list. All of it
     is tuples, so a geometry hashes and compares by value, and ``engine``
     keys its memos on it.
     """
@@ -144,10 +147,6 @@ class Geometry(NamedTuple):
     parents: tuple[int, ...]
     bonds: tuple[Bond, ...]
     draws: tuple[tuple, ...]
-
-    def rows(self, stack: str) -> list[int]:
-        """The positions of ``stack``'s members, in row order."""
-        return [node for node, at in enumerate(self.stacks) if at == stack]
 
 
 def make_geometry(kind: str, nodes, draws) -> Geometry:
@@ -161,15 +160,19 @@ def make_geometry(kind: str, nodes, draws) -> Geometry:
     ``node_axes``): a member has one axis per letter, the stack stores it
     transposed by ``node_axes`` (None: as it is), and its members fill the
     rows of its leading extents in C order, in list order. A stack with no
-    members is left out.
+    members is left out. Each stack's members and each draw's name are
+    counted once, so making a tree is linear in its nodes.
 
     Raises ValueError, naming the node or stack, where a node name or a
-    drawn stack repeats; where the list is not one tree (the first node
-    hangs from a node, or a later one from None, from no node or from a
-    node listed after it); where a node's bonds do not hold each of its
-    axes once, by an int (so an axis past its rank, an axis bonded twice
-    and a free axis are refused); and where a stack's rows are not its
-    members (a stack that no draw names has none).
+    drawn stack repeats; where a draw's leading extents are not ints >= 0
+    (a bool, a float or a numpy integer is refused); where its
+    ``node_axes`` is neither None nor each int in range(rank) once; where
+    the list is not one tree (the first node hangs from a node, or a later
+    one from None, from no node or from a node listed after it); where a
+    node's bonds do not hold each of its axes once, by an int (so an axis
+    past its rank, an axis bonded twice and a free axis are refused); and
+    where a stack's rows are not its members (a stack that no draw names
+    has none).
     """
     names = tuple(name for name, *_ in nodes)
     stacks = tuple(stack for _, stack, *_ in nodes)
@@ -179,16 +182,22 @@ def make_geometry(kind: str, nodes, draws) -> Geometry:
         raise ValueError(f"node {twice[0]!r} is named twice")
     if not names:
         raise ValueError("not one tree: there are no nodes")
-    drawn = [name for name, *_ in draws]
-    twice = [name for i, name in enumerate(drawn) if drawn.index(name) != i]
-    if twice:
-        raise ValueError(f"stack {twice[0]!r} is drawn twice")
-    lead = {name: extents for name, extents, *_ in draws}
+    members, lead = Counter(stacks), {}
+    for name, extents, axes, *_, node_axes in draws:
+        if name in lead:
+            raise ValueError(f"stack {name!r} is drawn twice")
+        if any(type(n) is not int or n < 0 for n in extents):
+            raise ValueError(f"stack {name!r} has leading extents {extents}, not ints >= 0")
+        if node_axes is not None and (any(type(at) is not int for at in node_axes)
+                                      or sorted(node_axes) != [*range(len(axes))]):
+            raise ValueError(f"stack {name!r} stores node axes {node_axes}, not each "
+                             f"int in range({len(axes)}) once")
+        lead[name] = extents
     # a stack no draw names has no rows
-    for name in dict.fromkeys((*lead, *stacks)):
-        if stacks.count(name) != math.prod(lead.get(name, (0,))):
+    for name in dict.fromkeys((*lead, *members)):
+        if members[name] != math.prod(lead.get(name, (0,))):
             raise ValueError(f"stack {name!r} has {lead.get(name)} rows for "
-                             f"{stacks.count(name)} nodes")
+                             f"{members[name]} nodes")
     rank = {name: len(axes) for name, _, axes, *_ in draws}
     legs, parents, bonds = [[] for _ in names], [], []
     for i, (name, _, parent, parent_axis, axis) in enumerate(nodes):
@@ -206,7 +215,7 @@ def make_geometry(kind: str, nodes, draws) -> Geometry:
             raise ValueError(f"node {name!r} is bonded on axes {axes}, not on each "
                              f"int in range({rank[stack]}) once")
     return Geometry(kind, names, stacks, tuple(parents), tuple(bonds),
-                    tuple(draw for draw in draws if draw[0] in stacks))
+                    tuple(draw for draw in draws if members[draw[0]]))
 
 
 @dataclass(frozen=True)
@@ -215,11 +224,25 @@ class TensorNetwork:
     in ``geometry`` and, in ``arrays``, one array per stack of the geometry
     by name, its members along the leading axes. A plan reads the arrays;
     the kind, the bonds, the data sites and the node views are read off the
-    geometry."""
+    geometry. In the program only the printed closed form that ``execute``
+    reports reads ``params``, so on a network made by hand they may be a
+    dummy.
+
+    Raises ValueError when it is made if the arrays are not exactly the
+    geometry's stacks at their leading extents, naming each stack missing,
+    extra or of other extents.
+    """
 
     params: NetworkParams
     geometry: Geometry
     arrays: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        lead = {name: extents for name, extents, *_ in self.geometry.draws}
+        holds = {name: arr.shape[:len(lead.get(name, ()))] for name, arr in self.arrays.items()}
+        if holds != lead:
+            raise ValueError(f"the arrays hold stacks {sorted(holds.items() - lead.items())} "
+                             f"where the geometry draws {sorted(lead.items() - holds.items())}")
 
     kind = property(operator.attrgetter("geometry.kind"))
     bonds = property(operator.attrgetter("geometry.bonds"))
@@ -227,7 +250,8 @@ class TensorNetwork:
     @property
     def data_sites(self) -> tuple[str, ...]:
         """The data nodes in row order of ``attach_data``'s matrix."""
-        return tuple(map(self.geometry.names.__getitem__, self.geometry.rows("data")))
+        return tuple(name for name, stack in zip(self.geometry.names, self.geometry.stacks)
+                     if stack == "data")
 
     @property
     def nodes(self) -> dict[str, Node]:
@@ -377,15 +401,17 @@ def attach_data(net: TensorNetwork, data) -> TensorNetwork:
 
     Rows follow site order: MPS left to right; comb tooth-major, backbone
     left to right and within a tooth from the backbone outward. Every value
-    must be real and finite. ``data`` is copied once; that copy, frozen, is
+    must be real and finite, and ``data`` has one row per data node and as
+    many columns as the data array's last axis, D, read off that array and
+    not off ``net.params``. ``data`` is copied once; that copy, frozen, is
     the data array, and the data tensors are its rows. Only the data array
-    changes.
+    changes, and the copy is checked as every network is when it is made.
     """
     if np.iscomplexobj(data):
         raise ValueError("data matrix must be real, got complex values")
     matrix = np.array(data, dtype=np.float64, order="C", copy=True)
     shape = net.arrays["data"].shape
-    expected = (math.prod(shape[:-1]), net.params.dim_raw)
+    expected = (math.prod(shape[:-1]), shape[-1])
     if matrix.ndim != 2 or matrix.shape != expected:
         raise ValueError(
             f"data matrix must have shape {expected} "

@@ -1169,12 +1169,12 @@ FORKED_DRAWS = (
 
 
 def _node_view(net: TensorNetwork, node: int) -> np.ndarray:
-    # the node's row of its stack, by its place among the stack's rows, in
-    # its node's axis order
+    # the node's row of its stack, numbered by how many of the stack's
+    # members are listed before it, in its node's axis order
     stack = net.geometry.stacks[node]
     _, lead, *_, node_axes = next(draw for draw in net.geometry.draws if draw[0] == stack)
     arr = net.arrays[stack]
-    row = arr.reshape(-1, *arr.shape[len(lead):])[net.geometry.rows(stack).index(node)]
+    row = arr.reshape(-1, *arr.shape[len(lead):])[net.geometry.stacks[:node].count(stack)]
     return row if node_axes is None else row.transpose(node_axes)
 
 
@@ -1212,6 +1212,25 @@ class TestHandTrees:
         assert math.isclose(scalar, naive_value_oracle(net), rel_tol=1e-10)
         sign, _, exact = exact_value(net)
         assert sign != 0 and abs(scalar - exact) <= 1e-10 * abs(exact)
+
+    def test_a_tree_of_hundreds_of_one_node_stacks_runs_through_the_planner(self):
+        # a root with 40 paths of lengths 1 to 40, each node its own stack:
+        # 821 nodes; the root's bonds have extent d = 1, so it is one element
+        nodes, draws = [("r", "r", None, None, None)], [("r", (1,), "d" * 40, "", None)]
+        for path in range(40):
+            parent, axis = "r", path
+            for i in range(path + 1):
+                name = f"n{path}.{i}"
+                nodes.append((name, name, parent, axis, 0))
+                draws.append((name, (1,), ("x", "d")[i == 0] + "x" * (i < path), "x", None))
+                parent, axis = name, 1
+        net = network._draw(params(D=1, d=1, x=3), 5, make_geometry("tree", nodes, draws))
+        plan = plan_for(net)
+        assert len(plan.steps) == 820 and plan.steps[-1].phase == "final-dot"
+        scalar, report = execute(net, plan)
+        assert report.total == sum(report.phase_subtotals.values())
+        assert scalar != 0.0
+        assert math.isclose(scalar, naive_value_oracle(net), rel_tol=1e-10)
 
     def test_two_children_of_one_node_in_one_round_are_refused(self):
         geometry = make_geometry("tree", FORKED_NODES, FORKED_DRAWS)

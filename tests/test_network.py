@@ -462,7 +462,8 @@ def test_build_tensors_are_read_only_and_separate(build):
 
 def _members(net, group: str) -> list[str]:
     """The names of the stack's members, in row order."""
-    return [net.geometry.names[node] for node in net.geometry.rows(group)]
+    return [name for name, stack in zip(net.geometry.names, net.geometry.stacks)
+            if stack == group]
 
 
 def _draw_of(net, group: str) -> tuple:
@@ -632,6 +633,18 @@ class TestAttachData:
         result, _ = execute(attach_data(net, scaled), plan_for(net))
         assert result == pytest.approx(-7.5 * base, rel=1e-10)
 
+    def test_the_raw_dimension_is_read_off_the_data_stack(self):
+        # a hand network's params are a dummy: dim_raw 3, data vectors of 5
+        geometry = network.make_geometry("tree", [
+            ("u", "u", None, None, None), ("data", "data", "u", 0, 0)],
+            [("u", (1,), "D", "", None), ("data", (1,), "D", "", None)])
+        net = network.TensorNetwork(small_params(), geometry,
+                                    {"u": np.ones((1, 5)), "data": np.zeros((1, 5))})
+        net = attach_data(net, np.arange(5.0)[None])
+        assert execute(net, plan_for(net))[0] == 10.0
+        with pytest.raises(ValueError, match=re.escape("shape (1, 5) (sites x dim_raw)")):
+            attach_data(net, np.zeros((1, 3)))
+
     def test_shape_mismatch_rejected(self):
         net = build_mps(small_params(), seed=0)
         with pytest.raises(ValueError, match="data matrix"):
@@ -754,6 +767,31 @@ class TestMakeGeometry:
             network.make_geometry("tree", [
                 ("a", "ends", None, None, None), ("b", "ends", "a", 0, 0)], draws)
 
+    @pytest.mark.parametrize("lead", [(-1, -2), (2.0,), (np.int64(2),), (True, 2)])
+    def test_leading_extents_that_are_not_ints_from_0_are_refused(self, lead):
+        # each product is 2, the stack's member count, so only the extents
+        # themselves are wrong
+        with pytest.raises(ValueError, match=re.escape(
+                f"stack 'ends' has leading extents {lead}, not ints >= 0")):
+            network.make_geometry("tree", [
+                ("a", "ends", None, None, None), ("b", "ends", "a", 0, 0)],
+                [("ends", lead, "x", "", None)])
+
+    @pytest.mark.parametrize("node_axes", [(0, 1, 2), (0, 0), (1,), (0, 1.0), (True, 0)])
+    def test_node_axes_that_are_not_a_permutation_are_refused(self, node_axes):
+        with pytest.raises(ValueError, match=re.escape(
+                f"stack 'mid' stores node axes {node_axes}, not each int in range(2) once")):
+            network.make_geometry("tree", [
+                ("a", "ends", None, None, None), ("b", "mid", "a", 0, 0),
+                ("c", "ends", "b", 1, 0)],
+                [("ends", (2,), "x", "", None), ("mid", (1,), "xx", "", node_axes)])
+
+    def test_an_empty_stack_is_left_out(self):
+        geometry = network.make_geometry("tree", [
+            ("a", "ends", None, None, None), ("b", "ends", "a", 0, 0)],
+            [("ends", (2,), "x", "", None), ("none", (0, 3), "xx", "", (1, 0))])
+        assert [name for name, *_ in geometry.draws] == ["ends"]
+
     @pytest.mark.parametrize("build", [build_mps, build_comb])
     def test_the_backbone_of_a_build_is_its_sites_or_spines(self, build):
         p = small_params(teeth=4, tooth_len=3)
@@ -770,3 +808,30 @@ class TestMakeGeometry:
         again = network._geometry("comb", 3, 2)
         assert again is not made and again == made and hash(again) == hash(made)
         assert again != network._geometry("comb", 3, 3)
+
+
+class TestArraysAreTheStacks:
+    """A network's arrays are exactly its geometry's stacks, at their
+    leading extents, or it is refused when it is made."""
+
+    GEOMETRY = network.make_geometry("tree", [
+        ("a", "ends", None, None, None), ("b", "data", "a", 0, 0),
+        ("c", "ends", "b", 1, 0)],
+        [("ends", (2,), "x", "", None), ("data", (1,), "xx", "", None)])
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"ends": np.ones((2, 2))},
+         "the arrays hold stacks [] where the geometry draws [('data', (1,))]"),
+        ({"ends": np.ones((2, 2)), "data": np.ones((1, 2, 2)), "extra": np.ones((4, 2))},
+         "the arrays hold stacks [('extra', ())] where the geometry draws []"),
+        ({"ends": np.ones((3, 2)), "data": np.ones((1, 2, 2))},
+         "the arrays hold stacks [('ends', (3,))] where the geometry draws [('ends', (2,))]"),
+    ], ids=["missing", "extra", "extents"])
+    def test_missing_extra_and_misshapen_stacks_are_refused(self, arrays, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            network.TensorNetwork(small_params(), self.GEOMETRY, arrays)
+
+    def test_stacks_that_fit_are_held_as_given(self):
+        arrays = {"ends": np.ones((2, 2)), "data": np.eye(2)[None]}
+        net = network.TensorNetwork(small_params(), self.GEOMETRY, arrays)
+        assert net.arrays is arrays and naive_value_oracle(net) == 2.0
